@@ -3,8 +3,8 @@
 //! The fourth serving layer: a front-door [`Router`] process speaking
 //! the standard length-prefixed JSON wire protocol
 //! ([`phom_net::wire`]) on one listen address, fanning requests out to
-//! N member `phom serve` processes over [`phom_net::Client`]
-//! connections. The stack, bottom to top:
+//! N member `phom serve` processes over one shared protocol-v2
+//! [`phom_net::MuxClient`] link per member. The stack, bottom to top:
 //!
 //! 1. **engine** (`phom_core`) — plan/execute/finish over `Send` tick
 //!    units;
@@ -31,12 +31,13 @@
 //!   on the old member in the background. Tickets created before the
 //!   flip keep polling through the old member until resolved — a
 //!   mutating fleet never drops or double-answers an in-flight ticket.
-//! * **Member health**: per-member reconnect-with-backoff
-//!   ([`Client::connect_with_retry`](phom_net::Client::connect_with_retry)),
-//!   typed `member_unavailable` error frames, and verbatim relay of
-//!   member errors (`overloaded` keeps its `capacity` — backpressure
-//!   reaches the edge). The router never silently retries a submit;
-//!   exactly-once stays with the client.
+//! * **Member health**: one lazily connected link per member, replaced
+//!   with reconnect-with-backoff
+//!   ([`MuxClient::connect_with_retry`](phom_net::MuxClient::connect_with_retry))
+//!   once it dies; typed `member_unavailable` error frames; and typed
+//!   relay of member errors (`overloaded` keeps its `capacity` —
+//!   backpressure reaches the edge). The router never silently retries
+//!   a submit; exactly-once stays with the client.
 //! * **Fleet-wide observability**: the router's `stats` op aggregates
 //!   every member's `RuntimeStats` (per-member + rollup, with the
 //!   members' sparse latency histograms merged bucket-wise); the

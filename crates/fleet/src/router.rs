@@ -1,17 +1,19 @@
 //! The front-door router: one listen address speaking the standard
 //! wire protocol, fanning out to N member `phom serve` processes over
-//! [`phom_net::Client`] connections.
+//! one shared protocol-v2 [`MuxClient`] link per member.
 //!
 //! ## Structure
 //!
 //! An accept thread plus one handler thread per client connection —
-//! the same shape as [`phom_net::Server`]. Each connection owns its
-//! own member links (lazily connected, reconnect-with-backoff via
-//! [`Client::connect_with_retry`]) and its own ticket table mapping
-//! router tickets to `(member, member_ticket)` pairs; a ticket is
-//! pinned to the member link it was submitted over, which is exactly
-//! what makes handoff safe — tickets created before a routing flip
-//! keep polling through the old member until resolved.
+//! the same shape as [`phom_net::Server`]. Every router→member exchange
+//! (submit, the lazy `register`, the drain `deregister`, the `stats`
+//! and `trace` fan-outs) rides the member's single pipelined link,
+//! lazily connected with the [`RouterBuilder::connect_retry`] budget
+//! and replaced on first use after it dies. Each client connection
+//! owns only its ticket table; a ticket holds the link it was submitted
+//! over, which is exactly what makes handoff safe — tickets created
+//! before a routing flip keep resolving through the old member, and a
+//! ticket on a link that died reports that death itself.
 //!
 //! Routing state (placements, which members hold which fingerprints,
 //! cached instances for handoff warm-up, in-flight counts, the drain
@@ -28,8 +30,8 @@
 //! restart — is definitively not admitted, so the router re-registers
 //! and forwards once more.) A lost member link loses the tickets
 //! routed over it: each answers `member_unavailable` exactly once,
-//! then is gone. Member error frames (`overloaded` with its
-//! `capacity`, `deadline_exceeded`, …) are relayed verbatim, so
+//! then is gone. Typed member errors (`overloaded` with its
+//! `capacity`, `deadline_exceeded`, …) are relayed with their code, so
 //! backpressure reaches the edge.
 //!
 //! ## Observability
@@ -49,7 +51,7 @@
 use crate::members::{owner_of, validate_members, MemberSpec};
 use phom_net::json::Json;
 use phom_net::wire::{self, read_frame, write_frame};
-use phom_net::{Client, MuxClient, MuxTicket, NetError};
+use phom_net::{MuxClient, MuxTicket, NetError};
 use phom_obs::{Histogram, PromText, Span, SpanLane, SpanRing, Stage, TraceId};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -80,7 +82,7 @@ impl Default for RouterBuilder {
 
 impl RouterBuilder {
     /// Defaults: 8 MiB frame bound, 2 s poll-wait cap, 3 connection
-    /// attempts with 50 ms backoff per member call.
+    /// attempts with 50 ms backoff per member (re)connect.
     pub fn new() -> Self {
         RouterBuilder {
             max_frame: wire::MAX_FRAME,
@@ -102,7 +104,7 @@ impl RouterBuilder {
         self
     }
 
-    /// Member (re)connection budget: up to `attempts` tries with
+    /// Member link (re)connection budget: up to `attempts` tries with
     /// linearly growing `backoff` before a member call answers
     /// `member_unavailable`.
     pub fn connect_retry(mut self, attempts: u32, backoff: Duration) -> Self {
@@ -116,18 +118,10 @@ impl RouterBuilder {
         validate_members(&members).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let mux = members
-            .iter()
-            .map(|_| {
-                Mutex::new(MuxMemberLink {
-                    client: None,
-                    v1_only: false,
-                })
-            })
-            .collect();
+        let links = members.iter().map(|_| Mutex::new(None)).collect();
         let inner = Arc::new(RouterInner {
             members,
-            mux,
+            links,
             draining: AtomicBool::new(false),
             max_frame: self.max_frame,
             poll_wait_cap: self.poll_wait_cap,
@@ -194,7 +188,6 @@ struct RouterCounters {
     frames_in: AtomicU64,
     frames_out: AtomicU64,
     submitted: AtomicU64,
-    mux_submits: AtomicU64,
     delivered: AtomicU64,
     member_unavailable: AtomicU64,
     handoffs: AtomicU64,
@@ -211,11 +204,10 @@ struct RouterInner {
     connect_attempts: u32,
     connect_backoff: Duration,
     state: Mutex<RouteState>,
-    /// One shared protocol-v2 link per member, multiplexing the
-    /// submits of *every* client connection onto a single pipelined
-    /// connection (v1 per-connection links remain for the control
-    /// plane and as the fallback for members that reject `hello`).
-    mux: Vec<Mutex<MuxMemberLink>>,
+    /// One shared protocol-v2 link per member, carrying every exchange
+    /// of every client connection (and of the maintenance thread) with
+    /// that member; `None` until first use.
+    links: Vec<Mutex<Option<Arc<MuxClient>>>>,
     /// Wakes the maintenance thread when a drain may have completed.
     maint_wake: Condvar,
     conns: Mutex<Vec<(TcpStream, Option<JoinHandle<()>>)>>,
@@ -236,8 +228,8 @@ pub struct RouterStats {
     pub frames_out: u64,
     /// `submit` ops successfully forwarded (a member ticket exists).
     pub submitted: u64,
-    /// Of those, submits that rode a shared multiplexed (protocol-v2)
-    /// member link instead of a per-connection v1 round trip.
+    /// Submits that rode a multiplexed (protocol-v2) member link. Every
+    /// member link is multiplexed, so this always equals `submitted`.
     pub mux_submits: u64,
     /// Answers delivered to clients via `poll`.
     pub delivered: u64,
@@ -288,12 +280,13 @@ impl Router {
     /// The router's own counters.
     pub fn stats(&self) -> RouterStats {
         let c = &self.inner.counters;
+        let submitted = c.submitted.load(Ordering::Relaxed);
         RouterStats {
             connections: c.connections.load(Ordering::Relaxed),
             frames_in: c.frames_in.load(Ordering::Relaxed),
             frames_out: c.frames_out.load(Ordering::Relaxed),
-            submitted: c.submitted.load(Ordering::Relaxed),
-            mux_submits: c.mux_submits.load(Ordering::Relaxed),
+            submitted,
+            mux_submits: submitted,
             delivered: c.delivered.load(Ordering::Relaxed),
             member_unavailable: c.member_unavailable.load(Ordering::Relaxed),
             handoffs: c.handoffs.load(Ordering::Relaxed),
@@ -368,10 +361,14 @@ fn accept_loop(inner: &Arc<RouterInner>, listener: TcpListener) {
             continue;
         };
         let inner2 = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
+        let Ok(handle) = std::thread::Builder::new()
             .name("phom-fleet-conn".into())
             .spawn(move || Conn::new(&inner2).run(stream))
-            .expect("spawn connection thread");
+        else {
+            // No thread to serve it: the stream closes with the dropped
+            // closure, and the listener keeps accepting.
+            continue;
+        };
         let mut conns = lock(&inner.conns);
         conns.retain_mut(|(_, slot)| match slot {
             Some(h) if h.is_finished() => {
@@ -418,14 +415,9 @@ fn maintenance_loop(inner: &Arc<RouterInner>) {
             ready
         };
         for mut job in ready {
-            let member = &inner.members[job.member];
-            let done = Client::connect_with_retry(
-                member.addr.as_str(),
-                inner.connect_attempts,
-                inner.connect_backoff,
-            )
-            .and_then(|mut client| client.deregister(job.version))
-            .is_ok();
+            let done = inner
+                .member_call(job.member, |link| link.deregister(job.version))
+                .is_ok();
             let mut state = lock(&inner.state);
             if done {
                 inner
@@ -442,6 +434,38 @@ fn maintenance_loop(inner: &Arc<RouterInner>) {
                 }
             }
         }
+    }
+}
+
+impl RouterInner {
+    /// The live shared link to member `idx`, (re)connecting with the
+    /// configured retry budget when there is none or the cached one
+    /// died. Connecting under the member's lock keeps it to one link
+    /// per member; a replaced link stays alive for the tickets that
+    /// still hold it, which report its death themselves.
+    fn mux_link(&self, idx: usize) -> Result<Arc<MuxClient>, NetError> {
+        let mut link = lock(&self.links[idx]);
+        if let Some(client) = link.as_ref().filter(|c| !c.is_closed()) {
+            return Ok(Arc::clone(client));
+        }
+        let client = Arc::new(MuxClient::connect_with_retry(
+            self.members[idx].addr.as_str(),
+            self.connect_attempts,
+            self.connect_backoff,
+        )?);
+        *link = Some(Arc::clone(&client));
+        Ok(client)
+    }
+
+    /// One exchange with member `idx` over its shared link. A
+    /// [`NetError::Server`] is the member's typed answer; any other
+    /// error means the member could not be reached or died mid-call.
+    fn member_call<T>(
+        &self,
+        idx: usize,
+        call: impl FnOnce(&MuxClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        call(&*self.mux_link(idx)?)
     }
 }
 
@@ -470,10 +494,8 @@ fn err_reply(request: &Json, code: &str, msg: &str) -> Json {
     Json::Obj(pairs)
 }
 
-/// An error envelope rebuilt from a typed [`NetError::Server`] that
-/// arrived through a multiplexed link (where the raw member frame is
-/// gone by the time the router answers): `overloaded` keeps its
-/// `capacity`, matching what [`relay_reply`] passes through verbatim.
+/// An error envelope rebuilt from a member's typed answer
+/// ([`NetError::Server`]): `overloaded` keeps its `capacity`.
 fn typed_err_reply(request: &Json, code: &str, msg: &str, capacity: Option<usize>) -> Json {
     let mut err = vec![
         ("code".to_string(), Json::str(code)),
@@ -490,77 +512,23 @@ fn typed_err_reply(request: &Json, code: &str, msg: &str, capacity: Option<usize
     Json::Obj(pairs)
 }
 
-/// Re-envelopes a member's raw reply under the client's `id`: `ok`
-/// payloads and `err` objects (with all their structured fields —
-/// `overloaded` keeps its `capacity`) pass through verbatim.
-fn relay_reply(request: &Json, member_reply: Json) -> Json {
-    let mut pairs = Vec::with_capacity(2);
-    if let Some(id) = request.get("id") {
-        pairs.push(("id".to_string(), id.clone()));
-    }
-    if let Some(ok) = member_reply.get("ok") {
-        pairs.push(("ok".to_string(), ok.clone()));
-    } else if let Some(err) = member_reply.get("err") {
-        pairs.push(("err".to_string(), err.clone()));
-    } else {
-        return err_reply(
-            request,
-            "bad_frame",
-            "member answered an unrecognized frame",
-        );
-    }
-    Json::Obj(pairs)
-}
-
 // ---------------------------------------------------------------------
 // Per-connection handler
 // ---------------------------------------------------------------------
 
-/// A ticket forwarded to a member, pinned to the link generation it
-/// was submitted over — if that link dies, the member-side ticket died
-/// with it, and the router answers `member_unavailable` exactly once.
+/// A ticket forwarded to a member. It holds the shared link it was
+/// submitted over, so its pushed completion still arrives after the
+/// link is replaced — and if that link died, the ticket reports the
+/// death itself, exactly once.
 struct RoutedTicket {
     member: usize,
-    generation: u64,
     version: u64,
-    remote: Remote,
-}
-
-/// Where a routed ticket's answer lives.
-#[derive(Clone)]
-enum Remote {
-    /// A member-side ticket id, polled over the per-connection v1
-    /// link it was submitted on.
-    V1(u64),
-    /// A pushed completion on a shared multiplexed link. The ticket
-    /// keeps its `MuxClient` alive (via `Arc`) even after the shared
-    /// link is swapped, so in-flight answers on the old connection
-    /// still arrive; the ticket itself reports the connection's death.
-    Mux {
-        link: Arc<MuxClient>,
-        ticket: Arc<MuxTicket>,
-    },
-}
-
-struct MemberLink {
-    client: Option<Client>,
-    /// Bumped every time the link is torn down; tickets remember the
-    /// generation they were created under.
-    generation: u64,
-}
-
-/// The shared pipelined link to one member, lazily connected. A
-/// member that answers `hello` with a typed error is v1-only: the
-/// router stops retrying the upgrade and every submit takes the v1
-/// round-trip path instead.
-struct MuxMemberLink {
-    client: Option<Arc<MuxClient>>,
-    v1_only: bool,
+    link: Arc<MuxClient>,
+    ticket: MuxTicket,
 }
 
 struct Conn<'a> {
     inner: &'a RouterInner,
-    links: Vec<MemberLink>,
     tickets: HashMap<u64, RoutedTicket>,
     next_ticket: u64,
 }
@@ -569,14 +537,6 @@ impl<'a> Conn<'a> {
     fn new(inner: &'a RouterInner) -> Conn<'a> {
         Conn {
             inner,
-            links: inner
-                .members
-                .iter()
-                .map(|_| MemberLink {
-                    client: None,
-                    generation: 0,
-                })
-                .collect(),
             tickets: HashMap::new(),
             next_ticket: 1,
         }
@@ -624,89 +584,18 @@ impl<'a> Conn<'a> {
         write_frame(stream, &reply)
     }
 
-    // -- member link plumbing --------------------------------------
-
-    /// The connected link to member `idx`, (re)connecting with the
-    /// configured retry budget on demand.
-    fn link(&mut self, idx: usize) -> Result<&mut Client, String> {
-        if self.links[idx].client.is_none() {
-            let member = &self.inner.members[idx];
-            match Client::connect_with_retry(
-                member.addr.as_str(),
-                self.inner.connect_attempts,
-                self.inner.connect_backoff,
-            ) {
-                Ok(client) => self.links[idx].client = Some(client),
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-        Ok(self.links[idx].client.as_mut().expect("connected above"))
-    }
-
-    /// Tears a link down after an I/O failure; tickets pinned to the
-    /// old generation resolve as `member_unavailable` on their next
-    /// poll.
-    fn drop_link(&mut self, idx: usize) {
-        self.links[idx].client = None;
-        self.links[idx].generation += 1;
-    }
-
-    /// The shared multiplexed link to member `idx`, negotiating
-    /// `hello` on first use. `None` means take the v1 path instead:
-    /// permanently for a member that rejected the upgrade with a typed
-    /// error, just for this op on a transient connect failure (the v1
-    /// path applies the full retry budget).
-    fn mux_link(&self, idx: usize) -> Option<Arc<MuxClient>> {
-        let mut link = lock(&self.inner.mux[idx]);
-        if link.v1_only {
-            return None;
-        }
-        if let Some(client) = link.client.as_ref() {
-            return Some(Arc::clone(client));
-        }
-        match MuxClient::connect(self.inner.members[idx].addr.as_str()) {
-            Ok(client) => {
-                let client = Arc::new(client);
-                link.client = Some(Arc::clone(&client));
-                Some(client)
-            }
-            Err(NetError::Server { .. } | NetError::Protocol(_)) => {
-                // The member is reachable but does not speak v2: stop
-                // proposing the upgrade on this link.
-                link.v1_only = true;
-                None
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Swaps out a dead shared link (unless another connection already
-    /// replaced it). Tickets still holding the old `Arc` resolve
-    /// through it — or report its death themselves.
-    fn drop_mux_link(&self, idx: usize, dead: &Arc<MuxClient>) {
-        let mut link = lock(&self.inner.mux[idx]);
-        if link.client.as_ref().is_some_and(|c| Arc::ptr_eq(c, dead)) {
-            link.client = None;
-        }
-    }
-
-    /// One request/reply exchange with member `idx`. `Ok` is the raw
-    /// member reply (possibly an error envelope, relayed upward);
-    /// `Err` means the member could not be reached or died mid-call —
-    /// the link is torn down and the caller answers
-    /// `member_unavailable`.
-    fn member_call(&mut self, idx: usize, frame: Json) -> Result<Json, String> {
-        let client = self.link(idx)?;
-        match client.call_raw(frame) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                self.drop_link(idx);
-                Err(e.to_string())
-            }
-        }
-    }
-
-    fn member_unavailable_reply(&self, frame: &Json, idx: usize, why: &str) -> Json {
+    /// The reply for a failed exchange with member `idx`: the member's
+    /// typed error relayed with its code, or `member_unavailable` when
+    /// the member could not be reached or died mid-call.
+    fn member_err_reply(&self, frame: &Json, idx: usize, e: NetError) -> Json {
+        let why = match e {
+            NetError::Server {
+                code,
+                msg,
+                capacity,
+            } => return typed_err_reply(frame, &code, &msg, capacity),
+            other => other.to_string(),
+        };
         self.inner
             .counters
             .member_unavailable
@@ -758,7 +647,7 @@ impl<'a> Conn<'a> {
     /// Ensures member `idx` holds `version`, forwarding a hinted
     /// `register` if not (broadcast-on-demand). `Err` carries the
     /// ready-to-send error reply.
-    fn ensure_registered(&mut self, frame: &Json, idx: usize, version: u64) -> Result<(), Json> {
+    fn ensure_registered(&self, frame: &Json, idx: usize, version: u64) -> Result<(), Json> {
         let instance = {
             let state = lock(&self.inner.state);
             if state
@@ -779,24 +668,19 @@ impl<'a> Conn<'a> {
                 }
             }
         };
-        let register = Json::obj(vec![
-            ("op", Json::str("register")),
-            ("version", wire::encode_version(version)),
-            ("instance", instance),
-        ]);
-        match self.member_call(idx, register) {
-            Ok(reply) if reply.get("ok").is_some() => {
-                self.inner
-                    .counters
-                    .lazy_registers
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut state = lock(&self.inner.state);
-                state.holders.entry(version).or_default().insert(idx);
-                Ok(())
-            }
-            Ok(reply) => Err(relay_reply(frame, reply)),
-            Err(why) => Err(self.member_unavailable_reply(frame, idx, &why)),
-        }
+        self.inner
+            .member_call(idx, |link| link.register_json(instance, version))
+            .map_err(|e| self.member_err_reply(frame, idx, e))?;
+        self.inner
+            .counters
+            .lazy_registers
+            .fetch_add(1, Ordering::Relaxed);
+        lock(&self.inner.state)
+            .holders
+            .entry(version)
+            .or_default()
+            .insert(idx);
+        Ok(())
     }
 
     // -- op dispatch -----------------------------------------------
@@ -919,9 +803,11 @@ impl<'a> Conn<'a> {
         }
     }
 
-    /// Forwards one submit to `owner`. `Ok` means a ticket exists (the
-    /// in-flight hold stays); `Err` is a ready error reply (the caller
-    /// releases the hold).
+    /// Forwards one submit to `owner` over its shared link: admission
+    /// resolves via the ack, and the completion arrives as a push, with
+    /// no poll round trips to the member. `Ok` means a ticket exists
+    /// (the in-flight hold stays); `Err` is a ready error reply (the
+    /// caller releases the hold).
     fn forward_submit(
         &mut self,
         frame: &Json,
@@ -946,183 +832,41 @@ impl<'a> Conn<'a> {
             }
         };
         self.ensure_registered(frame, owner, version)?;
-        // The fast path: one submit frame on the shared multiplexed
-        // link — admission resolves via the ack, and the completion
-        // arrives as a push, with no poll round trips to the member.
-        if let Some(done) = self.forward_submit_mux(frame, owner, version, &request, trace, started)
-        {
-            return done;
-        }
-        let forward = Json::obj(vec![
-            ("op", Json::str("submit")),
-            ("version", wire::encode_version(version)),
-            ("request", request),
-        ]);
-        let mut reply = match self.member_call(owner, forward.clone()) {
-            Ok(reply) => reply,
-            Err(why) => return Err(self.member_unavailable_reply(frame, owner, &why)),
+        let link = self
+            .inner
+            .mux_link(owner)
+            .map_err(|e| self.member_err_reply(frame, owner, e))?;
+        // Never blocks on the shared window: a full one answers the
+        // typed `overloaded`, relayed like any member rejection.
+        let submit = || {
+            let ticket = link.try_submit_json(version, request.clone())?;
+            ticket.ack().map(|_| ticket)
         };
+        let mut admitted = submit();
         // A member that lost its registry (restart) rejects with
         // `invalid_query` — definitively not admitted, so one
         // re-register + re-forward is safe (this is the only retry the
-        // router ever performs).
-        if reply
-            .get("err")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str)
-            == Some("invalid_query")
-        {
+        // router ever performs). Any other failure after the frame
+        // reached the wire stays with the client: no silent retry.
+        if matches!(&admitted, Err(NetError::Server { code, .. }) if code == "invalid_query") {
             lock(&self.inner.state)
                 .holders
                 .entry(version)
                 .or_default()
                 .remove(&owner);
             self.ensure_registered(frame, owner, version)?;
-            reply = match self.member_call(owner, forward) {
-                Ok(reply) => reply,
-                Err(why) => return Err(self.member_unavailable_reply(frame, owner, &why)),
-            };
+            admitted = submit();
         }
-        let Some(remote) = reply
-            .get("ok")
-            .and_then(|ok| ok.get("ticket"))
-            .and_then(Json::as_u64)
-        else {
-            // Typed member rejection (overloaded, cancelled, …):
-            // relayed verbatim so backpressure reaches the edge.
-            return Err(relay_reply(frame, reply));
-        };
-        let id = self.admit_ticket(owner, version, Remote::V1(remote), trace, started);
-        Ok(ok_reply(
-            frame,
-            Json::obj(vec![
-                ("ticket", Json::u64(id)),
-                ("trace", wire::encode_version(trace)),
-            ]),
-        ))
-    }
-
-    /// Attempts the forward over the shared multiplexed link. `None`
-    /// means take the v1 path (the member is v1-only, or the link died
-    /// before the frame went out — nothing admitted, falling back is
-    /// safe). `Some` is the final verdict: admission, a typed member
-    /// rejection, or `member_unavailable`.
-    fn forward_submit_mux(
-        &mut self,
-        frame: &Json,
-        owner: usize,
-        version: u64,
-        request: &Json,
-        trace: u64,
-        started: Instant,
-    ) -> Option<Result<Json, Json>> {
-        let link = self.mux_link(owner)?;
-        let mut ticket = match link.try_submit_json(version, request.clone()) {
-            Ok(ticket) => ticket,
-            Err(NetError::Server {
-                code,
-                msg,
-                capacity,
-            }) => {
-                // The shared window's typed backpressure, relayed like
-                // any member rejection.
-                return Some(Err(typed_err_reply(frame, &code, &msg, capacity)));
-            }
-            Err(_) => {
-                self.drop_mux_link(owner, &link);
-                return None;
-            }
-        };
-        let mut acked = ticket.ack();
-        // Parity with the v1 path's one deliberate retry: a member
-        // that lost its registry (restart) rejects with
-        // `invalid_query` — definitively not admitted — so the router
-        // re-registers and forwards once more.
-        if matches!(&acked, Err(NetError::Server { code, .. }) if code == "invalid_query") {
-            lock(&self.inner.state)
-                .holders
-                .entry(version)
-                .or_default()
-                .remove(&owner);
-            if let Err(reply) = self.ensure_registered(frame, owner, version) {
-                return Some(Err(reply));
-            }
-            match link.try_submit_json(version, request.clone()) {
-                Ok(retry) => {
-                    ticket = retry;
-                    acked = ticket.ack();
-                }
-                Err(NetError::Server {
-                    code,
-                    msg,
-                    capacity,
-                }) => return Some(Err(typed_err_reply(frame, &code, &msg, capacity))),
-                Err(e) => {
-                    self.drop_mux_link(owner, &link);
-                    return Some(Err(self.member_unavailable_reply(
-                        frame,
-                        owner,
-                        &e.to_string(),
-                    )));
-                }
-            }
-        }
-        match acked {
-            Ok(_) => {
-                let remote = Remote::Mux {
-                    link,
-                    ticket: Arc::new(ticket),
-                };
-                let id = self.admit_ticket(owner, version, remote, trace, started);
-                self.inner
-                    .counters
-                    .mux_submits
-                    .fetch_add(1, Ordering::Relaxed);
-                Some(Ok(ok_reply(
-                    frame,
-                    Json::obj(vec![
-                        ("ticket", Json::u64(id)),
-                        ("trace", wire::encode_version(trace)),
-                    ]),
-                )))
-            }
-            Err(NetError::Server {
-                code,
-                msg,
-                capacity,
-            }) => Some(Err(typed_err_reply(frame, &code, &msg, capacity))),
-            Err(e) => {
-                // The frame reached the wire: exactly-once stays with
-                // the client — no silent retry.
-                self.drop_mux_link(owner, &link);
-                Some(Err(self.member_unavailable_reply(
-                    frame,
-                    owner,
-                    &e.to_string(),
-                )))
-            }
-        }
-    }
-
-    /// Creates the router-side ticket for an admitted submit and
-    /// records the books plus the `routed` span.
-    fn admit_ticket(
-        &mut self,
-        owner: usize,
-        version: u64,
-        remote: Remote,
-        trace: u64,
-        started: Instant,
-    ) -> u64 {
+        let ticket = admitted.map_err(|e| self.member_err_reply(frame, owner, e))?;
         let id = self.next_ticket;
         self.next_ticket += 1;
         self.tickets.insert(
             id,
             RoutedTicket {
                 member: owner,
-                generation: self.links[owner].generation,
                 version,
-                remote,
+                link,
+                ticket,
             },
         );
         self.inner
@@ -1140,9 +884,17 @@ impl<'a> Conn<'a> {
             nanos: started.elapsed().as_nanos() as u64,
             detail: owner as u64,
         });
-        id
+        Ok(ok_reply(
+            frame,
+            Json::obj(vec![
+                ("ticket", Json::u64(id)),
+                ("trace", wire::encode_version(trace)),
+            ]),
+        ))
     }
 
+    /// `poll` answers locally: the member pushed (or will push) the
+    /// completion onto the ticket — no round trip.
     fn op_poll(&mut self, frame: &Json) -> Json {
         let Some(id) = frame.get("ticket").and_then(Json::as_u64) else {
             return err_reply(frame, "bad_request", "poll needs a 'ticket'");
@@ -1150,86 +902,33 @@ impl<'a> Conn<'a> {
         let Some(t) = self.tickets.get(&id) else {
             return err_reply(frame, "unknown_ticket", "no such ticket on this connection");
         };
-        let (member, generation, remote) = (t.member, t.generation, t.remote.clone());
         let wait = frame
             .get("wait_ms")
             .and_then(Json::as_u64)
             .map_or(Duration::ZERO, Duration::from_millis)
             .min(self.inner.poll_wait_cap);
-        let remote = match remote {
-            Remote::V1(remote) => remote,
-            // A mux-routed ticket answers locally: the completion was
-            // (or will be) pushed by the member — no round trip.
-            Remote::Mux { link, ticket } => {
-                return match ticket.wait_deadline(wait) {
-                    Ok(Some(result)) => {
-                        self.finish_ticket(id);
-                        self.inner
-                            .counters
-                            .delivered
-                            .fetch_add(1, Ordering::Relaxed);
-                        ok_reply(
-                            frame,
-                            Json::obj(vec![("done", Json::Bool(true)), ("result", result)]),
-                        )
-                    }
-                    Ok(None) => ok_reply(frame, Json::obj(vec![("done", Json::Bool(false))])),
-                    Err(NetError::Server {
-                        code,
-                        msg,
-                        capacity,
-                    }) => {
-                        self.finish_ticket(id);
-                        typed_err_reply(frame, &code, &msg, capacity)
-                    }
-                    Err(e) => {
-                        self.drop_mux_link(member, &link);
-                        let reply = self.member_unavailable_reply(frame, member, &e.to_string());
-                        self.finish_ticket(id);
-                        reply
-                    }
-                };
+        let member = t.member;
+        let reply = match t.ticket.wait_deadline(wait) {
+            Ok(None) => return ok_reply(frame, Json::obj(vec![("done", Json::Bool(false))])),
+            Ok(Some(result)) => {
+                self.inner
+                    .counters
+                    .delivered
+                    .fetch_add(1, Ordering::Relaxed);
+                ok_reply(
+                    frame,
+                    Json::obj(vec![("done", Json::Bool(true)), ("result", result)]),
+                )
             }
+            Err(e) => self.member_err_reply(frame, member, e),
         };
-        if generation != self.links[member].generation {
-            let reply =
-                self.member_unavailable_reply(frame, member, "link lost with ticket in flight");
-            self.finish_ticket(id);
-            return reply;
-        }
-        let forward = Json::obj(vec![
-            ("op", Json::str("poll")),
-            ("ticket", Json::u64(remote)),
-            ("wait_ms", Json::u64(wait.as_millis() as u64)),
-        ]);
-        match self.member_call(member, forward) {
-            Ok(reply) => {
-                if reply
-                    .get("ok")
-                    .and_then(|ok| ok.get("done"))
-                    .and_then(Json::as_bool)
-                    == Some(true)
-                {
-                    self.finish_ticket(id);
-                    self.inner
-                        .counters
-                        .delivered
-                        .fetch_add(1, Ordering::Relaxed);
-                } else if reply.get("err").is_some() {
-                    // The member no longer knows the ticket (e.g. it
-                    // restarted between polls) — terminal here too.
-                    self.finish_ticket(id);
-                }
-                relay_reply(frame, reply)
-            }
-            Err(why) => {
-                let reply = self.member_unavailable_reply(frame, member, &why);
-                self.finish_ticket(id);
-                reply
-            }
-        }
+        self.finish_ticket(id);
+        reply
     }
 
+    /// `cancel` is not terminal: the pushed completion (the cancelled
+    /// result or the answer that beat it) still resolves the ticket
+    /// through `poll`.
     fn op_cancel(&mut self, frame: &Json) -> Json {
         let Some(id) = frame.get("ticket").and_then(Json::as_u64) else {
             return err_reply(frame, "bad_request", "cancel needs a 'ticket'");
@@ -1237,59 +936,14 @@ impl<'a> Conn<'a> {
         let Some(t) = self.tickets.get(&id) else {
             return err_reply(frame, "unknown_ticket", "no such ticket on this connection");
         };
-        let (member, generation, remote) = (t.member, t.generation, t.remote.clone());
-        let remote = match remote {
-            Remote::V1(remote) => remote,
-            // The member-side ticket id is in the ack, which resolved
-            // before this router ticket existed. Cancellation is not
-            // terminal here either — the pushed completion (cancelled
-            // result or the answer that beat it) still resolves the
-            // ticket through `poll`.
-            Remote::Mux { link, ticket } => match ticket.ack() {
-                Ok((remote, _)) => {
-                    return match link.cancel(remote) {
-                        Ok(cancelled) => {
-                            ok_reply(frame, Json::obj(vec![("cancelled", Json::Bool(cancelled))]))
-                        }
-                        Err(NetError::Server {
-                            code,
-                            msg,
-                            capacity,
-                        }) => typed_err_reply(frame, &code, &msg, capacity),
-                        Err(e) => {
-                            self.drop_mux_link(member, &link);
-                            let reply =
-                                self.member_unavailable_reply(frame, member, &e.to_string());
-                            self.finish_ticket(id);
-                            reply
-                        }
-                    };
-                }
-                Err(e) => {
-                    self.drop_mux_link(member, &link);
-                    let reply = self.member_unavailable_reply(frame, member, &e.to_string());
-                    self.finish_ticket(id);
-                    return reply;
-                }
-            },
-        };
-        if generation != self.links[member].generation {
-            let reply =
-                self.member_unavailable_reply(frame, member, "link lost with ticket in flight");
-            self.finish_ticket(id);
-            return reply;
-        }
-        let forward = Json::obj(vec![
-            ("op", Json::str("cancel")),
-            ("ticket", Json::u64(remote)),
-        ]);
-        match self.member_call(member, forward) {
-            // Cancellation is not terminal: the ticket still resolves
-            // through `poll` (with the cancelled result or the answer
-            // that beat it).
-            Ok(reply) => relay_reply(frame, reply),
-            Err(why) => {
-                let reply = self.member_unavailable_reply(frame, member, &why);
+        let member = t.member;
+        // The member-side ticket id is in the ack, which resolved before
+        // this router ticket existed.
+        match t.ticket.ack().and_then(|(remote, _)| t.link.cancel(remote)) {
+            Ok(cancelled) => ok_reply(frame, Json::obj(vec![("cancelled", Json::Bool(cancelled))])),
+            Err(e @ NetError::Server { .. }) => self.member_err_reply(frame, member, e),
+            Err(e) => {
+                let reply = self.member_err_reply(frame, member, e);
                 self.finish_ticket(id);
                 reply
             }
@@ -1363,7 +1017,7 @@ impl<'a> Conn<'a> {
     /// fields and merging the sparse latency histograms bucket-wise. A
     /// member that cannot be reached is reported (`ok: false`), never
     /// an error for the whole collection.
-    fn collect_member_stats(&mut self) -> FleetRollup {
+    fn collect_member_stats(&self) -> FleetRollup {
         let mut rollup = FleetRollup {
             member_entries: Vec::new(),
             scalars: Vec::new(),
@@ -1373,13 +1027,8 @@ impl<'a> Conn<'a> {
         for idx in 0..self.inner.members.len() {
             let member = &self.inner.members[idx];
             let (name, addr) = (member.name.clone(), member.addr.clone());
-            let reply = self.member_call(idx, Json::obj(vec![("op", Json::str("stats"))]));
-            let stats = match reply {
-                Ok(reply) => reply.get("ok").and_then(|ok| ok.get("stats")).cloned(),
-                Err(_) => None,
-            };
-            match stats {
-                Some(stats) => {
+            match self.inner.member_call(idx, MuxClient::stats) {
+                Ok(stats) => {
                     rollup.available += 1;
                     for field in ROLLUP_FIELDS {
                         if let Some(v) = stats.get(field).and_then(Json::as_u64) {
@@ -1401,7 +1050,7 @@ impl<'a> Conn<'a> {
                         ("stats", stats),
                     ]));
                 }
-                None => rollup.member_entries.push(Json::obj(vec![
+                Err(_) => rollup.member_entries.push(Json::obj(vec![
                     ("name", Json::str(&name)),
                     ("addr", Json::str(&addr)),
                     ("ok", Json::Bool(false)),
@@ -1414,7 +1063,7 @@ impl<'a> Conn<'a> {
     /// `stats`: per-member snapshots plus a numeric rollup (scalar sums
     /// and bucket-wise-merged latency histograms) and the router's own
     /// counters.
-    fn op_stats(&mut self, frame: &Json) -> Json {
+    fn op_stats(&self, frame: &Json) -> Json {
         let fleet = self.collect_member_stats();
         let c = self.stats_snapshot();
         let mut rollup_pairs: Vec<(String, Json)> =
@@ -1442,7 +1091,7 @@ impl<'a> Conn<'a> {
     /// stable names a single member uses (`phom_request_latency_ns`,
     /// `phom_queue_latency_ns`, `phom_stage_latency_ns`), so dashboards
     /// work unchanged at either level.
-    fn op_metrics(&mut self, frame: &Json) -> Json {
+    fn op_metrics(&self, frame: &Json) -> Json {
         let fleet = self.collect_member_stats();
         let c = &self.inner.counters;
         let mut prom = PromText::new();
@@ -1478,8 +1127,8 @@ impl<'a> Conn<'a> {
         );
         prom.counter(
             "phom_router_mux_submits_total",
-            "submits that rode a multiplexed (protocol-v2) member link",
-            c.mux_submits.load(Ordering::Relaxed),
+            "submits that rode a multiplexed (protocol-v2) member link; equals submitted",
+            c.submitted.load(Ordering::Relaxed),
         );
         prom.counter(
             "phom_router_delivered_total",
@@ -1578,7 +1227,7 @@ impl<'a> Conn<'a> {
     /// with the router's own `routed` spans under each trace id. A
     /// member that cannot be reached (or predates the op) contributes
     /// nothing; the router's spans alone still witness the routing hop.
-    fn op_trace(&mut self, frame: &Json) -> Json {
+    fn op_trace(&self, frame: &Json) -> Json {
         let filter = match frame.get("trace").map(wire::decode_version) {
             Some(Ok(id)) => Some(id),
             Some(Err(msg)) => return err_reply(frame, "bad_request", &msg),
@@ -1594,21 +1243,12 @@ impl<'a> Conn<'a> {
         }
         let mut spans: Vec<Span> = Vec::new();
         for idx in 0..self.inner.members.len() {
-            let mut forward = vec![("op", Json::str("trace"))];
-            match filter {
-                Some(id) => forward.push(("trace", wire::encode_version(id))),
-                None => forward.push(("slowest", Json::u64(slowest.expect("checked above")))),
-            }
-            let Ok(reply) = self.member_call(idx, Json::obj(forward)) else {
-                continue;
-            };
-            let Some(Json::Arr(items)) = reply.get("ok").and_then(|ok| ok.get("requests")) else {
-                continue;
-            };
-            for item in items {
-                if let Ok(tr) = wire::decode_trace_request(item) {
-                    spans.extend(tr.spans);
-                }
+            let requests = self.inner.member_call(idx, |link| match filter {
+                Some(id) => link.trace_spans(id),
+                None => link.slowest(slowest.expect("checked above")),
+            });
+            for tr in requests.unwrap_or_default() {
+                spans.extend(tr.spans);
             }
         }
         let requests = match filter {
@@ -1656,9 +1296,11 @@ impl<'a> Conn<'a> {
                 Json::u64(c.frames_out.load(Ordering::Relaxed)),
             ),
             ("submitted", Json::u64(c.submitted.load(Ordering::Relaxed))),
+            // Every member link is multiplexed: kept for readers of the
+            // field, always equal to `submitted`.
             (
                 "mux_submits",
-                Json::u64(c.mux_submits.load(Ordering::Relaxed)),
+                Json::u64(c.submitted.load(Ordering::Relaxed)),
             ),
             ("delivered", Json::u64(c.delivered.load(Ordering::Relaxed))),
             (
@@ -1683,7 +1325,7 @@ impl<'a> Conn<'a> {
 
     /// `fleet`: the static membership plus current placements — the
     /// admin's view of where every fingerprint lives.
-    fn op_fleet(&mut self, frame: &Json) -> Json {
+    fn op_fleet(&self, frame: &Json) -> Json {
         let members = self
             .inner
             .members

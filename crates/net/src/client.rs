@@ -99,6 +99,40 @@ impl NetError {
     }
 }
 
+/// The shared reconnect-with-backoff loop behind
+/// [`Client::connect_with_retry`] and [`MuxClient::connect_with_retry`].
+fn retry_connect<A, C, E>(
+    addr: &A,
+    attempts: u32,
+    backoff: Duration,
+    connect: impl Fn(&A) -> Result<C, E>,
+) -> Result<C, NetError>
+where
+    A: std::fmt::Debug,
+    E: std::fmt::Display,
+{
+    let attempts = attempts.max(1);
+    let mut last = String::new();
+    for attempt in 1..=attempts {
+        match connect(addr) {
+            Ok(client) => return Ok(client),
+            Err(e) => last = e.to_string(),
+        }
+        if attempt == attempts {
+            // Exhausted: report immediately. A trailing backoff here
+            // would tax every routing decision that probes a dead
+            // member with one extra sleep for nothing.
+            break;
+        }
+        std::thread::sleep(backoff * attempt);
+    }
+    Err(NetError::Unavailable {
+        addr: format!("{addr:?}"),
+        attempts,
+        last,
+    })
+}
+
 fn decode_trace_reply(reply: &Json) -> Result<Vec<phom_obs::TraceRequest>, NetError> {
     let Some(Json::Arr(items)) = reply.get("requests") else {
         return Err(NetError::Protocol("trace reply lacks 'requests'".into()));
@@ -131,34 +165,14 @@ impl Client {
     /// Connects with up to `attempts` tries, sleeping `backoff` longer
     /// after each failure (attempt k sleeps `k × backoff`). Exhausting
     /// the budget yields the typed [`NetError::Unavailable`] instead of
-    /// a raw [`io::Error`] — the shared entry point for router member
-    /// links and CLI connections, where "the member is down" must stay
-    /// distinguishable from a protocol failure.
+    /// a raw [`io::Error`], so "the peer is down" stays distinguishable
+    /// from a protocol failure.
     pub fn connect_with_retry(
         addr: impl ToSocketAddrs + std::fmt::Debug,
         attempts: u32,
         backoff: Duration,
     ) -> Result<Client, NetError> {
-        let attempts = attempts.max(1);
-        let mut last = String::new();
-        for attempt in 1..=attempts {
-            match Client::connect(&addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = e.to_string(),
-            }
-            if attempt == attempts {
-                // Exhausted: report immediately. A trailing backoff
-                // here would tax every routing decision that probes a
-                // dead member with one extra sleep for nothing.
-                break;
-            }
-            std::thread::sleep(backoff * attempt);
-        }
-        Err(NetError::Unavailable {
-            addr: format!("{addr:?}"),
-            attempts,
-            last,
-        })
+        retry_connect(&addr, attempts, backoff, |addr| Client::connect(addr))
     }
 
     /// One request/reply exchange; unwraps the `ok`/`err` envelope.
@@ -829,9 +843,28 @@ impl MuxClient {
         })
     }
 
+    /// [`connect`](MuxClient::connect) with the reconnect-with-backoff
+    /// budget of [`Client::connect_with_retry`]: a peer that refuses the
+    /// connection (or the `hello`) on every attempt answers the typed
+    /// [`NetError::Unavailable`].
+    pub fn connect_with_retry(
+        addr: impl ToSocketAddrs + std::fmt::Debug,
+        attempts: u32,
+        backoff: Duration,
+    ) -> Result<MuxClient, NetError> {
+        retry_connect(&addr, attempts, backoff, |addr| MuxClient::connect(addr))
+    }
+
     /// The in-flight window the server granted at `hello`.
     pub fn window(&self) -> usize {
         self.inner.window
+    }
+
+    /// True once the connection has died: every outstanding operation
+    /// has been resolved with the failure and every later one fails
+    /// fast, so a holder should replace the client.
+    pub fn is_closed(&self) -> bool {
+        self.inner.lock_pending().dead.is_some()
     }
 
     fn next_id(&self) -> u64 {
@@ -898,10 +931,17 @@ impl MuxClient {
         instance: &ProbGraph,
         hint: u64,
     ) -> Result<(u64, bool), NetError> {
+        self.register_json(wire::encode_instance(instance), hint)
+    }
+
+    /// As [`register_hinted`](MuxClient::register_hinted) but takes the
+    /// instance's wire encoding (a relay — the fleet router — keeps the
+    /// encoding it forwards instead of a decoded graph).
+    pub fn register_json(&self, instance: Json, hint: u64) -> Result<(u64, bool), NetError> {
         let reply = self.call(vec![
             ("op", Json::str("register")),
             ("version", wire::encode_version(hint)),
-            ("instance", wire::encode_instance(instance)),
+            ("instance", instance),
         ])?;
         let version = reply
             .get("version")

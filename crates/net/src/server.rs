@@ -126,6 +126,10 @@ struct Counters {
     /// (admitted, completion not yet pushed). The `phom_net_inflight`
     /// gauge.
     inflight: AtomicI64,
+    /// Push frames being written right now. Their tickets already left
+    /// `tickets_open`, so a draining shutdown waits for these too
+    /// before it closes connections.
+    pushes_writing: AtomicI64,
 }
 
 struct ServerInner {
@@ -249,7 +253,10 @@ impl Server {
             let _ = accept.join();
         }
         let deadline = Instant::now() + drain;
-        while self.open_tickets() > 0 && Instant::now() < deadline {
+        let c = &self.inner.counters;
+        while (self.open_tickets() > 0 || c.pushes_writing.load(Ordering::SeqCst) > 0)
+            && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(2));
         }
         let conns = std::mem::take(
@@ -300,10 +307,14 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: TcpListener) {
             continue;
         };
         let inner2 = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
+        let Ok(handle) = std::thread::Builder::new()
             .name("phom-net-conn".into())
             .spawn(move || handle_conn(&inner2, stream))
-            .expect("spawn connection thread");
+        else {
+            // No thread to serve it: the stream closes with the dropped
+            // closure, and the listener keeps accepting.
+            continue;
+        };
         // Reap closed connections while registering the new one, so a
         // long-lived server does not accumulate one fd + one join
         // handle per connection it ever served.
@@ -362,8 +373,18 @@ fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
             }
             continue;
         }
+        let held = tickets.len();
         let reply = handle_op(inner, &mut tickets, &mut next_ticket, &frame);
-        if write_reply(inner, &mut stream, reply).is_err() {
+        let written = write_reply(inner, &mut stream, reply).is_ok();
+        // A delivering `poll` closes its ticket only once the answer is
+        // on the wire: a draining shutdown closes the connection as soon
+        // as `open_tickets` reaches 0, which must not cut the reply off.
+        let delivered = held.saturating_sub(tickets.len());
+        inner
+            .counters
+            .tickets_open
+            .fetch_sub(delivered as i64, Ordering::SeqCst);
+        if !written {
             break;
         }
     }
@@ -905,7 +926,8 @@ fn encode_push_entry(push: &PushMsg) -> Json {
 /// The per-connection writer: drains the queue, writes acks in order,
 /// and coalesces every completion that is ready at the same moment into
 /// one `results` frame (the streaming pair of `submit_batch`). Window
-/// slots free here — after the completion is actually on the wire.
+/// slots free, tickets close and the push counters advance here, just
+/// before the completion goes on the wire.
 fn v2_writer(
     inner: &Arc<ServerInner>,
     conn: &Arc<V2Conn>,
@@ -960,20 +982,24 @@ fn v2_writer(
                     ),
                 ])
             };
-            if write_reply(inner, &mut stream, frame).is_err() {
-                return;
-            }
-            // The completions are on the wire: free the window slots
-            // and drop the tickets (a pushed ticket is never retained).
+            // Settle the books *before* the write: a client that reads
+            // the push may at once send its next submit, which must
+            // find its window slot free, or read the stats, which must
+            // already count the push and not its ticket. The pushed
+            // tickets are dropped either way (a pushed ticket is never
+            // retained; on a failed write the connection goes down with
+            // them). `pushes_writing` covers the write itself, so a
+            // draining shutdown never closes the connection under it.
+            let n = pushes.len() as i64;
+            inner.counters.pushes_writing.fetch_add(1, Ordering::SeqCst);
+            conn.inflight.fetch_sub(n, Ordering::SeqCst);
+            inner.counters.inflight.fetch_sub(n, Ordering::SeqCst);
             {
                 let mut tickets = lock_tickets(conn);
                 for push in &pushes {
                     tickets.remove(&push.ticket);
                 }
             }
-            let n = pushes.len() as i64;
-            conn.inflight.fetch_sub(n, Ordering::SeqCst);
-            inner.counters.inflight.fetch_sub(n, Ordering::SeqCst);
             inner.counters.tickets_open.fetch_sub(n, Ordering::SeqCst);
             inner
                 .counters
@@ -983,6 +1009,19 @@ fn v2_writer(
                 .counters
                 .pushed
                 .fetch_add(coalesced, Ordering::Relaxed);
+            let written = write_reply(inner, &mut stream, frame).is_ok();
+            inner.counters.pushes_writing.fetch_sub(1, Ordering::SeqCst);
+            if !written {
+                inner
+                    .counters
+                    .delivered
+                    .fetch_sub(coalesced, Ordering::Relaxed);
+                inner
+                    .counters
+                    .pushed
+                    .fetch_sub(coalesced, Ordering::Relaxed);
+                return;
+            }
             for push in &pushes {
                 inner.spans.push(Span {
                     trace: push.trace,
@@ -1178,10 +1217,21 @@ fn handle_op(
             // instead of piling up in server memory.
             match inner.runtime.enqueue_to(version, request.to_request()) {
                 Ok(ticket) => {
+                    // Count the ticket open, then look at `draining`
+                    // again (both SeqCst): `shutdown` raises `draining`
+                    // and then waits for `open_tickets` to reach 0, so a
+                    // submit that slipped past the check above is either
+                    // waited for or refused here — never acked on a
+                    // connection about to close under it.
+                    inner.counters.tickets_open.fetch_add(1, Ordering::SeqCst);
+                    if inner.draining.load(Ordering::SeqCst) {
+                        ticket.cancel();
+                        inner.counters.tickets_open.fetch_sub(1, Ordering::SeqCst);
+                        return solve_err_reply(frame, &SolveError::Cancelled);
+                    }
                     let id = *next_ticket;
                     *next_ticket += 1;
                     tickets.insert(id, ticket);
-                    inner.counters.tickets_open.fetch_add(1, Ordering::SeqCst);
                     inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
                     ok_reply(
                         frame,
@@ -1222,8 +1272,9 @@ fn handle_op(
             match result {
                 None => ok_reply(frame, Json::obj(vec![("done", Json::Bool(false))])),
                 Some(result) => {
+                    // `handle_conn` closes the ticket's `open_tickets`
+                    // count after writing this reply.
                     tickets.remove(&id);
-                    inner.counters.tickets_open.fetch_sub(1, Ordering::SeqCst);
                     inner.counters.delivered.fetch_add(1, Ordering::Relaxed);
                     ok_reply(
                         frame,

@@ -8,10 +8,12 @@
 //! frames, never a silent retry; every request reaches exactly one
 //! terminal state). A hard watchdog kills the child processes on
 //! panic or timeout so a wedged fleet can never orphan children or
-//! hang CI.
+//! hang CI. Two in-process tests pin the router's member-link books:
+//! one link per member for all router traffic, and the single
+//! re-register retry after a member lost its registry.
 
 use phom::net::wire::{self, encode_result, WireFallback, WireRequest};
-use phom::net::{Client, Json, NetError};
+use phom::net::{Client, Json, NetError, Server};
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
@@ -52,6 +54,27 @@ fn random_request(h: &ProbGraph, rng: &mut SmallRng) -> WireRequest {
             .with_fallback(WireFallback::BruteForce { max_uncertain: 10 }),
         _ => WireRequest::probability(query),
     }
+}
+
+/// A #P-hard cell — a 2-edge unlabeled path query on a cyclic instance
+/// — answered by brute force over 2^14 worlds: slow enough that its
+/// ticket is reliably still in flight when its member is killed.
+/// `salt` varies one probability, and with it the fingerprint (and so
+/// the owning member).
+fn slow_instance(salt: u64) -> ProbGraph {
+    let mut g = GraphBuilder::with_vertices(5);
+    let pairs = (0..5).flat_map(|a| (0..5).map(move |b| (a, b)));
+    for (a, b) in pairs.filter(|(a, b)| a != b).take(14) {
+        g.edge(a, b, Label::UNLABELED);
+    }
+    let mut probs = vec![Rational::from_ratio(1, 2); 14];
+    probs[0] = Rational::from_ratio(1, salt + 3);
+    ProbGraph::new(g.build(), probs)
+}
+
+fn slow_request() -> WireRequest {
+    WireRequest::probability(Graph::directed_path(2))
+        .with_fallback(WireFallback::BruteForce { max_uncertain: 14 })
 }
 
 /// Spawns the built `phom` binary, waits for its readiness line on
@@ -352,26 +375,43 @@ fn fleet_answers_bit_identically_through_handoff_and_member_kill() {
     }
     drop(direct);
 
-    // Phase 3: kill the member now owning the hot version. A ticket in
-    // flight at the kill resolves to exactly one terminal state — the
-    // typed member_unavailable frame — and is then gone; fresh submits
-    // for its versions fail typed, never silently retried; versions on
-    // surviving members keep answering byte-identically.
-    let doomed_req = random_request(&instances[0], &mut rng);
+    // Phase 3: kill the member now owning the hot version while two
+    // front-door connections each hold a ticket on it. Both tickets
+    // ride the router's one shared link to that member; each resolves
+    // to exactly one terminal state — the typed member_unavailable
+    // frame — and is then gone. Fresh submits for the dead member's
+    // versions fail typed, never silently retried; versions on
+    // surviving members keep answering byte-identically. The doomed
+    // tickets ask a slow instance on the same member, so they are
+    // reliably still in flight when it dies.
+    let slow = (0..64)
+        .find_map(|salt| {
+            let v = client
+                .register(&slow_instance(salt))
+                .expect("register a slow instance");
+            (owner_of_version(&mut client, v) == target).then_some(v)
+        })
+        .expect("a slow instance placed on the doomed member");
+    let mut second = Client::connect(fleet.router_addr.as_str()).expect("second connection");
     let doomed = client
-        .submit(hot, &doomed_req)
+        .submit(slow, &slow_request())
+        .expect("admitted before the kill");
+    let doomed_second = second
+        .submit(slow, &slow_request())
         .expect("admitted before the kill");
     fleet.kill_member(&target);
-    match client.wait(doomed) {
-        Err(NetError::Server { code, msg, .. }) => {
-            assert_eq!(code, "member_unavailable", "{msg}");
+    for (conn, ticket) in [(&mut client, doomed), (&mut second, doomed_second)] {
+        match conn.wait(ticket) {
+            Err(NetError::Server { code, msg, .. }) => {
+                assert_eq!(code, "member_unavailable", "{msg}");
+            }
+            other => panic!("expected a terminal member_unavailable: {other:?}"),
         }
-        other => panic!("expected a terminal member_unavailable: {other:?}"),
-    }
-    // Terminal means terminal: the ticket is gone afterwards.
-    match client.poll(doomed, Duration::ZERO) {
-        Err(NetError::Server { code, .. }) => assert_eq!(code, "unknown_ticket"),
-        other => panic!("a resolved ticket must be unknown: {other:?}"),
+        // Terminal means terminal: the ticket is gone afterwards.
+        match conn.poll(ticket, Duration::ZERO) {
+            Err(NetError::Server { code, .. }) => assert_eq!(code, "unknown_ticket"),
+            other => panic!("a resolved ticket must be unknown: {other:?}"),
+        }
     }
     match client.submit(hot, &WireRequest::probability(Graph::directed_path(1))) {
         Err(e) => {
@@ -460,4 +500,180 @@ fn fleet_answers_bit_identically_through_handoff_and_member_kill() {
         Some(1),
         "{stats}"
     );
+}
+
+/// An in-process fleet: `n` members served by [`Server`]s in this test
+/// process behind an in-process [`Router`] — the white-box setting
+/// where each member's own connection books are readable.
+fn in_process_fleet(n: usize) -> (Vec<Server>, Router) {
+    let mut members = Vec::new();
+    let mut servers = Vec::new();
+    for i in 0..n {
+        let runtime = Arc::new(
+            Runtime::builder()
+                .max_batch(4)
+                .max_wait(Duration::from_millis(1))
+                .workers(1)
+                .build(),
+        );
+        let server = Server::bind("127.0.0.1:0", runtime).expect("bind member");
+        members.push(MemberSpec {
+            name: format!("m{i}"),
+            addr: server.local_addr().to_string(),
+            weight: 1.0,
+        });
+        servers.push(server);
+    }
+    let router = Router::bind("127.0.0.1:0", members).expect("bind router");
+    (servers, router)
+}
+
+/// Submits through `client` and returns the answer's canonical encoding.
+fn answer(client: &mut Client, version: u64, req: &WireRequest) -> String {
+    let ticket = client.submit(version, req).expect("admitted");
+    client.wait(ticket).expect("answer").to_string()
+}
+
+fn oracle_answer(oracle: &Engine, req: &WireRequest) -> String {
+    encode_result(&oracle.submit(&[req.to_request()])[0]).to_string()
+}
+
+/// The router's only retry: a member that lost its registry (as after a
+/// restart) rejects the forwarded submit with `invalid_query`, so the
+/// router registers the instance again and forwards once more — one
+/// extra lazy registration, no `member_unavailable`, and the same
+/// answer as the oracle.
+#[test]
+fn router_reregisters_once_when_a_member_lost_its_registry() {
+    let (servers, router) = in_process_fleet(2);
+    let mut rng = SmallRng::seed_from_u64(0x2E6157E2);
+    let h = random_instance(&mut rng, ProbProfile::default());
+    let oracle = Engine::new(h.clone());
+    let mut client = Client::connect(router.local_addr()).expect("connect to router");
+    let version = client.register(&h).expect("register through the router");
+
+    let req = random_request(&h, &mut rng);
+    assert_eq!(
+        answer(&mut client, version, &req),
+        oracle_answer(&oracle, &req)
+    );
+    let before = router.stats();
+    assert_eq!(before.lazy_registers, 1, "{before:?}");
+
+    // The owner forgets the version behind the router's back.
+    let owner = owner_of_version(&mut client, version);
+    let idx = router
+        .members()
+        .iter()
+        .position(|m| m.name == owner)
+        .expect("owner is a member");
+    let mut direct = Client::connect(servers[idx].local_addr()).expect("connect to owner");
+    assert!(direct.deregister(version).expect("deregister on the owner"));
+    drop(direct);
+
+    let req = random_request(&h, &mut rng);
+    assert_eq!(
+        answer(&mut client, version, &req),
+        oracle_answer(&oracle, &req),
+        "answer after the owner lost its registry"
+    );
+    let after = router.stats();
+    assert_eq!(after.lazy_registers, before.lazy_registers + 1, "{after:?}");
+    assert_eq!(after.member_unavailable, 0, "{after:?}");
+
+    router.shutdown(Duration::from_secs(1));
+    for server in servers {
+        server.shutdown(Duration::from_secs(1));
+    }
+}
+
+/// Every router→member exchange — submits from two front-door
+/// connections, the lazy `register`, the `stats` and `trace` fan-outs,
+/// a `move`'s warm-up and its drain `deregister` — rides one shared
+/// link per member: each member accepts exactly one connection, and
+/// that connection is protocol v2.
+#[test]
+fn one_member_link_per_member_carries_every_router_exchange() {
+    let (servers, router) = in_process_fleet(3);
+    let mut rng = SmallRng::seed_from_u64(0x0E11C);
+    let instances: Vec<ProbGraph> = (0..3)
+        .map(|_| random_instance(&mut rng, ProbProfile::default()))
+        .collect();
+    let oracles: Vec<Engine> = instances.iter().map(|h| Engine::new(h.clone())).collect();
+    let mut a = Client::connect(router.local_addr()).expect("connect a");
+    let mut b = Client::connect(router.local_addr()).expect("connect b");
+    let versions: Vec<u64> = instances
+        .iter()
+        .map(|h| a.register(h).expect("register"))
+        .collect();
+    assert_eq!(b.register(&instances[0]).expect("re-register"), versions[0]);
+
+    let mut wave = |a: &mut Client, b: &mut Client, ctx: &str| {
+        for (j, &version) in versions.iter().enumerate() {
+            for (name, conn) in [("a", &mut *a), ("b", &mut *b)] {
+                let req = random_request(&instances[j], &mut rng);
+                let got = answer(conn, version, &req);
+                assert_eq!(got, oracle_answer(&oracles[j], &req), "{ctx}: {name}, {j}");
+            }
+        }
+    };
+    wave(&mut a, &mut b, "before the move");
+
+    let stats = b.stats().expect("fleet stats");
+    assert_eq!(
+        stats
+            .get("rollup")
+            .and_then(|r| r.get("members_available"))
+            .and_then(Json::as_u64),
+        Some(3),
+        "{stats}"
+    );
+    let (ticket, trace) = b
+        .submit_traced(
+            versions[1],
+            &WireRequest::probability(Graph::directed_path(1)),
+        )
+        .expect("traced submit");
+    b.wait(ticket).expect("traced answer");
+    a.trace_spans(trace.expect("trace id in the ack"))
+        .expect("trace op");
+    b.slowest(2).expect("slowest op");
+
+    let hot = versions[0];
+    let old_owner = owner_of_version(&mut a, hot);
+    let target = router
+        .members()
+        .iter()
+        .map(|m| m.name.clone())
+        .find(|name| *name != old_owner)
+        .expect("another member");
+    let moved = a
+        .call_raw(Json::obj(vec![
+            ("op", Json::str("move")),
+            ("version", wire::encode_version(hot)),
+            ("to", Json::str(&target)),
+        ]))
+        .expect("move op");
+    assert!(moved.get("ok").is_some(), "{moved}");
+    wave(&mut a, &mut b, "after the move");
+    let drained_by = Instant::now() + Duration::from_secs(10);
+    while router.stats().drained_deregisters < 1 {
+        assert!(Instant::now() < drained_by, "the drain never deregistered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let stats = router.stats();
+    assert_eq!(stats.member_unavailable, 0, "{stats:?}");
+    assert_eq!(stats.mux_submits, stats.submitted, "{stats:?}");
+    for (i, server) in servers.iter().enumerate() {
+        let net = server.net_stats();
+        assert_eq!(net.connections, 1, "member m{i}: {net:?}");
+        assert_eq!(net.hello_upgrades, 1, "member m{i}: {net:?}");
+    }
+
+    drop((a, b));
+    router.shutdown(Duration::from_secs(1));
+    for server in servers {
+        server.shutdown(Duration::from_secs(1));
+    }
 }
