@@ -36,8 +36,11 @@
 //!   ([`MuxClient::connect_with_retry`](phom_net::MuxClient::connect_with_retry))
 //!   once it dies; typed `member_unavailable` error frames; and typed
 //!   relay of member errors (`overloaded` keeps its `capacity` —
-//!   backpressure reaches the edge). The router never silently retries
-//!   a submit; exactly-once stays with the client.
+//!   backpressure reaches the edge). A router `submit` ack means
+//!   *forwarded*: the member's admission outcome (its refusal, or
+//!   `member_unavailable` for a link that died before its ack) arrives
+//!   as the ticket's one terminal `poll` answer. The router never
+//!   silently retries a submit; exactly-once stays with the client.
 //! * **Fleet-wide observability**: the router's `stats` op aggregates
 //!   every member's `RuntimeStats` (per-member + rollup, with the
 //!   members' sparse latency histograms merged bucket-wise); the

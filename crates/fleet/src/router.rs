@@ -22,17 +22,29 @@
 //!
 //! ## Failure semantics
 //!
+//! A `submit` ack from the router means *forwarded*: the router answers
+//! once the frame is written to the member's link, without waiting for
+//! the member's admission ack, so a burst of submits reaches the member
+//! pipelined. What the router can tell on its own stays synchronous at
+//! `submit`: `cancelled` while it drains, `bad_request`/`invalid_query`
+//! for a bad or unknown version, `overloaded` (with the link window as
+//! `capacity`) when the link is full, and `member_unavailable` when the
+//! member cannot be reached. The member's own admission outcome — its
+//! refusal (`bad_request`, `overloaded` with its `capacity`, a draining
+//! member's `cancelled`) or a link that died before the ack
+//! (`member_unavailable`) — is the ticket's one terminal `poll` answer.
+//!
 //! The router never silently retries a `submit` — once a submit frame
 //! reached a member, an I/O failure answers the typed
 //! `member_unavailable` error and exactly-once stays with the client.
-//! (The one deliberate exception: a submit *rejected* by the member
-//! with `invalid_query` because the member lost its registry — e.g. a
-//! restart — is definitively not admitted, so the router re-registers
-//! and forwards once more.) A lost member link loses the tickets
-//! routed over it: each answers `member_unavailable` exactly once,
-//! then is gone. Typed member errors (`overloaded` with its
-//! `capacity`, `deadline_exceeded`, …) are relayed with their code, so
-//! backpressure reaches the edge.
+//! (The one deliberate exception: a submit whose ack *refused* it with
+//! `invalid_query` because the member lost its registry — e.g. a
+//! restart — is definitively not admitted, so at `poll` the router
+//! re-registers and forwards the held request once more, to the same
+//! member.) A lost member link loses the tickets routed over it: each
+//! answers `member_unavailable` exactly once, then is gone. Typed
+//! member errors are relayed with their code, so backpressure reaches
+//! the edge.
 //!
 //! ## Observability
 //!
@@ -40,8 +52,9 @@
 //! lacks a `"trace"` field gets a freshly minted
 //! [`TraceId`](phom_obs::TraceId) injected before forwarding, so the
 //! member records its per-stage spans under the same id, and the
-//! router's own `routed` span (forward latency, member index in
-//! `detail`) lands in a local span ring. The `trace` op fans out to
+//! router's own `routed` span (the forward — lazy registration plus the
+//! frame write, not the member's admission; member index in `detail`)
+//! lands in a local span ring. The `trace` op fans out to
 //! every member and merges member spans with the router's routing
 //! spans; the `metrics` op renders the router counters plus the
 //! fleet-merged latency histograms (same stable names as a member's,
@@ -226,7 +239,9 @@ pub struct RouterStats {
     pub frames_in: u64,
     /// Frames written to client connections.
     pub frames_out: u64,
-    /// `submit` ops successfully forwarded (a member ticket exists).
+    /// Forwarded submits whose member ack admitted them, counted once
+    /// per ticket when it closes (answered at `poll`, or dropped with
+    /// its connection). A submit refused at either hop never counts.
     pub submitted: u64,
     /// Submits that rode a multiplexed (protocol-v2) member link. Every
     /// member link is multiplexed, so this always equals `submitted`.
@@ -525,6 +540,21 @@ struct RoutedTicket {
     version: u64,
     link: Arc<MuxClient>,
     ticket: MuxTicket,
+    /// The forwarded request, held for the one `invalid_query` retry
+    /// until it is spent (or ruled out by a `cancel`).
+    retry: Option<Json>,
+}
+
+impl RoutedTicket {
+    /// True when the member's ack refused the submit with
+    /// `invalid_query` and the one retry is still unspent.
+    fn wants_retry(&self) -> bool {
+        self.retry.is_some()
+            && matches!(
+                self.ticket.try_ack(),
+                Some(Err(NetError::Server { code, .. })) if code == "invalid_query"
+            )
+    }
 }
 
 struct Conn<'a> {
@@ -565,14 +595,9 @@ impl<'a> Conn<'a> {
                 break;
             }
         }
-        // Tickets die with the connection; release their drain holds.
-        let tickets = std::mem::take(&mut self.tickets);
-        self.inner
-            .counters
-            .tickets_open
-            .fetch_sub(tickets.len() as i64, Ordering::SeqCst);
-        for t in tickets.values() {
-            self.dec_inflight(t.member, t.version);
+        // Tickets die with the connection.
+        for (_, t) in std::mem::take(&mut self.tickets) {
+            self.close_ticket(t);
         }
     }
 
@@ -636,12 +661,20 @@ impl<'a> Conn<'a> {
     /// Removes a ticket in a terminal state, releasing its bookkeeping.
     fn finish_ticket(&mut self, id: u64) {
         if let Some(t) = self.tickets.remove(&id) {
-            self.inner
-                .counters
-                .tickets_open
-                .fetch_sub(1, Ordering::SeqCst);
-            self.dec_inflight(t.member, t.version);
+            self.close_ticket(t);
         }
+    }
+
+    /// Releases a ticket's bookkeeping, once per ticket: it leaves
+    /// `open_tickets` and its drain hold, and counts in `submitted` if
+    /// its member ack admitted it.
+    fn close_ticket(&self, t: RoutedTicket) {
+        let c = &self.inner.counters;
+        if matches!(t.ticket.try_ack(), Some(Ok(_))) {
+            c.submitted.fetch_add(1, Ordering::Relaxed);
+        }
+        c.tickets_open.fetch_sub(1, Ordering::SeqCst);
+        self.dec_inflight(t.member, t.version);
     }
 
     /// Ensures member `idx` holds `version`, forwarding a hinted
@@ -803,11 +836,11 @@ impl<'a> Conn<'a> {
         }
     }
 
-    /// Forwards one submit to `owner` over its shared link: admission
-    /// resolves via the ack, and the completion arrives as a push, with
-    /// no poll round trips to the member. `Ok` means a ticket exists
-    /// (the in-flight hold stays); `Err` is a ready error reply (the
-    /// caller releases the hold).
+    /// Forwards one submit to `owner` over its shared link and answers
+    /// as soon as the frame is written: the member's admission ack and
+    /// its pushed completion both settle later, at `poll`. `Ok` means a
+    /// router ticket exists (the in-flight hold stays); `Err` is a ready
+    /// error reply (the caller releases the hold).
     fn forward_submit(
         &mut self,
         frame: &Json,
@@ -831,33 +864,7 @@ impl<'a> Conn<'a> {
                 (request, trace)
             }
         };
-        self.ensure_registered(frame, owner, version)?;
-        let link = self
-            .inner
-            .mux_link(owner)
-            .map_err(|e| self.member_err_reply(frame, owner, e))?;
-        // Never blocks on the shared window: a full one answers the
-        // typed `overloaded`, relayed like any member rejection.
-        let submit = || {
-            let ticket = link.try_submit_json(version, request.clone())?;
-            ticket.ack().map(|_| ticket)
-        };
-        let mut admitted = submit();
-        // A member that lost its registry (restart) rejects with
-        // `invalid_query` — definitively not admitted, so one
-        // re-register + re-forward is safe (this is the only retry the
-        // router ever performs). Any other failure after the frame
-        // reached the wire stays with the client: no silent retry.
-        if matches!(&admitted, Err(NetError::Server { code, .. }) if code == "invalid_query") {
-            lock(&self.inner.state)
-                .holders
-                .entry(version)
-                .or_default()
-                .remove(&owner);
-            self.ensure_registered(frame, owner, version)?;
-            admitted = submit();
-        }
-        let ticket = admitted.map_err(|e| self.member_err_reply(frame, owner, e))?;
+        let (link, ticket) = self.forward(frame, owner, version, request.clone())?;
         let id = self.next_ticket;
         self.next_ticket += 1;
         self.tickets.insert(
@@ -867,16 +874,13 @@ impl<'a> Conn<'a> {
                 version,
                 link,
                 ticket,
+                retry: Some(request),
             },
         );
         self.inner
             .counters
             .tickets_open
             .fetch_add(1, Ordering::SeqCst);
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         self.inner.spans.push(Span {
             trace,
             stage: Stage::Routed,
@@ -893,34 +897,89 @@ impl<'a> Conn<'a> {
         ))
     }
 
-    /// `poll` answers locally: the member pushed (or will push) the
-    /// completion onto the ticket — no round trip.
+    /// Writes one submit frame to `owner`'s shared link, registering the
+    /// version there first if needed. Never blocks on the member: a full
+    /// link window answers the typed `overloaded`, relayed like any
+    /// member rejection.
+    fn forward(
+        &self,
+        frame: &Json,
+        owner: usize,
+        version: u64,
+        request: Json,
+    ) -> Result<(Arc<MuxClient>, MuxTicket), Json> {
+        self.ensure_registered(frame, owner, version)?;
+        self.inner
+            .mux_link(owner)
+            .and_then(|link| {
+                let ticket = link.try_submit_json(version, request)?;
+                Ok((link, ticket))
+            })
+            .map_err(|e| self.member_err_reply(frame, owner, e))
+    }
+
+    /// The router's only retry. A member that lost its registry (a
+    /// restart) refuses with `invalid_query` in its ack — definitively
+    /// not admitted — so the version is registered there again and the
+    /// held request forwarded once more, to the same member. Any other
+    /// failure after the frame reached the wire stays with the client.
+    fn retry_forward(&mut self, frame: &Json, id: u64) -> Result<(), Json> {
+        let t = self.tickets.get_mut(&id).expect("polled ticket");
+        let (member, version) = (t.member, t.version);
+        let request = t.retry.take().expect("retry checked");
+        lock(&self.inner.state)
+            .holders
+            .entry(version)
+            .or_default()
+            .remove(&member);
+        let (link, ticket) = self.forward(frame, member, version, request)?;
+        let t = self.tickets.get_mut(&id).expect("polled ticket");
+        t.link = link;
+        t.ticket = ticket;
+        Ok(())
+    }
+
+    /// `poll` answers locally: the member acks and pushes the completion
+    /// onto the ticket — no round trip. The ack settles admission here:
+    /// a refusal is the ticket's terminal answer, except that an
+    /// `invalid_query` refusal is retried once first.
     fn op_poll(&mut self, frame: &Json) -> Json {
         let Some(id) = frame.get("ticket").and_then(Json::as_u64) else {
             return err_reply(frame, "bad_request", "poll needs a 'ticket'");
         };
-        let Some(t) = self.tickets.get(&id) else {
+        if !self.tickets.contains_key(&id) {
             return err_reply(frame, "unknown_ticket", "no such ticket on this connection");
-        };
+        }
         let wait = frame
             .get("wait_ms")
             .and_then(Json::as_u64)
             .map_or(Duration::ZERO, Duration::from_millis)
             .min(self.inner.poll_wait_cap);
-        let member = t.member;
-        let reply = match t.ticket.wait_deadline(wait) {
-            Ok(None) => return ok_reply(frame, Json::obj(vec![("done", Json::Bool(false))])),
-            Ok(Some(result)) => {
-                self.inner
-                    .counters
-                    .delivered
-                    .fetch_add(1, Ordering::Relaxed);
-                ok_reply(
-                    frame,
-                    Json::obj(vec![("done", Json::Bool(true)), ("result", result)]),
-                )
+        let deadline = Instant::now() + wait;
+        let reply = loop {
+            let t = self.tickets.get(&id).expect("checked above");
+            match t
+                .ticket
+                .wait_deadline(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(None) => return ok_reply(frame, Json::obj(vec![("done", Json::Bool(false))])),
+                Ok(Some(result)) => {
+                    self.inner
+                        .counters
+                        .delivered
+                        .fetch_add(1, Ordering::Relaxed);
+                    break ok_reply(
+                        frame,
+                        Json::obj(vec![("done", Json::Bool(true)), ("result", result)]),
+                    );
+                }
+                Err(_) if t.wants_retry() => {
+                    if let Err(reply) = self.retry_forward(frame, id) {
+                        break reply;
+                    }
+                }
+                Err(e) => break self.member_err_reply(frame, t.member, e),
             }
-            Err(e) => self.member_err_reply(frame, member, e),
         };
         self.finish_ticket(id);
         reply
@@ -933,13 +992,26 @@ impl<'a> Conn<'a> {
         let Some(id) = frame.get("ticket").and_then(Json::as_u64) else {
             return err_reply(frame, "bad_request", "cancel needs a 'ticket'");
         };
-        let Some(t) = self.tickets.get(&id) else {
+        let Some(t) = self.tickets.get_mut(&id) else {
             return err_reply(frame, "unknown_ticket", "no such ticket on this connection");
         };
         let member = t.member;
-        // The member-side ticket id is in the ack, which resolved before
-        // this router ticket existed.
-        match t.ticket.ack().and_then(|(remote, _)| t.link.cancel(remote)) {
+        // The member-side ticket id is in the ack, so cancel waits for
+        // it. A member that refused the submit has nothing to cancel:
+        // its refusal stays the ticket's `poll` answer, never retried.
+        let remote = match t.ticket.ack() {
+            Ok((remote, _)) => remote,
+            Err(NetError::Server { .. }) => {
+                t.retry = None;
+                return ok_reply(frame, Json::obj(vec![("cancelled", Json::Bool(false))]));
+            }
+            Err(e) => {
+                let reply = self.member_err_reply(frame, member, e);
+                self.finish_ticket(id);
+                return reply;
+            }
+        };
+        match t.link.cancel(remote) {
             Ok(cancelled) => ok_reply(frame, Json::obj(vec![("cancelled", Json::Bool(cancelled))])),
             Err(e @ NetError::Server { .. }) => self.member_err_reply(frame, member, e),
             Err(e) => {
@@ -1122,7 +1194,7 @@ impl<'a> Conn<'a> {
         );
         prom.counter(
             "phom_router_submitted_total",
-            "submits forwarded with a member ticket",
+            "forwarded submits the member admitted",
             c.submitted.load(Ordering::Relaxed),
         );
         prom.counter(
@@ -1161,62 +1233,46 @@ impl<'a> Conn<'a> {
             c.tickets_open.load(Ordering::SeqCst).max(0) as u64,
         );
         for (field, v) in &fleet.scalars {
-            prom.gauge(
-                &format!("phom_fleet_{field}"),
-                "summed across available members",
-                *v,
-            );
+            let name = format!("phom_fleet_{field}");
+            let help = "summed across available members";
+            if ROLLUP_GAUGES.contains(&field.as_str()) {
+                prom.gauge(&name, help, *v);
+            } else {
+                prom.counter(&name, help, *v);
+            }
         }
-        prom.family(
-            "phom_request_latency_ns",
-            "end-to-end request latency, nanoseconds, merged fleet-wide",
-            "histogram",
-        );
-        prom.histogram(
-            "phom_request_latency_ns",
-            &[("lane", "fast")],
-            &fleet.hists[5],
-        );
-        prom.histogram(
-            "phom_request_latency_ns",
-            &[("lane", "slow")],
-            &fleet.hists[6],
-        );
-        prom.family(
-            "phom_queue_latency_ns",
-            "queue wait, nanoseconds, merged fleet-wide",
-            "histogram",
-        );
-        prom.histogram(
-            "phom_queue_latency_ns",
-            &[("lane", "fast")],
-            &fleet.hists[0],
-        );
-        prom.histogram(
-            "phom_queue_latency_ns",
-            &[("lane", "slow")],
-            &fleet.hists[1],
-        );
-        prom.family(
-            "phom_stage_latency_ns",
-            "per-tick-group stage time, nanoseconds, merged fleet-wide",
-            "histogram",
-        );
-        prom.histogram(
-            "phom_stage_latency_ns",
-            &[("stage", "plan")],
-            &fleet.hists[2],
-        );
-        prom.histogram(
-            "phom_stage_latency_ns",
-            &[("stage", "eval")],
-            &fleet.hists[3],
-        );
-        prom.histogram(
-            "phom_stage_latency_ns",
-            &[("stage", "encode")],
-            &fleet.hists[4],
-        );
+        // (family, help, label, [(label value, ROLLUP_HISTOGRAMS key)])
+        type Series = &'static [(&'static str, &'static str)];
+        let families: [(&str, &str, &str, Series); 3] = [
+            (
+                "phom_request_latency_ns",
+                "end-to-end request latency, nanoseconds, merged fleet-wide",
+                "lane",
+                &[("fast", "request_ns_fast"), ("slow", "request_ns_slow")],
+            ),
+            (
+                "phom_queue_latency_ns",
+                "queue wait, nanoseconds, merged fleet-wide",
+                "lane",
+                &[("fast", "queue_ns_fast"), ("slow", "queue_ns_slow")],
+            ),
+            (
+                "phom_stage_latency_ns",
+                "per-tick-group stage time, nanoseconds, merged fleet-wide",
+                "stage",
+                &[
+                    ("plan", "plan_ns"),
+                    ("eval", "eval_ns"),
+                    ("encode", "encode_ns"),
+                ],
+            ),
+        ];
+        for (name, help, label, series) in families {
+            prom.family(name, help, "histogram");
+            for (value, key) in series {
+                prom.histogram(name, &[(label, value)], fleet.hist(key));
+            }
+        }
         ok_reply(
             frame,
             Json::obj(vec![("metrics", Json::str(prom.finish()))]),
@@ -1380,7 +1436,19 @@ struct FleetRollup {
     available: u64,
 }
 
-/// The member `stats` fields summed into the fleet-wide rollup.
+impl FleetRollup {
+    /// The merged histogram for `key`, one of [`ROLLUP_HISTOGRAMS`].
+    fn hist(&self, key: &str) -> &Histogram {
+        let i = ROLLUP_HISTOGRAMS
+            .iter()
+            .position(|k| *k == key)
+            .expect("a ROLLUP_HISTOGRAMS key");
+        &self.hists[i]
+    }
+}
+
+/// The member `stats` fields summed into the fleet-wide rollup. All
+/// are monotonic counters except the [`ROLLUP_GAUGES`].
 const ROLLUP_FIELDS: &[&str] = &[
     "workers",
     "queue_depth",
@@ -1398,6 +1466,9 @@ const ROLLUP_FIELDS: &[&str] = &[
     "deadline_exceeded",
     "budget_exceeded",
 ];
+
+/// The [`ROLLUP_FIELDS`] that are point-in-time levels, not counters.
+const ROLLUP_GAUGES: &[&str] = &["workers", "queue_depth"];
 
 /// The member `stats` histogram fields merged bucket-wise into the
 /// fleet-wide rollup (sparse encoding; see `wire::encode_histogram`).

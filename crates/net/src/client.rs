@@ -733,6 +733,17 @@ impl MuxTicket {
             .map_err(|e| e.to_net())
     }
 
+    /// Non-blocking probe for the ack: `None` until the server acks (or
+    /// rejects) the submit, then what [`ack`](MuxTicket::ack) returns.
+    pub fn try_ack(&self) -> Option<Result<(u64, u64), NetError>> {
+        let state = self.shared.lock();
+        state.ack.as_ref().map(|ack| {
+            ack.as_ref()
+                .map(|a| (a.ticket, a.trace))
+                .map_err(MuxErr::to_net)
+        })
+    }
+
     /// Blocks until the pushed completion arrives; returns the
     /// canonical result object (identical to v1 `poll`'s `result`).
     pub fn wait(&self) -> Result<Json, NetError> {
@@ -830,12 +841,13 @@ impl MuxClient {
             window,
             max_frame: wire::MAX_FRAME,
         });
+        // A reader that cannot be spawned is an I/O failure like any
+        // other: the connection drops with `inner`.
         let reader = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("phom-mux-reader".into())
-                .spawn(move || mux_reader(&inner, read_half))
-                .expect("spawn mux reader thread")
+                .spawn(move || mux_reader(&inner, read_half))?
         };
         Ok(MuxClient {
             inner,

@@ -487,7 +487,11 @@ fn handle_conn_v2(inner: &Arc<ServerInner>, mut stream: TcpStream, hello: &Json)
         std::thread::Builder::new()
             .name("phom-net-writer".into())
             .spawn(move || v2_writer(&inner, &conn, write_half, &rx))
-            .expect("spawn writer thread")
+    };
+    // No writer, no connection: it drops here (nothing was admitted on
+    // it yet) and the server keeps serving the others.
+    let Ok(writer) = writer else {
+        return;
     };
     let mut next_ticket: u64 = 1;
     loop {
@@ -755,7 +759,30 @@ fn v2_submit_batch(
             gated.push(Ok(trace));
         }
     }
-    let mut outcomes = inner.runtime.enqueue_batch_to(version, batch).into_iter();
+    let outcomes = inner.runtime.enqueue_batch_to(version, batch);
+    // The same count-then-recheck as `v2_admit`, for the whole batch: a
+    // drain that began meanwhile refuses the frame.
+    let admitted_n = outcomes.iter().filter(|o| o.is_ok()).count() as i64;
+    inner
+        .counters
+        .tickets_open
+        .fetch_add(admitted_n, Ordering::SeqCst);
+    if inner.draining.load(Ordering::SeqCst) {
+        for ticket in outcomes.iter().flatten() {
+            ticket.cancel();
+        }
+        inner
+            .counters
+            .tickets_open
+            .fetch_sub(admitted_n, Ordering::SeqCst);
+        return tx
+            .send(WriterMsg::Reply(solve_err_reply(
+                frame,
+                &SolveError::Cancelled,
+            )))
+            .is_ok();
+    }
+    let mut outcomes = outcomes.into_iter();
     let mut acks = Vec::with_capacity(gated.len());
     let mut admitted = Vec::new();
     let mut depths = Vec::with_capacity(gated.len());
@@ -779,7 +806,6 @@ fn v2_submit_batch(
             Ok((ticket, trace)) => {
                 let depth = conn.inflight.fetch_add(1, Ordering::SeqCst) + 1;
                 inner.counters.inflight.fetch_add(1, Ordering::SeqCst);
-                inner.counters.tickets_open.fetch_add(1, Ordering::SeqCst);
                 inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
                 depths.push(depth.max(0) as u64);
                 let server_ticket = *next_ticket;
@@ -853,9 +879,18 @@ fn v2_admit(
     };
     match inner.runtime.enqueue_to(version, request.to_request()) {
         Ok(ticket) => {
+            // Count the ticket open, then look at `draining` again (both
+            // SeqCst), as the v1 submit does: a submit that slipped past
+            // the caller's check is either waited for by the drain or
+            // refused here — never acked on a connection about to close.
+            inner.counters.tickets_open.fetch_add(1, Ordering::SeqCst);
+            if inner.draining.load(Ordering::SeqCst) {
+                ticket.cancel();
+                inner.counters.tickets_open.fetch_sub(1, Ordering::SeqCst);
+                return Err(SolveError::Cancelled);
+            }
             let depth = conn.inflight.fetch_add(1, Ordering::SeqCst) + 1;
             inner.counters.inflight.fetch_add(1, Ordering::SeqCst);
-            inner.counters.tickets_open.fetch_add(1, Ordering::SeqCst);
             inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
             inner
                 .inflight_depth

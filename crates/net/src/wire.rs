@@ -118,6 +118,14 @@
 //! state — exactly-once submission stays with the client, the router
 //! never silently retries a submit).
 //!
+//! **Admission semantics**: a router `submit` ack means *forwarded* —
+//! the router answers once the frame is written to the member, without
+//! waiting for the member's ack. The member's admission outcome (its
+//! typed refusal, or `member_unavailable` if the link died before the
+//! ack) is the ticket's one terminal `poll` answer. A member refusing
+//! with `invalid_query` because it lost its registry is re-registered
+//! and sent the same request once more, at that `poll`.
+//!
 //! **Handoff semantics** (`move`): the router warms the instance on
 //! the target member (a hinted `register`, usually the cached fast
 //! path), flips routing atomically, then drains-and-deregisters on the

@@ -8,9 +8,12 @@
 //! frames, never a silent retry; every request reaches exactly one
 //! terminal state). A hard watchdog kills the child processes on
 //! panic or timeout so a wedged fleet can never orphan children or
-//! hang CI. Two in-process tests pin the router's member-link books:
-//! one link per member for all router traffic, and the single
-//! re-register retry after a member lost its registry.
+//! hang CI. In-process tests pin the router's member-link books: one
+//! link per member for all router traffic, the single re-register
+//! retry after a member lost its registry, a `submit` that answers
+//! without waiting for the member's ack (against a member that never
+//! acks), a member refusal delivered once at `poll` and never counted,
+//! and the Prometheus types of the fleet rollup.
 
 use phom::net::wire::{self, encode_result, WireFallback, WireRequest};
 use phom::net::{Client, Json, NetError, Server};
@@ -672,6 +675,222 @@ fn one_member_link_per_member_carries_every_router_exchange() {
     }
 
     drop((a, b));
+    router.shutdown(Duration::from_secs(1));
+    for server in servers {
+        server.shutdown(Duration::from_secs(1));
+    }
+}
+
+/// A stand-in member that speaks protocol v2 just far enough to be
+/// routed to: it grants `hello`, answers `register` with the hinted
+/// version, and never acks a submit.
+struct SilentMember {
+    addr: String,
+    stream: Arc<Mutex<Option<std::net::TcpStream>>>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl SilentMember {
+    fn spawn() -> SilentMember {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind silent member");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stream = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&stream);
+        let thread = std::thread::spawn(move || {
+            let Ok((mut conn, _)) = listener.accept() else {
+                return;
+            };
+            *slot.lock().expect("slot") = conn.try_clone().ok();
+            while let Ok(Some(frame)) = wire::read_frame(&mut conn, wire::MAX_FRAME) {
+                let id = frame.get("id").cloned().unwrap_or(Json::Null);
+                let reply = match frame.get("op").and_then(Json::as_str) {
+                    Some("hello") => Json::obj(vec![(
+                        "ok",
+                        Json::obj(vec![("version", Json::u64(2)), ("window", Json::u64(64))]),
+                    )]),
+                    Some("register") => Json::obj(vec![
+                        ("id", id),
+                        (
+                            "ok",
+                            Json::obj(vec![
+                                ("version", frame.get("version").cloned().expect("hint")),
+                                ("registered", Json::str("new")),
+                            ]),
+                        ),
+                    ]),
+                    _ => continue,
+                };
+                if wire::write_frame(&mut conn, &reply).is_err() {
+                    return;
+                }
+            }
+        });
+        SilentMember {
+            addr,
+            stream,
+            thread,
+        }
+    }
+
+    /// Closes the member's one connection (the router's link to it).
+    fn close(self) {
+        let stream = self.stream.lock().expect("slot").take();
+        let stream = stream.expect("the router connected");
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        self.thread.join().expect("silent member thread");
+    }
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within `deadline`, instead of hanging the suite.
+fn with_watchdog(deadline: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(deadline) {
+        Ok(()) => worker.join().expect("test body"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("watchdog: the test body did not finish within {deadline:?}")
+        }
+    }
+}
+
+/// A router `submit` answers once the frame is forwarded: a member that
+/// never acks does not hold the client's ticket back, the unacked
+/// submit is not counted, and when that member's link dies the ticket
+/// answers `member_unavailable` exactly once at `poll`.
+#[test]
+fn router_submit_does_not_wait_for_member_admission() {
+    with_watchdog(Duration::from_secs(30), || {
+        let member = SilentMember::spawn();
+        let router = Router::bind(
+            "127.0.0.1:0",
+            vec![MemberSpec {
+                name: "silent".into(),
+                addr: member.addr.clone(),
+                weight: 1.0,
+            }],
+        )
+        .expect("bind router");
+        let mut client = Client::connect(router.local_addr()).expect("connect to router");
+        let h = ProbGraph::new(Graph::directed_path(1), vec![Rational::from_ratio(1, 2)]);
+        let version = client.register(&h).expect("register through the router");
+
+        let started = Instant::now();
+        let ticket = client
+            .submit(version, &WireRequest::probability(Graph::directed_path(1)))
+            .expect("forwarded");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "submit waited {:?} for a member that never acks",
+            started.elapsed()
+        );
+        assert_eq!(
+            client
+                .poll(ticket, Duration::from_millis(50))
+                .expect("poll while unacked"),
+            None
+        );
+        let stats = router.stats();
+        assert_eq!(stats.submitted, 0, "{stats:?}");
+        assert_eq!(stats.open_tickets, 1, "{stats:?}");
+
+        member.close();
+        match client.poll(ticket, Duration::from_secs(2)) {
+            Err(NetError::Server { code, msg, .. }) => {
+                assert_eq!(code, "member_unavailable", "{msg}");
+            }
+            other => panic!("expected a terminal member_unavailable: {other:?}"),
+        }
+        match client.poll(ticket, Duration::ZERO) {
+            Err(NetError::Server { code, .. }) => assert_eq!(code, "unknown_ticket"),
+            other => panic!("a resolved ticket must be unknown: {other:?}"),
+        }
+        let stats = router.stats();
+        assert_eq!(stats.submitted, 0, "{stats:?}");
+        assert_eq!(stats.member_unavailable, 1, "{stats:?}");
+        assert_eq!(stats.open_tickets, 0, "{stats:?}");
+        drop(client);
+        router.shutdown(Duration::from_secs(1));
+    });
+}
+
+/// A request the member refuses is still forwarded and acked with a
+/// router ticket; the member's typed refusal is that ticket's one
+/// terminal `poll` answer, and the refused submit is never counted.
+#[test]
+fn member_refusal_arrives_at_poll_once_and_is_not_counted() {
+    let (servers, router) = in_process_fleet(2);
+    let mut rng = SmallRng::seed_from_u64(0x2EF05E);
+    let h = random_instance(&mut rng, ProbProfile::default());
+    let oracle = Engine::new(h.clone());
+    let mut client = Client::connect(router.local_addr()).expect("connect to router");
+    let version = client.register(&h).expect("register through the router");
+    let req = random_request(&h, &mut rng);
+    assert_eq!(
+        answer(&mut client, version, &req),
+        oracle_answer(&oracle, &req)
+    );
+    let before = router.stats();
+    assert_eq!(before.submitted, 1, "{before:?}");
+
+    let reply = client
+        .call_raw(Json::obj(vec![
+            ("op", Json::str("submit")),
+            ("version", wire::encode_version(version)),
+            ("request", Json::obj(vec![("query", Json::u64(42))])),
+        ]))
+        .expect("submit op");
+    let ticket = reply
+        .get("ok")
+        .and_then(|ok| ok.get("ticket"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("the router forwards and acks: {reply}"));
+    match client.poll(ticket, Duration::from_secs(2)) {
+        Err(NetError::Server { code, .. }) => assert_eq!(code, "bad_request"),
+        other => panic!("expected the member's bad_request: {other:?}"),
+    }
+    match client.poll(ticket, Duration::ZERO) {
+        Err(NetError::Server { code, .. }) => assert_eq!(code, "unknown_ticket"),
+        other => panic!("a resolved ticket must be unknown: {other:?}"),
+    }
+    let after = router.stats();
+    assert_eq!(after.submitted, before.submitted, "{after:?}");
+    assert_eq!(after.delivered, before.delivered, "{after:?}");
+    assert_eq!(after.member_unavailable, 0, "{after:?}");
+    assert_eq!(after.open_tickets, 0, "{after:?}");
+
+    drop(client);
+    router.shutdown(Duration::from_secs(1));
+    for server in servers {
+        server.shutdown(Duration::from_secs(1));
+    }
+}
+
+/// The router's `metrics` text types the summed member counters as
+/// Prometheus counters and the summed levels as gauges.
+#[test]
+fn router_metrics_type_member_counters_as_counters() {
+    let (servers, router) = in_process_fleet(2);
+    let mut client = Client::connect(router.local_addr()).expect("connect to router");
+    let text = client.metrics().expect("metrics op");
+    for line in [
+        "# TYPE phom_fleet_admitted counter",
+        "# TYPE phom_fleet_completed counter",
+        "# TYPE phom_fleet_queue_depth gauge",
+        "# TYPE phom_fleet_workers gauge",
+        "# TYPE phom_request_latency_ns histogram",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in:\n{text}");
+    }
+    drop(client);
     router.shutdown(Duration::from_secs(1));
     for server in servers {
         server.shutdown(Duration::from_secs(1));

@@ -1014,3 +1014,74 @@ fn connect_with_retry_reports_exhaustion_without_trailing_backoff() {
         "no sleep after the final attempt: {elapsed:?}"
     );
 }
+
+/// A draining `shutdown` racing a pipelined v2 submit stream: every
+/// submit — plain or in a `submit_batch` — ends answered or with the
+/// typed `cancelled`, never an I/O error, and the books balance. An
+/// anchor ticket admitted before the race holds the drain open (the
+/// runtime's batching patience keeps it unresolved), so every frame of
+/// the stream is read and answered before the connection closes; the
+/// drain begins at a different point of the stream in each round, which
+/// includes landing between a submit's `draining` check and its
+/// admission.
+#[test]
+fn v2_submits_racing_a_drain_end_answered_or_cancelled() {
+    use phom::net::MuxClient;
+    let h = ProbGraph::new(Graph::directed_path(1), vec![Rational::from_ratio(1, 2)]);
+    let query = WireRequest::probability(Graph::directed_path(1));
+    for delay_us in [0u64, 80, 160, 240, 320, 640] {
+        let runtime = Arc::new(
+            Runtime::builder()
+                .max_batch(1024)
+                .max_wait(Duration::from_millis(100))
+                .workers(1)
+                .build(),
+        );
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&runtime)).expect("bind");
+        let client = MuxClient::connect(server.local_addr()).expect("hello");
+        let version = client.register(&h).expect("register");
+        let anchor = client.submit(version, &query).expect("anchor");
+        anchor.ack().expect("anchor admitted");
+        let (tickets, net) = std::thread::scope(|s| {
+            let drain = s.spawn(move || {
+                let start = std::time::Instant::now();
+                while start.elapsed() < Duration::from_micros(delay_us) {
+                    std::hint::spin_loop();
+                }
+                server.shutdown(Duration::from_secs(10))
+            });
+            let mut tickets = Vec::new();
+            for i in 0..16 {
+                if i % 4 == 3 {
+                    let batch = [query.clone(), query.clone(), query.clone()];
+                    tickets.extend(client.submit_batch(version, &batch).expect("batch written"));
+                } else {
+                    tickets.push(client.submit(version, &query).expect("submit written"));
+                }
+            }
+            (tickets, drain.join().expect("drain"))
+        });
+        let (mut answered, mut cancelled) = (0, 0);
+        for (i, ticket) in std::iter::once(anchor).chain(tickets).enumerate() {
+            match ticket.wait_deadline(Duration::from_secs(10)) {
+                Ok(Some(result)) => {
+                    assert_eq!(result.get("p").and_then(Json::as_str), Some("1/2"), "{i}");
+                    answered += 1;
+                }
+                Err(e) if e.is_cancelled() => cancelled += 1,
+                other => panic!("drain after {delay_us}µs, submit {i}: {other:?}"),
+            }
+        }
+        assert_eq!(answered + cancelled, 1 + 12 + 4 * 3, "after {delay_us}µs");
+        assert_eq!(net.open_tickets, 0, "after {delay_us}µs: {net:?}");
+        assert_eq!(net.submitted, answered, "after {delay_us}µs: {net:?}");
+        drop(client);
+        let runtime = Arc::try_unwrap(runtime).unwrap_or_else(|_| panic!("runtime still shared"));
+        let stats = runtime.shutdown();
+        assert_eq!(
+            stats.admitted,
+            stats.completed + stats.cancelled + stats.shed_expired,
+            "after {delay_us}µs: {stats:?}"
+        );
+    }
+}
