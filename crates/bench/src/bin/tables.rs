@@ -295,9 +295,11 @@ fn json_smoke() {
         // Persistent runtime tick: the same k = 16 workload enqueued
         // request-by-request into a warm `phom_serve::Runtime` (4
         // workers spawned once, max_batch 16) and awaited — the
-        // steady-state cost of one micro-batched serving tick,
-        // including the enqueue/ticket handoff and the batcher wake, on
-        // top of the warm engine tick measured above. Bit-identity vs
+        // steady-state cost of serving 16 warm requests, including the
+        // enqueue/ticket handoff and the batcher wakes, on top of the
+        // warm engine tick measured above (cache hits never occupy the
+        // pool, so the work-conserving batcher flushes them as they
+        // arrive rather than in one tick of 16). Bit-identity vs
         // the per-query path is asserted outside the timer (and in
         // tests/runtime_serving.rs).
         let wait_prob = |t: phom_serve::Ticket| -> f64 {
@@ -331,39 +333,6 @@ fn json_smoke() {
             let tickets: Vec<_> = requests
                 .iter()
                 .map(|r| runtime.enqueue(r.clone()).expect("admitted"))
-                .collect();
-            tickets.into_iter().map(wait_prob).sum()
-        });
-
-        // Adaptive runtime tick: the same k = 16 workload against a
-        // runtime with the latency-aware controller enabled — tracks
-        // the overhead of adaptive tick sizing on the warm tick path
-        // (the controller reads two atomics per flush and adjusts
-        // after the tick; answers are bit-identical either way).
-        let adaptive = phom_serve::Runtime::builder()
-            .max_batch(16)
-            .max_wait(std::time::Duration::from_millis(50))
-            .queue_cap(1024)
-            .workers(4)
-            .adaptive(true)
-            .build();
-        adaptive.register(h.clone());
-        let warm: Vec<_> = requests
-            .iter()
-            .map(|r| adaptive.enqueue(r.clone()).expect("admitted"))
-            .collect();
-        for (s, ticket) in solo.iter().zip(warm) {
-            let got = ticket.wait().expect("tractable");
-            assert_eq!(
-                s.probability,
-                got.solution().expect("probability request").probability,
-                "adaptive runtime must be bit-identical"
-            );
-        }
-        json_entry(&mut entries, "adaptive_tick_k16", 16, || {
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| adaptive.enqueue(r.clone()).expect("admitted"))
                 .collect();
             tickets.into_iter().map(wait_prob).sum()
         });

@@ -5,8 +5,9 @@
 //! 1. **[`Engine`](phom_core::Engine) tick seam** (`phom_core`) —
 //!    plan/execute/finish over `Send` work units;
 //! 2. **[`Runtime`](phom_serve::Runtime)** (`phom_serve`) — persistent
-//!    workers, bounded ingress, micro-batching ticks, adaptive tick
-//!    sizing;
+//!    workers, bounded ingress, work-conserving micro-batching ticks
+//!    (requests wait for company only while a tick of their lane is
+//!    in flight);
 //! 3. **[`Server`] (this crate)** — a TCP listener speaking a
 //!    length-prefixed JSON protocol, one reader thread per connection,
 //!    each feeding the runtime's bounded queue.

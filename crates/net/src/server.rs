@@ -1488,20 +1488,6 @@ fn encode_stats(stats: &RuntimeStats, counters: &Counters) -> Json {
             "tick_size_hist",
             Json::Arr(stats.tick_size_hist.iter().map(|&n| Json::u64(n)).collect()),
         ),
-        ("adaptive", Json::Bool(stats.adaptive)),
-        (
-            "effective_max_batch",
-            Json::u64(stats.effective_max_batch as u64),
-        ),
-        (
-            "effective_max_wait_ns",
-            Json::u64(u64::try_from(stats.effective_max_wait.as_nanos()).unwrap_or(u64::MAX)),
-        ),
-        (
-            "adaptive_adjustments",
-            Json::u64(stats.adaptive_adjustments),
-        ),
-        ("unit_ewma_nanos", Json::u64(stats.unit_ewma_nanos)),
         ("shared_arena_ticks", Json::u64(stats.shared_arena_ticks)),
         ("shared_gates", Json::u64(stats.shared_gates)),
         ("queries", Json::u64(stats.queries)),

@@ -9,10 +9,12 @@
 //! * a **persistent worker pool** — threads spawned exactly once at
 //!   startup and fed over an internal channel (no per-batch spawns);
 //! * a **bounded ingress queue** with **tick-based micro-batching**:
-//!   requests from any number of producers accumulate into a tick that
-//!   flushes when `max_batch` are waiting or the oldest has waited
-//!   `max_wait`, whichever comes first — so concurrent callers share
-//!   interning, cache probes, and compiled arenas without coordinating;
+//!   the batcher is work-conserving per lane: an idle lane flushes at
+//!   once, and requests wait for company (up to `max_batch` of them,
+//!   for at most `max_wait`) only while a tick of their lane is in
+//!   flight —
+//!   so concurrent callers share interning, cache probes, and compiled
+//!   arenas without coordinating, and light load never pays patience;
 //! * **admission control**: a full queue answers
 //!   [`SolveError::Overloaded`](phom_core::SolveError::Overloaded)
 //!   immediately (backpressure instead of unbounded memory), never
@@ -24,16 +26,12 @@
 //!   [`cancel`](Ticket::cancel) — and a graceful
 //!   [`shutdown`](Runtime::shutdown) that drains every admitted
 //!   request;
-//! * **adaptive tick sizing** ([`RuntimeBuilder::adaptive`]): a
-//!   controller moves the *effective* `max_batch`/`max_wait` with the
-//!   load — queue-depth pressure and a per-request latency EWMA —
-//!   always inside the configured bounds;
 //! * **cross-shard arena sharing**
 //!   ([`RuntimeBuilder::share_arena_at`]): large ticks compile every
 //!   circuit-compilable plan into one shared arena and partition the
 //!   roots across the workers;
 //! * a [`RuntimeStats`] snapshot: queue depth (+ high-water mark),
-//!   tick-size histogram, per-shard latencies, controller state, batch
+//!   tick-size histogram, per-shard latencies, batch
 //!   aggregates, cache counters;
 //! * **observability** (`phom_obs`): every admitted request carries a
 //!   [`TraceId`](phom_obs::TraceId) (its own if the front door minted

@@ -9,10 +9,15 @@
 //!    version, applies admission control (a full queue answers
 //!    [`SolveError::Overloaded`] immediately — backpressure instead of
 //!    unbounded memory), and returns a [`Ticket`].
-//! 2. The batcher accumulates admitted requests into a **tick**,
+//! 2. The batcher accumulates admitted requests into a **tick**. It is
+//!    *work-conserving* per lane: when a waiting request's lane has no
+//!    tick group in flight it flushes at once, so idle workers never
+//!    sit on a request. While the lane is busy it waits for company,
 //!    flushing when [`max_batch`](RuntimeBuilder::max_batch) requests
-//!    are waiting or the oldest has waited
-//!    [`max_wait`](RuntimeBuilder::max_wait), whichever comes first.
+//!    are waiting, the oldest has waited
+//!    [`max_wait`](RuntimeBuilder::max_wait), or the lane goes idle,
+//!    whichever comes first. A fast-lane request never waits on a
+//!    slow lane's sampling groups.
 //! 3. Each tick is grouped by instance version and planned through
 //!    [`Engine::begin_tick`] (interning, cache probe, routing — cheap,
 //!    sequential); the resulting `Send` units are dispatched to the
@@ -35,7 +40,6 @@ use phom_core::{
 use phom_graph::ProbGraph;
 use phom_obs::{Span, SpanLane, SpanRing, Stage, TraceId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,8 +72,9 @@ fn span_lane(lane: Lane) -> SpanLane {
 ///   (bigger ticks amortize planning and share arenas, at the cost of
 ///   per-request latency);
 /// * [`max_wait`](RuntimeBuilder::max_wait) — how long the first
-///   request of a tick may wait for company (the latency bound under
-///   light load);
+///   request of a tick may wait for company **while a tick of its lane
+///   is in flight** (an idle lane flushes at once, so patience never
+///   leaves a worker idle);
 /// * [`queue_cap`](RuntimeBuilder::queue_cap) — the admission-control
 ///   bound: beyond it, `enqueue` answers
 ///   [`SolveError::Overloaded`].
@@ -82,7 +87,6 @@ pub struct RuntimeBuilder {
     cache_capacity: usize,
     shared_cache: Option<CacheHandle>,
     default_options: SolverOptions,
-    adaptive: bool,
     share_arena_at: Option<usize>,
 }
 
@@ -93,9 +97,10 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Defaults: ticks of up to 64 requests, 2 ms of batching patience,
-    /// a 1024-request queue, one worker per core, an unbounded shared
-    /// cache, default [`SolverOptions`], adaptive tick sizing off, and
+    /// Defaults: ticks of up to 64 requests, 2 ms of batching patience
+    /// while a lane has a tick in flight, a 1024-request queue, one
+    /// worker per core, an unbounded shared cache, default
+    /// [`SolverOptions`], and
     /// cross-shard arena sharing from 32 unique queries per tick.
     pub fn new() -> Self {
         RuntimeBuilder {
@@ -106,7 +111,6 @@ impl RuntimeBuilder {
             cache_capacity: usize::MAX,
             shared_cache: None,
             default_options: SolverOptions::default(),
-            adaptive: false,
             share_arena_at: Some(32),
         }
     }
@@ -117,9 +121,14 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Flush a tick once its oldest request has waited this long, even
-    /// if it is smaller than `max_batch`. `Duration::ZERO` disables
-    /// batching patience entirely (every poll drains what is there).
+    /// While a tick group of its lane is in flight, flush a request's
+    /// tick once the oldest waiting request has waited this long, even
+    /// if it is smaller than `max_batch`. An idle lane (no tick group
+    /// of that lane in flight) flushes at once whatever this is set to,
+    /// so patience only ever buys a larger tick while the lane's own
+    /// work occupies the pool.
+    /// `Duration::ZERO` disables batching patience entirely (every poll
+    /// drains what is there).
     pub fn max_wait(mut self, d: Duration) -> Self {
         self.max_wait = d;
         self
@@ -161,21 +170,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Latency-aware **adaptive tick sizing**: a controller adjusts the
-    /// *effective* `max_batch`/`max_wait` from the stats feedback loop —
-    /// queue depth after each flush plus an EWMA of the per-request tick
-    /// latency. Under backlog it doubles the batch bound (up to the
-    /// configured `max_batch`) and halves the patience; when idle it
-    /// shrinks the batch bound and grows the patience toward the
-    /// observed service time (never past the configured `max_wait`).
-    /// The effective knobs always stay within the configured bounds,
-    /// and tick sizing never changes answers — only latency and
-    /// throughput (asserted by `tests/net_serving.rs`).
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
     /// Cross-shard arena sharing threshold: ticks with at least this
     /// many unique, uncached probability queries compile every
     /// circuit-compilable plan into **one** shared arena and partition
@@ -205,11 +199,7 @@ impl RuntimeBuilder {
             max_wait_nanos: duration_to_nanos(self.max_wait),
             queue_cap: self.queue_cap,
             pool_size,
-            adaptive: self.adaptive,
             share_arena_at: self.share_arena_at,
-            effective_batch: AtomicUsize::new(self.max_batch),
-            effective_wait_nanos: AtomicU64::new(duration_to_nanos(self.max_wait)),
-            unit_ewma_nanos: AtomicU64::new(0),
             default_options: self.default_options,
             cache,
             ingress: Mutex::new(Ingress {
@@ -226,7 +216,7 @@ impl RuntimeBuilder {
                 ..RuntimeStats::default()
             }),
             spans: SpanRing::new(phom_obs::DEFAULT_RING_CAPACITY),
-            inflight: Mutex::new(0),
+            inflight: Mutex::new(InFlight::default()),
             inflight_done: Condvar::new(),
         });
         let workers = (0..pool_size)
@@ -340,6 +330,21 @@ impl Ingress {
         self.fast.is_empty() && self.slow.is_empty()
     }
 
+    fn queue(&self, lane: Lane) -> &VecDeque<Admitted> {
+        match lane {
+            Lane::Fast => &self.fast,
+            Lane::Slow => &self.slow,
+        }
+    }
+
+    /// Whether a waiting request's lane has no tick group in flight —
+    /// the work-conserving flush: waiting for company there would only
+    /// leave that lane's work idle.
+    fn has_idle_lane(&self, inflight: &InFlight) -> bool {
+        (!self.fast.is_empty() && inflight.fast == 0)
+            || (!self.slow.is_empty() && inflight.slow == 0)
+    }
+
     /// Arrival time of the oldest waiting request across both lanes —
     /// the `max_wait` flush timer anchors on it.
     fn oldest_enqueued_at(&self) -> Option<Instant> {
@@ -358,17 +363,7 @@ struct Inner {
     max_wait_nanos: u64,
     queue_cap: usize,
     pool_size: usize,
-    adaptive: bool,
     share_arena_at: Option<usize>,
-    /// The controller's current flush threshold, in `[1, max_batch]`
-    /// (pinned to `max_batch` when adaptation is off).
-    effective_batch: AtomicUsize,
-    /// The controller's current batching patience, in
-    /// `[0, max_wait_nanos]` (`u64::MAX` = no timer flush).
-    effective_wait_nanos: AtomicU64,
-    /// EWMA of the per-request tick latency — the controller's latency
-    /// signal.
-    unit_ewma_nanos: AtomicU64,
     default_options: SolverOptions,
     cache: CacheHandle,
     ingress: Mutex<Ingress>,
@@ -384,9 +379,32 @@ struct Inner {
     /// Tick groups dispatched to the pool and not yet finished. The
     /// batcher flushes ahead of completion (so a slow tick never blocks
     /// a fast one) but stops at [`Inner::inflight_cap`] to bound the
-    /// work sitting in the pool feed.
-    inflight: Mutex<usize>,
+    /// work sitting in the pool feed. A lane with none in flight is
+    /// idle, and its waiting requests flush without waiting for
+    /// company. Lock order: `ingress` before `inflight`.
+    inflight: Mutex<InFlight>,
     inflight_done: Condvar,
+}
+
+/// Tick groups in flight, per lane. Groups answered at plan time
+/// (cache hits, trivial routes) finish inline and never count.
+#[derive(Default)]
+struct InFlight {
+    fast: usize,
+    slow: usize,
+}
+
+impl InFlight {
+    fn lane_mut(&mut self, lane: Lane) -> &mut usize {
+        match lane {
+            Lane::Fast => &mut self.fast,
+            Lane::Slow => &mut self.slow,
+        }
+    }
+
+    fn total(&self) -> usize {
+        self.fast + self.slow
+    }
 }
 
 impl Inner {
@@ -414,7 +432,6 @@ struct FinishJob {
     tick: Tick,
     tickets: Vec<Arc<TicketState>>,
     started: Instant,
-    tick_requests: usize,
     /// The group's lane (groups are split by lane, so it is uniform).
     lane: Lane,
     /// When planning finished and the units were handed to the pool —
@@ -795,17 +812,8 @@ impl Runtime {
             stats.fast_lane_depth = ingress.fast.len();
             stats.slow_lane_depth = ingress.slow.len();
         }
-        stats.ticks_in_flight = *lock(&self.inner.inflight);
+        stats.ticks_in_flight = lock(&self.inner.inflight).total();
         stats.cache = self.inner.cache.stats();
-        stats.adaptive = self.inner.adaptive;
-        stats.effective_max_batch = self.inner.effective_batch.load(Ordering::Relaxed);
-        let wait_nanos = self.inner.effective_wait_nanos.load(Ordering::Relaxed);
-        stats.effective_max_wait = if wait_nanos == u64::MAX {
-            Duration::MAX
-        } else {
-            Duration::from_nanos(wait_nanos)
-        };
-        stats.unit_ewma_nanos = self.inner.unit_ewma_nanos.load(Ordering::Relaxed);
         stats
     }
 
@@ -910,41 +918,45 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// The batcher: accumulates admitted requests into micro-batch ticks
-/// (flush on `max_batch` or `max_wait`, whichever first), dispatches
-/// each tick's units to the pool, and fulfills the tickets. On
-/// shutdown it drains the remaining queue through final ticks, then
-/// closes the work channel so the workers exit.
+/// The batcher: accumulates admitted requests into micro-batch ticks,
+/// dispatches each tick's units to the pool, and fulfills the tickets.
+/// It is work-conserving per lane: it flushes at once when a waiting
+/// request's lane has no tick group in flight, and waits for company
+/// only while that lane is busy — until `max_batch` requests wait, the
+/// oldest has waited `max_wait`, or the lane's last in-flight group
+/// finishes (whose [`finish_group`] wakes it). On shutdown it drains
+/// the remaining queue through final ticks, then closes the work
+/// channel so the workers exit.
 fn batcher_loop(inner: &Inner) {
     loop {
         let batch: Option<Vec<Admitted>> = {
             let mut ingress = lock(&inner.ingress);
             loop {
                 if !ingress.is_empty() {
-                    // The *effective* knobs: equal to the configured
-                    // `max_batch`/`max_wait` unless the adaptive
-                    // controller moved them (always within the
-                    // configured bounds). Re-read on every wakeup so
-                    // adaptation applies to the tick being built.
-                    let max_batch = inner.effective_batch.load(Ordering::Relaxed).max(1);
-                    let wait_nanos = inner.effective_wait_nanos.load(Ordering::Relaxed);
                     let oldest = ingress.oldest_enqueued_at().expect("non-empty");
                     // `checked_add` (and the `u64::MAX` sentinel): an
                     // absurd `max_wait` (Duration::MAX) must mean "no
                     // timer flush", not an Instant-overflow panic that
                     // would take the batcher down.
-                    let deadline = if wait_nanos == u64::MAX {
+                    let deadline = if inner.max_wait_nanos == u64::MAX {
                         None
                     } else {
-                        oldest.checked_add(Duration::from_nanos(wait_nanos))
+                        oldest.checked_add(Duration::from_nanos(inner.max_wait_nanos))
                     };
                     let now = Instant::now();
                     let timer_expired = deadline.is_some_and(|d| now >= d);
-                    if ingress.len() >= max_batch || ingress.shutdown || timer_expired {
+                    // Work-conserving: an idle lane flushes at once.
+                    // Checked last (it takes the inflight lock, under
+                    // the ingress lock — the one permitted order).
+                    if ingress.len() >= inner.max_batch
+                        || ingress.shutdown
+                        || timer_expired
+                        || ingress.has_idle_lane(&lock(&inner.inflight))
+                    {
                         // Fast lane first, but when both lanes wait,
                         // one slot is reserved for the slow lane so it
                         // never starves under sustained fast traffic.
-                        let n = ingress.len().min(max_batch);
+                        let n = ingress.len().min(inner.max_batch);
                         let reserve = usize::from(!ingress.slow.is_empty() && n > 1);
                         let from_fast = ingress.fast.len().min(n - reserve);
                         let from_slow = ingress.slow.len().min(n - from_fast);
@@ -1068,7 +1080,6 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
         let units = tick.take_units();
         let planned_at = Instant::now();
         let job = FinishJob {
-            tick_requests: tickets.len(),
             tick,
             tickets,
             started,
@@ -1084,7 +1095,7 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
             finish_group(inner, job, Vec::new());
             continue;
         }
-        *lock(&inner.inflight) += 1;
+        *lock(&inner.inflight).lane_mut(lane) += 1;
         let collector = Collector::new(units.len(), job);
         for (idx, unit) in units.into_iter().enumerate() {
             let item = WorkItem {
@@ -1104,7 +1115,7 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
     // in-flight count drops below the cap.
     let cap = inner.inflight_cap();
     let mut inflight = lock(&inner.inflight);
-    while *inflight >= cap {
+    while inflight.total() >= cap {
         inflight = inner
             .inflight_done
             .wait(inflight)
@@ -1113,15 +1124,16 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
 }
 
 /// Completes one tick group: folds the unit outputs through
-/// `Tick::finish`, fulfills the tickets, and feeds the stats and the
-/// adaptive controller. Runs on whichever worker reported the group's
-/// last unit (inline in the batcher for unit-less groups).
+/// `Tick::finish`, fulfills the tickets, and feeds the stats. Runs on
+/// whichever worker reported the group's last unit (inline in the
+/// batcher for unit-less groups). The group that leaves its lane idle
+/// wakes a batcher holding queued requests of that lane, which flushes
+/// them at once.
 fn finish_group(inner: &Inner, job: FinishJob, outputs: Vec<TickOutput>) {
     let FinishJob {
         tick,
         tickets,
         started,
-        tick_requests,
         lane,
         planned_at,
         plan_nanos,
@@ -1203,62 +1215,22 @@ fn finish_group(inner: &Inner, job: FinishJob, outputs: Vec<TickOutput>) {
         });
     }
     if had_units {
-        let mut inflight = lock(&inner.inflight);
-        *inflight = inflight.saturating_sub(1);
-        drop(inflight);
+        let lane_idle = {
+            let mut inflight = lock(&inner.inflight);
+            let count = inflight.lane_mut(lane);
+            *count = count.saturating_sub(1);
+            *count == 0
+        };
         inner.inflight_done.notify_all();
-    }
-    let queue_after = lock(&inner.ingress).len();
-    adapt(inner, tick_requests, queue_after, nanos);
-}
-
-/// The adaptive tick-sizing controller, run after every tick. The
-/// feedback signals are the queue depth left after the flush (backlog
-/// pressure) and an EWMA of the per-request tick latency; the actuators
-/// are the *effective* `max_batch` and `max_wait` the batcher reads,
-/// always bounded by the configured knobs:
-///
-/// * backlog (`queue_after ≥ effective_batch`) → throughput mode:
-///   double the batch bound (≤ configured `max_batch`), halve the
-///   patience — bigger ticks amortize planning and share arenas;
-/// * idle (`queue_after == 0` and the tick filled ≤ ¼ of the bound) →
-///   latency mode: halve the batch bound (≥ 1) and grow the patience
-///   toward the observed per-request service time (≤ configured
-///   `max_wait`) so light load still coalesces without waiting longer
-///   than one request costs anyway.
-///
-/// Tick sizing never changes answers — only latency and throughput —
-/// so the controller needs no coordination with the solve path.
-fn adapt(inner: &Inner, tick_requests: usize, queue_after: usize, tick_nanos: u64) {
-    let per_request = tick_nanos / tick_requests.max(1) as u64;
-    let prev = inner.unit_ewma_nanos.load(Ordering::Relaxed);
-    let ewma = if prev == 0 {
-        per_request
-    } else {
-        (3 * prev + per_request) / 4
-    };
-    inner.unit_ewma_nanos.store(ewma, Ordering::Relaxed);
-    if !inner.adaptive {
-        return;
-    }
-    let cur_batch = inner.effective_batch.load(Ordering::Relaxed);
-    let cur_wait = inner.effective_wait_nanos.load(Ordering::Relaxed);
-    let mut batch = cur_batch;
-    let mut wait = cur_wait;
-    if queue_after >= cur_batch {
-        batch = cur_batch.saturating_mul(2).min(inner.max_batch);
-        wait = cur_wait / 2;
-    } else if queue_after == 0 && tick_requests.saturating_mul(4) <= cur_batch {
-        batch = (cur_batch / 2).max(1);
-        wait = cur_wait
-            .saturating_mul(2)
-            .max(ewma)
-            .min(inner.max_wait_nanos);
-    }
-    if batch != cur_batch || wait != cur_wait {
-        inner.effective_batch.store(batch, Ordering::Relaxed);
-        inner.effective_wait_nanos.store(wait, Ordering::Relaxed);
-        lock(&inner.stats).adaptive_adjustments += 1;
+        // The lane just went idle: wake a batcher whose requests of this
+        // lane wait for company. The batcher reads the in-flight counts
+        // and parks under the ingress lock, so once this check holds
+        // that lock the batcher is either before its read (and will see
+        // 0) or parked on the condvar (and gets this notify) — the
+        // wake-up cannot be lost. Any other finish sends no notify.
+        if lane_idle && !lock(&inner.ingress).queue(lane).is_empty() {
+            inner.ingress_ready.notify_all();
+        }
     }
 }
 

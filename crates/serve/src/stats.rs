@@ -5,7 +5,6 @@
 
 use phom_core::{BatchStats, CacheStats};
 use phom_obs::Histogram;
-use std::time::Duration;
 
 /// Number of buckets in [`RuntimeStats::tick_size_hist`].
 pub const TICK_HIST_BUCKETS: usize = 8;
@@ -71,7 +70,8 @@ pub struct RuntimeStats {
     pub shed_expired: u64,
     /// Ticks currently dispatched to the pool and not yet finished.
     pub ticks_in_flight: usize,
-    /// Micro-batch ticks flushed (by size or by the `max_wait` timer).
+    /// Micro-batch ticks flushed (at once for an idle lane; by size or
+    /// by the `max_wait` timer while a lane has a tick in flight).
     pub ticks: u64,
     /// Requests across all ticks (mean tick size =
     /// `total_tick_requests / ticks`).
@@ -82,21 +82,6 @@ pub struct RuntimeStats {
     /// (`[1]`, `[2–3]`, `[4–7]`, …, `[≥128]`); the bucket counts sum to
     /// [`ticks`](RuntimeStats::ticks).
     pub tick_size_hist: [u64; TICK_HIST_BUCKETS],
-    /// Whether adaptive tick sizing is enabled
-    /// ([`RuntimeBuilder::adaptive`](crate::RuntimeBuilder::adaptive)).
-    pub adaptive: bool,
-    /// The controller's current effective flush threshold
-    /// (≤ the configured `max_batch`; equal to it when adaptation is
-    /// off).
-    pub effective_max_batch: usize,
-    /// The controller's current effective batching patience
-    /// (≤ the configured `max_wait`).
-    pub effective_max_wait: Duration,
-    /// Times the adaptive controller changed the effective knobs.
-    pub adaptive_adjustments: u64,
-    /// EWMA of the per-request tick latency (the controller's latency
-    /// signal), in nanoseconds.
-    pub unit_ewma_nanos: u64,
     /// Tick groups (one per instance version within a tick) that
     /// compiled their circuit plans into one cross-shard shared arena
     /// (the large-tick path).

@@ -1,11 +1,11 @@
-//! The full serving stack, end to end over real TCP: an adaptive
+//! The full serving stack, end to end over real TCP: a
 //! `phom_serve::Runtime` behind the `phom_net` front end, a client
 //! registering an instance and streaming requests over the
 //! length-prefixed JSON protocol, backpressure surfacing as typed
 //! `overloaded` frames, and a draining shutdown.
 //!
 //! This is the three-layer shape of the ROADMAP's serving scale-out:
-//! Engine tick seam → Runtime (micro-batching, adaptive tick sizing,
+//! Engine tick seam → Runtime (work-conserving micro-batching,
 //! cross-shard arenas) → network front end.
 //!
 //! Run with: `cargo run --release --example net_serving`
@@ -26,15 +26,14 @@ fn main() {
         &mut rng,
     );
 
-    // Layer 2: the runtime — adaptive tick sizing on, cross-shard arena
-    // sharing from 16 unique queries per tick.
+    // Layer 2: the runtime — ticks of up to 32 requests, cross-shard
+    // arena sharing from 16 unique queries per tick.
     let runtime = Arc::new(
         Runtime::builder()
             .max_batch(32)
             .max_wait(Duration::from_millis(2))
             .queue_cap(64)
             .workers(4)
-            .adaptive(true)
             .share_arena_at(Some(16))
             .build(),
     );
@@ -85,14 +84,14 @@ fn main() {
     // Observability over the wire: both layers in one snapshot.
     let stats = client.stats().expect("stats");
     println!(
-        "ticks {} (hist {}), effective max_batch {}, shared-arena ticks {}, cache hits {}",
+        "ticks {} (hist {}), max tick {}, shared-arena ticks {}, cache hits {}",
         stats.get("ticks").and_then(Json::as_u64).unwrap_or(0),
         stats
             .get("tick_size_hist")
             .map(|h| h.to_string())
             .unwrap_or_default(),
         stats
-            .get("effective_max_batch")
+            .get("max_tick_requests")
             .and_then(Json::as_u64)
             .unwrap_or(0),
         stats

@@ -34,7 +34,7 @@ fn main() {
 
     let runtime = Runtime::builder()
         .max_batch(32) // flush a tick at 32 requests...
-        .max_wait(Duration::from_millis(2)) // ...or after 2 ms, whichever first
+        .max_wait(Duration::from_millis(2)) // ...or after 2 ms while its lane is busy (idle lanes flush at once)
         .queue_cap(64) // admission control: beyond this, Overloaded
         .workers(4) // pool size — spawned once, right here
         .cache_capacity(512)

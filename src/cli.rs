@@ -139,10 +139,6 @@ fn usage() -> String {
      \x20                             interval (the degradation ladder)\n\
      \n\
      options for serve (the tick/backpressure knobs):\n\
-     \x20 --adaptive                  adaptive tick sizing: adjust the\n\
-     \x20                             effective max-batch/max-wait from the\n\
-     \x20                             queue depth + latency-EWMA feedback,\n\
-     \x20                             bounded by the configured knobs\n\
      \x20 --share-arena-at <n|off>    compile ticks with ≥ n unique queries\n\
      \x20                             into one cross-shard shared arena\n\
      \x20                             (default 32; 'off' = per-shard arenas)\n\
@@ -151,9 +147,10 @@ fn usage() -> String {
      \x20 --max-batch <n>             flush a tick at n accumulated requests\n\
      \x20                             (default 64; bigger ticks amortize\n\
      \x20                             planning and share arenas)\n\
-     \x20 --max-wait-ms <ms>          flush a tick once its oldest request\n\
-     \x20                             waited this long (default 2; the\n\
-     \x20                             latency bound under light load)\n\
+     \x20 --max-wait-ms <ms>          while a lane has a tick in flight,\n\
+     \x20                             flush its next once the oldest request\n\
+     \x20                             waited this long (default 2); an idle\n\
+     \x20                             lane flushes at once\n\
      \x20 --queue-cap <n>             ingress bound: a full queue rejects\n\
      \x20                             with Overloaded — backpressure, not\n\
      \x20                             unbounded memory (default 1024)\n\
@@ -247,7 +244,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
     let mut listen: Option<String> = None;
     let mut precision = phom_core::Precision::Exact;
     let mut metrics = false;
-    let mut adaptive = false;
     let mut share_arena_at: Option<usize> = Some(32);
     let mut serve_for_ms: Option<u64> = None;
     let mut i = 0;
@@ -267,7 +263,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
                         .clone(),
                 )
             }
-            "--adaptive" => adaptive = true,
             "--share-arena-at" => {
                 let v = flag_value(&mut i)
                     .ok_or("--share-arena-at needs a unique-query count (or 'off')")?;
@@ -336,7 +331,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
             max_wait_ms,
             queue_cap,
             workers,
-            adaptive,
             share_arena_at,
             serve_for_ms,
             ready: None,
@@ -381,7 +375,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
             max_wait_ms,
             queue_cap,
             workers,
-            adaptive,
             share_arena_at,
             precision,
             requests,
@@ -399,7 +392,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         .max_wait(std::time::Duration::from_millis(max_wait_ms))
         .queue_cap(queue_cap)
         .workers(workers)
-        .adaptive(adaptive)
         .share_arena_at(share_arena_at)
         .build();
     let v_live = runtime.register(live.clone());
@@ -585,7 +577,6 @@ struct ServeBenchNet {
     max_wait_ms: u64,
     queue_cap: usize,
     workers: usize,
-    adaptive: bool,
     share_arena_at: Option<usize>,
     precision: phom_core::Precision,
     requests: usize,
@@ -615,7 +606,6 @@ fn serve_bench_net(cfg: ServeBenchNet) -> Result<String, String> {
             .max_wait(std::time::Duration::from_millis(cfg.max_wait_ms))
             .queue_cap(cfg.queue_cap)
             .workers(cfg.workers)
-            .adaptive(cfg.adaptive)
             .share_arena_at(cfg.share_arena_at)
             .build(),
     );
@@ -789,7 +779,6 @@ struct ListenConfig {
     max_wait_ms: u64,
     queue_cap: usize,
     workers: usize,
-    adaptive: bool,
     share_arena_at: Option<usize>,
     serve_for_ms: Option<u64>,
     /// Test hook: receives the bound address once the listener is up
@@ -811,7 +800,6 @@ fn listen_cmd(config: ListenConfig) -> Result<String, String> {
             .max_wait(Duration::from_millis(config.max_wait_ms))
             .queue_cap(config.queue_cap)
             .workers(config.workers)
-            .adaptive(config.adaptive)
             .share_arena_at(config.share_arena_at)
             .build(),
     );
@@ -820,10 +808,7 @@ fn listen_cmd(config: ListenConfig) -> Result<String, String> {
     let local = server.local_addr();
     // Announce readiness on stdout immediately — scripts wait for this
     // line before connecting.
-    println!(
-        "phom_net: listening on {local} (adaptive {}, register instances over the wire)",
-        if config.adaptive { "on" } else { "off" }
-    );
+    println!("phom_net: listening on {local} (register instances over the wire)");
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     if let Some(ready) = &config.ready {
@@ -870,7 +855,7 @@ fn listen_cmd(config: ListenConfig) -> Result<String, String> {
     let _ = writeln!(
         out,
         "runtime: {} admitted, {} completed, {} rejected, {} cancelled, \
-         {} shed expired, {} ticks (max {} req), effective max_batch {}",
+         {} shed expired, {} ticks (max {} req), max_batch {}",
         stats.admitted,
         stats.completed,
         stats.rejected,
@@ -878,7 +863,7 @@ fn listen_cmd(config: ListenConfig) -> Result<String, String> {
         stats.shed_expired,
         stats.ticks,
         stats.max_tick_requests,
-        stats.effective_max_batch,
+        config.max_batch,
     );
     Ok(out)
 }
@@ -2498,8 +2483,8 @@ mod tests {
 
     #[test]
     fn serve_listen_bounded_run() {
-        // A bounded listen run: bind an ephemeral port, serve briefly
-        // with the adaptive controller on, drain, and summarize.
+        // A bounded listen run: bind an ephemeral port, serve briefly,
+        // drain, and summarize.
         let out = run(
             &args(&[
                 "serve",
@@ -2507,7 +2492,6 @@ mod tests {
                 "127.0.0.1:0",
                 "--serve-for-ms",
                 "50",
-                "--adaptive",
                 "--share-arena-at",
                 "8",
                 "--workers",
@@ -2540,10 +2524,11 @@ mod tests {
     fn serve_listen_drain_flushes_queued_tickets() {
         // Pin the bounded-exit drain: with a patient batcher (10 s
         // max_wait, nothing fills a 128-batch), requests submitted
-        // during the serve window sit queued until the window closes.
-        // The exit path must flush them through final ticks while the
-        // server still answers polls — not drop the listener on
-        // tickets that are still queued.
+        // during the serve window wait for company whenever their lane
+        // has a tick in flight (an idle lane flushes at once). Whatever is
+        // still queued or in flight when the window closes, the exit
+        // path must flush it through final ticks while the server still
+        // answers polls — not drop the listener on open tickets.
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
             listen_cmd(ListenConfig {
@@ -2552,7 +2537,6 @@ mod tests {
                 max_wait_ms: 10_000,
                 queue_cap: 1024,
                 workers: 2,
-                adaptive: false,
                 share_arena_at: Some(32),
                 serve_for_ms: Some(500),
                 ready: Some(tx),

@@ -53,7 +53,7 @@
 //! | [`lineage`] | the **unified provenance engine** ([`lineage::engine`]): one arena IR with interned gates and structural hashing, one semiring-generic bottom-up evaluator shared by positive DNFs, β-acyclicity (Thm 4.9), d-DNNF circuits, and OBDDs; [`FlatArena`](phom_lineage::FlatArena) — the cone-restricted flat-slab run representation behind the float tier |
 //! | [`automata`] | the polytree encoding and path automata of Prop 5.4, compiling into engine arenas |
 //! | [`core`] | the per-proposition algorithms and the Tables 1–3 dispatcher, behind the serving surface of [`core::engine`]: a long-lived [`Engine`] per instance (bounded LRU [`EvalCache`], sharded [`Engine::submit`], the [`Tick`](phom_core::Tick) seam for external pools), typed [`Request`]/[`Response`], and a [`Fleet`] registry serving many graph versions off one shared cache |
-//! | [`serve`] | the **persistent serving runtime**: [`Runtime`] with micro-batching ticks over a worker pool spawned once, **adaptive tick sizing** ([`RuntimeBuilder::adaptive`]), bounded-queue backpressure ([`SolveError::Overloaded`]), [`Ticket`]s, graceful drain, [`RuntimeStats`] |
+//! | [`serve`] | the **persistent serving runtime**: [`Runtime`] with **work-conserving** micro-batching ticks over a worker pool spawned once (an idle lane flushes at once; requests wait for company only while a tick of their lane is in flight), bounded-queue backpressure ([`SolveError::Overloaded`]), [`Ticket`]s, graceful drain, [`RuntimeStats`] |
 //! | [`net`] | the **network front end**: a TCP [`NetServer`] + [`NetClient`] speaking the length-prefixed JSON protocol of [`net::wire`] over a shared [`Runtime`] (`phom serve --listen ADDR`) |
 //! | [`fleet`] | the **multi-process sharded fleet**: a front-door [`Router`] on one address fanning out to member `phom serve` processes — weighted rendezvous routing on the instance fingerprint, lazy broadcast-on-demand registration, the `move` re-register handoff, typed `member_unavailable` health, and fleet-wide stats rollup (`phom router --listen ADDR --members FILE`) |
 //! | `obs` | **zero-dependency observability**: [`TraceId`](phom_serve::TraceId)s, per-stage [`Span`](phom_serve::Span)s in a lock-free overwrite-oldest [`SpanRing`](phom_serve::SpanRing), mergeable log-linear latency [`Histogram`](phom_serve::Histogram)s (p50/p90/p99 within a 12.5% bucket bound), and the [`PromText`](phom_serve::PromText) Prometheus text renderer — threaded through every serving layer (see "Observability" below) |
@@ -277,21 +277,19 @@
 //!    each) instead of building per-shard arenas.
 //! 2. **The persistent runtime** ([`serve`]): a pool of worker threads
 //!    spawned **once** at startup, a bounded ingress queue, and
-//!    **tick-based micro-batching** — enqueued requests accumulate
-//!    until `max_batch` are waiting or the oldest has waited
-//!    `max_wait`. With [`RuntimeBuilder::adaptive`] the *effective*
-//!    knobs follow the load: under backlog the controller doubles the
-//!    batch bound and halves the patience; when idle it shrinks the
-//!    bound and grows the patience toward the observed per-request
-//!    latency EWMA — always within the configured limits.
+//!    **work-conserving tick-based micro-batching** — when a waiting
+//!    request's lane (fast exact work or slow sampling work) has no
+//!    tick in flight the batcher flushes at once, so light load pays no
+//!    patience; while the lane is busy, enqueued requests wait for
+//!    company until `max_batch` are waiting, the oldest has waited
+//!    `max_wait`, or the lane goes idle.
 //!    [`Runtime::enqueue`] returns a [`Ticket`] (blocking
 //!    [`wait`](Ticket::wait), non-blocking [`try_get`](Ticket::try_get),
 //!    [`cancel`](Ticket::cancel)); a full queue answers
 //!    [`SolveError::Overloaded`] immediately (backpressure), and
 //!    [`Runtime::shutdown`] drains every admitted request before
 //!    stopping. [`RuntimeStats`] exposes tick-size histograms, the
-//!    queue-depth high-water mark, adaptive-controller state, and the
-//!    shared cache counters.
+//!    queue-depth high-water mark, and the shared cache counters.
 //! 3. **The network front end** ([`net`]): `phom serve --listen ADDR`
 //!    (or [`NetServer`] in process) speaks a length-prefixed JSON
 //!    protocol over plain TCP — one 4-byte big-endian length then one
@@ -380,7 +378,7 @@
 //!
 //! The runtime layer in five lines — answers bit-identical to
 //! [`Engine::submit`] under every `max_batch` / `max_wait` /
-//! worker-count / adaptive setting (`tests/runtime_serving.rs`):
+//! worker-count setting (`tests/runtime_serving.rs`):
 //!
 //! ```
 //! use phom::prelude::*;

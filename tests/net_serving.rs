@@ -2,11 +2,13 @@
 //! workloads sent over **loopback TCP** must come back **bit-identical**
 //! to in-process `Engine::submit` oracle answers — compared as the
 //! canonical wire encoding, byte for byte — across
-//! `max_batch`/`max_wait`/`workers` settings, with adaptive ticking on
-//! and off, and with cross-shard arena sharing forced on and off.
+//! `max_batch`/`max_wait`/`workers` settings, and with cross-shard arena
+//! sharing forced on and off.
 //! Protocol-level behavior (typed `overloaded` backpressure frames,
 //! error frames for malformed input, cancel/stats/register ops) is
 //! pinned here too.
+
+mod support;
 
 use phom::net::wire::{encode_result, WireBudget, WireFallback, WireRequest};
 use phom::net::{Client, Json, NetError, Server};
@@ -16,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
+use support::PoolHold;
 
 /// A random instance spanning the tables' columns (kept small: the
 /// sensitivity-by-conditioning oracle is quadratic in the edges).
@@ -55,15 +58,15 @@ fn random_request(h: &ProbGraph, rng: &mut SmallRng) -> WireRequest {
 #[test]
 fn wire_answers_are_bit_identical_to_engine_submit() {
     let mut rng = SmallRng::seed_from_u64(0x2E7D1FF);
-    // (max_batch, max_wait_ms, workers, adaptive, share_arena_at)
+    // (max_batch, max_wait_ms, workers, share_arena_at)
     let knobs = [
-        (1usize, 0u64, 1usize, false, None),
-        (8, 1, 2, false, Some(1)), // sharing forced on every tick
-        (32, 2, 4, true, Some(4)),
-        (4, 0, 3, true, None),
-        (64, 5, 2, false, Some(32)),
+        (1usize, 0u64, 1usize, None),
+        (8, 1, 2, Some(1)), // sharing forced on every tick
+        (32, 2, 4, Some(4)),
+        (4, 0, 3, None),
+        (64, 5, 2, Some(32)),
     ];
-    for (trial, &(max_batch, max_wait_ms, workers, adaptive, share)) in knobs.iter().enumerate() {
+    for (trial, &(max_batch, max_wait_ms, workers, share)) in knobs.iter().enumerate() {
         let profile = if trial % 2 == 0 {
             ProbProfile::half()
         } else {
@@ -89,7 +92,6 @@ fn wire_answers_are_bit_identical_to_engine_submit() {
                 .max_batch(max_batch)
                 .max_wait(Duration::from_millis(max_wait_ms))
                 .workers(workers)
-                .adaptive(adaptive)
                 .share_arena_at(share)
                 .build(),
         );
@@ -105,7 +107,7 @@ fn wire_answers_are_bit_identical_to_engine_submit() {
             assert_eq!(
                 &got, want,
                 "trial {trial} (b={max_batch}, w={max_wait_ms}ms, k={workers}, \
-                 adaptive={adaptive}, share={share:?}), request {i}"
+                 share={share:?}), request {i}"
             );
         }
         // Sharing actually engaged where the knob forces it and the
@@ -132,21 +134,23 @@ fn overload_surfaces_as_typed_error_frames() {
         Graph::directed_path(2),
         vec![Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)],
     );
-    // Huge batch bound + 2 s of patience: the queue stays full for the
-    // whole (sub-millisecond) submit loop, so admission control is what
-    // the wire observes — then the timer flush answers the admitted
-    // three.
+    // A held pool + huge batch bound + 2 s of patience: the queue stays
+    // full for the whole submit loop, so admission control is what the
+    // wire observes — then the timer flush answers the admitted three
+    // on the worker the hold leaves free.
     let runtime = Arc::new(
         Runtime::builder()
             .max_batch(10_000)
             .max_wait(Duration::from_secs(2))
             .queue_cap(3)
-            .workers(1)
+            .workers(2)
             .build(),
     );
     let server = Server::bind("127.0.0.1:0", Arc::clone(&runtime)).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let version = client.register(&h).expect("register");
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let held = hold.requests();
     let request = WireRequest::probability(Graph::directed_path(1));
     let mut admitted = Vec::new();
     let mut overloaded = 0;
@@ -170,12 +174,14 @@ fn overload_surfaces_as_typed_error_frames() {
         let answer = client.wait(ticket).expect("admitted requests answer");
         assert_eq!(answer.get("p").and_then(Json::as_str), Some("3/4"));
     }
+    hold.release();
     let net = server.shutdown(Duration::from_secs(5));
     assert_eq!(net.open_tickets, 0, "no ticket leaks: {net:?}");
     assert_eq!(net.rejected_overloaded, 7, "{net:?}");
-    let stats = runtime.stats();
+    let runtime = Arc::try_unwrap(runtime).unwrap_or_else(|_| panic!("runtime still shared"));
+    let stats = runtime.shutdown();
     assert_eq!(stats.rejected, 7, "{stats:?}");
-    assert_eq!(stats.completed, 3, "{stats:?}");
+    assert_eq!(stats.completed, 3 + held, "{stats:?}");
 }
 
 /// Hostile-input hardening: frames that used to reach panicking or
@@ -448,7 +454,8 @@ fn protocol_errors_and_ops_are_typed() {
         Some("bad_request"),
         "{reply}"
     );
-    // A cancel on a parked request resolves it to the typed Cancelled.
+    // A cancel on a parked request resolves it to the typed Cancelled
+    // (parked behind a held pool and ten minutes of patience).
     let parked_runtime = Runtime::builder()
         .max_batch(10_000)
         .max_wait(Duration::from_secs(600))
@@ -459,6 +466,7 @@ fn protocol_errors_and_ops_are_typed() {
         Server::bind("127.0.0.1:0", Arc::clone(&parked_runtime)).expect("bind parked");
     let mut parked_client = Client::connect(parked_server.local_addr()).expect("connect");
     let pv = parked_client.register(&h1).expect("register");
+    let hold = PoolHold::engage(&parked_runtime, Lane::Fast);
     let pt = parked_client.submit(pv, &q).unwrap();
     assert!(parked_client.cancel(pt).expect("cancel"));
     let result = parked_client.wait(pt).expect("resolved");
@@ -467,6 +475,7 @@ fn protocol_errors_and_ops_are_typed() {
         Some("cancelled"),
         "{result}"
     );
+    hold.release();
     parked_server.shutdown(Duration::from_secs(1));
 
     // Stats carries both layers.
@@ -1018,10 +1027,11 @@ fn connect_with_retry_reports_exhaustion_without_trailing_backoff() {
 /// A draining `shutdown` racing a pipelined v2 submit stream: every
 /// submit — plain or in a `submit_batch` — ends answered or with the
 /// typed `cancelled`, never an I/O error, and the books balance. An
-/// anchor ticket admitted before the race holds the drain open (the
-/// runtime's batching patience keeps it unresolved), so every frame of
-/// the stream is read and answered before the connection closes; the
-/// drain begins at a different point of the stream in each round, which
+/// anchor ticket admitted before the race holds the drain open (a held
+/// pool and the runtime's batching patience keep it unresolved until
+/// every submit of the stream has been acked), so every frame of the
+/// stream is read and answered before the connection closes; the drain
+/// begins at a different point of the stream in each round, which
 /// includes landing between a submit's `draining` check and its
 /// admission.
 #[test]
@@ -1033,13 +1043,14 @@ fn v2_submits_racing_a_drain_end_answered_or_cancelled() {
         let runtime = Arc::new(
             Runtime::builder()
                 .max_batch(1024)
-                .max_wait(Duration::from_millis(100))
+                .max_wait(Duration::from_secs(600))
                 .workers(1)
                 .build(),
         );
         let server = Server::bind("127.0.0.1:0", Arc::clone(&runtime)).expect("bind");
         let client = MuxClient::connect(server.local_addr()).expect("hello");
         let version = client.register(&h).expect("register");
+        let hold = PoolHold::engage(&runtime, Lane::Fast);
         let anchor = client.submit(version, &query).expect("anchor");
         anchor.ack().expect("anchor admitted");
         let (tickets, net) = std::thread::scope(|s| {
@@ -1059,6 +1070,13 @@ fn v2_submits_racing_a_drain_end_answered_or_cancelled() {
                     tickets.push(client.submit(version, &query).expect("submit written"));
                 }
             }
+            // Every submit has been read once it is acked (admitted or
+            // refused `cancelled`); only then may the anchor resolve and
+            // let the drain close the connection.
+            for ticket in &tickets {
+                let _ = ticket.ack();
+            }
+            hold.release();
             (tickets, drain.join().expect("drain"))
         });
         let (mut answered, mut cancelled) = (0, 0);

@@ -6,11 +6,14 @@
 //! tickets; cancellation, routing, draining shutdown, and the
 //! spawned-exactly-once worker pool are all pinned here.
 
+mod support;
+
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
+use support::PoolHold;
 
 /// A random instance spanning the tables' columns.
 fn random_instance(rng: &mut SmallRng, profile: ProbProfile) -> ProbGraph {
@@ -239,20 +242,24 @@ fn overloaded_rejects_without_losing_admitted_tickets() {
         Graph::directed_path(2),
         vec![Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)],
     );
-    // A huge batch bound plus a long wait keeps the queue parked until
-    // shutdown, so admission control is what we observe.
+    // A held pool plus a huge batch bound and a long wait keeps the
+    // queue parked until shutdown, so admission control is what we
+    // observe. The hold occupies one of the two workers; the other
+    // runs the shutdown drain.
     let runtime = Runtime::builder()
         .max_batch(10_000)
         .max_wait(Duration::from_secs(60))
         .queue_cap(4)
-        .workers(1)
+        .workers(2)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let held = hold.requests();
     let request = Request::probability(Graph::directed_path(1));
     let mut admitted = Vec::new();
     let mut rejected = 0u64;
     for _ in 0..20 {
-        match runtime.enqueue(request.clone()) {
+        match runtime.enqueue_to(v, request.clone()) {
             Ok(ticket) => admitted.push(ticket),
             Err(SolveError::Overloaded { capacity }) => {
                 assert_eq!(capacity, 4);
@@ -267,8 +274,19 @@ fn overloaded_rejects_without_losing_admitted_tickets() {
     for ticket in &admitted {
         assert!(ticket.try_get().is_none(), "parked until the tick fires");
     }
-    // Graceful shutdown drains the admitted tickets through final ticks.
-    let stats = runtime.shutdown();
+    // Graceful shutdown drains the admitted tickets through final ticks
+    // (on the free worker, while the hold still stands); the hold is
+    // released once they have answered, so the pool can be joined.
+    let stats = std::thread::scope(|scope| {
+        let admitted = &admitted;
+        scope.spawn(move || {
+            for ticket in admitted {
+                ticket.wait().expect("drained at shutdown");
+            }
+            hold.release();
+        });
+        runtime.shutdown()
+    });
     for ticket in &admitted {
         let answer = ticket.try_get().expect("drained at shutdown");
         let Ok(Response::Probability(sol)) = answer else {
@@ -276,7 +294,7 @@ fn overloaded_rejects_without_losing_admitted_tickets() {
         };
         assert_eq!(sol.probability, Rational::from_ratio(3, 4));
     }
-    assert_eq!(stats.completed, 4, "{stats:?}");
+    assert_eq!(stats.completed, 4 + held, "{stats:?}");
     assert_eq!(stats.rejected, 16, "{stats:?}");
     assert_eq!(stats.queue_depth, 0, "{stats:?}");
 }
@@ -290,17 +308,21 @@ fn cancellation_skips_execution() {
         Graph::directed_path(2),
         vec![Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)],
     );
+    // The hold keeps one worker busy, so the two requests park for
+    // `max_wait`; the other worker runs their tick.
     let runtime = Runtime::builder()
         .max_batch(10_000)
         .max_wait(Duration::from_millis(50))
-        .workers(1)
+        .workers(2)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let held = hold.requests();
     let keep = runtime
-        .enqueue(Request::probability(Graph::directed_path(1)))
+        .enqueue_to(v, Request::probability(Graph::directed_path(1)))
         .unwrap();
     let dropped = runtime
-        .enqueue(Request::probability(Graph::directed_path(2)))
+        .enqueue_to(v, Request::probability(Graph::directed_path(2)))
         .unwrap();
     assert!(dropped.cancel(), "parked ticket cancels");
     assert!(dropped.is_done(), "cancellation resolves immediately");
@@ -311,9 +333,10 @@ fn cancellation_skips_execution() {
         panic!("kept ticket must answer");
     };
     assert_eq!(sol.probability, Rational::from_ratio(3, 4));
+    hold.release();
     let stats = runtime.shutdown();
     assert_eq!(stats.cancelled, 1, "{stats:?}");
-    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert_eq!(stats.completed, 1 + held, "{stats:?}");
 }
 
 /// Regression for the `Ticket::cancel` vs tick-flush race: a cancel
@@ -399,10 +422,157 @@ fn cancel_vs_flush_race_always_resolves() {
     assert_eq!(stats.queue_depth, 0, "{stats:?}");
 }
 
+/// The work-conserving rule: an idle pool flushes at once, whatever the
+/// batching knobs say. With a 10 000-request batch bound and ten minutes
+/// of patience, both an uncached request (which needs a worker) and a
+/// cached one (answered at plan time) still answer promptly.
+#[test]
+fn idle_pool_flushes_without_waiting_for_company() {
+    let h = ProbGraph::new(Graph::directed_path(3), vec![Rational::from_ratio(1, 2); 3]);
+    let request = Request::probability(Graph::directed_path(2));
+    let want = Engine::new(h.clone()).submit(std::slice::from_ref(&request));
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(1)
+        .build();
+    runtime.register(h);
+    for pass in ["cache miss", "cache hit"] {
+        let ticket = runtime.enqueue(request.clone()).expect("admitted");
+        let answer = ticket
+            .wait_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("{pass}: an idle pool must not wait for company"));
+        assert_same(&answer, &want[0], pass);
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.ticks, 2, "{stats:?}");
+    assert_eq!(stats.cache.misses, 1, "{stats:?}");
+    assert_eq!(stats.batch_cache_hits, 1, "{stats:?}");
+}
+
+/// While the pool is busy, `max_wait` still applies: requests admitted
+/// one at a time wait for company, none answers before the pool frees
+/// up, and they then flush together as one tick.
+#[test]
+fn busy_pool_coalesces_requests_into_one_tick() {
+    let h = ProbGraph::new(Graph::directed_path(4), vec![Rational::from_ratio(1, 2); 4]);
+    let requests: Vec<Request> = (1..=4)
+        .map(|m| Request::probability(Graph::directed_path(m)))
+        .collect();
+    let want = Engine::new(h.clone()).submit(&requests);
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(1)
+        .build();
+    let v = runtime.register(h);
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let held = hold.requests();
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| runtime.enqueue_to(v, r.clone()).expect("admitted"))
+        .collect();
+    assert_eq!(runtime.stats().queue_depth, 4);
+    for (i, ticket) in tickets.iter().enumerate() {
+        assert!(
+            ticket.try_get().is_none(),
+            "request {i} answered while held"
+        );
+    }
+    hold.release();
+    for (i, (ticket, want)) in tickets.iter().zip(&want).enumerate() {
+        let answer = ticket
+            .wait_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("request {i}: the freed pool must flush the queue"));
+        assert_same(&answer, want, &format!("request {i}"));
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.max_tick_requests, 4, "one tick of four: {stats:?}");
+    assert_eq!(stats.ticks, held + 1, "{stats:?}");
+}
+
+/// No lost wake-up: the group that leaves the pool idle must wake a
+/// batcher holding queued requests. Each round admits a request just as
+/// a short in-flight group finishes (at a different offset each round);
+/// with ten minutes of patience, a missed notify would strand it, so a
+/// bounded wait turns that into a failure instead of a hang.
+#[test]
+fn finishing_group_wakes_a_waiting_batcher() {
+    let h = ProbGraph::new(Graph::directed_path(6), vec![Rational::from_ratio(1, 2); 6]);
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(2)
+        .build();
+    let v = runtime.register(h.clone());
+    let cache = runtime.cache_handle();
+    let short = Request::probability(Graph::directed_path(1));
+    let late = Request::probability(Graph::directed_path(2));
+    let want = Engine::new(h.clone()).submit(&[short.clone(), late.clone()]);
+    for round in 0..500u64 {
+        // Uncached every round, so the short request runs on a worker.
+        cache.clear();
+        let first = runtime.enqueue_to(v, short.clone()).expect("admitted");
+        let spin = std::time::Instant::now();
+        while spin.elapsed() < Duration::from_micros(round % 50) {
+            std::hint::spin_loop();
+        }
+        let second = runtime.enqueue_to(v, late.clone()).expect("admitted");
+        for (ticket, want) in [first, second].iter().zip(&want) {
+            let answer = ticket
+                .wait_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|| panic!("round {round}: a queued request was stranded"));
+            assert_same(&answer, want, &format!("round {round}"));
+        }
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.completed, 1000, "{stats:?}");
+}
+
+/// Idleness is per lane: a slow group in flight (sampling, counting,
+/// float work) never makes a fast-lane request wait for company, while
+/// a slow-lane request still waits for its own lane.
+#[test]
+fn fast_lane_flushes_while_slow_lane_is_busy() {
+    let h = ProbGraph::new(Graph::directed_path(3), vec![Rational::from_ratio(1, 2); 3]);
+    let fast = Request::probability(Graph::directed_path(2));
+    let slow = Request::probability(Graph::directed_path(2)).counting();
+    let want = Engine::new(h.clone()).submit(&[fast.clone(), slow.clone()]);
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(2)
+        .build();
+    let v = runtime.register(h);
+    let hold = PoolHold::engage(&runtime, Lane::Slow);
+    let answer = runtime
+        .enqueue_to(v, fast)
+        .expect("admitted")
+        .wait_timeout(Duration::from_secs(5))
+        .expect("a busy slow lane must not hold back a fast request");
+    assert_same(&answer, &want[0], "fast request");
+    // Alone in the queue, a slow request waits for its own lane. (A
+    // flush triggered by an idle fast lane takes waiting slow requests
+    // along, so it is admitted only after the fast one answered.)
+    let parked = runtime.enqueue_to(v, slow).expect("admitted");
+    assert!(
+        parked.try_get().is_none(),
+        "the slow request waits for its lane"
+    );
+    assert_eq!(runtime.stats().queue_depth, 1);
+    hold.release();
+    let answer = parked
+        .wait_timeout(Duration::from_secs(5))
+        .expect("the idle slow lane flushes");
+    assert_same(&answer, &want[1], "slow request");
+    runtime.shutdown();
+}
+
 /// `RuntimeStats` consistency under a scripted workload: the tick-size
 /// histogram, the queue-depth high-water mark, and the cache counters
-/// all match what the script forces. (`max_batch` 4 with a long wait
-/// means every tick flushes by size, at exactly 4 — deterministic.)
+/// all match what the script forces. (Each wave is admitted with one
+/// `enqueue_batch_to`, so the batcher sees all four at once and `max_batch`
+/// 4 flushes them as exactly one tick — deterministic.)
 #[test]
 fn stats_match_a_scripted_workload() {
     let h = ProbGraph::new(Graph::directed_path(4), vec![Rational::from_ratio(1, 2); 4]);
@@ -411,11 +581,12 @@ fn stats_match_a_scripted_workload() {
         .max_wait(Duration::from_secs(600))
         .workers(1)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
     let wave = |requests: [Request; 4]| -> Vec<Result<Response, SolveError>> {
-        let tickets: Vec<Ticket> = requests
+        let tickets: Vec<Ticket> = runtime
+            .enqueue_batch_to(v, requests.into())
             .into_iter()
-            .map(|r| runtime.enqueue(r).expect("admitted"))
+            .map(|t| t.expect("admitted"))
             .collect();
         tickets.iter().map(|t| t.wait()).collect()
     };
@@ -445,8 +616,8 @@ fn stats_match_a_scripted_workload() {
         stats.ticks,
         "bucket counts account for every tick: {stats:?}"
     );
-    // The high-water mark: each wave parks all 4 requests before the
-    // size trigger fires, and nothing ever exceeds a full wave.
+    // The high-water mark: each wave is admitted whole before the
+    // batcher sees it, and nothing ever exceeds a full wave.
     assert_eq!(stats.queue_depth_max, 4, "{stats:?}");
     // Cache counters: 5 unique queries solved (1 + 4), wave 3 served
     // from the cache during planning (1 interned probe, hit).
@@ -457,14 +628,6 @@ fn stats_match_a_scripted_workload() {
     assert_eq!(stats.batch_cache_hits, 1, "{stats:?}");
     assert_eq!(stats.cache.entries, 5, "{stats:?}");
     assert_eq!(stats.completed, 12, "{stats:?}");
-    // No adaptation configured: the effective knobs pin to the builder's.
-    assert!(!stats.adaptive, "{stats:?}");
-    assert_eq!(stats.effective_max_batch, 4, "{stats:?}");
-    assert_eq!(
-        stats.effective_max_wait,
-        Duration::from_secs(600),
-        "{stats:?}"
-    );
 }
 
 /// The latency histograms account for every request of a scripted
@@ -480,14 +643,13 @@ fn latency_histograms_track_a_scripted_workload() {
         .max_wait(Duration::from_secs(600))
         .workers(1)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
     for _ in 0..3 {
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|_| {
-                runtime
-                    .enqueue(Request::probability(Graph::directed_path(2)))
-                    .expect("admitted")
-            })
+        // One admission per wave: a single tick of four.
+        let tickets: Vec<Ticket> = runtime
+            .enqueue_batch_to(v, vec![Request::probability(Graph::directed_path(2)); 4])
+            .into_iter()
+            .map(|t| t.expect("admitted"))
             .collect();
         for t in &tickets {
             t.wait().expect("answered");
@@ -532,93 +694,24 @@ fn latency_histograms_track_a_scripted_workload() {
     );
 }
 
-/// The adaptive controller moves the *effective* knobs with the load —
-/// shrinking toward latency mode when idle, growing back under backlog —
-/// while never leaving the configured bounds and never changing answers.
-#[test]
-fn adaptive_tick_sizing_stays_bounded_and_correct() {
-    let h = ProbGraph::new(
-        Graph::directed_path(2),
-        vec![Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)],
-    );
-    let oracle = Engine::new(h.clone());
-    let runtime = Runtime::builder()
-        .max_batch(64)
-        .max_wait(Duration::from_millis(5))
-        .workers(2)
-        .adaptive(true)
-        .build();
-    runtime.register(h);
-    let request = Request::probability(Graph::directed_path(1));
-    let want = oracle.submit(std::slice::from_ref(&request));
-    // A lone request: the tick fills 1/64 of the bound, so the idle
-    // branch halves the effective batch at least once. (The controller
-    // runs right after the tick fulfills its tickets — poll briefly.)
-    let t = runtime.enqueue(request.clone()).expect("admitted");
-    assert_same(&t.wait(), &want[0], "idle request");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let idle = loop {
-        let stats = runtime.stats();
-        if stats.effective_max_batch < 64 || std::time::Instant::now() > deadline {
-            break stats;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    assert!(idle.adaptive, "{idle:?}");
-    assert!(
-        idle.effective_max_batch < 64 && idle.effective_max_batch >= 1,
-        "idle traffic must shrink the effective batch: {idle:?}"
-    );
-    assert!(idle.adaptive_adjustments >= 1, "{idle:?}");
-    assert!(
-        idle.effective_max_wait <= Duration::from_millis(5),
-        "{idle:?}"
-    );
-    // A sustained burst: answers stay bit-identical and the effective
-    // knobs stay within the configured bounds throughout.
-    for _ in 0..6 {
-        let tickets: Vec<Ticket> = (0..48)
-            .map(|_| {
-                let t = loop {
-                    match runtime.enqueue(request.clone()) {
-                        Ok(t) => break t,
-                        Err(SolveError::Overloaded { .. }) => std::thread::yield_now(),
-                        Err(e) => panic!("{e}"),
-                    }
-                };
-                t
-            })
-            .collect();
-        for t in &tickets {
-            assert_same(&t.wait(), &want[0], "burst request");
-        }
-        let stats = runtime.stats();
-        assert!(
-            (1..=64).contains(&stats.effective_max_batch),
-            "bounded by the configured knob: {stats:?}"
-        );
-        assert!(
-            stats.effective_max_wait <= Duration::from_millis(5),
-            "{stats:?}"
-        );
-    }
-    runtime.shutdown();
-}
-
 /// Tickets expose non-blocking probes and bounded waits.
 #[test]
 fn tickets_support_nonblocking_probes_and_timeouts() {
     let h = ProbGraph::new(Graph::directed_path(1), vec![Rational::from_ratio(1, 3)]);
+    // The hold keeps one worker busy, so the request waits out its
+    // batching patience; the other worker then runs its tick.
     let runtime = Runtime::builder()
         .max_batch(10_000)
         .max_wait(Duration::from_millis(100))
-        .workers(1)
+        .workers(2)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
     let ticket = runtime
-        .enqueue(Request::probability(Graph::directed_path(1)))
+        .enqueue_to(v, Request::probability(Graph::directed_path(1)))
         .unwrap();
-    // The tick cannot have fired yet (100 ms of batching patience).
+    // The tick cannot have fired yet (100 ms of batching patience while
+    // the pool is busy).
     assert!(ticket.try_get().is_none());
     assert!(!ticket.is_done());
     assert!(
@@ -632,6 +725,7 @@ fn tickets_support_nonblocking_probes_and_timeouts() {
         answer.unwrap().probability(),
         Some(&Rational::from_ratio(1, 3))
     );
+    hold.release();
     runtime.shutdown();
 }
 
@@ -681,17 +775,21 @@ fn router_dispatches_by_version() {
 
 /// An admitted request completes even when its version is deregistered
 /// before the tick fires (each admitted entry pins its engine at
-/// admission time), and an unbounded `max_wait` means "flush by count
-/// or shutdown only" — not an `Instant`-overflow panic in the batcher.
+/// admission time), and an unbounded `max_wait` on a busy pool means
+/// "flush by count, idle pool or shutdown only" — not an
+/// `Instant`-overflow panic in the batcher.
 #[test]
 fn admitted_requests_survive_deregistration_and_unbounded_waits() {
     let h = ProbGraph::new(Graph::directed_path(1), vec![Rational::from_ratio(1, 2)]);
     let runtime = Runtime::builder()
         .max_batch(10_000)
         .max_wait(Duration::MAX) // no timer flush, ever
-        .workers(1)
+        .workers(2)
         .build();
     let v = runtime.register(h);
+    // One worker held busy: the request parks until shutdown.
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let held = hold.requests();
     let parked = runtime
         .enqueue_to(v, Request::probability(Graph::directed_path(1)))
         .unwrap();
@@ -700,15 +798,24 @@ fn admitted_requests_survive_deregistration_and_unbounded_waits() {
         runtime.enqueue_to(v, Request::probability(Graph::directed_path(0))),
         Err(SolveError::InvalidQuery(_))
     ));
-    // The shutdown drain flushes the parked tick; the pinned engine
-    // answers it despite the deregistration.
-    let stats = runtime.shutdown();
+    assert!(parked.try_get().is_none(), "parked until shutdown");
+    // The shutdown drain flushes the parked tick onto the free worker;
+    // the pinned engine answers it despite the deregistration. The hold
+    // is released once it has, so the pool can be joined.
+    let stats = std::thread::scope(|scope| {
+        let parked = &parked;
+        scope.spawn(move || {
+            parked.wait().expect("drained at shutdown");
+            hold.release();
+        });
+        runtime.shutdown()
+    });
     let answer = parked.try_get().expect("drained at shutdown");
     assert_eq!(
         answer.unwrap().probability(),
         Some(&Rational::from_ratio(1, 2))
     );
-    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert_eq!(stats.completed, 1 + held, "{stats:?}");
 }
 
 /// Dropping a runtime without calling `shutdown` still drains admitted
@@ -723,11 +830,22 @@ fn drop_is_a_graceful_shutdown() {
             .max_wait(Duration::from_secs(60))
             .workers(2)
             .build();
-        runtime.register(h);
+        let v = runtime.register(h);
+        let hold = PoolHold::engage(&runtime, Lane::Fast);
         ticket = runtime
-            .enqueue(Request::probability(Graph::directed_path(1)))
+            .enqueue_to(v, Request::probability(Graph::directed_path(1)))
             .unwrap();
-        // Parked: the tick would fire in 60 s, but the drop drains now.
+        assert!(ticket.try_get().is_none(), "parked behind the held pool");
+        // Parked: the tick would fire in 60 s, but the drop drains now
+        // (on the free worker); the hold is released once it has.
+        std::thread::scope(|scope| {
+            let ticket = &ticket;
+            scope.spawn(move || {
+                ticket.wait().expect("drained by drop");
+                hold.release();
+            });
+            drop(runtime);
+        });
     }
     let answer = ticket.try_get().expect("drained by drop");
     assert_eq!(
@@ -754,15 +872,19 @@ fn repeated_ticks_serve_from_the_shared_cache() {
         .max_wait(Duration::from_millis(1))
         .workers(2)
         .build();
-    runtime.register(h);
+    let v = runtime.register(h);
     let request = Request::probability(q);
-    let first: Vec<Ticket> = (0..8)
-        .map(|_| runtime.enqueue(request.clone()).unwrap())
-        .collect();
+    // Each wave is admitted at once, so it is one tick of eight.
+    let wave = || -> Vec<Ticket> {
+        runtime
+            .enqueue_batch_to(v, vec![request.clone(); 8])
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    };
+    let first = wave();
     let answers: Vec<_> = first.iter().map(|t| t.wait()).collect();
-    let again: Vec<Ticket> = (0..8)
-        .map(|_| runtime.enqueue(request.clone()).unwrap())
-        .collect();
+    let again = wave();
     for (a, t) in answers.iter().zip(&again) {
         assert_same(a, &t.wait(), "warm tick");
     }

@@ -80,7 +80,6 @@ fn saturated_soak_accounts_for_every_request() {
             .max_wait(Duration::from_millis(5))
             .queue_cap(4) // tiny on purpose: saturation is the point
             .workers(4)
-            .adaptive(true)
             .share_arena_at(Some(8))
             .build(),
     );
@@ -227,8 +226,8 @@ fn saturated_soak_accounts_for_every_request() {
         "{stats:?}"
     );
     assert!(stats.rejected >= total.overloaded, "{stats:?}");
-    // The adaptive controller stayed within its bounds through all of it.
-    assert!((1..=8).contains(&stats.effective_max_batch), "{stats:?}");
+    // Every tick stayed within the configured max_batch through all of it.
+    assert!((1..=8).contains(&stats.max_tick_requests), "{stats:?}");
     done.store(true, Ordering::SeqCst);
 }
 
@@ -268,7 +267,6 @@ fn pipelined_mux_soak_accounts_for_every_request() {
             .max_wait(Duration::from_millis(5))
             .queue_cap(4) // tiny on purpose: the pipelines must overrun it
             .workers(4)
-            .adaptive(true)
             .share_arena_at(Some(8))
             .build(),
     );
