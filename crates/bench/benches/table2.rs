@@ -41,7 +41,7 @@ fn t2_prop410(c: &mut Criterion) {
     group.finish();
 }
 
-/// T2-ptime-b: Prop 4.11 sweeps (quadratically many subpaths).
+/// T2-ptime-b: Prop 4.11 sweeps (a two-pointer sweep of window probes).
 fn t2_prop411(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2/prop411_connected_on_2wp");
     group

@@ -4,22 +4,32 @@
 //! homomorphism from a *connected* query is a connected subgraph, i.e. a
 //! contiguous subpath `a_i − … − a_j`. Testing `G ⇝ subpath` is tractable
 //! because subpaths have the **X-property** w.r.t. the path order
-//! (Theorem 4.13, implemented in `phom_graph::xprop`). Homomorphism
-//! existence is monotone in the subpath, so minimal witnesses form an
-//! antichain of intervals computable with a two-pointer sweep — `O(n)`
-//! X-property tests instead of `O(n²)`.
+//! (Theorem 4.13): each label's edge relation is closed under
+//! coordinatewise minimum, so arc consistency decides the CSP and the
+//! minimum of every reduced domain is a homomorphism (`phom_graph::xprop`).
+//! Homomorphism existence is monotone in the subpath, so minimal witnesses
+//! form an antichain of intervals computable with a two-pointer sweep —
+//! `O(n)` window probes instead of `O(n²)`.
+//!
+//! Each probe runs [`PathWindowMatcher`]: the domains are bitsets over
+//! path positions, and a query edge's supports are one-bit shifts of the
+//! other endpoint's domain masked by the label's forward/backward step
+//! bitsets. A probe touches only the words its window spans, so it costs
+//! time proportional to the window, not to the instance, and no subgraph
+//! is built.
 //!
 //! Two evaluation strategies, cross-checked:
 //!
 //! * **Lineage + β-acyclicity** (the paper's proof): one clause per minimal
 //!   interval; eliminating edges left-to-right along the path is a
 //!   β-elimination order.
-//! * **Interval-automaton DP** (ablation ABL-1): scan edges left to right
+//! * **Interval-automaton DP** (ablation ABL-1b in
+//!   `crates/bench/benches/ablations.rs`): scan edges left to right
 //!   tracking the first interval not yet broken by an absent edge; `O(n·k)`.
 
 use phom_graph::classes::{as_two_way_path, TwoWayPathView};
-use phom_graph::xprop::x_property_hom;
-use phom_graph::{Dir, Graph, GraphBuilder, ProbGraph};
+use phom_graph::xprop::PathWindowMatcher;
+use phom_graph::{Graph, ProbGraph};
 use phom_lineage::beta::beta_dnf_probability_with_order;
 use phom_lineage::Dnf;
 use phom_num::Weight;
@@ -41,17 +51,31 @@ pub struct Interval {
 ///
 /// The `bool` is true when the query has no edges (matches everywhere).
 pub fn minimal_intervals(query: &Graph, instance: &Graph) -> Option<(Vec<Interval>, bool)> {
+    minimal_intervals_on(query, &as_two_way_path(instance)?)
+}
+
+/// [`minimal_intervals`] on an already extracted path view, so callers
+/// that also walk the path's steps derive the view once.
+pub(crate) fn minimal_intervals_on(
+    query: &Graph,
+    view: &TwoWayPathView,
+) -> Option<(Vec<Interval>, bool)> {
     if !phom_graph::classify(query).is_connected() {
         return None;
     }
-    let view = as_two_way_path(instance)?;
     if query.n_edges() == 0 {
         return Some((Vec::new(), true));
     }
-    let n_steps = view.steps.len();
-    if n_steps == 0 {
-        return Some((Vec::new(), false));
-    }
+    let mut matcher = PathWindowMatcher::new(query, view);
+    let intervals = sweep(view.steps.len(), |i, j| matcher.matches(i, j));
+    Some((intervals, false))
+}
+
+/// The two-pointer sweep over edge positions `0..n_steps`: `fits(i, j)`
+/// decides whether the query maps into the subpath spanning positions
+/// `i ..= j`, and must be monotone (a larger window fits whenever a
+/// smaller one does). Returns the inclusion-minimal fitting windows.
+fn sweep(n_steps: usize, mut fits: impl FnMut(usize, usize) -> bool) -> Vec<Interval> {
     let mut intervals: Vec<Interval> = Vec::new();
     // Two-pointer: hom(i..j) is monotone in j, and the minimal j is
     // nondecreasing in i.
@@ -62,8 +86,7 @@ pub fn minimal_intervals(query: &Graph, instance: &Graph) -> Option<(Vec<Interva
         }
         // Find minimal j ≥ max(i, previous j) with a homomorphism.
         let found = loop {
-            let sub = subpath_graph(&view, i, j);
-            if x_property_hom(query, &sub).is_some() {
+            if fits(i, j) {
                 break true;
             }
             if j + 1 >= n_steps {
@@ -71,11 +94,9 @@ pub fn minimal_intervals(query: &Graph, instance: &Graph) -> Option<(Vec<Interva
             }
             j += 1;
         };
-        // Monotonicity in i: once no interval fits from i, none fits later
-        // with the same or larger start... only when j hit the end.
+        // Once no window from i fits up to the path's end, none fits from
+        // a later start either: those subpaths are subsets.
         if !found {
-            // Check whether enlarging from a later start could still work:
-            // it cannot, since subpaths from later starts are subsets.
             break;
         }
         // Interval [i..j] is a candidate; it is minimal iff the next start
@@ -93,28 +114,14 @@ pub fn minimal_intervals(query: &Graph, instance: &Graph) -> Option<(Vec<Interva
     if let Some(last) = intervals.last() {
         minimal.push(*last);
     }
-    Some((minimal, false))
-}
-
-/// Builds the subpath `a_i − … − a_{j+1}` (edge positions `i ..= j`) as a
-/// standalone graph whose vertices are renumbered in path order — so it has
-/// the X-property w.r.t. the identity order, as `x_property_hom` requires.
-fn subpath_graph(view: &TwoWayPathView, i: usize, j: usize) -> Graph {
-    let mut b = GraphBuilder::with_vertices(j - i + 2);
-    for (pos, &(_, label, dir)) in view.steps[i..=j].iter().enumerate() {
-        match dir {
-            Dir::Forward => b.edge(pos, pos + 1, label),
-            Dir::Backward => b.edge(pos + 1, pos, label),
-        };
-    }
-    b.build()
+    minimal
 }
 
 /// The lineage DNF (over the instance's edge ids) plus the left-to-right
 /// β-elimination order.
 pub fn lineage(query: &Graph, instance: &Graph) -> Option<(Dnf, Vec<usize>)> {
     let view = as_two_way_path(instance)?;
-    let (intervals, trivially_true) = minimal_intervals(query, instance)?;
+    let (intervals, trivially_true) = minimal_intervals_on(query, &view)?;
     let mut dnf = Dnf::falsum(instance.n_edges());
     if trivially_true {
         dnf.push_clause(Vec::new());
@@ -149,7 +156,7 @@ pub fn probability_lineage<W: Weight>(query: &Graph, instance: &ProbGraph) -> Op
 /// not yet broken by an absent edge (`SAT` is absorbing).
 pub fn probability_dp<W: Weight>(query: &Graph, instance: &ProbGraph) -> Option<W> {
     let view = as_two_way_path(instance.graph())?;
-    let (intervals, trivially_true) = minimal_intervals(query, instance.graph())?;
+    let (intervals, trivially_true) = minimal_intervals_on(query, &view)?;
     if trivially_true {
         return Some(W::one());
     }
@@ -336,6 +343,111 @@ mod tests {
         }
     }
 
-    use phom_graph::{GraphBuilder, ProbGraph};
+    /// The probe [`PathWindowMatcher`] replaced, kept as its reference:
+    /// the subpath `a_i − … − a_{j+1}` (edge positions `i ..= j`) as a
+    /// standalone graph whose vertices are renumbered in path order — so
+    /// it has the X-property w.r.t. the identity order, as
+    /// `x_property_hom` requires.
+    fn subpath_graph(view: &TwoWayPathView, i: usize, j: usize) -> Graph {
+        let mut b = GraphBuilder::with_vertices(j - i + 2);
+        for (pos, &(_, label, dir)) in view.steps[i..=j].iter().enumerate() {
+            match dir {
+                Dir::Forward => b.edge(pos, pos + 1, label),
+                Dir::Backward => b.edge(pos + 1, pos, label),
+            };
+        }
+        b.build()
+    }
+
+    /// A random query over labels `0..=sigma` (so a label may be absent
+    /// from an instance over `0..sigma`): a 2WP, a 1WP, or a connected
+    /// graph with extra edges, sometimes plus a self-loop or a 2-cycle.
+    fn random_query(sigma: u32, rng: &mut SmallRng) -> Graph {
+        let base = match rng.gen_range(0..3) {
+            0 => generate::two_way_path(rng.gen_range(1..=6), sigma + 1, rng),
+            1 => generate::one_way_path(rng.gen_range(1..=5), sigma + 1, rng),
+            _ => generate::connected(rng.gen_range(2..=5), rng.gen_range(0..=2), sigma + 1, rng),
+        };
+        let n = base.n_vertices();
+        let mut b = GraphBuilder::with_vertices(n);
+        for e in base.edges() {
+            b.edge(e.src, e.dst, e.label);
+        }
+        let label = Label(rng.gen_range(0..=sigma));
+        match rng.gen_range(0..8) {
+            0 => {
+                b.try_edge(rng.gen_range(0..n), rng.gen_range(0..n), label);
+            }
+            1 => {
+                let e = base.edge(rng.gen_range(0..base.n_edges()));
+                b.try_edge(e.dst, e.src, label);
+            }
+            _ => {}
+        }
+        b.build()
+    }
+
+    /// The matcher against the subgraph + `x_property_hom` reference and
+    /// (on small cases) backtracking `exists_hom`: window decisions for
+    /// every `(i, j)` on short paths, and equal minimal intervals on paths
+    /// of up to 140 edges, including 62–66-vertex paths that end at the
+    /// word boundary and the one-vertex path.
+    #[test]
+    fn path_window_matcher_agrees_with_subgraph_reference() {
+        use phom_graph::hom::exists_hom;
+        use phom_graph::xprop::x_property_hom;
+        let mut rng = SmallRng::seed_from_u64(0x411);
+        for round in 0..1500 {
+            let sigma = rng.gen_range(1..=3);
+            let len = match round % 10 {
+                0 => 0,
+                1 | 2 => rng.gen_range(61..=65),
+                3 => rng.gen_range(1..=140),
+                _ => rng.gen_range(1..=14),
+            };
+            let h = generate::two_way_path(len, sigma, &mut rng);
+            let view = as_two_way_path(&h).unwrap();
+            let q = random_query(sigma, &mut rng);
+            let mut matcher = PathWindowMatcher::new(&q, &view);
+            let fits = |i, j| x_property_hom(&q, &subpath_graph(&view, i, j)).is_some();
+            if len <= 14 {
+                let mut all_minimal = Vec::new();
+                for i in 0..len {
+                    for j in i..len {
+                        let expect = fits(i, j);
+                        assert_eq!(matcher.matches(i, j), expect, "[{i}, {j}] q={q:?} h={h:?}");
+                        if len <= 8 {
+                            let sub = subpath_graph(&view, i, j);
+                            assert_eq!(exists_hom(&q, &sub), expect, "[{i}, {j}] q={q:?} h={h:?}");
+                        }
+                        let shrinks = (i < j) && (fits(i + 1, j) || fits(i, j - 1));
+                        if expect && !shrinks {
+                            all_minimal.push(Interval { start: i, end: j });
+                        }
+                    }
+                }
+                if let Some((ivs, trivial)) = minimal_intervals_on(&q, &view) {
+                    assert!(!trivial);
+                    all_minimal.sort_by_key(|iv| iv.start);
+                    assert_eq!(ivs, all_minimal, "q={q:?} h={h:?}");
+                }
+            } else {
+                for _ in 0..8 {
+                    let i = rng.gen_range(0..len);
+                    let j = rng.gen_range(i..len);
+                    assert_eq!(
+                        matcher.matches(i, j),
+                        fits(i, j),
+                        "[{i}, {j}] q={q:?} h={h:?}"
+                    );
+                }
+                if let Some((ivs, _)) = minimal_intervals_on(&q, &view) {
+                    assert_eq!(ivs, sweep(len, fits), "q={q:?} h={h:?}");
+                }
+            }
+        }
+    }
+
+    use phom_graph::{Dir, GraphBuilder, ProbGraph};
     use phom_num::Rational;
 }

@@ -23,8 +23,10 @@ use phom_num::{Rational, Weight};
 use super::components::{combine_connected_query, split_components};
 
 /// Computes `Pr(G ⇝ H)` for an arbitrary unlabeled query on a `⊔DWT`
-/// unlabeled instance. Returns `None` if the instance is not a `⊔DWT` (the
-/// dispatcher never calls it that way).
+/// unlabeled instance. Returns `None` if the instance is not a `⊔DWT`.
+/// The solver's Prop 3.6 route runs the same steps — [`collapse_length`],
+/// then [`dwt_long_path_probability`] per component — over the instance's
+/// cached Lemma 3.7 split instead of splitting on every query.
 pub fn probability(query: &Graph, instance: &ProbGraph) -> Option<Rational> {
     let m = match collapse_length(query) {
         Some(0) => return Some(Rational::one()),

@@ -21,7 +21,7 @@
 //!   probability: `Pr(match) = 1 − Pr(fail)`), mirroring how Theorem 4.9
 //!   computes `1 − Pr(¬φ)`.
 
-use super::connected_on_2wp::minimal_intervals;
+use super::connected_on_2wp::minimal_intervals_on;
 use phom_graph::classes::{as_downward_tree, as_one_way_path, as_two_way_path};
 use phom_graph::{Graph, VertexId};
 use phom_lineage::fxhash::FxHashMap;
@@ -45,7 +45,7 @@ pub fn match_circuit_2wp(query: &Graph, instance: &Graph) -> Option<(Circuit, Ga
 pub fn match_into_2wp(c: &mut Circuit, query: &Graph, instance: &Graph) -> Option<GateId> {
     assert_eq!(c.num_vars(), instance.n_edges());
     let view = as_two_way_path(instance)?;
-    let (intervals, trivially_true) = minimal_intervals(query, instance)?;
+    let (intervals, trivially_true) = minimal_intervals_on(query, &view)?;
     if trivially_true {
         return Some(c.constant(true));
     }

@@ -11,8 +11,9 @@
 //!   eliminating edge variables bottom-up (each leaf's parent edge first)
 //!   is a β-elimination order, and Theorem 4.9's algorithm finishes the
 //!   job.
-//! * **Direct run-length DP** (ablation ABL-1): process the tree top-down;
-//!   the only relevant state at a vertex is the length of the streak of
+//! * **Direct run-length DP** (ablation ABL-1a in
+//!   `crates/bench/benches/ablations.rs`): process the tree top-down; the
+//!   only relevant state at a vertex is the length of the streak of
 //!   *present* edges ending there (capped at `m`), since label matching is
 //!   static per vertex. `O(n·m)`.
 

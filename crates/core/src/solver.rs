@@ -644,8 +644,16 @@ pub(crate) fn execute_plan(
     } = planned;
     let attempt: Option<Solution> = match plan {
         Plan::Done(solution) => return Ok(solution),
-        Plan::Prop36 => dwt_instance::probability(&absorbed, shared.instance)
-            .map(|p| Solution::new(p, Route::Prop36)),
+        // The query collapses to `→^m` (connected), so the cached
+        // Lemma 3.7 split applies as on the other routes.
+        Plan::Prop36 => match dwt_instance::collapse_length(&absorbed) {
+            Some(0) => Some(Rational::one()),
+            Some(m) => shared.per_component(&absorbed, |_q, h| {
+                dwt_instance::dwt_long_path_probability::<Rational>(h, m)
+            }),
+            None => Some(Rational::zero()),
+        }
+        .map(|p| Solution::new(p, Route::Prop36)),
         Plan::Prop54 { m, via_collapse } => shared
             .per_component(&absorbed, |_q, h| {
                 path_on_pt::long_path_probability::<Rational>(h, m, opts.pt_strategy)

@@ -65,13 +65,19 @@ pub struct Edge {
 }
 
 /// A finite directed graph with labeled edges and no multi-edges.
+///
+/// Adjacency is stored compactly: `adj` lists every vertex's out-edge ids
+/// (vertex by vertex, in insertion order) and then every vertex's in-edge
+/// ids; slot `s` (`v` for `v`'s out-edges, `n + v` for its in-edges) is
+/// `adj[off[s]..off[s + 1]]`. Two allocations per graph instead of one per
+/// vertex and a hash index keep small graphs small: servers and clients
+/// hold one per distinct query.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
-    out: Vec<Vec<EdgeId>>,
-    inc: Vec<Vec<EdgeId>>,
-    by_pair: HashMap<(VertexId, VertexId), EdgeId>,
+    off: Vec<usize>,
+    adj: Vec<EdgeId>,
 }
 
 impl Graph {
@@ -95,43 +101,54 @@ impl Graph {
         &self.edges
     }
 
-    /// Ids of edges leaving `v`.
+    /// Ids of edges leaving `v`, in insertion order.
     pub fn out_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.out[v]
+        &self.adj[self.off[v]..self.off[v + 1]]
     }
 
-    /// Ids of edges entering `v`.
+    /// Ids of edges entering `v`, in insertion order.
     pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.inc[v]
+        &self.adj[self.off[self.n + v]..self.off[self.n + v + 1]]
     }
 
-    /// The edge from `src` to `dst`, if present.
+    /// The edge from `src` to `dst`, if present: a scan of the shorter of
+    /// `src`'s out-edges and `dst`'s in-edges.
     pub fn edge_between(&self, src: VertexId, dst: VertexId) -> Option<EdgeId> {
-        self.by_pair.get(&(src, dst)).copied()
+        if src >= self.n || dst >= self.n {
+            return None;
+        }
+        let (out, inc) = (self.out_edges(src), self.in_edges(dst));
+        if out.len() <= inc.len() {
+            out.iter().copied().find(|&e| self.edges[e].dst == dst)
+        } else {
+            inc.iter().copied().find(|&e| self.edges[e].src == src)
+        }
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out[v].len()
+        self.out_edges(v).len()
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.inc[v].len()
+        self.in_edges(v).len()
     }
 
     /// Undirected degree (in + out; a 2-cycle `a⇄b` counts twice).
     pub fn und_degree(&self, v: VertexId) -> usize {
-        self.out[v].len() + self.inc[v].len()
+        self.out_degree(v) + self.in_degree(v)
     }
 
     /// Iterates over `(neighbor, edge id, direction)` of all edges incident
     /// to `v` in the underlying undirected multigraph.
     pub fn und_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId, Dir)> + '_ {
-        let fwd = self.out[v]
+        let fwd = self
+            .out_edges(v)
             .iter()
             .map(move |&e| (self.edges[e].dst, e, Dir::Forward));
-        let bwd = self.inc[v]
+        let bwd = self
+            .in_edges(v)
             .iter()
             .map(move |&e| (self.edges[e].src, e, Dir::Backward));
         fwd.chain(bwd)
@@ -314,18 +331,30 @@ impl GraphBuilder {
 
     /// Finalizes the graph.
     pub fn build(self) -> Graph {
-        let mut out = vec![Vec::new(); self.n];
-        let mut inc = vec![Vec::new(); self.n];
+        let n = self.n;
+        // Counting sort of edge ids into the out- and in-slots (stable, so
+        // each slot keeps insertion order).
+        let mut off = vec![0usize; 2 * n + 1];
+        for e in &self.edges {
+            off[e.src + 1] += 1;
+            off[n + e.dst + 1] += 1;
+        }
+        for s in 1..off.len() {
+            off[s] += off[s - 1];
+        }
+        let mut next = off.clone();
+        let mut adj = vec![0; 2 * self.edges.len()];
         for (i, e) in self.edges.iter().enumerate() {
-            out[e.src].push(i);
-            inc[e.dst].push(i);
+            for slot in [e.src, n + e.dst] {
+                adj[next[slot]] = i;
+                next[slot] += 1;
+            }
         }
         Graph {
-            n: self.n,
+            n,
             edges: self.edges,
-            out,
-            inc,
-            by_pair: self.by_pair,
+            off,
+            adj,
         }
     }
 }

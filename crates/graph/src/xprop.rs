@@ -14,8 +14,29 @@
 //!
 //! The paper uses this on connected subpaths of a 2WP instance, which
 //! trivially have the X-property w.r.t. the path order (Prop 4.11's proof).
+//! (Every edge of a path joins adjacent positions, so edges `(n0,n3)`,
+//! `(n1,n2)` with `n0 < n1` and `n2 < n3` would have to be the two
+//! opposite orientations of one step — which a path never has. Each
+//! label's relation is thus vacuously min-closed, and arc consistency on
+//! a path window decides the CSP.)
+//!
+//! Two deciders share that argument:
+//!
+//! * [`x_property_hom`] — generic AC-3 over any X-property instance graph,
+//!   rebuilding each support set by scanning the instance's edges.
+//! * [`PathWindowMatcher`] — specialised to the windows `a_i − … − a_{j+1}`
+//!   of one two-way path, the probe of Prop 4.11's interval search. A
+//!   domain is a bitset over path positions, and on a path every support
+//!   set is a **one-bit shift** of the other endpoint's domain masked by
+//!   the label's step bitsets (see the type's docs). A revision therefore
+//!   costs `⌈window/64⌉` word operations and touches only the words the
+//!   window spans, so one probe costs time proportional to the window,
+//!   not to the instance.
 
-use crate::digraph::{Graph, VertexId};
+use std::collections::VecDeque;
+
+use crate::classes::TwoWayPathView;
+use crate::digraph::{Dir, Graph, Label, VertexId};
 
 /// Checks Definition 4.12 directly: for every label `R` and all
 /// `n0 < n1`, `n2 < n3` with `n0 —R→ n3` and `n1 —R→ n2`, the edge
@@ -81,7 +102,7 @@ pub fn x_property_hom(g: &Graph, h: &Graph) -> Option<Vec<VertexId>> {
 
     // AC-3 over the binary constraints (one per query edge, both
     // directions).
-    let mut queue: std::collections::VecDeque<usize> = (0..g.n_edges()).collect();
+    let mut queue: VecDeque<usize> = (0..g.n_edges()).collect();
     let mut in_queue = vec![true; g.n_edges()];
     while let Some(ce) = queue.pop_front() {
         in_queue[ce] = false;
@@ -152,6 +173,205 @@ pub fn x_property_hom(g: &Graph, h: &Graph) -> Option<Vec<VertexId>> {
         "min-assignment must be a homomorphism on X-property instances"
     );
     Some(assignment)
+}
+
+/// Decides `G ⇝ a_i − … − a_{j+1}` for the windows of one two-way path
+/// `a_0 − … − a_n` by bit-parallel arc consistency — Prop 4.11's probe.
+///
+/// Built once per (query, path) pair. For each query label `L` it holds
+/// two bitsets over step positions: `F_L` (step `k` is `a_k —L→ a_{k+1}`)
+/// and `B_L` (step `k` is `a_{k+1} —L→ a_k`). A query vertex's domain is a
+/// bitset over positions, and the supports of a query edge `u —L→ v` are
+/// one-bit shifts of the other endpoint's domain:
+///
+/// ```text
+/// dom_u ⊆ (F_L & dom_v >> 1) | (B_L & dom_v) << 1
+/// dom_v ⊆ (F_L & dom_u) << 1 | (B_L & dom_u >> 1)
+/// ```
+///
+/// (`a` supports `u` through a forward step `a → a+1` or a backward step
+/// `a → a−1`; symmetrically for `v`.) Steps outside the window need no
+/// mask: their far endpoint lies outside every domain. A revision reads
+/// and writes only the words spanning the window, so a probe costs
+/// `O(revisions · ⌈window/64⌉)` whatever the path's length. Path windows
+/// have the X-property (module docs), so the arc-consistency fixpoint —
+/// which is unique — decides the CSP exactly as [`x_property_hom`] does on
+/// the window built as a standalone graph.
+pub struct PathWindowMatcher {
+    /// Steps of the path; windows lie in `0..n_steps`.
+    n_steps: usize,
+    /// `u64`s per bitset: enough for positions `0 ..= n_steps`.
+    words: usize,
+    /// Per query label: `F_L` then `B_L`, `words` each.
+    steps: Vec<u64>,
+    /// Per query edge: `(src, dst, label slot)`.
+    edges: Vec<(VertexId, VertexId, usize)>,
+    /// Query edges incident to each query vertex (AC-3 requeue lists).
+    incident: Vec<Vec<usize>>,
+    /// False when the query has a self-loop (a path has none).
+    satisfiable: bool,
+    /// Scratch domains, `words` per query vertex; only the current
+    /// window's words are meaningful.
+    dom: Vec<u64>,
+    queue: VecDeque<usize>,
+    in_queue: Vec<bool>,
+}
+
+impl PathWindowMatcher {
+    /// Prepares `query` against the path `path`.
+    pub fn new(query: &Graph, path: &TwoWayPathView) -> Self {
+        let words = (path.steps.len() + 1).div_ceil(64);
+        let mut labels: Vec<Label> = query.labels_used();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut steps = vec![0u64; labels.len() * 2 * words];
+        for (k, &(_, label, dir)) in path.steps.iter().enumerate() {
+            if let Ok(slot) = labels.binary_search(&label) {
+                let half = match dir {
+                    Dir::Forward => 0,
+                    Dir::Backward => words,
+                };
+                steps[slot * 2 * words + half + k / 64] |= 1u64 << (k % 64);
+            }
+        }
+        let mut incident = vec![Vec::new(); query.n_vertices()];
+        let mut satisfiable = true;
+        let edges = query
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(e, edge)| {
+                satisfiable &= edge.src != edge.dst;
+                incident[edge.src].push(e);
+                if edge.dst != edge.src {
+                    incident[edge.dst].push(e);
+                }
+                let slot = labels.binary_search(&edge.label).expect("query label");
+                (edge.src, edge.dst, slot)
+            })
+            .collect();
+        PathWindowMatcher {
+            n_steps: path.steps.len(),
+            words,
+            steps,
+            edges,
+            incident,
+            satisfiable,
+            dom: vec![0; query.n_vertices() * words],
+            queue: VecDeque::new(),
+            in_queue: vec![false; query.n_edges()],
+        }
+    }
+
+    /// Whether the query maps into the window spanning step positions
+    /// `start ..= end` (vertices `a_start ..= a_{end+1}`).
+    pub fn matches(&mut self, start: usize, end: usize) -> bool {
+        assert!(start <= end && end < self.n_steps, "window out of range");
+        if !self.satisfiable {
+            return false;
+        }
+        let words = self.words;
+        let (lo, hi) = (start / 64, (end + 1) / 64);
+        for v in 0..self.incident.len() {
+            for w in lo..=hi {
+                let mut mask = u64::MAX;
+                if w == lo {
+                    mask &= u64::MAX << (start % 64);
+                }
+                if w == hi {
+                    mask &= u64::MAX >> (63 - (end + 1) % 64);
+                }
+                self.dom[v * words + w] = mask;
+            }
+        }
+        self.queue.clear();
+        self.queue.extend(0..self.edges.len());
+        self.in_queue.fill(true);
+        while let Some(e) = self.queue.pop_front() {
+            self.in_queue[e] = false;
+            let (u, v, slot) = self.edges[e];
+            let (fwd, bwd) = (slot * 2 * words, slot * 2 * words + words);
+            // `u` at `p` needs a forward step to `v` at `p + 1` or a
+            // backward one to `v` at `p − 1`; mirrored for `v`.
+            let (changed_u, live_u) = self.revise(u, v, fwd, bwd, lo, hi);
+            let (changed_v, live_v) = self.revise(v, u, bwd, fwd, lo, hi);
+            if !live_u || !live_v {
+                return false; // domain wipe-out: no homomorphism
+            }
+            for (changed, x) in [(changed_u, u), (changed_v, v)] {
+                if changed {
+                    for &oe in &self.incident[x] {
+                        if !self.in_queue[oe] {
+                            self.in_queue[oe] = true;
+                            self.queue.push_back(oe);
+                        }
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            self.min_assignment_is_hom(lo, hi),
+            "min-assignment must be a homomorphism on path windows"
+        );
+        true
+    }
+
+    /// Keeps in `dom[x]` the positions `p` with a support in `dom[y]`:
+    /// `p + 1 ∈ dom[y]` with bit `p` set in the step bitset at `to_next`,
+    /// or `p − 1 ∈ dom[y]` with bit `p − 1` set in the one at `to_prev` —
+    /// one shift each way, over words `lo ..= hi` (words outside the
+    /// window read as empty). Returns (changed, non-empty).
+    fn revise(
+        &mut self,
+        x: VertexId,
+        y: VertexId,
+        to_next: usize,
+        to_prev: usize,
+        lo: usize,
+        hi: usize,
+    ) -> (bool, bool) {
+        let words = self.words;
+        let (dx, dy) = (x * words, y * words);
+        let (mut changed, mut live) = (false, 0u64);
+        for w in lo..=hi {
+            let d = self.dom[dy + w];
+            let next = if w < hi { self.dom[dy + w + 1] } else { 0 };
+            let carry = if w > lo {
+                self.steps[to_prev + w - 1] & self.dom[dy + w - 1]
+            } else {
+                0
+            };
+            let support = self.steps[to_next + w] & (d >> 1 | next << 63)
+                | (self.steps[to_prev + w] & d) << 1
+                | carry >> 63;
+            let old = self.dom[dx + w];
+            let new = old & support;
+            changed |= new != old;
+            live |= new;
+            self.dom[dx + w] = new;
+        }
+        (changed, live != 0)
+    }
+
+    /// Checks that mapping every query vertex to the minimum of its domain
+    /// is a homomorphism into the window (the min-closure argument).
+    fn min_assignment_is_hom(&self, lo: usize, hi: usize) -> bool {
+        let words = self.words;
+        let min = |v: VertexId| {
+            let d = &self.dom[v * words..(v + 1) * words];
+            (lo..=hi)
+                .find(|&w| d[w] != 0)
+                .map(|w| w * 64 + d[w].trailing_zeros() as usize)
+        };
+        let bit = |offset: usize, k: usize| self.steps[offset + k / 64] >> (k % 64) & 1 == 1;
+        self.edges.iter().all(|&(u, v, slot)| {
+            let (Some(a), Some(c)) = (min(u), min(v)) else {
+                return false;
+            };
+            let f = slot * 2 * words;
+            (c == a + 1 && bit(f, a)) || (a == c + 1 && bit(f + words, c))
+        })
+    }
 }
 
 #[cfg(test)]

@@ -113,10 +113,18 @@ fn main() {
         );
     }
 
-    // The minimal-interval view: where can the zig-zag pattern match?
-    let (intervals, _) =
-        connected_on_2wp::minimal_intervals(&patterns()[1].1, small.graph()).unwrap();
+    // The minimal-interval view: the hop ranges where the first pattern
+    // can match on the small pipeline. Its probability there is non-zero,
+    // so at least one range exists; each becomes one lineage clause.
+    let (name, q) = &patterns()[0];
+    let (intervals, _) = connected_on_2wp::minimal_intervals(q, small.graph()).unwrap();
+    assert!(!intervals.is_empty());
+    let ranges: Vec<String> = intervals
+        .iter()
+        .map(|iv| format!("hops {}..={}", iv.start, iv.end))
+        .collect();
     println!(
-        "\nMinimal match intervals of the zig-zag pattern on the small pipeline: {intervals:?}"
+        "\nMinimal match intervals of [{name}] on the small pipeline: {}",
+        ranges.join(", ")
     );
 }
