@@ -1,21 +1,16 @@
 //! The perf-regression gate: compares a fresh `tables --json` smoke run
 //! against the committed baseline (`BENCH_*.json` at the repo root) and
-//! fails when any hot-path median regresses beyond the allowed ratio.
+//! fails when any entry's median regresses beyond its allowed ratio.
 //!
 //! The gate is deliberately **loose** (default 3×): CI runners are noisy,
 //! and the point is to catch catastrophic regressions — an accidental
 //! `O(n²)` on the β-elimination path, a lost fast path — not 10% drift.
-//! Entries below a noise floor (10µs) are skipped outright, and entries
-//! present on only one side are reported but never fail the gate (new
-//! benchmarks may land before or after their baselines).
+//! Every entry is gated: a noisy entry carries a wider ratio in
+//! `ENTRY_RATIOS`, never a skip. The baseline and the run must list the
+//! same entries; one present on only one side fails the gate, so the
+//! harness and its baseline cannot drift apart.
 //!
-//! Usage: `bench_gate <baseline.json> <current.json> [--max-ratio <r>]
-//!                    [--entry-ratio <id>=<r>]...`
-//!
-//! Per-entry thresholds: the float-tier entries run in microseconds and
-//! jitter more than the exact ones, so they carry looser built-in ratios
-//! (see `ENTRY_RATIOS`); `--entry-ratio id=r` overrides any entry from
-//! the command line (repeatable, wins over the built-ins).
+//! Usage: `bench_gate <baseline.json> <current.json>`
 //!
 //! Both files use the `phom-bench-smoke/v1` schema emitted by
 //! `tables --json`; the parser below reads exactly that shape (one
@@ -24,35 +19,17 @@
 
 use std::process::ExitCode;
 
-/// Minimum baseline median (ns) for an entry to participate in the gate.
-const NOISE_FLOOR_NS: f64 = 10_000.0;
+/// The allowed current/baseline ratio for entries not in `ENTRY_RATIOS`.
+const DEFAULT_RATIO: f64 = 3.0;
 
-/// Built-in per-entry ratio overrides. Float-tier medians sit in the
-/// microseconds where allocator and scheduler noise dominates, so they
-/// gate looser than the default; `--entry-ratio` overrides these too.
+/// Per-entry ratios wider than the default, each with its reason.
 const ENTRY_RATIOS: &[(&str, f64)] = &[
+    // Per-call medians of a microsecond or less: under CPU contention
+    // these moved most (5–9× between runs, against 2–4× for the
+    // millisecond entries).
+    ("engine_eval_prebuilt", 6.0),
     ("prop411_float_circuit", 6.0),
     ("engine_eval_f64_prebuilt", 6.0),
-    ("float_tick_k16", 6.0),
-    // p99 tail latencies of the serving fast lane: scheduler jitter
-    // dominates the tail, and the no-load/under-load isolation ratio
-    // is already asserted inside the smoke run itself.
-    ("fast_tick_p99_noload", 6.0),
-    ("fast_tick_p99_sampling", 6.0),
-    // Router entries cross a loopback socket per hop, so scheduler and
-    // TCP stack noise dominates; the handoff entry is a single move op.
-    ("router_roundtrip_k16", 6.0),
-    ("router_handoff", 6.0),
-    // Protocol-v2 entries ride the same loopback sockets, and the
-    // pipelined one additionally interleaves with the server's writer
-    // thread scheduling — same loose ratio as the router hops.
-    ("net_push_vs_poll_k16", 6.0),
-    ("net_pipelined_k64", 6.0),
-    // End-to-end request p99 from the runtime's latency histograms:
-    // pure tail-latency readings, so the same loose ratio as the other
-    // p99 entries.
-    ("fast_request_p99", 6.0),
-    ("slow_request_p99", 6.0),
 ];
 
 fn parse_entries(text: &str, origin: &str) -> Result<Vec<(String, f64)>, String> {
@@ -87,74 +64,25 @@ fn extract_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The allowed ratio for an entry: command line beats the built-ins,
-/// which beat the global default.
-fn limit_for(id: &str, overrides: &[(String, f64)], max_ratio: f64) -> f64 {
-    overrides
+/// The allowed ratio for an entry.
+fn limit_for(id: &str) -> f64 {
+    ENTRY_RATIOS
         .iter()
-        .rev()
-        .find(|(eid, _)| eid == id)
-        .map(|(_, r)| *r)
-        .or_else(|| {
-            ENTRY_RATIOS
-                .iter()
-                .find(|(eid, _)| *eid == id)
-                .map(|(_, r)| *r)
-        })
-        .unwrap_or(max_ratio)
+        .find(|(eid, _)| *eid == id)
+        .map_or(DEFAULT_RATIO, |(_, r)| *r)
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
-    let mut files = Vec::new();
-    let mut max_ratio = 3.0f64;
-    let mut entry_ratios: Vec<(String, f64)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-ratio" => {
-                i += 1;
-                max_ratio = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-ratio needs a number")?;
-            }
-            "--entry-ratio" => {
-                i += 1;
-                let spec = args.get(i).ok_or("--entry-ratio needs <id>=<ratio>")?;
-                let (id, r) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--entry-ratio: '{spec}' is not <id>=<ratio>"))?;
-                let r: f64 = r
-                    .parse()
-                    .map_err(|_| format!("--entry-ratio: bad ratio in '{spec}'"))?;
-                entry_ratios.push((id.to_string(), r));
-            }
-            f => files.push(f.to_string()),
-        }
-        i += 1;
-    }
-    let [baseline_path, current_path] = files.as_slice() else {
-        return Err("usage: bench_gate <baseline.json> <current.json> \
-                    [--max-ratio <r>] [--entry-ratio <id>=<r>]..."
-            .into());
-    };
-    let limit_for = |id: &str| limit_for(id, &entry_ratios, max_ratio);
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let baseline = parse_entries(&read(baseline_path)?, baseline_path)?;
-    let current = parse_entries(&read(current_path)?, current_path)?;
-
+/// Compares a run against its baseline: one Markdown table row per
+/// entry, and whether every entry passed.
+fn gate(baseline: &[(String, f64)], current: &[(String, f64)]) -> (Vec<String>, bool) {
+    let mut rows = Vec::new();
     let mut ok = true;
-    println!("| id | baseline | current | ratio | verdict |");
-    println!("|---|---|---|---|---|");
-    for (id, base) in &baseline {
+    for (id, base) in baseline {
         let Some((_, cur)) = current.iter().find(|(cid, _)| cid == id) else {
-            println!("| {id} | {base:.0}ns | (missing) | — | skipped |");
+            ok = false;
+            rows.push(format!("| {id} | {base:.0}ns | (missing) | — | MISSING |"));
             continue;
         };
-        if *base < NOISE_FLOOR_NS {
-            println!("| {id} | {base:.0}ns | {cur:.0}ns | — | below noise floor |");
-            continue;
-        }
         let ratio = cur / base;
         let limit = limit_for(id);
         let verdict = if ratio > limit {
@@ -163,16 +91,38 @@ fn run(args: &[String]) -> Result<bool, String> {
         } else {
             "ok"
         };
-        println!("| {id} | {base:.0}ns | {cur:.0}ns | {ratio:.2}× (≤{limit}×) | {verdict} |");
+        rows.push(format!(
+            "| {id} | {base:.0}ns | {cur:.0}ns | {ratio:.2}× (≤{limit}×) | {verdict} |"
+        ));
     }
-    for (id, _) in &current {
+    for (id, cur) in current {
         if !baseline.iter().any(|(bid, _)| bid == id) {
-            println!("| {id} | (new) | — | — | no baseline yet |");
+            ok = false;
+            rows.push(format!(
+                "| {id} | (missing) | {cur:.0}ns | — | NO BASELINE |"
+            ));
         }
     }
+    (rows, ok)
+}
+
+fn run(args: &[String]) -> Result<bool, String> {
+    let [baseline_path, current_path] = args else {
+        return Err("usage: bench_gate <baseline.json> <current.json>".into());
+    };
+    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
+    let baseline = parse_entries(&read(baseline_path)?, baseline_path)?;
+    let current = parse_entries(&read(current_path)?, current_path)?;
+    let (rows, ok) = gate(&baseline, &current);
+    println!("| id | baseline | current | ratio | verdict |");
+    println!("|---|---|---|---|---|");
+    for row in rows {
+        println!("{row}");
+    }
     if !ok {
-        println!("\nbench_gate: at least one hot path regressed more than {max_ratio}× — if the");
-        println!("slowdown is intended, regenerate the baseline with `tables --json`.");
+        println!("\nbench_gate: an entry regressed past its ratio, or the run and the");
+        println!("baseline list different entries. If the change is intended, regenerate");
+        println!("the baseline with `tables --json`.");
     }
     Ok(ok)
 }
@@ -193,6 +143,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn entries(list: &[(&str, f64)]) -> Vec<(String, f64)> {
+        list.iter().map(|(id, ns)| (id.to_string(), *ns)).collect()
+    }
+
     #[test]
     fn parses_smoke_lines() {
         let text = "{\n  \"results\": [\n    {\"id\": \"a\", \"n\": 4, \"median_ns\": 1500000},\n    {\"id\": \"b\", \"n\": 2, \"median_ns\": 42}\n  ]\n}";
@@ -205,27 +159,52 @@ mod tests {
     }
 
     #[test]
-    fn per_entry_thresholds_resolve_in_priority_order() {
-        // Unlisted entries use the global default.
-        assert_eq!(limit_for("prop36_dwt_dp", &[], 3.0), 3.0);
-        // Float-tier entries pick up their looser built-in ratios.
-        assert_eq!(limit_for("float_tick_k16", &[], 3.0), 6.0);
-        assert_eq!(limit_for("prop411_float_circuit", &[], 3.0), 6.0);
-        // The serving-lane p99 entries gate at the same loose ratio.
-        assert_eq!(limit_for("fast_tick_p99_noload", &[], 3.0), 6.0);
-        assert_eq!(limit_for("fast_tick_p99_sampling", &[], 3.0), 6.0);
-        // The fleet-router entries cross a real socket and gate loose too.
-        assert_eq!(limit_for("router_roundtrip_k16", &[], 3.0), 6.0);
-        assert_eq!(limit_for("router_handoff", &[], 3.0), 6.0);
-        // The histogram-sourced request p99 entries gate loose as well.
-        assert_eq!(limit_for("fast_request_p99", &[], 3.0), 6.0);
-        assert_eq!(limit_for("slow_request_p99", &[], 3.0), 6.0);
-        // A command-line override beats the built-in; the last one wins.
-        let overrides = vec![
-            ("float_tick_k16".to_string(), 2.0),
-            ("float_tick_k16".to_string(), 9.0),
-        ];
-        assert_eq!(limit_for("float_tick_k16", &overrides, 3.0), 9.0);
-        assert_eq!(limit_for("prop36_dwt_dp", &overrides, 3.0), 3.0);
+    fn matching_entries_within_their_ratios_pass() {
+        let base = entries(&[("prop36_dwt_dp", 1e6), ("engine_eval_f64_prebuilt", 300.0)]);
+        let cur = entries(&[
+            ("prop36_dwt_dp", 2.9e6),
+            ("engine_eval_f64_prebuilt", 1500.0),
+        ]);
+        let (rows, ok) = gate(&base, &cur);
+        assert!(ok, "{rows:?}");
+        assert!(rows.iter().all(|r| r.ends_with("| ok |")), "{rows:?}");
+    }
+
+    #[test]
+    fn missing_entry_fails() {
+        let base = entries(&[("prop36_dwt_dp", 1e6), ("prop54_opt_automaton", 1e6)]);
+        let cur = entries(&[("prop36_dwt_dp", 1e6)]);
+        let (rows, ok) = gate(&base, &cur);
+        assert!(!ok);
+        assert!(rows
+            .iter()
+            .any(|r| r.starts_with("| prop54_opt_automaton |") && r.ends_with("| MISSING |")));
+    }
+
+    #[test]
+    fn extra_entry_fails() {
+        let base = entries(&[("prop36_dwt_dp", 1e6)]);
+        let cur = entries(&[("prop36_dwt_dp", 1e6), ("new_entry", 5e5)]);
+        let (rows, ok) = gate(&base, &cur);
+        assert!(!ok);
+        assert!(rows
+            .iter()
+            .any(|r| r.starts_with("| new_entry |") && r.ends_with("| NO BASELINE |")));
+    }
+
+    #[test]
+    fn sub_10us_baseline_that_regresses_past_its_ratio_fails() {
+        // No noise floor: a sub-microsecond baseline is gated like any
+        // other, at the default ratio or at its wider listed one.
+        for id in ["prop36_dwt_dp", "engine_eval_prebuilt"] {
+            let base = entries(&[(id, 866.0)]);
+            let limit = limit_for(id);
+            let (_, ok) = gate(&base, &entries(&[(id, 866.0 * (limit + 0.5))]));
+            assert!(!ok, "{id}");
+            let (_, ok) = gate(&base, &entries(&[(id, 866.0 * (limit - 0.5))]));
+            assert!(ok, "{id}");
+        }
+        assert_eq!(limit_for("prop36_dwt_dp"), DEFAULT_RATIO);
+        assert!(limit_for("engine_eval_prebuilt") > DEFAULT_RATIO);
     }
 }

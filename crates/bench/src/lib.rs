@@ -170,18 +170,39 @@ pub fn ucq_path_disjuncts(k: usize, sigma: u32) -> Vec<Graph> {
         .collect()
 }
 
-/// Times a closure (median of `reps` runs).
+/// Times a closure: the median per-call time over `reps` samples.
+///
+/// One untimed warm-up call runs first. Each sample then batches enough
+/// calls to last at least 1 ms (the batch size doubles until one does),
+/// so sub-microsecond closures resolve above the clock's granularity; a
+/// closure slower than that runs once per sample.
 pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> std::time::Duration {
-    let mut samples: Vec<std::time::Duration> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = std::time::Instant::now();
+    let mut sample = |batch: u32| {
+        let t0 = std::time::Instant::now();
+        for _ in 0..batch {
             std::hint::black_box(f());
-            t0.elapsed()
-        })
+        }
+        t0.elapsed()
+    };
+    sample(1); // untimed warm-up
+    let mut batch = 1u32;
+    let first = loop {
+        let d = sample(batch);
+        if d >= MIN_SAMPLE {
+            break d;
+        }
+        batch *= 2;
+    };
+    let mut per_call: Vec<std::time::Duration> = std::iter::once(first)
+        .chain((1..reps.max(1)).map(|_| sample(batch)))
+        .map(|d| d / batch)
         .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+    per_call.sort();
+    per_call[per_call.len() / 2]
 }
+
+/// The shortest sample [`time_median`] times.
+const MIN_SAMPLE: std::time::Duration = std::time::Duration::from_millis(1);
 
 #[cfg(test)]
 mod tests {
@@ -206,5 +227,27 @@ mod tests {
             planted_query(&dwt_instance(30, 2), 3),
             planted_query(&dwt_instance(30, 2), 3)
         );
+    }
+
+    #[test]
+    fn time_median_warms_up_and_batches_short_calls() {
+        // A call longer than a sample runs once per sample, after one
+        // untimed warm-up call.
+        let mut calls = 0u32;
+        let d = time_median(3, || {
+            calls += 1;
+            std::thread::sleep(MIN_SAMPLE * 2);
+        });
+        assert_eq!(calls, 1 + 3);
+        assert!(d >= MIN_SAMPLE * 2, "{d:?}");
+        // A cheap call is batched until a sample lasts MIN_SAMPLE, and
+        // the reading is per call.
+        let mut calls = 0u64;
+        let d = time_median(3, || {
+            calls += 1;
+            calls
+        });
+        assert!(calls > 1000, "{calls}");
+        assert!(d < MIN_SAMPLE / 100, "{d:?}");
     }
 }

@@ -7,8 +7,9 @@
 //! statistical analysis this shim performs a simple warm-up plus a fixed
 //! number of timed iterations and prints median / min / max per benchmark.
 //! That keeps `cargo bench` runnable (and the bench targets compiling under
-//! `cargo build --benches`) while the real measurement story for the perf
-//! trajectory lives in `phom-bench`'s `tables --json` smoke mode.
+//! `cargo build --benches`). The gated timings of the paper's algorithms
+//! come from `phom-bench`'s `tables --json` smoke and `bench_gate`; the
+//! serving stack is measured by the separate `servebench` package.
 
 use std::time::{Duration, Instant};
 

@@ -203,8 +203,8 @@ impl RuntimeStats {
     }
 
     /// Renders the snapshot as Prometheus text-format metrics — the
-    /// body of the `metrics` wire op and of `phom serve --bench
-    /// --metrics`. Metric names are stable (CI greps for them):
+    /// body of the `metrics` wire op. Metric names are stable
+    /// (`tests/net_serving.rs` asserts the ones scrapers rely on):
     ///
     /// * counters: `phom_requests_{admitted,rejected,cancelled,completed,shed_expired}_total`,
     ///   `phom_lane_requests_total{lane=…}`, `phom_ticks_total`,

@@ -8,13 +8,14 @@
 //! phom solve --queries-file <batch-file> <instance-file> [options]
 //!                                         [--threads <k>] [--cache-cap <n>]
 //!                                         [--stats]
-//! phom serve --bench [--net] [--max-batch <n>] [--max-wait-ms <ms>]
-//!                    [--queue-cap <n>] [--workers <k>]
-//!                    [--requests <n>] [--producers <p>]
-//!                    [--precision exact|float:<tol>|auto[:<tol>]]
+//! phom serve --listen ADDR [--max-batch <n>] [--max-wait-ms <ms>]
+//!                          [--queue-cap <n>] [--workers <k>]
+//!                          [--share-arena-at <n|off>] [--serve-for-ms <ms>]
 //! phom router --listen ADDR [--members <file>] [--member name=addr[@w]]...
 //!                           [--connect-attempts <n>] [--connect-backoff-ms <ms>]
-//! phom router --bench [--fleet-size <k>] [--requests <n>]
+//!                           [--serve-for-ms <ms>]
+//! phom client <query-file> <instance-file> --connect ADDR [--trace]
+//! phom top --connect ADDR [--interval-ms <ms>] [--iterations <n>]
 //! phom classify <graph-file>
 //! phom count <query-file> <instance-file> [--brute-force <max-edges>]
 //! phom tables
@@ -80,18 +81,12 @@ fn usage() -> String {
      \x20 serve --listen ADDR         the phom_net TCP front end: clients\n\
      \x20                             register instances and submit requests\n\
      \x20                             over a length-prefixed JSON protocol\n\
-     \x20 serve --bench               drive the persistent serving runtime\n\
-     \x20                             (phom_serve::Runtime) with a synthetic\n\
-     \x20                             multi-producer load and print its stats\n\
      \x20 router --listen ADDR        the phom_fleet front door: one address\n\
      \x20                             fanning out to member `phom serve`\n\
      \x20                             processes (rendezvous routing on the\n\
      \x20                             instance fingerprint, `move` handoff,\n\
      \x20                             fleet-wide stats); members come from\n\
      \x20                             --members FILE or repeated --member\n\
-     \x20 router --bench              spin an in-process fleet (members +\n\
-     \x20                             router), fire a mixed workload through\n\
-     \x20                             one handoff, print fleet-wide stats\n\
      \x20 client <query> <instance> --connect ADDR [--trace]\n\
      \x20                             one-shot wire client against a serve\n\
      \x20                             or router endpoint: register, submit,\n\
@@ -142,8 +137,8 @@ fn usage() -> String {
      \x20 --share-arena-at <n|off>    compile ticks with ≥ n unique queries\n\
      \x20                             into one cross-shard shared arena\n\
      \x20                             (default 32; 'off' = per-shard arenas)\n\
-     \x20 --serve-for-ms <ms>         --listen only: serve for a bounded\n\
-     \x20                             time, then drain and print a summary\n\
+     \x20 --serve-for-ms <ms>         serve for a bounded time, then drain\n\
+     \x20                             and print a summary\n\
      \x20 --max-batch <n>             flush a tick at n accumulated requests\n\
      \x20                             (default 64; bigger ticks amortize\n\
      \x20                             planning and share arenas)\n\
@@ -156,19 +151,6 @@ fn usage() -> String {
      \x20                             unbounded memory (default 1024)\n\
      \x20 --workers <k>               persistent pool size, spawned once\n\
      \x20                             (default: all cores)\n\
-     \x20 --requests <n>              synthetic requests to fire (default 512)\n\
-     \x20 --producers <p>             concurrent producer threads (default 4)\n\
-     \x20 --precision <p>             --bench only: evaluation tier for the\n\
-     \x20                             synthetic probability requests (exact |\n\
-     \x20                             float:<tol> | auto[:<tol>])\n\
-     \x20 --metrics                   --bench only: print the Prometheus\n\
-     \x20                             text metrics snapshot after the run\n\
-     \x20 --net                       --bench only: drive the load over\n\
-     \x20                             loopback TCP through protocol-v2\n\
-     \x20                             multiplexed connections (pushed\n\
-     \x20                             completions) instead of in-process\n\
-     \x20                             enqueue; --metrics then includes the\n\
-     \x20                             phom_net_* front-end counters\n\
      \n\
      options for router:\n\
      \x20 --members <file>            member list: one `name addr [weight]`\n\
@@ -181,12 +163,8 @@ fn usage() -> String {
      \x20                             (default 3)\n\
      \x20 --connect-backoff-ms <ms>   backoff between attempts, growing\n\
      \x20                             linearly (default 50)\n\
-     \x20 --serve-for-ms <ms>         --listen only: route for a bounded\n\
-     \x20                             time, then drain and print a summary\n\
-     \x20 --fleet-size <k>            --bench only: in-process members to\n\
-     \x20                             spin up (default 3)\n\
-     \x20 --requests <n>              --bench only: requests to fire\n\
-     \x20                             (default 256)\n"
+     \x20 --serve-for-ms <ms>         route for a bounded time, then drain\n\
+     \x20                             and print a summary\n"
         .into()
 }
 
@@ -226,24 +204,14 @@ fn parse_precision(v: &str) -> Result<phom_core::Precision, String> {
     }
 }
 
-/// The `serve --bench` load generator: registers two deterministic
-/// instance versions with the runtime, fires a mixed workload
-/// (probability / counting / UCQ) from several producer threads through
-/// `Runtime::enqueue`, waits on every ticket, cross-checks a sample of
-/// answers against direct `Engine::submit`, and reports throughput plus
-/// the runtime's stats snapshot.
+/// `phom serve`: parses the runtime knobs and runs the phom_net TCP
+/// front end (`--listen ADDR`, the only mode).
 fn serve_cmd(args: &[String]) -> Result<String, String> {
     let mut max_batch: usize = 64;
     let mut max_wait_ms: u64 = 2;
     let mut queue_cap: usize = 1024;
     let mut workers: usize = 0;
-    let mut requests: usize = 512;
-    let mut producers: usize = 4;
-    let mut bench = false;
-    let mut net = false;
     let mut listen: Option<String> = None;
-    let mut precision = phom_core::Precision::Exact;
-    let mut metrics = false;
     let mut share_arena_at: Option<usize> = Some(32);
     let mut serve_for_ms: Option<u64> = None;
     let mut i = 0;
@@ -253,9 +221,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
             args.get(*i)
         };
         match args[i].as_str() {
-            "--bench" => bench = true,
-            "--net" => net = true,
-            "--metrics" => metrics = true,
             "--listen" => {
                 listen = Some(
                     flag_value(&mut i)
@@ -302,461 +267,23 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--workers needs a thread count (0 = all cores)")?
             }
-            "--requests" => {
-                requests = flag_value(&mut i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--requests needs a count")?
-            }
-            "--producers" => {
-                producers = flag_value(&mut i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--producers needs a thread count")?
-            }
-            "--precision" => {
-                let v = flag_value(&mut i)
-                    .ok_or("--precision needs exact, float:<tol>, or auto[:<tol>]")?;
-                precision = parse_precision(v)?;
-            }
             other => return Err(format!("serve: unknown flag '{other}'")),
         }
         i += 1;
     }
-    if let Some(addr) = listen {
-        if bench {
-            return Err("--listen and --bench are mutually exclusive".into());
-        }
-        return listen_cmd(ListenConfig {
-            addr,
-            max_batch,
-            max_wait_ms,
-            queue_cap,
-            workers,
-            share_arena_at,
-            serve_for_ms,
-            ready: None,
-        });
-    }
-    if !bench {
-        if net {
-            return Err("--net requires --bench (it routes the synthetic load \
-                        over loopback TCP)"
-                .into());
-        }
-        return Err("serve needs a mode: `--listen ADDR` (the phom_net TCP \
-                    front end) or `--bench` (the synthetic load generator)"
-            .into());
-    }
-    let producers = producers.max(1);
-    let requests = requests.max(1);
-
-    // Two deterministic instance versions: a mixed-probability 2WP and
-    // its all-½ "census" twin (so counting requests are valid).
-    use phom_graph::generate::{self, ProbProfile};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    let mut rng = SmallRng::seed_from_u64(0x5E21E);
-    let live = generate::with_probabilities(
-        generate::two_way_path(64, 2, &mut rng),
-        ProbProfile::default(),
-        &mut rng,
-    );
-    let census = ProbGraph::new(
-        live.graph().clone(),
-        vec![phom_num::Rational::from_ratio(1, 2); live.graph().n_edges()],
-    );
-    let q1 = generate::planted_path_query(live.graph(), 3, &mut rng)
-        .unwrap_or_else(|| Graph::one_way_path(&[Label(0)]));
-    let q2 = generate::planted_path_query(live.graph(), 2, &mut rng)
-        .unwrap_or_else(|| Graph::one_way_path(&[Label(1)]));
-
-    if net {
-        return serve_bench_net(ServeBenchNet {
-            max_batch,
-            max_wait_ms,
-            queue_cap,
-            workers,
-            share_arena_at,
-            precision,
-            requests,
-            producers,
-            metrics,
-            live,
-            census,
-            q1,
-            q2,
-        });
-    }
-
-    let runtime = phom_serve::Runtime::builder()
-        .max_batch(max_batch)
-        .max_wait(std::time::Duration::from_millis(max_wait_ms))
-        .queue_cap(queue_cap)
-        .workers(workers)
-        .share_arena_at(share_arena_at)
-        .build();
-    let v_live = runtime.register(live.clone());
-    let v_census = runtime.register(census);
-
-    let request_for = |j: usize| -> (u64, Request) {
-        match j % 4 {
-            0 => (
-                v_live,
-                Request::probability(q1.clone()).precision(precision),
-            ),
-            1 => (
-                v_live,
-                Request::probability(q2.clone()).precision(precision),
-            ),
-            2 => (v_census, Request::probability(q1.clone()).counting()),
-            _ => (
-                v_live,
-                Request::ucq(phom_core::ucq::Ucq::new(vec![q1.clone(), q2.clone()])),
-            ),
-        }
+    let Some(addr) = listen else {
+        return Err("serve needs `--listen ADDR` (the phom_net TCP front end)".into());
     };
-
-    let started = std::time::Instant::now();
-    let mut overloaded_retries = 0u64;
-    std::thread::scope(|scope| {
-        let runtime = &runtime;
-        let request_for = &request_for;
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                scope.spawn(move || {
-                    let mut tickets = Vec::new();
-                    let mut retries = 0u64;
-                    let mut j = p;
-                    while j < requests {
-                        let (version, request) = request_for(j);
-                        // Backpressure loop: on Overloaded, yield and retry.
-                        loop {
-                            match runtime.enqueue_to(version, request.clone()) {
-                                Ok(ticket) => {
-                                    tickets.push(ticket);
-                                    break;
-                                }
-                                Err(SolveError::Overloaded { .. }) => {
-                                    retries += 1;
-                                    std::thread::yield_now();
-                                }
-                                Err(e) => panic!("bench enqueue failed: {e}"),
-                            }
-                        }
-                        j += producers;
-                    }
-                    for ticket in &tickets {
-                        ticket.wait().map(|_| ()).map_err(|e| e.to_string()).ok();
-                    }
-                    retries
-                })
-            })
-            .collect();
-        for handle in handles {
-            overloaded_retries += handle.join().expect("producer thread");
-        }
-    });
-    let elapsed = started.elapsed();
-
-    // Cross-check a sample against the direct engine path.
-    let oracle = Engine::new(live);
-    let direct = oracle.submit(&[Request::probability(q1.clone())]);
-    let ticket = runtime
-        .enqueue_to(v_live, Request::probability(q1))
-        .map_err(|e| e.to_string())?;
-    let served = ticket.wait();
-    match (&served, &direct[0]) {
-        (Ok(Response::Probability(a)), Ok(Response::Probability(b)))
-            if a.probability == b.probability => {}
-        (a, b) => return Err(format!("runtime/engine answer mismatch: {a:?} vs {b:?}")),
-    }
-
-    let stats = runtime.shutdown();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {requests} requests from {producers} producers in {:.2?} \
-         ({:.0} req/s); answers cross-checked vs Engine::submit",
-        elapsed,
-        requests as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
-    let _ = writeln!(
-        out,
-        "config: max_batch {max_batch}, max_wait {max_wait_ms}ms, \
-         queue_cap {queue_cap}, workers {}",
-        stats.workers
-    );
-    let _ = writeln!(
-        out,
-        "ticks: {} (mean {:.1} req, max {}), units: {} (mean {:.1}µs, max {:.1}µs)",
-        stats.ticks,
-        stats.mean_tick_requests(),
-        stats.max_tick_requests,
-        stats.unit_runs,
-        stats.mean_unit_micros(),
-        stats.unit_nanos_max as f64 / 1e3,
-    );
-    let _ = writeln!(
-        out,
-        "admission: {} admitted, {} rejected (Overloaded), {} retries by producers",
-        stats.admitted, stats.rejected, overloaded_retries,
-    );
-    let _ = writeln!(
-        out,
-        "lanes: {} fast / {} slow (peak depths {}/{}), {} shed expired in queue",
-        stats.fast_lane_total,
-        stats.slow_lane_total,
-        stats.fast_lane_depth_max,
-        stats.slow_lane_depth_max,
-        stats.shed_expired,
-    );
-    let _ = writeln!(
-        out,
-        "degradation: {} estimates, {} deadline exceeded, {} budget exceeded; \
-         {} tickets open",
-        stats.estimates,
-        stats.deadline_exceeded,
-        stats.budget_exceeded,
-        stats.open_tickets(),
-    );
-    let _ = writeln!(
-        out,
-        "batch: {} queries ({} unique, {} cache hits at plan time), \
-         {} circuit-batched, {} general",
-        stats.queries,
-        stats.unique_queries,
-        stats.batch_cache_hits,
-        stats.circuit_batched,
-        stats.general_solved,
-    );
-    let _ = writeln!(
-        out,
-        "float tier: {} answered, {} escalations; scratch reuse {} of {} unit runs",
-        stats.float_evaluated, stats.escalations, stats.scratch_reuse, stats.unit_runs,
-    );
-    let _ = writeln!(
-        out,
-        "cache: {} entries, {} hits, {} misses, {} evictions",
-        stats.cache.entries, stats.cache.hits, stats.cache.misses, stats.cache.evictions,
-    );
-    let lane = |h: &phom_serve::Histogram| -> String {
-        if h.is_empty() {
-            "-".into()
-        } else {
-            format!(
-                "p50 {} / p99 {} (max {})",
-                fmt_ns(h.quantile(0.50)),
-                fmt_ns(h.quantile(0.99)),
-                fmt_ns(h.max()),
-            )
-        }
-    };
-    let _ = writeln!(
-        out,
-        "latency: fast {}, slow {}",
-        lane(&stats.request_ns_fast),
-        lane(&stats.request_ns_slow),
-    );
-    let _ = writeln!(
-        out,
-        "stages: plan {}, eval {}, encode {}",
-        lane(&stats.plan_ns),
-        lane(&stats.eval_ns),
-        lane(&stats.encode_ns),
-    );
-    if metrics {
-        out.push_str(&stats.prometheus_text());
-    }
-    Ok(out)
-}
-
-/// Everything `serve --bench --net` needs: the runtime knobs, the
-/// workload shape, and the deterministic instances/queries the plain
-/// bench uses (so the two modes fire the same mixed workload).
-struct ServeBenchNet {
-    max_batch: usize,
-    max_wait_ms: u64,
-    queue_cap: usize,
-    workers: usize,
-    share_arena_at: Option<usize>,
-    precision: phom_core::Precision,
-    requests: usize,
-    producers: usize,
-    metrics: bool,
-    live: ProbGraph,
-    census: ProbGraph,
-    q1: Graph,
-    q2: Graph,
-}
-
-/// The `serve --bench --net` load generator: the same mixed workload as
-/// the plain bench, but routed over loopback TCP — a real
-/// `phom_net::Server` front end, one protocol-v2 multiplexed connection
-/// per producer, completions arriving as server pushes. Overloaded
-/// rejections (typed, in the ack) are re-submitted until every request
-/// answers; one answer is cross-checked byte-for-byte against
-/// `Engine::submit` through the wire encoding.
-fn serve_bench_net(cfg: ServeBenchNet) -> Result<String, String> {
-    use phom_net::wire::{encode_result, WireRequest};
-    use phom_net::{MuxClient, Server};
-    use std::sync::Arc;
-
-    let runtime = Arc::new(
-        phom_serve::Runtime::builder()
-            .max_batch(cfg.max_batch)
-            .max_wait(std::time::Duration::from_millis(cfg.max_wait_ms))
-            .queue_cap(cfg.queue_cap)
-            .workers(cfg.workers)
-            .share_arena_at(cfg.share_arena_at)
-            .build(),
-    );
-    let v_live = runtime.register(cfg.live.clone());
-    let v_census = runtime.register(cfg.census);
-    let server =
-        Server::bind("127.0.0.1:0", Arc::clone(&runtime)).map_err(|e| format!("net bench: {e}"))?;
-    let addr = server.local_addr();
-
-    let request_for = |j: usize| -> (u64, WireRequest) {
-        match j % 4 {
-            0 => (
-                v_live,
-                WireRequest::probability(cfg.q1.clone()).with_precision(cfg.precision),
-            ),
-            1 => (
-                v_live,
-                WireRequest::probability(cfg.q2.clone()).with_precision(cfg.precision),
-            ),
-            2 => (v_census, WireRequest::counting(cfg.q1.clone())),
-            _ => (
-                v_live,
-                WireRequest::ucq(vec![cfg.q1.clone(), cfg.q2.clone()]),
-            ),
-        }
-    };
-
-    let started = std::time::Instant::now();
-    let mut resubmits = 0u64;
-    std::thread::scope(|scope| {
-        let request_for = &request_for;
-        let handles: Vec<_> = (0..cfg.producers)
-            .map(|p| {
-                scope.spawn(move || {
-                    let client = MuxClient::connect(addr).expect("hello handshake");
-                    let mut work: Vec<(u64, WireRequest)> = (p..cfg.requests)
-                        .step_by(cfg.producers)
-                        .map(request_for)
-                        .collect();
-                    let mut retries = 0u64;
-                    // Pipeline a full pass (submits run ahead of the
-                    // pushes), then re-submit whatever the admission
-                    // gate rejected until every slot has answered.
-                    while !work.is_empty() {
-                        let tickets: Vec<_> = work
-                            .iter()
-                            .map(|(version, request)| {
-                                client.submit(*version, request).expect("submit")
-                            })
-                            .collect();
-                        let mut requeue = Vec::new();
-                        for ((version, request), ticket) in work.drain(..).zip(tickets) {
-                            match ticket.wait() {
-                                Ok(_) => {}
-                                Err(e) if e.is_overloaded() => {
-                                    retries += 1;
-                                    requeue.push((version, request));
-                                }
-                                Err(e) => panic!("net bench wait: {e}"),
-                            }
-                        }
-                        work = requeue;
-                    }
-                    retries
-                })
-            })
-            .collect();
-        for handle in handles {
-            resubmits += handle.join().expect("producer thread");
-        }
-    });
-    let elapsed = started.elapsed();
-
-    // Cross-check one answer against the direct engine path, through
-    // the same wire encoding a remote client would compare.
-    let oracle = Engine::new(cfg.live);
-    let want =
-        encode_result(&oracle.submit(&[Request::probability(cfg.q1.clone())])[0]).to_string();
-    let check = MuxClient::connect(addr).map_err(|e| format!("net bench check: {e}"))?;
-    let got = check
-        .submit(v_live, &WireRequest::probability(cfg.q1))
-        .and_then(|t| t.wait())
-        .map_err(|e| format!("net bench check: {e}"))?
-        .to_string();
-    if got != want {
-        return Err(format!("net/engine answer mismatch: {got} vs {want}"));
-    }
-    let metrics_text = if cfg.metrics {
-        Some(
-            check
-                .metrics()
-                .map_err(|e| format!("net bench metrics: {e}"))?,
-        )
-    } else {
-        None
-    };
-    drop(check);
-
-    let net = server.shutdown(std::time::Duration::from_secs(60));
-    let stats = Arc::try_unwrap(runtime)
-        .map_err(|_| "net bench: server shutdown must release its runtime handle".to_string())?
-        .shutdown();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {} requests over loopback TCP (protocol v2, {} multiplexed \
-         connections) in {:.2?} ({:.0} req/s); answers cross-checked vs \
-         Engine::submit",
-        cfg.requests,
-        cfg.producers,
-        elapsed,
-        cfg.requests as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
-    let _ = writeln!(
-        out,
-        "config: max_batch {}, max_wait {}ms, queue_cap {}, workers {}",
-        cfg.max_batch, cfg.max_wait_ms, cfg.queue_cap, stats.workers,
-    );
-    let _ = writeln!(
-        out,
-        "net: {} connections ({} upgraded to v2), {} frames in / {} out, \
-         {} submitted, {} pushed completions, {} rejected (Overloaded), \
-         {} re-submits by producers",
-        net.connections,
-        net.hello_upgrades,
-        net.frames_in,
-        net.frames_out,
-        net.submitted,
-        net.pushed,
-        net.rejected_overloaded,
-        resubmits,
-    );
-    let _ = writeln!(
-        out,
-        "books after drain: {} in flight, {} tickets open",
-        net.inflight, net.open_tickets,
-    );
-    let _ = writeln!(
-        out,
-        "ticks: {} (mean {:.1} req, max {}); admission: {} admitted, {} rejected",
-        stats.ticks,
-        stats.mean_tick_requests(),
-        stats.max_tick_requests,
-        stats.admitted,
-        stats.rejected,
-    );
-    if let Some(text) = metrics_text {
-        out.push_str(&text);
-    }
-    Ok(out)
+    listen_cmd(ListenConfig {
+        addr,
+        max_batch,
+        max_wait_ms,
+        queue_cap,
+        workers,
+        share_arena_at,
+        serve_for_ms,
+        ready: None,
+    })
 }
 
 /// Renders a nanosecond reading in the nearest human unit.
@@ -868,11 +395,9 @@ fn listen_cmd(config: ListenConfig) -> Result<String, String> {
     Ok(out)
 }
 
-/// `phom router`: the phom_fleet front door. `--listen ADDR` routes
-/// client traffic across the configured members (`--members FILE` and/
-/// or repeated `--member name=addr[@weight]`); `--bench` spins an
-/// in-process fleet, fires a mixed workload through a mid-traffic
-/// handoff, and prints the fleet-wide stats rollup.
+/// `phom router`: the phom_fleet front door. `--listen ADDR` (the only
+/// mode) routes client traffic across the configured members
+/// (`--members FILE` and/or repeated `--member name=addr[@weight]`).
 fn router_cmd(
     args: &[String],
     read_file: &dyn Fn(&str) -> Result<String, String>,
@@ -883,9 +408,6 @@ fn router_cmd(
     let mut connect_attempts: u32 = 3;
     let mut connect_backoff_ms: u64 = 50;
     let mut serve_for_ms: Option<u64> = None;
-    let mut bench = false;
-    let mut fleet_size: usize = 3;
-    let mut requests: usize = 256;
     let mut i = 0;
     while i < args.len() {
         let flag_value = |i: &mut usize| -> Option<&String> {
@@ -893,7 +415,6 @@ fn router_cmd(
             args.get(*i)
         };
         match args[i].as_str() {
-            "--bench" => bench = true,
             "--listen" => {
                 listen = Some(
                     flag_value(&mut i)
@@ -929,32 +450,12 @@ fn router_cmd(
                         .ok_or("--serve-for-ms needs a millisecond count")?,
                 )
             }
-            "--fleet-size" => {
-                fleet_size = flag_value(&mut i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--fleet-size needs a member count")?
-            }
-            "--requests" => {
-                requests = flag_value(&mut i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--requests needs a count")?
-            }
             other => return Err(format!("router: unknown flag '{other}'")),
         }
         i += 1;
     }
-    if bench {
-        if listen.is_some() {
-            return Err("--listen and --bench are mutually exclusive".into());
-        }
-        return router_bench(fleet_size.max(2), requests.max(1));
-    }
     let Some(addr) = listen else {
-        return Err(
-            "router needs a mode: `--listen ADDR` (with --members/--member) \
-                    or `--bench` (the in-process fleet demo)"
-                .into(),
-        );
+        return Err("router needs `--listen ADDR` (with --members/--member)".into());
     };
     if let Some(file) = members_file {
         let mut from_file =
@@ -1006,206 +507,6 @@ fn render_router_stats(stats: &phom_fleet::RouterStats) -> String {
         stats.drained_deregisters,
         stats.open_tickets,
     )
-}
-
-/// `phom router --bench`: an in-process fleet (members on loopback, one
-/// router in front), a mixed probability/counting workload with a
-/// mid-traffic handoff of the hottest instance, and the fleet-wide
-/// stats rollup.
-fn router_bench(fleet_size: usize, requests: usize) -> Result<String, String> {
-    use phom_graph::generate::{self, ProbProfile};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use std::time::Duration;
-
-    let mut rng = SmallRng::seed_from_u64(0xF1EE7);
-    let live = generate::with_probabilities(
-        generate::two_way_path(48, 2, &mut rng),
-        ProbProfile::default(),
-        &mut rng,
-    );
-    let census = ProbGraph::new(
-        live.graph().clone(),
-        vec![phom_num::Rational::from_ratio(1, 2); live.graph().n_edges()],
-    );
-    let q1 = generate::planted_path_query(live.graph(), 3, &mut rng)
-        .unwrap_or_else(|| Graph::one_way_path(&[Label(0)]));
-    let q2 = generate::planted_path_query(live.graph(), 2, &mut rng)
-        .unwrap_or_else(|| Graph::one_way_path(&[Label(1)]));
-
-    let mut servers = Vec::new();
-    let mut members = Vec::new();
-    for idx in 0..fleet_size {
-        let runtime = std::sync::Arc::new(
-            phom_serve::Runtime::builder()
-                .max_wait(Duration::from_millis(1))
-                .build(),
-        );
-        let server = phom_net::Server::bind("127.0.0.1:0", runtime)
-            .map_err(|e| format!("bench member bind: {e}"))?;
-        members.push(phom_fleet::MemberSpec {
-            name: format!("m{idx}"),
-            addr: server.local_addr().to_string(),
-            weight: 1.0,
-        });
-        servers.push(server);
-    }
-    let router = phom_fleet::Router::bind("127.0.0.1:0", members)
-        .map_err(|e| format!("bench router bind: {e}"))?;
-    let mut client = phom_net::Client::connect(router.local_addr())
-        .map_err(|e| format!("bench connect: {e}"))?;
-
-    let started = std::time::Instant::now();
-    let v_live = client.register(&live).map_err(|e| e.to_string())?;
-    let v_census = client.register(&census).map_err(|e| e.to_string())?;
-    let reqs: Vec<(u64, phom_net::WireRequest)> = (0..requests)
-        .map(|k| match k % 3 {
-            0 => (v_live, phom_net::WireRequest::probability(q1.clone())),
-            1 => (v_census, phom_net::WireRequest::counting(q2.clone())),
-            _ => (v_live, phom_net::WireRequest::probability(q2.clone())),
-        })
-        .collect();
-    let mut answered = 0usize;
-    for (wave_start, wave) in reqs.chunks(16).enumerate().map(|(w, c)| (w * 16, c)) {
-        // Mid-traffic handoff: once, halfway through the run, move the
-        // hot instance to a member that does not currently own it.
-        if wave_start >= requests / 2 && wave_start < requests / 2 + 16 {
-            let fleet = client
-                .call_raw(phom_net::Json::obj(vec![(
-                    "op",
-                    phom_net::Json::str("fleet"),
-                )]))
-                .map_err(|e| e.to_string())?;
-            let hex = phom_net::wire::encode_version(v_live).to_string();
-            let owner = fleet
-                .get("ok")
-                .and_then(|ok| ok.get("placements"))
-                .and_then(|p| match p {
-                    phom_net::Json::Arr(items) => items
-                        .iter()
-                        .find(|e| e.get("version").map(|v| v.to_string()).as_deref() == Some(&hex))
-                        .and_then(|e| e.get("member"))
-                        .and_then(phom_net::Json::as_str)
-                        .map(String::from),
-                    _ => None,
-                })
-                .unwrap_or_default();
-            let to = (0..fleet_size)
-                .map(|i| format!("m{i}"))
-                .find(|name| *name != owner)
-                .expect("fleet_size >= 2");
-            client
-                .call_raw(phom_net::Json::obj(vec![
-                    ("op", phom_net::Json::str("move")),
-                    ("version", phom_net::wire::encode_version(v_live)),
-                    ("to", phom_net::Json::str(&to)),
-                ]))
-                .map_err(|e| e.to_string())?;
-        }
-        let tickets: Vec<u64> = wave
-            .iter()
-            .map(|(v, r)| client.submit(*v, r).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        for t in tickets {
-            client.wait(t).map_err(|e| e.to_string())?;
-            answered += 1;
-        }
-    }
-    let elapsed = started.elapsed();
-    let fleet_stats = client.stats().map_err(|e| e.to_string())?;
-    let router_stats = router.stats();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fleet bench: {answered} requests across {fleet_size} members in {:.1} ms \
-         ({:.1} µs/request)",
-        elapsed.as_secs_f64() * 1e3,
-        elapsed.as_secs_f64() * 1e6 / answered.max(1) as f64,
-    );
-    let _ = writeln!(out, "{}", render_router_stats(&router_stats));
-    if let Some(rollup) = fleet_stats.get("rollup") {
-        let field = |name: &str| {
-            rollup
-                .get(name)
-                .and_then(phom_net::Json::as_u64)
-                .unwrap_or(0)
-        };
-        let _ = writeln!(
-            out,
-            "rollup: {} members up, {} admitted, {} completed, {} rejected, \
-             {} cancelled, {} ticks, {} cache hits",
-            field("members_available"),
-            field("admitted"),
-            field("completed"),
-            field("rejected"),
-            field("cancelled"),
-            field("ticks"),
-            field("batch_cache_hits"),
-        );
-        // The rollup's latency histograms are the members' sparse
-        // histograms merged bucket-wise by the router.
-        let hist = |name: &str| -> phom_obs::Histogram {
-            rollup
-                .get(name)
-                .and_then(|h| phom_net::wire::decode_histogram(h).ok())
-                .unwrap_or_default()
-        };
-        let lane = |h: &phom_obs::Histogram| -> String {
-            if h.is_empty() {
-                "-".into()
-            } else {
-                format!(
-                    "p50 {} / p99 {}",
-                    fmt_ns(h.quantile(0.50)),
-                    fmt_ns(h.quantile(0.99)),
-                )
-            }
-        };
-        let _ = writeln!(
-            out,
-            "latency (fleet merged): fast {}, slow {}",
-            lane(&hist("request_ns_fast")),
-            lane(&hist("request_ns_slow")),
-        );
-    }
-    if let Some(phom_net::Json::Arr(entries)) = fleet_stats.get("members") {
-        for entry in entries {
-            let name = entry
-                .get("name")
-                .and_then(phom_net::Json::as_str)
-                .unwrap_or("?");
-            match entry.get("stats") {
-                Some(stats) => {
-                    let _ = writeln!(
-                        out,
-                        "member {name}: {} admitted, {} completed, {} ticks",
-                        stats
-                            .get("admitted")
-                            .and_then(phom_net::Json::as_u64)
-                            .unwrap_or(0),
-                        stats
-                            .get("completed")
-                            .and_then(phom_net::Json::as_u64)
-                            .unwrap_or(0),
-                        stats
-                            .get("ticks")
-                            .and_then(phom_net::Json::as_u64)
-                            .unwrap_or(0),
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "member {name}: unavailable");
-                }
-            }
-        }
-    }
-    drop(client);
-    router.shutdown(Duration::from_secs(1));
-    for server in servers {
-        server.shutdown(Duration::from_secs(1));
-    }
-    Ok(out)
 }
 
 /// `phom client <query> <instance> --connect ADDR [--trace]`: a
@@ -2373,106 +1674,32 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_drives_the_runtime() {
-        let out = run(
-            &args(&[
-                "serve",
-                "--bench",
-                "--requests",
-                "40",
-                "--producers",
-                "3",
-                "--max-batch",
-                "8",
-                "--max-wait-ms",
-                "1",
-                "--queue-cap",
-                "16",
-                "--workers",
-                "2",
-                "--precision",
-                "float:1e-6",
-            ]),
-            &fake_fs(&[]),
-        )
-        .unwrap();
-        assert!(out.contains("served 40 requests"), "{out}");
-        assert!(out.contains("cross-checked"), "{out}");
-        assert!(out.contains("ticks:"), "{out}");
-        assert!(out.contains("cache:"), "{out}");
-        assert!(out.contains("workers 2"), "{out}");
-        // The lane and degradation books are printed — and balanced: a
-        // clean bench run sheds nothing and leaves no ticket open.
-        assert!(out.contains("lanes:"), "{out}");
-        assert!(out.contains("0 shed expired"), "{out}");
-        assert!(out.contains("0 tickets open"), "{out}");
-        // Half the synthetic load is float-tier probability requests.
-        assert!(out.contains("float tier:"), "{out}");
-        assert!(!out.contains("float tier: 0 answered"), "{out}");
-    }
-
-    #[test]
-    fn serve_bench_net_routes_over_loopback_v2() {
-        let out = run(
-            &args(&[
-                "serve",
-                "--bench",
-                "--net",
-                "--requests",
-                "40",
-                "--producers",
-                "3",
-                "--max-batch",
-                "8",
-                "--max-wait-ms",
-                "1",
-                "--workers",
-                "2",
-                "--metrics",
-            ]),
-            &fake_fs(&[]),
-        )
-        .unwrap();
-        assert!(
-            out.contains("served 40 requests over loopback TCP"),
-            "{out}"
-        );
-        assert!(out.contains("cross-checked"), "{out}");
-        // Every producer connection upgraded at `hello`, every delivery
-        // was a push, and the drain left the books at zero.
-        assert!(
-            out.contains("(3 upgraded to v2)") || out.contains("(4 upgraded to v2)"),
-            "{out}"
-        );
-        assert!(out.contains("pushed completions"), "{out}");
-        assert!(out.contains("0 in flight, 0 tickets open"), "{out}");
-        // --metrics includes the front end's own counters alongside the
-        // runtime's (the names CI greps for).
-        assert!(out.contains("phom_net_inflight"), "{out}");
-        assert!(out.contains("phom_net_pushed_total"), "{out}");
-        assert!(out.contains("phom_requests_completed_total"), "{out}");
-    }
-
-    #[test]
     fn serve_flag_errors() {
-        // serve without a mode explains both of them.
+        // serve without a mode names the only one.
         let err = run(&args(&["serve"]), &fake_fs(&[])).unwrap_err();
-        assert!(err.contains("--bench"), "{err}");
         assert!(err.contains("--listen"), "{err}");
-        // --net without --bench is a typed usage error.
-        let err = run(&args(&["serve", "--net"]), &fake_fs(&[])).unwrap_err();
-        assert!(err.contains("--net requires --bench"), "{err}");
-        assert!(run(&args(&["serve", "--max-batch"]), &fake_fs(&[])).is_err());
-        assert!(run(&args(&["serve", "--bogus"]), &fake_fs(&[])).is_err());
-        assert!(run(&args(&["serve", "--listen"]), &fake_fs(&[])).is_err());
-        assert!(run(&args(&["serve", "--share-arena-at", "x"]), &fake_fs(&[])).is_err());
-        // --listen and --bench are exclusive modes.
+        // Load-generator flags are rejected as unknown.
+        for flag in [
+            "--bench",
+            "--net",
+            "--metrics",
+            "--requests",
+            "--producers",
+            "--precision",
+        ] {
+            let err = run(&args(&["serve", flag]), &fake_fs(&[])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
         let err = run(
             &args(&["serve", "--listen", "127.0.0.1:0", "--bench"]),
             &fake_fs(&[]),
         )
         .unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+        assert!(err.contains("unknown flag '--bench'"), "{err}");
+        assert!(run(&args(&["serve", "--max-batch"]), &fake_fs(&[])).is_err());
+        assert!(run(&args(&["serve", "--bogus"]), &fake_fs(&[])).is_err());
+        assert!(run(&args(&["serve", "--listen"]), &fake_fs(&[])).is_err());
+        assert!(run(&args(&["serve", "--share-arena-at", "x"]), &fake_fs(&[])).is_err());
         // An unbindable address is a typed error, not a panic.
         assert!(run(
             &args(&["serve", "--listen", "definitely-not-an-address"]),
@@ -2576,17 +1803,20 @@ mod tests {
     #[test]
     fn router_flag_errors() {
         let fs = fake_fs(&[("fleet.txt", "a 127.0.0.1:1\nb 127.0.0.1:2\n")]);
-        // router without a mode explains both of them.
+        // router without a mode names the only one.
         let err = run(&args(&["router"]), &fs).unwrap_err();
         assert!(err.contains("--listen"), "{err}");
-        assert!(err.contains("--bench"), "{err}");
-        // --listen and --bench are exclusive modes.
+        // Fleet-demo flags are rejected as unknown.
+        for flag in ["--bench", "--fleet-size", "--requests"] {
+            let err = run(&args(&["router", flag]), &fs).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
         let err = run(
             &args(&["router", "--bench", "--listen", "127.0.0.1:0"]),
             &fs,
         )
         .unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+        assert!(err.contains("unknown flag '--bench'"), "{err}");
         // A fleet needs at least one member before it can listen.
         let err = run(&args(&["router", "--listen", "127.0.0.1:0"]), &fs).unwrap_err();
         assert!(err.contains("at least one member"), "{err}");
@@ -2631,22 +1861,6 @@ mod tests {
         assert!(out.contains("routed on 127.0.0.1:"), "{out}");
         assert!(out.contains("for 2 member(s)"), "{out}");
         assert!(out.contains("0 tickets open at close"), "{out}");
-    }
-
-    #[test]
-    fn router_bench_drives_a_fleet() {
-        let out = run(
-            &args(&["router", "--bench", "--fleet-size", "2", "--requests", "24"]),
-            &fake_fs(&[]),
-        )
-        .unwrap();
-        assert!(
-            out.contains("fleet bench: 24 requests across 2 members"),
-            "{out}"
-        );
-        assert!(out.contains("1 handoffs"), "{out}");
-        assert!(out.contains("0 tickets open at close"), "{out}");
-        assert!(out.contains("rollup: 2 members up"), "{out}");
     }
 
     #[test]

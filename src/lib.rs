@@ -181,10 +181,10 @@
 //!
 //! `examples/float_serving.rs` walks the escalation behavior on a
 //! genuinely ill-conditioned circuit; the CLI exposes the same knob as
-//! `--precision exact|float:<tol>|auto[:<tol>]` on `phom solve` and
-//! `phom serve --bench`, and the wire protocol as a per-request
-//! `"precision"` field answered by `"type": "approximate"` results with
-//! a `rel_err` bound (see [`net::wire`]).
+//! `--precision exact|float:<tol>|auto[:<tol>]` on `phom solve`, and the
+//! wire protocol as a per-request `"precision"` field answered by
+//! `"type": "approximate"` results with a `rel_err` bound (see
+//! [`net::wire`]).
 //!
 //! ## The degradation ladder: no request left behind
 //!
@@ -373,8 +373,8 @@
 //!   `phom_net_*` counters; the router serves the same histogram names
 //!   fleet-merged plus `phom_router_*`/`phom_fleet_*` counters, so one
 //!   dashboard works at either level. The full stable-name reference
-//!   lives on [`RuntimeStats::prometheus_text`]; `phom serve --bench
-//!   --metrics` prints a snapshot after a synthetic run.
+//!   lives on [`RuntimeStats::prometheus_text`]; the `metrics` wire op
+//!   serves it from a live `phom serve` or `phom router`.
 //!
 //! The runtime layer in five lines — answers bit-identical to
 //! [`Engine::submit`] under every `max_batch` / `max_wait` /

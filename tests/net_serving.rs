@@ -1103,3 +1103,70 @@ fn v2_submits_racing_a_drain_end_answered_or_cancelled() {
         );
     }
 }
+
+/// The stable metric names a scraper relies on, verbatim: the runtime's
+/// counters, gauges and histograms plus the front end's own `phom_net_*`.
+const REQUIRED_METRIC_NAMES: [&str; 10] = [
+    "phom_requests_admitted_total",
+    "phom_net_inflight",
+    "phom_net_pushed_total",
+    "phom_requests_completed_total",
+    "phom_lane_requests_total",
+    "phom_queue_depth",
+    "phom_request_latency_ns_bucket",
+    "phom_request_latency_ns_p99",
+    "phom_queue_latency_ns_bucket",
+    "phom_stage_latency_ns_p99",
+];
+
+/// A live front end's `metrics` op, after one fast-lane and one
+/// slow-lane request over protocol v2, exposes every required name.
+#[test]
+fn metrics_op_exposes_the_stable_names_over_v2() {
+    use phom::net::MuxClient;
+    let mut rng = SmallRng::seed_from_u64(0x3E7);
+    let h = generate::with_probabilities(
+        generate::two_way_path(4, 1, &mut rng),
+        ProbProfile::half(),
+        &mut rng,
+    );
+    let runtime = Arc::new(Runtime::builder().workers(2).build());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&runtime)).expect("bind");
+    let client = MuxClient::connect(server.local_addr()).expect("hello handshake");
+    let version = client.register(&h).expect("register");
+    let query = Graph::directed_path(1);
+    for request in [
+        WireRequest::probability(query.clone()),
+        WireRequest::counting(query),
+    ] {
+        client
+            .submit(version, &request)
+            .expect("submit")
+            .wait()
+            .expect("answered");
+    }
+    // Latency histograms land after the ticket is fulfilled, so a client
+    // can see its answer before the metrics reflect it: poll.
+    let lane_count = |text: &str, lane: &str| -> u64 {
+        let prefix = format!("phom_request_latency_ns_count{{lane=\"{lane}\"}} ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(0)
+    };
+    let mut text = String::new();
+    for _ in 0..200 {
+        text = client.metrics().expect("metrics op");
+        if lane_count(&text, "fast") >= 1 && lane_count(&text, "slow") >= 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(lane_count(&text, "fast"), 1, "{text}");
+    assert_eq!(lane_count(&text, "slow"), 1, "{text}");
+    for name in REQUIRED_METRIC_NAMES {
+        assert!(text.contains(name), "missing metric {name}:\n{text}");
+    }
+    drop(client);
+    server.shutdown(Duration::from_secs(2));
+}
