@@ -143,9 +143,9 @@ fn json_smoke() {
             out[0].value()
         });
 
-        // Non-recursive f64 slab evaluation on the prebuilt flat arena —
-        // the direct counterpart of engine_eval_prebuilt's recursive
-        // pass, isolating the layout win from the error tracking.
+        // The same slab loop over the prebuilt root's compiled cone —
+        // the counterpart of engine_eval_prebuilt's whole-store pass,
+        // without the error tracking of prop411_float_circuit.
         let flat = phom_lineage::FlatArena::compile(&circuit, &[root]);
         let mut values = Vec::new();
         json_entry(

@@ -71,7 +71,7 @@ use crate::solver::{
 use crate::ucq::{Ucq, UcqRoute};
 use crate::{counting, Fallback, Route};
 use phom_graph::{Graph, ProbGraph};
-use phom_lineage::engine::{Arena, EvalScratch, GateId};
+use phom_lineage::engine::{Arena, GateId};
 use phom_lineage::fxhash::{FxHashMap, FxHasher};
 use phom_lineage::{FlatArena, WorkMeter};
 use phom_num::{ErrF64, Natural, Rational, Weight};
@@ -1062,32 +1062,24 @@ impl ShardOutcome {
 /// requested precision tier).
 type DeferredRoot = (usize, GateId, bool, Route, Precision);
 
-/// Reusable evaluation buffers for [`TickUnit::run_with`]: the exact
-/// tier's cone-marking scratch and the float tier's value slab.
+/// Reusable evaluation buffers for [`TickUnit::run_with`]: one value
+/// slab per precision tier, handed to the [`FlatArena`] passes.
 ///
 /// A persistent worker (one `phom_serve` pool thread) holds one
 /// `WorkerScratch` for its lifetime and hands it to every unit it runs;
 /// after warm-up the multi-root evaluation passes allocate nothing
-/// beyond the returned answers. [`TickUnit::run`] is the
-/// scratch-per-call convenience.
+/// beyond the compiled slabs and the returned answers.
+/// [`TickUnit::run`] is the scratch-per-call convenience.
+#[derive(Default)]
 pub struct WorkerScratch {
-    exact: EvalScratch<Rational>,
+    exact_values: Vec<Rational>,
     float_values: Vec<ErrF64>,
 }
 
-impl Default for WorkerScratch {
-    fn default() -> Self {
-        WorkerScratch::new()
-    }
-}
-
 impl WorkerScratch {
-    /// Empty scratch; buffers grow to the arenas evaluated through it.
+    /// Empty scratch; buffers grow to the slabs evaluated through it.
     pub fn new() -> Self {
-        WorkerScratch {
-            exact: EvalScratch::new(),
-            float_values: Vec::new(),
-        }
+        WorkerScratch::default()
     }
 }
 
@@ -1735,10 +1727,11 @@ fn respond_exact(
 /// [`ErrF64`](phom_num::ErrF64), certifying a relative-error bound per
 /// root. `Float` roots always answer [`Response::Approximate`]; `Auto`
 /// roots whose bound exceeds their tolerance **escalate** into the
-/// exact pass. The exact pass — `Exact` roots plus escalations — is the
-/// historical multi-root rational evaluation, so exact answers stay
-/// bit-identical to a pure-exact batch (per-root values don't depend on
-/// which other roots share the pass).
+/// exact pass. The exact pass — `Exact` roots plus escalations —
+/// compiles their cones into a second [`FlatArena`] and evaluates it
+/// over [`Rational`], so exact answers stay bit-identical to a
+/// pure-exact batch (per-root values don't depend on which other roots
+/// share the pass).
 fn eval_deferred(
     arena: &Arena,
     probs: &[Rational],
@@ -1788,7 +1781,7 @@ fn eval_deferred(
     }
     if !exact.is_empty() {
         let roots: Vec<GateId> = exact.iter().map(|d| d.1).collect();
-        let values = arena.probability_many_with(&roots, probs, &mut scratch.exact);
+        let values = FlatArena::compile(arena, &roots).eval_many(probs, &mut scratch.exact_values);
         for ((slot, _, negated, route), value) in exact.into_iter().zip(values) {
             let probability = if negated { value.one_minus() } else { value };
             outcome.results.push((
@@ -1922,11 +1915,12 @@ fn run_metered_slot(
 }
 
 /// Metered evaluation of one compiled root, honoring its precision
-/// tier: the exact tier runs the metered rational cone pass, the float
-/// tiers the metered flat-slab pass (with `Auto` escalating to the
-/// metered exact pass when the certified bound misses tolerance).
-/// Arithmetic and evaluation order match the unmetered batch passes,
-/// so completed answers are bit-identical.
+/// tier. The root's cone is compiled into one [`FlatArena`] slab: the
+/// exact tier evaluates it over [`Rational`], the float tiers over
+/// [`ErrF64`] (with `Auto` escalating to the exact pass on the same
+/// slab when the certified bound misses tolerance). Arithmetic and
+/// evaluation order match the unmetered batch passes, so completed
+/// answers are bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn eval_metered_root(
     arena: &Arena,
@@ -1939,10 +1933,11 @@ fn eval_metered_root(
     outcome: &mut ShardOutcome,
     scratch: &mut WorkerScratch,
 ) -> Result<Response, SolveError> {
+    let flat = FlatArena::compile(arena, &[root]);
     let exact_pass =
         |meter: &mut WorkMeter, scratch: &mut WorkerScratch| -> Result<Response, SolveError> {
-            let values = arena
-                .probability_many_metered(&[root], probs, &mut scratch.exact, meter)
+            let values = flat
+                .eval_many_metered(probs, &mut scratch.exact_values, meter)
                 .map_err(SolveError::from_meter)?;
             let value = values.into_iter().next().expect("one root");
             let probability = if negated { value.one_minus() } else { value };
@@ -1957,7 +1952,6 @@ fn eval_metered_root(
         Precision::Float { max_rel_err } => (max_rel_err, false),
         Precision::Auto { max_rel_err } => (max_rel_err, true),
     };
-    let flat = FlatArena::compile(arena, &[root]);
     let leaves: Vec<ErrF64> = probs.iter().map(ErrF64::from_rational).collect();
     let values = flat
         .eval_many_metered(&leaves, &mut scratch.float_values, meter)

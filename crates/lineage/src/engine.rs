@@ -1,32 +1,39 @@
 //! The unified provenance engine: one arena-based IR for every Boolean
-//! lineage in the workspace, and **one** semiring-generic bottom-up
-//! evaluation routine over it.
+//! lineage in the workspace, and **one** smooth bottom-up evaluation
+//! loop over it.
 //!
-//! Historically the workspace had five bottom-up evaluators — DNF world
-//! evaluation, two passes in the d-DNNF `Circuit`, the OBDD weighted
-//! model counter, and the gradient forward pass in `analysis` — each with
-//! its own traversal and its own per-gate heap allocations. They all
-//! instantiated the same algebra: products at AND gates, sums at OR
-//! gates, literal weights at the leaves. This module factors that algebra
-//! out:
+//! Every tractable route ends in the same step: a d-DNNF lineage is
+//! evaluated bottom-up, with products at AND gates, sums at OR gates and
+//! literal weights at the leaves. That step is one loop, `eval_slab`,
+//! over an `(ops, operands)` slab in topological order. The loop is
+//! generic over any [`Semiring`]: probability
+//! ([`Rational`](phom_num::Rational), `f64`, [`ErrF64`](phom_num::ErrF64)),
+//! Boolean evaluation (`bool`), forward-mode derivatives
+//! ([`Dual`](phom_num::Dual)). It reads leaf weights through a lookup
+//! `(var, positive) -> S`, so a probability pass complements only the
+//! literals it reaches. It charges every op to a meter: a
+//! [`WorkMeter`](crate::meter::WorkMeter) for deadline'd or budget'd
+//! requests, or a zero-sized unmetered one that compiles away.
 //!
-//! * [`Arena`] — interned gates with structural hashing, topologically
-//!   ordered flat storage (`Vec` of fixed-size nodes plus one shared
-//!   children buffer — no per-gate `Vec` on the evaluation path);
-//! * [`Arena::eval_roots`] — *the* bottom-up pass, generic over any
-//!   [`Semiring`]: probability ([`Rational`]/`f64`), model counting
-//!   ([`Natural`]), Boolean evaluation (`bool`), forward-mode derivatives
-//!   ([`Dual`](phom_num::Dual));
-//! * [`Arena::gradients`] — the reverse sweep companion: all `∂Pr/∂p_v`
-//!   from one forward + one backward pass;
-//! * [`Provenance`] — the uniform handle solver routes attach to their
-//!   [`Solution`](../../phom_core/solver/struct.Solution.html)s, carrying
-//!   a circuit, its root, and its polarity.
+//! The loop runs over two views of a slab:
 //!
-//! Because `eval_roots` takes *many* roots over one shared arena, batched
-//! multi-query evaluation (several queries compiled against the same
-//! instance, evaluated in a single pass) comes for free; see
-//! `ROADMAP.md`.
+//! * **the whole store** of an [`Arena`]: interned gates with structural
+//!   hashing, fixed-size ops plus one shared operand buffer.
+//!   [`Arena::probability`], [`Arena::probability_many`],
+//!   [`Arena::eval_world`], the smooth case of [`Arena::eval_roots`] and
+//!   the forward sweep of [`Arena::gradients`] evaluate every gate, with
+//!   no cone marking and no compile;
+//! * **a compiled cone**: [`FlatArena`](crate::flat::FlatArena) keeps
+//!   only the gates reachable from its roots, renumbered densely. The
+//!   serving engine evaluates its deferred batches and metered requests
+//!   through it.
+//!
+//! Three other walks over the gates remain, each a different algorithm:
+//! the gapped support-tracking pass (below), the gradient backward sweep,
+//! and the structural checkers. [`Provenance`] is the uniform handle
+//! solver routes attach to their
+//! [`Solution`](../../phom_core/solver/struct.Solution.html)s, carrying a
+//! circuit, its root, and its polarity.
 //!
 //! ## Smoothing
 //!
@@ -37,10 +44,10 @@
 //! `pos[v] + neg[v]` — e.g. `2` when counting models. The engine detects
 //! non-unit gaps and runs a support-tracking pass that rescales OR
 //! branches (and the final root value) exactly, so *model counting on
-//! unsmoothed circuits is exact*.
+//! unsmoothed circuits is exact* ([`Natural`]).
 
 use crate::fxhash::{FxHashMap, FxHasher};
-use crate::meter::{MeterStop, WorkMeter};
+use crate::meter::{Meter, Unmetered};
 use phom_num::{Natural, Semiring, Weight};
 use std::hash::{Hash, Hasher};
 
@@ -52,19 +59,84 @@ pub const FALSE_GATE: GateId = 0;
 /// The gate id of constant true in every arena.
 pub const TRUE_GATE: GateId = 1;
 
-/// Packed node representation: fixed size, children out-of-line.
+/// One operation of an evaluation slab: fixed size, operands
+/// out-of-line. An [`Arena`]'s store and a
+/// [`FlatArena`](crate::flat::FlatArena)'s compiled cone are both slabs
+/// of these; operand indices point at earlier ops of the same slab.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum NodeKind {
+pub(crate) enum Op {
     /// Constant true / false.
     Const(bool),
     /// A positive literal of variable `v`.
     Var(u32),
     /// A negative literal of variable `v`.
     NegVar(u32),
-    /// Conjunction over `children[start .. start + len]`.
+    /// Conjunction over `operands[start .. start + len]`.
     And { start: u32, len: u32 },
-    /// Disjunction over `children[start .. start + len]`.
+    /// Disjunction over `operands[start .. start + len]`.
     Or { start: u32, len: u32 },
+}
+
+/// The one smooth bottom-up loop: evaluates every op of the
+/// `(ops, operands)` slab into `values` (cleared first; its capacity is
+/// reused), products at AND, sums at OR, `leaf(v, positive)` at the
+/// literals. Operands are folded left to right in slab order, so two
+/// slabs with the same ops in the same order give bit-identical values.
+/// `meter` is checked once before the first op and charged once per op.
+pub(crate) fn eval_slab<S: Semiring, M: Meter>(
+    ops: &[Op],
+    operands: &[u32],
+    leaf: impl Fn(usize, bool) -> S,
+    meter: &mut M,
+    values: &mut Vec<S>,
+) -> Result<(), M::Stop> {
+    meter.begin()?;
+    values.clear();
+    values.reserve(ops.len());
+    for &op in ops {
+        meter.charge_op()?;
+        let value = match op {
+            Op::Const(b) => {
+                if b {
+                    S::one()
+                } else {
+                    S::zero()
+                }
+            }
+            Op::Var(v) => leaf(v as usize, true),
+            Op::NegVar(v) => leaf(v as usize, false),
+            Op::And { start, len } => {
+                let kids = &operands[start as usize..(start + len) as usize];
+                let mut acc = values[kids[0] as usize].clone();
+                for &c in &kids[1..] {
+                    acc = acc.mul(&values[c as usize]);
+                }
+                acc
+            }
+            Op::Or { start, len } => {
+                let kids = &operands[start as usize..(start + len) as usize];
+                let mut acc = values[kids[0] as usize].clone();
+                for &c in &kids[1..] {
+                    acc = acc.add(&values[c as usize]);
+                }
+                acc
+            }
+        };
+        values.push(value);
+    }
+    Ok(())
+}
+
+/// The leaf lookup of a probability pass: `p` at a positive literal,
+/// [`Weight::complement`] at a negative one.
+pub(crate) fn weight_leaf<W: Weight>(prob_true: &[W]) -> impl Fn(usize, bool) -> W + '_ {
+    move |v, positive| {
+        if positive {
+            prob_true[v].clone()
+        } else {
+            prob_true[v].complement()
+        }
+    }
 }
 
 /// A borrowed view of one gate, for consumers that need to pattern-match
@@ -122,7 +194,7 @@ impl ExactSizeIterator for Children<'_> {}
 #[derive(Clone, Debug)]
 pub struct Arena {
     num_vars: usize,
-    nodes: Vec<NodeKind>,
+    nodes: Vec<Op>,
     children: Vec<u32>,
     /// Structural-hash interning table: hash → candidate gate ids.
     /// Fx-hashed: gate interning is the compilation hot path.
@@ -149,8 +221,8 @@ impl Arena {
             unique: FxHashMap::default(),
             scratch: Vec::new(),
         };
-        let f = arena.intern(NodeKind::Const(false), &[]);
-        let t = arena.intern(NodeKind::Const(true), &[]);
+        let f = arena.intern(Op::Const(false), &[]);
+        let t = arena.intern(Op::Const(true), &[]);
         debug_assert_eq!((f, t), (FALSE_GATE, TRUE_GATE));
         arena
     }
@@ -173,13 +245,13 @@ impl Arena {
     /// The gate with id `g`, as a pattern-matchable view.
     pub fn gate(&self, g: GateId) -> Gate<'_> {
         match self.nodes[g] {
-            NodeKind::Const(b) => Gate::Const(b),
-            NodeKind::Var(v) => Gate::Var(v as usize),
-            NodeKind::NegVar(v) => Gate::NegVar(v as usize),
-            NodeKind::And { start, len } => Gate::And(Children(
+            Op::Const(b) => Gate::Const(b),
+            Op::Var(v) => Gate::Var(v as usize),
+            Op::NegVar(v) => Gate::NegVar(v as usize),
+            Op::And { start, len } => Gate::And(Children(
                 &self.children[start as usize..(start + len) as usize],
             )),
-            NodeKind::Or { start, len } => Gate::Or(Children(
+            Op::Or { start, len } => Gate::Or(Children(
                 &self.children[start as usize..(start + len) as usize],
             )),
         }
@@ -200,24 +272,24 @@ impl Arena {
 
     fn node_matches(&self, id: u32, kind_tag: u8, payload: u32, kids: &[u32]) -> bool {
         match (kind_tag, self.nodes[id as usize]) {
-            (0, NodeKind::Const(b)) => payload == b as u32,
-            (1, NodeKind::Var(v)) => payload == v,
-            (2, NodeKind::NegVar(v)) => payload == v,
-            (3, NodeKind::And { start, len }) | (4, NodeKind::Or { start, len }) => {
-                (kind_tag == 3) == matches!(self.nodes[id as usize], NodeKind::And { .. })
+            (0, Op::Const(b)) => payload == b as u32,
+            (1, Op::Var(v)) => payload == v,
+            (2, Op::NegVar(v)) => payload == v,
+            (3, Op::And { start, len }) | (4, Op::Or { start, len }) => {
+                (kind_tag == 3) == matches!(self.nodes[id as usize], Op::And { .. })
                     && &self.children[start as usize..(start + len) as usize] == kids
             }
             _ => false,
         }
     }
 
-    fn intern(&mut self, kind: NodeKind, kids: &[u32]) -> GateId {
+    fn intern(&mut self, kind: Op, kids: &[u32]) -> GateId {
         let (tag, payload) = match kind {
-            NodeKind::Const(b) => (0u8, b as u32),
-            NodeKind::Var(v) => (1, v),
-            NodeKind::NegVar(v) => (2, v),
-            NodeKind::And { .. } => (3, 0),
-            NodeKind::Or { .. } => (4, 0),
+            Op::Const(b) => (0u8, b as u32),
+            Op::Var(v) => (1, v),
+            Op::NegVar(v) => (2, v),
+            Op::And { .. } => (3, 0),
+            Op::Or { .. } => (4, 0),
         };
         let h = Self::hash_node(tag, payload, kids);
         if let Some(candidates) = self.unique.get(&h) {
@@ -230,18 +302,18 @@ impl Arena {
         let id = self.nodes.len();
         assert!(id <= u32::MAX as usize, "arena gate limit exceeded");
         let kind = match kind {
-            NodeKind::And { .. } => {
+            Op::And { .. } => {
                 let start = self.children.len() as u32;
                 self.children.extend_from_slice(kids);
-                NodeKind::And {
+                Op::And {
                     start,
                     len: kids.len() as u32,
                 }
             }
-            NodeKind::Or { .. } => {
+            Op::Or { .. } => {
                 let start = self.children.len() as u32;
                 self.children.extend_from_slice(kids);
-                NodeKind::Or {
+                Op::Or {
                     start,
                     len: kids.len() as u32,
                 }
@@ -266,13 +338,13 @@ impl Arena {
     /// variable arena-wide).
     pub fn var(&mut self, v: usize) -> GateId {
         assert!(v < self.num_vars, "variable {v} out of range");
-        self.intern(NodeKind::Var(v as u32), &[])
+        self.intern(Op::Var(v as u32), &[])
     }
 
     /// The negative literal of variable `v`.
     pub fn neg_var(&mut self, v: usize) -> GateId {
         assert!(v < self.num_vars, "variable {v} out of range");
-        self.intern(NodeKind::NegVar(v as u32), &[])
+        self.intern(Op::NegVar(v as u32), &[])
     }
 
     /// An AND gate over `children` (callers must ensure decomposability
@@ -302,7 +374,7 @@ impl Arena {
         let out = match scratch.as_slice() {
             [] => TRUE_GATE,
             [only] => *only as GateId,
-            kids => self.intern(NodeKind::And { start: 0, len: 0 }, kids),
+            kids => self.intern(Op::And { start: 0, len: 0 }, kids),
         };
         self.scratch = scratch;
         out
@@ -334,15 +406,28 @@ impl Arena {
         let out = match scratch.as_slice() {
             [] => FALSE_GATE,
             [only] => *only as GateId,
-            kids => self.intern(NodeKind::Or { start: 0, len: 0 }, kids),
+            kids => self.intern(Op::Or { start: 0, len: 0 }, kids),
         };
         self.scratch = scratch;
         out
     }
 
     // ------------------------------------------------------------------
-    // The one bottom-up evaluation routine.
+    // Evaluation: the whole-store view of the one slab loop.
     // ------------------------------------------------------------------
+
+    /// Forward values of every gate: [`eval_slab`] over the whole store.
+    fn forward<S: Semiring>(&self, leaf: impl Fn(usize, bool) -> S) -> Vec<S> {
+        let mut values = Vec::new();
+        let Ok(()) = eval_slab(
+            &self.nodes,
+            &self.children,
+            leaf,
+            &mut Unmetered,
+            &mut values,
+        );
+        values
+    }
 
     /// Evaluates every root in one bottom-up pass over the shared arena.
     ///
@@ -357,8 +442,8 @@ impl Arena {
     /// Evaluating `k` roots costs one pass, not `k` — the hook for
     /// batched multi-query evaluation.
     ///
-    /// The smoothing fast path triggers only when every `pos[v] + neg[v]`
-    /// is *exactly* the semiring one; with `f64` weights, floating-point
+    /// The smooth pass runs only when every `pos[v] + neg[v]` is
+    /// *exactly* the semiring one; with `f64` weights, floating-point
     /// complements may miss that test and fall back to the (correct but
     /// slower) support-tracking pass. Probability callers should prefer
     /// [`Arena::probability`] / [`Arena::probability_many`], which assume
@@ -377,10 +462,17 @@ impl Arena {
         // Smoothness is the overwhelmingly common case; test it without
         // materializing the gap vector (allocated only when needed).
         if pos.iter().zip(neg).all(|(p, n)| p.add(n).is_one()) {
-            self.eval_impl(roots, pos, neg, None)
+            let values = self.forward(|v, positive| {
+                if positive {
+                    pos[v].clone()
+                } else {
+                    neg[v].clone()
+                }
+            });
+            roots.iter().map(|&r| values[r].clone()).collect()
         } else {
             let gaps: Vec<S> = pos.iter().zip(neg).map(|(p, n)| p.add(n)).collect();
-            self.eval_impl(roots, pos, neg, Some(&gaps))
+            self.eval_gapped(roots, pos, neg, &gaps)
         }
     }
 
@@ -401,244 +493,57 @@ impl Arena {
     }
 
     /// Batched probabilities for many roots over the shared arena in a
-    /// single pass, assuming d-DNNF structure. Like [`Arena::probability`]
-    /// it bypasses the smoothing gap check (`p + (1 − p) = 1` by
-    /// construction), so `f64` weights stay on the fast path.
+    /// single whole-store pass, assuming d-DNNF structure. Like
+    /// [`Arena::probability`] it bypasses the smoothing gap check
+    /// (`p + (1 − p) = 1` by construction), so `f64` weights stay on the
+    /// fast path. To evaluate a few roots of a big shared arena, or the
+    /// same roots many times, compile their cone into a
+    /// [`FlatArena`](crate::flat::FlatArena) instead.
     pub fn probability_many<W: Weight>(&self, roots: &[GateId], prob_true: &[W]) -> Vec<W> {
-        self.probability_many_with(roots, prob_true, &mut EvalScratch::new())
-    }
-
-    /// [`Arena::probability_many`] with caller-owned scratch buffers:
-    /// after warm-up, repeated evaluations over the same arena perform no
-    /// heap allocation beyond the returned vector. Additionally, only the
-    /// gates *reachable from `roots`* are evaluated — on a big shared
-    /// multi-query arena, refreshing one query's value costs its cone,
-    /// not the whole store (gate ids are already topologically ordered,
-    /// so no per-call sorting happens either way).
-    pub fn probability_many_with<W: Weight>(
-        &self,
-        roots: &[GateId],
-        prob_true: &[W],
-        scratch: &mut EvalScratch<W>,
-    ) -> Vec<W> {
         assert_eq!(prob_true.len(), self.num_vars);
-        let mut neg = std::mem::take(&mut scratch.neg);
-        neg.clear();
-        neg.extend(prob_true.iter().map(Weight::complement));
-        let out = self.eval_cone(roots, prob_true, &neg, scratch);
-        scratch.neg = neg;
-        out
-    }
-
-    /// The smooth-case evaluation restricted to the union of the roots'
-    /// cones. Marks reachable gates in one cheap top-down sweep (ids are
-    /// topological, so descending order visits parents before children),
-    /// then evaluates only the marked gates bottom-up.
-    fn eval_cone<S: Semiring>(
-        &self,
-        roots: &[GateId],
-        pos: &[S],
-        neg: &[S],
-        scratch: &mut EvalScratch<S>,
-    ) -> Vec<S> {
-        let n = self.nodes.len();
-        let live = &mut scratch.live;
-        live.clear();
-        live.resize(n, false);
-        for &r in roots {
-            live[r] = true;
-        }
-        for i in (0..n).rev() {
-            if !live[i] {
-                continue;
-            }
-            if let NodeKind::And { start, len } | NodeKind::Or { start, len } = self.nodes[i] {
-                for &c in &self.children[start as usize..(start + len) as usize] {
-                    live[c as usize] = true;
-                }
-            }
-        }
-        let values = &mut scratch.values;
-        values.clear();
-        values.resize(n, S::zero());
-        for i in 0..n {
-            if !live[i] {
-                continue;
-            }
-            values[i] = match self.nodes[i] {
-                NodeKind::Const(b) => {
-                    if b {
-                        S::one()
-                    } else {
-                        S::zero()
-                    }
-                }
-                NodeKind::Var(v) => pos[v as usize].clone(),
-                NodeKind::NegVar(v) => neg[v as usize].clone(),
-                NodeKind::And { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.mul(&values[c as usize]);
-                    }
-                    acc
-                }
-                NodeKind::Or { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.add(&values[c as usize]);
-                    }
-                    acc
-                }
-            };
-        }
+        let values = self.forward(weight_leaf(prob_true));
         roots.iter().map(|&r| values[r].clone()).collect()
-    }
-
-    /// [`Arena::probability_many_with`] under a cooperative
-    /// [`WorkMeter`]: identical arithmetic and evaluation order, but
-    /// every evaluated gate is charged to the meter and the pass bails
-    /// out with the [`MeterStop`] the moment a gate/time budget or
-    /// deadline trips. The unmetered path stays branch-free; callers
-    /// with no limits should keep using it.
-    pub fn probability_many_metered<W: Weight>(
-        &self,
-        roots: &[GateId],
-        prob_true: &[W],
-        scratch: &mut EvalScratch<W>,
-        meter: &mut WorkMeter,
-    ) -> Result<Vec<W>, MeterStop> {
-        assert_eq!(prob_true.len(), self.num_vars);
-        let mut neg = std::mem::take(&mut scratch.neg);
-        neg.clear();
-        neg.extend(prob_true.iter().map(Weight::complement));
-        let out = self.eval_cone_metered(roots, prob_true, &neg, scratch, meter);
-        scratch.neg = neg;
-        out
-    }
-
-    /// [`Arena::eval_cone`] with a per-gate meter charge. Kept as a
-    /// separate loop (rather than threading an `Option<&mut WorkMeter>`
-    /// through the hot path) so the unmetered evaluator's codegen is
-    /// untouched and its answers stay bit-identical.
-    fn eval_cone_metered<S: Semiring>(
-        &self,
-        roots: &[GateId],
-        pos: &[S],
-        neg: &[S],
-        scratch: &mut EvalScratch<S>,
-        meter: &mut WorkMeter,
-    ) -> Result<Vec<S>, MeterStop> {
-        let n = self.nodes.len();
-        let live = &mut scratch.live;
-        live.clear();
-        live.resize(n, false);
-        for &r in roots {
-            live[r] = true;
-        }
-        for i in (0..n).rev() {
-            if !live[i] {
-                continue;
-            }
-            if let NodeKind::And { start, len } | NodeKind::Or { start, len } = self.nodes[i] {
-                for &c in &self.children[start as usize..(start + len) as usize] {
-                    live[c as usize] = true;
-                }
-            }
-        }
-        meter.check_now()?;
-        let values = &mut scratch.values;
-        values.clear();
-        values.resize(n, S::zero());
-        for i in 0..n {
-            if !live[i] {
-                continue;
-            }
-            meter.charge_gates(1)?;
-            values[i] = match self.nodes[i] {
-                NodeKind::Const(b) => {
-                    if b {
-                        S::one()
-                    } else {
-                        S::zero()
-                    }
-                }
-                NodeKind::Var(v) => pos[v as usize].clone(),
-                NodeKind::NegVar(v) => neg[v as usize].clone(),
-                NodeKind::And { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.mul(&values[c as usize]);
-                    }
-                    acc
-                }
-                NodeKind::Or { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.add(&values[c as usize]);
-                    }
-                    acc
-                }
-            };
-        }
-        Ok(roots.iter().map(|&r| values[r].clone()).collect())
     }
 
     /// Evaluates the circuit as a Boolean function under a valuation
     /// (the Boolean-semiring instantiation of the engine).
     pub fn eval_world(&self, root: GateId, valuation: &[bool]) -> bool {
         assert_eq!(valuation.len(), self.num_vars);
-        let neg: Vec<bool> = valuation.iter().map(|b| !b).collect();
-        self.eval_impl(&[root], valuation, &neg, None)
-            .pop()
-            .expect("one root")
+        self.forward(|v, positive| valuation[v] == positive)[root]
     }
 
-    /// The single generic bottom-up pass. `gaps: None` asserts that every
-    /// variable's `pos + neg` is the semiring one (probability, Boolean);
-    /// `Some(gaps)` runs the support-tracking pass that rescales OR
-    /// branches and the root for missing variables (counting).
-    fn eval_impl<S: Semiring>(
+    /// The gapped pass: the bottom-up fold with support bitsets, rescaling
+    /// OR branches (and finally each root) by the gaps of the variables
+    /// they do not mention (exact counting on unsmoothed circuits).
+    fn eval_gapped<S: Semiring>(
         &self,
         roots: &[GateId],
         pos: &[S],
         neg: &[S],
-        gaps: Option<&[S]>,
+        gaps: &[S],
     ) -> Vec<S> {
-        // Smooth case: the plain forward pass (shared with gradients/MPE)
-        // plus root selection.
-        let Some(gaps) = gaps else {
-            let values = self.eval_impl_all(pos, neg);
-            return roots.iter().map(|&r| values[r].clone()).collect();
-        };
-        // Gapped case: the same pass with support bitsets, rescaling OR
-        // branches (and finally each root) by the gaps of the variables
-        // they do not mention.
         let n = self.nodes.len();
         let mut values: Vec<S> = Vec::with_capacity(n);
         let words = self.num_vars.div_ceil(64);
         let mut supports: Vec<u64> = vec![0; n * words];
         for (i, node) in self.nodes.iter().enumerate() {
             let value = match *node {
-                NodeKind::Const(b) => {
+                Op::Const(b) => {
                     if b {
                         S::one()
                     } else {
                         S::zero()
                     }
                 }
-                NodeKind::Var(v) => {
+                Op::Var(v) => {
                     supports[i * words + (v as usize) / 64] |= 1u64 << (v % 64);
                     pos[v as usize].clone()
                 }
-                NodeKind::NegVar(v) => {
+                Op::NegVar(v) => {
                     supports[i * words + (v as usize) / 64] |= 1u64 << (v % 64);
                     neg[v as usize].clone()
                 }
-                NodeKind::And { start, len } => {
+                Op::And { start, len } => {
                     let kids = &self.children[start as usize..(start + len) as usize];
                     for &c in kids {
                         let (dst, src) = split_rows(&mut supports, i, c as usize, words);
@@ -652,7 +557,7 @@ impl Arena {
                     }
                     acc
                 }
-                NodeKind::Or { start, len } => {
+                Op::Or { start, len } => {
                     let kids = &self.children[start as usize..(start + len) as usize];
                     for &c in kids {
                         let (dst, src) = split_rows(&mut supports, i, c as usize, words);
@@ -713,8 +618,7 @@ impl Arena {
     /// performed and zero weights are exact.
     pub fn gradients<W: Weight>(&self, root: GateId, prob_true: &[W]) -> Vec<W> {
         assert_eq!(prob_true.len(), self.num_vars);
-        let neg: Vec<W> = prob_true.iter().map(Weight::complement).collect();
-        let values = self.eval_impl_all(prob_true, &neg);
+        let values = self.forward(weight_leaf(prob_true));
         let mut d: Vec<W> = vec![W::zero(); self.nodes.len()];
         d[root] = W::one();
         let mut grad = vec![W::zero(); self.num_vars];
@@ -723,15 +627,15 @@ impl Arena {
                 continue;
             }
             match self.nodes[i] {
-                NodeKind::Const(_) => {}
-                NodeKind::Var(v) => grad[v as usize] = grad[v as usize].add(&d[i]),
-                NodeKind::NegVar(v) => grad[v as usize] = grad[v as usize].sub(&d[i]),
-                NodeKind::Or { start, len } => {
+                Op::Const(_) => {}
+                Op::Var(v) => grad[v as usize] = grad[v as usize].add(&d[i]),
+                Op::NegVar(v) => grad[v as usize] = grad[v as usize].sub(&d[i]),
+                Op::Or { start, len } => {
                     for &c in &self.children[start as usize..(start + len) as usize] {
                         d[c as usize] = d[c as usize].add(&d[i]);
                     }
                 }
-                NodeKind::And { start, len } => {
+                Op::And { start, len } => {
                     let kids = &self.children[start as usize..(start + len) as usize];
                     let k = kids.len();
                     let mut prefix = Vec::with_capacity(k + 1);
@@ -753,43 +657,6 @@ impl Arena {
         grad
     }
 
-    /// Forward values of *every* gate (used by the gradient backward
-    /// sweep and the MPE search in `analysis`).
-    pub(crate) fn eval_impl_all<S: Semiring>(&self, pos: &[S], neg: &[S]) -> Vec<S> {
-        let mut values: Vec<S> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let value = match *node {
-                NodeKind::Const(b) => {
-                    if b {
-                        S::one()
-                    } else {
-                        S::zero()
-                    }
-                }
-                NodeKind::Var(v) => pos[v as usize].clone(),
-                NodeKind::NegVar(v) => neg[v as usize].clone(),
-                NodeKind::And { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.mul(&values[c as usize]);
-                    }
-                    acc
-                }
-                NodeKind::Or { start, len } => {
-                    let kids = &self.children[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.add(&values[c as usize]);
-                    }
-                    acc
-                }
-            };
-            values.push(value);
-        }
-        values
-    }
-
     // ------------------------------------------------------------------
     // Structural checkers (not evaluators: they validate d-DNNF-ness).
     // ------------------------------------------------------------------
@@ -801,11 +668,11 @@ impl Arena {
         let mut deps: Vec<u64> = vec![0; self.nodes.len() * words];
         for (i, node) in self.nodes.iter().enumerate() {
             match *node {
-                NodeKind::Const(_) => {}
-                NodeKind::Var(v) | NodeKind::NegVar(v) => {
+                Op::Const(_) => {}
+                Op::Var(v) | Op::NegVar(v) => {
                     deps[i * words + (v as usize) / 64] |= 1u64 << (v % 64);
                 }
-                NodeKind::And { start, len } => {
+                Op::And { start, len } => {
                     for &c in &self.children[start as usize..(start + len) as usize] {
                         let (dst, src) = split_rows(&mut deps, i, c as usize, words);
                         for (d, s) in dst.iter_mut().zip(src) {
@@ -816,7 +683,7 @@ impl Arena {
                         }
                     }
                 }
-                NodeKind::Or { start, len } => {
+                Op::Or { start, len } => {
                     for &c in &self.children[start as usize..(start + len) as usize] {
                         let (dst, src) = split_rows(&mut deps, i, c as usize, words);
                         for (d, s) in dst.iter_mut().zip(src) {
@@ -838,14 +705,13 @@ impl Arena {
         let mut val = vec![false; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             val[i] = match *node {
-                NodeKind::Const(b) => b,
-                NodeKind::Var(v) => valuation[v as usize],
-                NodeKind::NegVar(v) => !valuation[v as usize],
-                NodeKind::And { start, len } => self.children
-                    [start as usize..(start + len) as usize]
+                Op::Const(b) => b,
+                Op::Var(v) => valuation[v as usize],
+                Op::NegVar(v) => !valuation[v as usize],
+                Op::And { start, len } => self.children[start as usize..(start + len) as usize]
                     .iter()
                     .all(|&c| val[c as usize]),
-                NodeKind::Or { start, len } => {
+                Op::Or { start, len } => {
                     let kids = &self.children[start as usize..(start + len) as usize];
                     if kids.iter().filter(|&&c| val[c as usize]).count() > 1 {
                         return false;
@@ -855,30 +721,6 @@ impl Arena {
             };
         }
         true
-    }
-}
-
-/// Reusable buffers for repeated engine evaluations
-/// ([`Arena::probability_many_with`]): per-gate values, the root-cone
-/// marks, and the derived negative-literal weights. Serving loops (the
-/// batched solver's eval cache, Monte-Carlo world sweeps) evaluate the
-/// same arena thousands of times; holding the scratch across calls makes
-/// the hot path allocation-free after warm-up.
-#[derive(Clone, Debug, Default)]
-pub struct EvalScratch<S> {
-    values: Vec<S>,
-    live: Vec<bool>,
-    neg: Vec<S>,
-}
-
-impl<S> EvalScratch<S> {
-    /// Empty scratch; buffers grow to the arena's size on first use.
-    pub fn new() -> Self {
-        EvalScratch {
-            values: Vec::new(),
-            live: Vec::new(),
-            neg: Vec::new(),
-        }
     }
 }
 
@@ -1001,6 +843,7 @@ impl Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatArena;
     use phom_num::{Dual, Rational};
 
     fn rat(n: u64, d: u64) -> Rational {
@@ -1123,8 +966,8 @@ mod tests {
     #[test]
     fn scratch_cone_evaluation_matches_full_pass() {
         // Two independent sub-circuits in one arena: evaluating one root
-        // through the scratch path must match the full pass, and the same
-        // scratch must be reusable across roots and arenas.
+        // through a compiled cone must match the whole-store pass, and the
+        // same value slab must be reusable across roots and arenas.
         let mut a = Arena::new(4);
         let x = a.var(0);
         let y = a.var(1);
@@ -1134,25 +977,22 @@ mod tests {
         let right = a.and(&[z, w]);
         let both = a.or(&[left, right]); // not deterministic, but fine for algebra
         let probs = [rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7)];
-        let mut scratch = EvalScratch::new();
+        let mut slab = Vec::new();
         for root in [left, right, both, TRUE_GATE, FALSE_GATE] {
             assert_eq!(
-                a.probability_many_with(&[root], &probs, &mut scratch),
+                FlatArena::compile(&a, &[root]).eval_many(&probs, &mut slab),
                 vec![a.probability(root, &probs)],
                 "root {root}"
             );
         }
         // Multi-root call agrees element-wise.
-        let many = a.probability_many_with(&[left, right], &probs, &mut scratch);
-        assert_eq!(
-            many,
-            vec![a.probability(left, &probs), a.probability(right, &probs)]
-        );
-        // Scratch survives a switch to a smaller arena.
+        let many = FlatArena::compile(&a, &[left, right]).eval_many(&probs, &mut slab);
+        assert_eq!(many, a.probability_many(&[left, right], &probs));
+        // The slab survives a switch to a smaller arena.
         let (b, root) = xor_arena();
         let probs2 = [rat(1, 2), rat(1, 3)];
         assert_eq!(
-            b.probability_many_with(&[root], &probs2, &mut scratch),
+            FlatArena::compile(&b, &[root]).eval_many(&probs2, &mut slab),
             vec![b.probability(root, &probs2)]
         );
     }

@@ -1,51 +1,37 @@
-//! [`FlatArena`]: the run representation behind the float evaluation
-//! tier.
+//! [`FlatArena`]: the compiled-cone view of the engine's one slab loop.
 //!
-//! [`Arena`](crate::engine::Arena) is the *build* representation —
-//! interned gates, a structural-hash table, build scratch. Once a plan
-//! is fixed, none of that matters for evaluation: what matters is a
-//! contiguous, cache-linear slab of operations in topological order
-//! with dense operand indices. `FlatArena::compile` produces exactly
-//! that, restricted to the union of the requested roots' cones (gates
-//! outside the cones are dropped and the survivors renumbered densely),
-//! so a compiled arena is both smaller and faster to walk than the
-//! live-marking pass of `probability_many_with` — and it can be cached
-//! on the plan and re-evaluated many times with zero per-call marking.
+//! The engine evaluates every smooth d-DNNF pass with one loop over an
+//! `(ops, operands)` slab (see [`engine`](crate::engine)). An
+//! [`Arena`]'s store is one such slab: the *build* representation, with
+//! interned gates, a structural-hash table and build scratch, evaluated
+//! whole. `FlatArena::compile` produces the other: the union of the
+//! requested roots' cones, with gates outside the cones dropped and the
+//! survivors renumbered densely in their topological order. A compiled
+//! cone is smaller than the store it came from, can be evaluated many
+//! times, and charges a metered pass exactly one gate per retained op.
 //!
-//! Evaluation is one non-recursive loop over the slab, generic over
-//! [`Weight`]: [`FlatArena::eval_f64_many`] is the raw-speed tier,
-//! [`FlatArena::eval_err_many`] the certified tier over
-//! [`ErrF64`](phom_num::ErrF64) (value + running error bound). Both
-//! take a caller-owned value slab so repeated evaluations allocate
-//! nothing beyond the returned answers.
+//! Because compilation keeps every retained op's relative order and its
+//! operand order, a cone answers bit for bit what the whole store
+//! answers at the same roots. [`FlatArena::eval_f64_many`] is the
+//! raw-speed tier, [`FlatArena::eval_err_many`] the certified tier over
+//! [`ErrF64`] (value + running error bound), and
+//! [`FlatArena::eval_many`] serves any [`Weight`], exact
+//! [`Rational`](phom_num::Rational)s included. All take a caller-owned
+//! value slab, so repeated evaluations allocate nothing beyond the
+//! returned answers.
 
-use crate::engine::{Arena, Gate, GateId};
-use crate::meter::{MeterStop, WorkMeter};
+use crate::engine::{eval_slab, weight_leaf, Arena, Gate, GateId, Op};
+use crate::meter::{Meter, MeterStop, Unmetered, WorkMeter};
 use phom_num::{ErrF64, Weight};
-
-/// One operation in the flat slab. Operand indices point at *slab
-/// slots* (dense, cone-local), not arena gate ids.
-#[derive(Clone, Copy, Debug)]
-enum FlatOp {
-    /// Constant true / false.
-    Const(bool),
-    /// A positive literal of variable `v`.
-    Var(u32),
-    /// A negative literal of variable `v` (evaluated as the
-    /// [`Weight::complement`] of the variable's weight).
-    NegVar(u32),
-    /// Conjunction over `operands[start .. start + len]`.
-    And { start: u32, len: u32 },
-    /// Disjunction over `operands[start .. start + len]`.
-    Or { start: u32, len: u32 },
-}
 
 /// A compiled, cone-restricted, topologically ordered evaluation plan
 /// for a set of roots over one [`Arena`]. See the module docs.
 #[derive(Clone, Debug)]
 pub struct FlatArena {
     num_vars: usize,
-    ops: Vec<FlatOp>,
+    ops: Vec<Op>,
+    /// Operand indices point at *slab slots* (dense, cone-local), not
+    /// arena gate ids.
     operands: Vec<u32>,
     /// Slab slot of each requested root, in the caller's order.
     roots: Vec<u32>,
@@ -80,20 +66,20 @@ impl FlatArena {
                 continue;
             }
             let op = match arena.gate(i) {
-                Gate::Const(b) => FlatOp::Const(b),
-                Gate::Var(v) => FlatOp::Var(v as u32),
-                Gate::NegVar(v) => FlatOp::NegVar(v as u32),
+                Gate::Const(b) => Op::Const(b),
+                Gate::Var(v) => Op::Var(v as u32),
+                Gate::NegVar(v) => Op::NegVar(v as u32),
                 Gate::And(kids) => {
                     let start = operands.len() as u32;
                     let len = kids.len() as u32;
                     operands.extend(kids.map(|c| slot[c]));
-                    FlatOp::And { start, len }
+                    Op::And { start, len }
                 }
                 Gate::Or(kids) => {
                     let start = operands.len() as u32;
                     let len = kids.len() as u32;
                     operands.extend(kids.map(|c| slot[c]));
-                    FlatOp::Or { start, len }
+                    Op::Or { start, len }
                 }
             };
             slot[i] = ops.len() as u32;
@@ -123,100 +109,49 @@ impl FlatArena {
         self.roots.len()
     }
 
-    /// The generic tight loop: evaluates every retained op bottom-up
-    /// into `values` (resized as needed; contents reused as scratch)
-    /// and returns the root values in the compiled order. Negative
-    /// literals use [`Weight::complement`]; literal gates are interned
-    /// one-per-variable upstream, so no complement is computed twice.
-    pub fn eval_many<W: Weight>(&self, prob_true: &[W], values: &mut Vec<W>) -> Vec<W> {
+    /// Runs the engine's slab loop over the compiled cone into `values`
+    /// and returns the root values in the compiled order.
+    fn run<W: Weight, M: Meter>(
+        &self,
+        prob_true: &[W],
+        values: &mut Vec<W>,
+        meter: &mut M,
+    ) -> Result<Vec<W>, M::Stop> {
         assert_eq!(prob_true.len(), self.num_vars);
-        values.clear();
-        values.resize(self.ops.len(), W::zero());
-        for i in 0..self.ops.len() {
-            values[i] = match self.ops[i] {
-                FlatOp::Const(b) => {
-                    if b {
-                        W::one()
-                    } else {
-                        W::zero()
-                    }
-                }
-                FlatOp::Var(v) => prob_true[v as usize].clone(),
-                FlatOp::NegVar(v) => prob_true[v as usize].complement(),
-                FlatOp::And { start, len } => {
-                    let kids = &self.operands[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.mul(&values[c as usize]);
-                    }
-                    acc
-                }
-                FlatOp::Or { start, len } => {
-                    let kids = &self.operands[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.add(&values[c as usize]);
-                    }
-                    acc
-                }
-            };
-        }
-        self.roots
+        eval_slab(
+            &self.ops,
+            &self.operands,
+            weight_leaf(prob_true),
+            meter,
+            values,
+        )?;
+        Ok(self
+            .roots
             .iter()
             .map(|&r| values[r as usize].clone())
-            .collect()
+            .collect())
     }
 
-    /// [`FlatArena::eval_many`] under a cooperative [`WorkMeter`]:
-    /// identical arithmetic and slab order, but every op is charged to
-    /// the meter and the loop bails out with the [`MeterStop`] the
-    /// moment a gate/time budget or deadline trips. Kept as a separate
-    /// loop so the unmetered tight loop's codegen is untouched.
+    /// Root probabilities over any [`Weight`]: evaluates every retained
+    /// op bottom-up into `values` (contents reused as scratch) and
+    /// returns the root values in the compiled order. Negative literals
+    /// use [`Weight::complement`].
+    pub fn eval_many<W: Weight>(&self, prob_true: &[W], values: &mut Vec<W>) -> Vec<W> {
+        let Ok(out) = self.run(prob_true, values, &mut Unmetered);
+        out
+    }
+
+    /// [`FlatArena::eval_many`] under a cooperative [`WorkMeter`]: the
+    /// same loop, arithmetic and order, with every op charged as one
+    /// gate; it stops with the [`MeterStop`] the moment a gate/time
+    /// budget or deadline trips.
     pub fn eval_many_metered<W: Weight>(
         &self,
         prob_true: &[W],
         values: &mut Vec<W>,
         meter: &mut WorkMeter,
     ) -> Result<Vec<W>, MeterStop> {
-        assert_eq!(prob_true.len(), self.num_vars);
-        meter.check_now()?;
-        values.clear();
-        values.resize(self.ops.len(), W::zero());
-        for i in 0..self.ops.len() {
-            meter.charge_gates(1)?;
-            values[i] = match self.ops[i] {
-                FlatOp::Const(b) => {
-                    if b {
-                        W::one()
-                    } else {
-                        W::zero()
-                    }
-                }
-                FlatOp::Var(v) => prob_true[v as usize].clone(),
-                FlatOp::NegVar(v) => prob_true[v as usize].complement(),
-                FlatOp::And { start, len } => {
-                    let kids = &self.operands[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.mul(&values[c as usize]);
-                    }
-                    acc
-                }
-                FlatOp::Or { start, len } => {
-                    let kids = &self.operands[start as usize..(start + len) as usize];
-                    let mut acc = values[kids[0] as usize].clone();
-                    for &c in &kids[1..] {
-                        acc = acc.add(&values[c as usize]);
-                    }
-                    acc
-                }
-            };
-        }
-        Ok(self
-            .roots
-            .iter()
-            .map(|&r| values[r as usize].clone())
-            .collect())
+        self.run(prob_true, values, meter)
     }
 
     /// The raw-speed tier: root probabilities over plain `f64`
@@ -266,13 +201,40 @@ mod tests {
     #[test]
     fn matches_the_arena_evaluator() {
         let (a, root, unrelated) = sample();
-        let exact = a.probability_many(&[root, unrelated], &probs());
-        let flat = FlatArena::compile(&a, &[root, unrelated]);
         let pf: Vec<f64> = probs().iter().map(Rational::to_f64).collect();
+        let whole = a.probability_many(&[root, unrelated], &pf);
+        let flat = FlatArena::compile(&a, &[root, unrelated]);
         let got = flat.eval_f64_many(&pf, &mut Vec::new());
-        for (g, e) in got.iter().zip(&exact) {
-            assert!((g - e.to_f64()).abs() < 1e-12, "{g} vs {e}");
-        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&whole), "{got:?} vs {whole:?}");
+    }
+
+    #[test]
+    fn whole_store_and_cone_agree_bit_for_bit() {
+        let (a, root, unrelated) = sample();
+        let roots = [unrelated, root];
+        let flat = FlatArena::compile(&a, &roots);
+        let exact = probs();
+        assert_eq!(
+            flat.eval_many(&exact, &mut Vec::new()),
+            a.probability_many(&roots, &exact)
+        );
+        let pf: Vec<f64> = exact.iter().map(Rational::to_f64).collect();
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(flat.eval_f64_many(&pf, &mut Vec::new())),
+            bits(a.probability_many(&roots, &pf))
+        );
+        let pe: Vec<ErrF64> = exact.iter().map(ErrF64::from_rational).collect();
+        let err_bits = |xs: Vec<ErrF64>| {
+            xs.iter()
+                .map(|x| (x.value().to_bits(), x.abs_err_bound().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            err_bits(flat.eval_err_many(&pe, &mut Vec::new())),
+            err_bits(a.probability_many(&roots, &pe))
+        );
     }
 
     #[test]
@@ -342,20 +304,21 @@ mod tests {
     }
 
     #[test]
-    fn metered_arena_eval_matches_probability_many() {
+    fn metered_rational_slab_charges_every_op_and_trips_on_budget() {
         let (a, root, unrelated) = sample();
         let exact = a.probability_many(&[root, unrelated], &probs());
-        let mut scratch = crate::engine::EvalScratch::new();
+        let flat = FlatArena::compile(&a, &[root, unrelated]);
         let mut meter = WorkMeter::unbounded();
-        let metered = a
-            .probability_many_metered(&[root, unrelated], &probs(), &mut scratch, &mut meter)
+        let metered = flat
+            .eval_many_metered(&probs(), &mut Vec::new(), &mut meter)
             .unwrap();
         assert_eq!(exact, metered);
-        assert!(meter.gates_used() > 0);
+        assert_eq!(meter.gates_used(), flat.n_ops() as u64);
 
-        let mut tight = WorkMeter::unbounded().with_gate_budget(1);
-        let stopped = a.probability_many_metered(&[root], &probs(), &mut scratch, &mut tight);
-        assert_eq!(stopped, Err(MeterStop::Gates { limit: 1 }));
+        let limit = flat.n_ops() as u64 - 1;
+        let mut tight = WorkMeter::unbounded().with_gate_budget(limit);
+        let stopped = flat.eval_many_metered(&probs(), &mut Vec::new(), &mut tight);
+        assert_eq!(stopped, Err(MeterStop::Gates { limit }));
     }
 
     #[test]

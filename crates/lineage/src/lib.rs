@@ -12,24 +12,24 @@
 //!
 //! Since the provenance-engine refactor, every circuit-shaped lineage in
 //! the workspace lives in one arena IR and is evaluated by one
-//! semiring-generic bottom-up routine:
+//! semiring-generic bottom-up loop over a slab of ops:
 //!
 //! * [`engine`] — the [`Arena`](engine::Arena) IR (interned gates,
-//!   structural hashing, flat topological storage), the single
-//!   [`Semiring`](phom_num::Semiring)-generic evaluator
-//!   ([`Arena::eval_roots`](engine::Arena::eval_roots)), the gradient
-//!   backward sweep, and the [`Provenance`](engine::Provenance) handle
-//!   solver routes attach to their solutions;
+//!   structural hashing, flat topological storage), the one
+//!   [`Semiring`](phom_num::Semiring)-generic slab loop (run over the
+//!   whole store by [`Arena::eval_roots`](engine::Arena::eval_roots) and
+//!   friends), the gradient backward sweep, and the
+//!   [`Provenance`](engine::Provenance) handle solver routes attach to
+//!   their solutions;
 //! * [`dnf`] — positive DNFs, brute-force evaluation/probability (test
 //!   oracle), and [`Dnf::to_provenance`](dnf::Dnf::to_provenance);
 //! * [`hypergraph`] — hypergraphs, β-leaves, β-elimination orders;
 //! * [`beta`] — the polynomial-time β-acyclic DNF probability algorithm
 //!   (Weight-generic: runs over exact rationals, `f64`, or
 //!   [`Dual`](phom_num::Dual) numbers for sensitivities);
-//! * [`flat`] — [`FlatArena`](flat::FlatArena), the cone-restricted
-//!   flat-slab *run* representation behind the float evaluation tier
-//!   (compile once per plan, evaluate cache-linearly many times over
-//!   `f64` or [`ErrF64`](phom_num::ErrF64));
+//! * [`flat`] — [`FlatArena`](flat::FlatArena), the same loop over a
+//!   compiled cone: the roots' gates only, renumbered densely (the
+//!   serving engine's exact, float and metered passes);
 //! * [`circuit`] — d-DNNF circuits as arena views, with structural checks;
 //! * [`obdd`] — OBDD compilation; counting and probability route through
 //!   the engine via [`obdd::Manager::to_circuit`];
@@ -52,7 +52,7 @@ pub mod obdd;
 pub use beta::beta_dnf_probability;
 pub use circuit::{Circuit, GateId};
 pub use dnf::Dnf;
-pub use engine::{Arena, EvalScratch, Provenance, VarStatus};
+pub use engine::{Arena, Provenance, VarStatus};
 pub use flat::FlatArena;
 pub use hypergraph::Hypergraph;
 pub use meter::{MeterStop, WorkMeter};

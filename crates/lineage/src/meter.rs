@@ -9,14 +9,20 @@
 //! that is only consulted every [`CLOCK_CHECK_INTERVAL`] units so the
 //! hot loops pay an increment-and-compare, not a syscall, per gate.
 //!
-//! Evaluators thread a `&mut WorkMeter` through their bottom-up loops
-//! ([`Arena::probability_many_metered`](crate::engine::Arena::probability_many_metered),
-//! [`FlatArena::eval_many_metered`](crate::flat::FlatArena::eval_many_metered))
-//! and bail out with a [`MeterStop`] the moment a limit trips. The
-//! stop reason is deliberately lineage-local (no solver error types
-//! down here); `phom_core` maps it onto `SolveError::DeadlineExceeded`
-//! / `SolveError::BudgetExceeded` at the boundary.
+//! The engine's one slab loop takes its meter through a small `Meter`
+//! trait with two impls: `WorkMeter` charges one gate per op, and a
+//! zero-sized unmetered impl (error type `Infallible`) compiles away, so
+//! metered and unmetered passes run the same arithmetic in the same
+//! order.
+//! [`FlatArena::eval_many_metered`](crate::flat::FlatArena::eval_many_metered)
+//! is the metered circuit entry point; the Monte-Carlo sampler charges
+//! [`WorkMeter::charge_sample`] per world. Either bails out with a
+//! [`MeterStop`] the moment a limit trips. The stop reason is
+//! deliberately lineage-local (no solver error types down here);
+//! `phom_core` maps it onto `SolveError::DeadlineExceeded` /
+//! `SolveError::BudgetExceeded` at the boundary.
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 /// How many charged work units elapse between wall-clock reads. A
@@ -191,6 +197,49 @@ impl WorkMeter {
             }
         }
         self.charge_clock(1)
+    }
+}
+
+/// What the slab loop charges: a checkpoint before the first op, then
+/// one charge per op. [`WorkMeter`] charges one gate per op; the
+/// zero-sized [`Unmetered`] never stops and compiles away.
+pub(crate) trait Meter {
+    /// Why the loop stopped early.
+    type Stop;
+    /// The checkpoint before the first op.
+    fn begin(&mut self) -> Result<(), Self::Stop>;
+    /// Charges one op.
+    fn charge_op(&mut self) -> Result<(), Self::Stop>;
+}
+
+impl Meter for WorkMeter {
+    type Stop = MeterStop;
+
+    fn begin(&mut self) -> Result<(), MeterStop> {
+        self.check_now()
+    }
+
+    #[inline]
+    fn charge_op(&mut self) -> Result<(), MeterStop> {
+        self.charge_gates(1)
+    }
+}
+
+/// The meter of an unmetered pass: it cannot stop, so its callers
+/// destructure `Ok` without an `unwrap`.
+pub(crate) struct Unmetered;
+
+impl Meter for Unmetered {
+    type Stop = Infallible;
+
+    #[inline(always)]
+    fn begin(&mut self) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn charge_op(&mut self) -> Result<(), Infallible> {
+        Ok(())
     }
 }
 

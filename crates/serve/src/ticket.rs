@@ -151,7 +151,7 @@ impl Ticket {
     }
 
     /// Registers a completion callback, fired **exactly once** with the
-    /// resolution — whichever of tick completion, [`cancel`], a queue
+    /// resolution — whichever of tick completion, [`cancel`](Self::cancel), a queue
     /// shed, or runtime teardown lands it. If the ticket is already
     /// resolved, the callback fires immediately on the calling thread;
     /// otherwise it fires on the resolving thread, so it must be cheap

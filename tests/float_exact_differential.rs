@@ -9,12 +9,15 @@
 //!   **bit-for-bit identical** to what `Precision::Exact` returns — the
 //!   escalated pass is the same rational pass, so the tier can never
 //!   change an exact answer;
-//! * errors (hard cells, invalid queries) must be identical across tiers.
+//! * errors (hard cells, invalid queries) must be identical across tiers;
+//! * a metered request (deadline or gate budget) that finishes within its
+//!   limits answers byte-identically to its unmetered twin, in every tier.
 
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 /// A random instance spanning every column of the paper's tables.
 fn random_instance(rng: &mut SmallRng, profile: ProbProfile) -> ProbGraph {
@@ -277,4 +280,83 @@ fn float_answers_are_identical_across_shard_widths() {
             }
         }
     }
+}
+
+/// Submits one request alone to a fresh engine, so neither a cache nor a
+/// batch neighbour can shape its answer.
+fn solo(h: &ProbGraph, request: Request) -> (Result<Response, SolveError>, BatchStats) {
+    let (mut answers, stats) = Engine::new(h.clone()).submit_stats(&[request]);
+    (answers.pop().expect("one answer"), stats)
+}
+
+/// Metering never changes an answer: every tier's request, submitted
+/// alone unmetered, under a far deadline, and under a huge gate budget,
+/// answers byte-identically (compared by `Debug`). On the metered
+/// circuit path the gate budget is exact: the least budget that answers
+/// covers the charged slab ops, and one gate less trips
+/// `BudgetExceeded`.
+#[test]
+fn metered_twins_answer_byte_identically_in_every_tier() {
+    let mut rng = SmallRng::seed_from_u64(0x3E7E4ED);
+    let mut cases = 0usize;
+    let mut circuit_cases = 0usize;
+    for trial in 0..35 {
+        let h = random_instance(&mut rng, ProbProfile::default());
+        let queries: Vec<Graph> = (0..4).map(|_| random_query(&h, &mut rng)).collect();
+        let tol = [1e-2, 1e-9, 0.0][trial % 3];
+        for (i, q) in queries.iter().enumerate() {
+            for precision in [
+                Precision::Exact,
+                Precision::Float { max_rel_err: tol },
+                Precision::Auto { max_rel_err: tol },
+            ] {
+                cases += 1;
+                let ctx = format!("trial {trial}, query {i}, {precision:?}");
+                let base = Request::probability(q.clone()).precision(precision);
+                let with_gates = |gates: u64| {
+                    solo(
+                        &h,
+                        base.clone().budget(Budget::unlimited().with_gates(gates)),
+                    )
+                };
+                let (plain, _) = solo(&h, base.clone());
+                let (deadline, _) = solo(&h, base.clone().deadline(Duration::from_secs(3600)));
+                let (budget, stats) = with_gates(1 << 40);
+                let want = format!("{plain:?}");
+                assert_eq!(want, format!("{deadline:?}"), "{ctx}: deadline twin");
+                assert_eq!(want, format!("{budget:?}"), "{ctx}: budget twin");
+                if stats.circuit_batched == 0 {
+                    continue;
+                }
+                circuit_cases += 1;
+                // Binary search for the least gate budget that answers.
+                let (mut lo, mut hi) = (0u64, 1u64 << 40);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if with_gates(mid).0.is_ok() {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                assert!(hi > 0, "{ctx}: a circuit evaluates at least one op");
+                assert_eq!(
+                    want,
+                    format!("{:?}", with_gates(hi).0),
+                    "{ctx}: tight budget"
+                );
+                match with_gates(hi - 1).0 {
+                    Err(SolveError::BudgetExceeded { resource, limit }) => {
+                        assert_eq!((resource, limit), ("gates", hi - 1), "{ctx}");
+                    }
+                    other => panic!("{ctx}: budget {} answered {other:?}", hi - 1),
+                }
+            }
+        }
+    }
+    assert!(cases >= 400, "only {cases} cases ran");
+    assert!(
+        circuit_cases >= 50,
+        "only {circuit_cases} metered circuit cases ran"
+    );
 }
