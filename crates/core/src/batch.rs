@@ -1,35 +1,31 @@
-//! Batched query-set solving: interned query keys, instance
-//! fingerprints, the bounded answer cache, and the legacy `solve_many`
-//! entry points (now thin shims over [`crate::engine`]).
+//! The serving vocabulary shared by every cache layer: interned query
+//! keys, instance fingerprints, the bounded answer cache behind
+//! [`CacheHandle`], and the [`CacheStats`]/[`BatchStats`] counters.
 //!
 //! The serving path itself lives in [`crate::engine`]: a long-lived
-//! [`Engine`](crate::Engine) owns the instance-side state, a bounded
-//! [`EvalCache`], and a sharded submit loop. This module keeps the
-//! serving *vocabulary* — [`QueryKey`] (structural query identity),
-//! [`instance_fingerprint`] (content identity of a probabilistic
-//! instance), [`CacheStats`]/[`BatchStats`] observability — plus the
-//! pre-engine free functions `solve_many`/`solve_many_cached`/
-//! `solve_many_stats`, which now delegate to the engine's single-threaded
-//! batch core so no caller breaks.
+//! [`Engine`](crate::Engine) owns the instance-side state, a handle to
+//! a bounded answer cache, and a sharded submit loop. This module keeps
+//! [`QueryKey`] (structural query identity), [`instance_fingerprint`]
+//! (content identity of a probabilistic instance) and the cache itself.
 //!
 //! ## The answer cache
 //!
-//! [`EvalCache`] maps (instance fingerprint, solver-options fingerprint,
-//! request kind, interned query key) to the completed answer — the
-//! probability batch path caches `Result<Solution, Hardness>`, and the
-//! counting / sensitivity / UCQ request paths cache their full typed
-//! [`Response`](crate::Response)s under the same flat LRU order.
+//! The cache maps (instance fingerprint, solver-options fingerprint,
+//! request kind, interned query key) to the completed typed answer, a
+//! `Result<`[`Response`](crate::Response)`, SolveError>`, for every
+//! request kind under the same flat LRU order.
 //! Mutating the instance (structure *or* probabilities) changes its
 //! fingerprint and naturally invalidates every cached answer. Since one
-//! cache can serve many instances (a [`Fleet`](crate::Fleet) shares a
-//! single cache across every registered graph version), the cache is
-//! **bounded**: construct with [`EvalCache::with_capacity`] and the
-//! least-recently-used entry is evicted on overflow, counted in
-//! [`CacheStats::evictions`]. [`EvalCache::new`] keeps the historical
-//! unbounded behavior.
+//! cache can serve many instances (engines built with
+//! [`EngineBuilder::shared_cache`](crate::EngineBuilder::shared_cache)
+//! share one [`CacheHandle`] across every graph version they serve),
+//! the cache is **bounded**: construct with
+//! [`CacheHandle::with_capacity`] and the least-recently-used entry is
+//! evicted on overflow, counted in [`CacheStats::evictions`].
+//! [`CacheHandle::unbounded`] keeps no bound.
 
 use crate::engine::Response;
-use crate::solver::{Hardness, Solution, SolveError, SolverOptions};
+use crate::solver::{SolveError, SolverOptions};
 use phom_graph::{Graph, ProbGraph};
 use phom_lineage::fxhash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
@@ -109,7 +105,7 @@ impl Hash for QueryKey {
 /// with equal fingerprints serve interchangeable cached answers; any
 /// mutation — adding an edge, nudging a probability — moves the
 /// fingerprint and invalidates the cache for free. The same fingerprint
-/// keys engines inside a [`Fleet`](crate::Fleet).
+/// keys versions inside a `phom_serve::Runtime`.
 pub fn instance_fingerprint(instance: &ProbGraph) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(instance.graph().n_vertices() as u32);
@@ -218,17 +214,7 @@ impl Hash for CacheKey {
     }
 }
 
-/// A completed answer as stored in the cache: the probability batch path
-/// keeps its historical `Result<Solution, Hardness>` shape (the legacy
-/// shims still speak `Hardness`), while counting / sensitivity / UCQ
-/// responses are cached as full typed `Response`s.
-#[derive(Clone, Debug)]
-pub(crate) enum CachedAnswer {
-    Solution(Result<Solution, Hardness>),
-    Response(Result<Response, SolveError>),
-}
-
-/// Counters and size of an [`EvalCache`].
+/// Counters and size of an answer cache ([`CacheHandle::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache (no planning, no compilation).
@@ -244,13 +230,12 @@ pub struct CacheStats {
 /// A cross-batch answer cache for serving workloads; see the module docs
 /// for the key structure and invalidation story.
 ///
-/// Owned by the caller (or by an [`Engine`](crate::Engine) /
-/// [`Fleet`](crate::Fleet)) so one cache can serve many batches and many
-/// instances. Bound it with [`EvalCache::with_capacity`]: on overflow the
+/// Reached only through a [`CacheHandle`], so one cache can serve many
+/// batches, many engines and many instances. On overflow the
 /// least-recently-*used* entry (reads refresh recency) is evicted.
 /// Eviction is an `O(entries)` scan — caches are sized in the thousands,
 /// and the scan only runs on inserts past capacity, never on hits.
-pub struct EvalCache {
+pub(crate) struct EvalCache {
     map: FxHashMap<CacheKey, CacheEntry>,
     /// `usize::MAX` = unbounded (the historical behavior).
     capacity: usize,
@@ -263,26 +248,15 @@ pub struct EvalCache {
 
 struct CacheEntry {
     last_used: u64,
-    answer: CachedAnswer,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        EvalCache::new()
-    }
+    answer: Result<Response, SolveError>,
 }
 
 impl EvalCache {
-    /// An empty, **unbounded** cache.
-    pub fn new() -> Self {
-        EvalCache::with_capacity(usize::MAX)
-    }
-
     /// An empty cache holding at most `capacity` answers; the
     /// least-recently-used entry is evicted on overflow. `capacity == 0`
     /// disables retention entirely (every insert is evicted immediately;
     /// miss/eviction counters still advance).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EvalCache {
             map: FxHashMap::default(),
             capacity,
@@ -293,13 +267,8 @@ impl EvalCache {
         }
     }
 
-    /// The configured bound (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Hit/miss/eviction counters and current size.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -308,17 +277,15 @@ impl EvalCache {
         }
     }
 
-    /// Drops every entry. The cumulative hit/miss/eviction counters are
-    /// **kept**: they describe the cache's lifetime, not its contents
-    /// (clearing is not an eviction, so `evictions` does not advance
-    /// either). [`CacheStats::entries`] drops to 0.
-    pub fn clear(&mut self) {
+    /// Drops every entry, keeping the lifetime counters (see
+    /// [`CacheHandle::clear`]).
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
     }
 
     /// Looks up a completed answer, refreshing its recency and counting a
     /// hit when present.
-    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<&CachedAnswer> {
+    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<&Result<Response, SolveError>> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
@@ -333,7 +300,7 @@ impl EvalCache {
 
     /// Records a freshly solved answer (counted as a miss), evicting the
     /// least-recently-used entries if the bound is exceeded.
-    pub(crate) fn insert(&mut self, key: CacheKey, answer: CachedAnswer) {
+    pub(crate) fn insert(&mut self, key: CacheKey, answer: Result<Response, SolveError>) {
         if self.map.contains_key(&key) {
             return; // identical answer already present; keep its recency
         }
@@ -361,12 +328,12 @@ impl EvalCache {
     }
 }
 
-/// A cloneable, thread-safe handle to a shared [`EvalCache`] — the unit
-/// of cache *sharing* across serving surfaces. A [`Fleet`](crate::Fleet)
-/// hands one handle to every registered engine, and an external runtime
-/// (`phom_serve::Runtime`) does the same, so many instance versions
-/// compete for one bounded LRU capacity. Build an engine on a shared
-/// cache with [`EngineBuilder::shared_cache`](crate::EngineBuilder::shared_cache).
+/// A cloneable, thread-safe handle to an answer cache — the only public
+/// cache type, and the unit of cache *sharing* across serving surfaces.
+/// Engines built on one handle
+/// ([`EngineBuilder::shared_cache`](crate::EngineBuilder::shared_cache))
+/// and an external runtime (`phom_serve::Runtime`) compete for one
+/// bounded LRU capacity across every instance version they serve.
 #[derive(Clone)]
 pub struct CacheHandle {
     cache: Arc<Mutex<EvalCache>>,
@@ -390,8 +357,10 @@ impl CacheHandle {
         self.lock().stats()
     }
 
-    /// Drops every cached answer (lifetime counters are kept — see
-    /// [`EvalCache::clear`]).
+    /// Drops every cached answer. The cumulative hit/miss/eviction
+    /// counters are **kept**: they describe the cache's lifetime, not its
+    /// contents (clearing is not an eviction, so `evictions` does not
+    /// advance either). [`CacheStats::entries`] drops to 0.
     pub fn clear(&self) {
         self.lock().clear();
     }
@@ -414,7 +383,7 @@ pub struct BatchStats {
     pub queries: usize,
     /// Structurally distinct (query, options) pairs after interning.
     pub unique_queries: usize,
-    /// Unique queries answered from the [`EvalCache`].
+    /// Unique queries answered from the answer cache.
     pub cache_hits: usize,
     /// Unique queries answered through a shard's single engine pass over
     /// its compiled lineage arena.
@@ -453,50 +422,11 @@ pub struct BatchStats {
     pub budget_exceeded: usize,
 }
 
-/// Batched solving: answers every query in `queries` against `instance`,
-/// preserving order. Results are identical to per-query `solve_with`
-/// calls.
-#[deprecated(note = "build a long-lived `phom_core::Engine` and call \
-                     `Engine::submit` (sharded, cached) instead")]
-pub fn solve_many(
-    queries: &[Graph],
-    instance: &ProbGraph,
-    opts: SolverOptions,
-) -> Vec<Result<Solution, Hardness>> {
-    crate::engine::legacy_batch(queries, instance, opts, None).0
-}
-
-/// As [`solve_many`], with a caller-owned [`EvalCache`]: repeated queries
-/// across batches skip compilation entirely while the instance
-/// fingerprint holds.
-#[deprecated(note = "build a long-lived `phom_core::Engine` (it owns a \
-                     bounded `EvalCache`) and call `Engine::submit` instead")]
-pub fn solve_many_cached(
-    queries: &[Graph],
-    instance: &ProbGraph,
-    opts: SolverOptions,
-    cache: &mut EvalCache,
-) -> Vec<Result<Solution, Hardness>> {
-    crate::engine::legacy_batch(queries, instance, opts, Some(cache)).0
-}
-
-/// The full-control legacy entry point: optional cache, and the batch
-/// statistics alongside the results.
-#[deprecated(note = "build a long-lived `phom_core::Engine` and call \
-                     `Engine::submit_stats` instead")]
-pub fn solve_many_stats(
-    queries: &[Graph],
-    instance: &ProbGraph,
-    opts: SolverOptions,
-    cache: Option<&mut EvalCache>,
-) -> (Vec<Result<Solution, Hardness>>, BatchStats) {
-    crate::engine::legacy_batch(queries, instance, opts, cache)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the suite pins the legacy shims to the engine path
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Request};
+    use crate::solver::{solve_with_impl, Hardness, Solution};
     use phom_graph::generate::{self, ProbProfile};
     use phom_graph::{Graph, Label};
     use phom_num::Rational;
@@ -510,6 +440,40 @@ mod tests {
             ProbProfile::default(),
             &mut rng,
         )
+    }
+
+    /// An engine serving `h` off the shared `cache`.
+    fn engine_on(h: &ProbGraph, cache: &CacheHandle) -> Engine {
+        Engine::builder()
+            .shared_cache(cache.clone())
+            .build(h.clone())
+    }
+
+    /// Submits `queries` as exact probability requests and unwraps each
+    /// answer to its `Solution`.
+    fn submit(
+        engine: &Engine,
+        queries: &[Graph],
+    ) -> (Vec<Result<Solution, SolveError>>, BatchStats) {
+        let requests: Vec<Request> = queries
+            .iter()
+            .map(|q| Request::probability(q.clone()))
+            .collect();
+        let (answers, stats) = engine.submit_stats(&requests);
+        let answers = answers
+            .into_iter()
+            .map(|a| {
+                a.map(|r| match r {
+                    Response::Probability(sol) => sol,
+                    other => panic!("exact request answered as {other:?}"),
+                })
+            })
+            .collect();
+        (answers, stats)
+    }
+
+    fn probability(answer: &Result<Solution, SolveError>) -> &Rational {
+        &answer.as_ref().expect("tractable query").probability
     }
 
     #[test]
@@ -526,17 +490,17 @@ mod tests {
             })
             .collect();
         let opts = SolverOptions::default();
-        let (batch, stats) = solve_many_stats(&queries, &h, opts, None);
+        let (batch, stats) = submit(&Engine::new(h.clone()), &queries);
         assert_eq!(batch.len(), queries.len());
         assert!(stats.unique_queries <= stats.queries);
-        assert_eq!(stats.shards, 1, "legacy shims stay sequential");
+        assert_eq!(stats.shards, 1, "one shard by default");
         for (i, q) in queries.iter().enumerate() {
-            match (&batch[i], crate::solve_with(q, &h, opts)) {
+            match (&batch[i], solve_with_impl(q, &h, opts)) {
                 (Ok(b), Ok(s)) => {
                     assert_eq!(b.probability, s.probability, "query {i}");
                     assert_eq!(b.route, s.route, "query {i}");
                 }
-                (Err(b), Err(s)) => assert_eq!(b, &s, "query {i}"),
+                (Err(SolveError::Hard(b)), Err(s)) => assert_eq!(b, &s, "query {i}"),
                 (b, s) => panic!("query {i}: batch {b:?} vs solo {s:?}"),
             }
         }
@@ -547,12 +511,12 @@ mod tests {
         let h = twp_instance(7);
         let q = Graph::one_way_path(&[Label(0), Label(1)]);
         let queries = vec![q.clone(); 10];
-        let (results, stats) = solve_many_stats(&queries, &h, SolverOptions::default(), None);
+        let (results, stats) = submit(&Engine::new(h.clone()), &queries);
         assert_eq!(stats.queries, 10);
         assert_eq!(stats.unique_queries, 1);
-        let expect = crate::solve(&q, &h).unwrap();
+        let expect = solve_with_impl(&q, &h, SolverOptions::default()).unwrap();
         for r in &results {
-            assert_eq!(r.as_ref().unwrap().probability, expect.probability);
+            assert_eq!(probability(r), &expect.probability);
         }
     }
 
@@ -563,21 +527,18 @@ mod tests {
         let queries: Vec<Graph> = (0..4)
             .map(|_| generate::connected(3, 1, 2, &mut rng))
             .collect();
-        let opts = SolverOptions::default();
-        let mut cache = EvalCache::new();
-        let (first, s1) = solve_many_stats(&queries, &h, opts, Some(&mut cache));
+        let cache = CacheHandle::unbounded();
+        let engine = engine_on(&h, &cache);
+        let (first, s1) = submit(&engine, &queries);
         assert_eq!(s1.cache_hits, 0);
         let misses_after_first = cache.stats().misses;
         assert_eq!(misses_after_first as usize, s1.unique_queries);
         // Second batch: everything comes from the cache.
-        let (second, s2) = solve_many_stats(&queries, &h, opts, Some(&mut cache));
+        let (second, s2) = submit(&engine, &queries);
         assert_eq!(s2.cache_hits, s2.unique_queries);
         assert_eq!(s2.circuit_batched + s2.general_solved, 0);
         for (a, b) in first.iter().zip(&second) {
-            assert_eq!(
-                a.as_ref().unwrap().probability,
-                b.as_ref().unwrap().probability
-            );
+            assert_eq!(probability(a), probability(b));
         }
         // Mutate one probability: the fingerprint moves, the cache misses,
         // and answers are re-derived (and still correct).
@@ -585,12 +546,14 @@ mod tests {
         probs[0] = Rational::from_ratio(1, 7);
         let h2 = ProbGraph::new(h.graph().clone(), probs);
         assert_ne!(instance_fingerprint(&h), instance_fingerprint(&h2));
-        let (third, s3) = solve_many_stats(&queries, &h2, opts, Some(&mut cache));
+        let (third, s3) = submit(&engine_on(&h2, &cache), &queries);
         assert_eq!(s3.cache_hits, 0);
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(
-                third[i].as_ref().unwrap().probability,
-                crate::solve(q, &h2).unwrap().probability
+                probability(&third[i]),
+                &solve_with_impl(q, &h2, SolverOptions::default())
+                    .unwrap()
+                    .probability
             );
         }
     }
@@ -602,10 +565,9 @@ mod tests {
         let queries: Vec<Graph> = (0..5)
             .map(|_| generate::connected(3, 1, 2, &mut rng))
             .collect();
-        let opts = SolverOptions::default();
-        let mut cache = EvalCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let (_, s1) = solve_many_stats(&queries, &h, opts, Some(&mut cache));
+        let cache = CacheHandle::with_capacity(2);
+        let engine = engine_on(&h, &cache);
+        let (_, s1) = submit(&engine, &queries);
         let stats = cache.stats();
         assert!(stats.entries <= 2, "{stats:?}");
         assert_eq!(
@@ -618,7 +580,7 @@ mod tests {
         // stays within capacity and hits.
         let tail: Vec<Graph> = queries[queries.len() - 2..].to_vec();
         let before = cache.stats();
-        let (answers, s2) = solve_many_stats(&tail, &h, opts, Some(&mut cache));
+        let (answers, s2) = submit(&engine, &tail);
         // Correctness is unaffected by eviction either way.
         assert_eq!(s2.cache_hits + s2.circuit_batched + s2.general_solved, {
             s2.unique_queries
@@ -626,8 +588,10 @@ mod tests {
         assert!(cache.stats().hits >= before.hits);
         for (q, a) in tail.iter().zip(&answers) {
             assert_eq!(
-                a.as_ref().unwrap().probability,
-                crate::solve(q, &h).unwrap().probability
+                probability(a),
+                &solve_with_impl(q, &h, SolverOptions::default())
+                    .unwrap()
+                    .probability
             );
         }
     }
@@ -641,7 +605,7 @@ mod tests {
             query: QueryKey::new(&Graph::directed_path(1)),
         };
         let answer = || {
-            CachedAnswer::Solution(Err(Hardness {
+            Err(SolveError::Hard(Hardness {
                 prop: "test",
                 cell: String::new(),
             }))
@@ -662,10 +626,10 @@ mod tests {
     fn clear_drops_entries_but_keeps_counters() {
         let h = twp_instance(5);
         let q = Graph::one_way_path(&[Label(0)]);
-        let mut cache = EvalCache::new();
-        let opts = SolverOptions::default();
-        let _ = solve_many_cached(std::slice::from_ref(&q), &h, opts, &mut cache);
-        let _ = solve_many_cached(std::slice::from_ref(&q), &h, opts, &mut cache);
+        let cache = CacheHandle::unbounded();
+        let engine = engine_on(&h, &cache);
+        let _ = submit(&engine, std::slice::from_ref(&q));
+        let _ = submit(&engine, std::slice::from_ref(&q));
         let before = cache.stats();
         assert!(before.hits > 0 && before.misses > 0 && before.entries > 0);
         cache.clear();
@@ -675,7 +639,7 @@ mod tests {
         assert_eq!(after.misses, before.misses);
         assert_eq!(after.evictions, before.evictions);
         // The next batch re-solves and re-fills.
-        let (_, s) = solve_many_stats(&[q], &h, opts, Some(&mut cache));
+        let (_, s) = submit(&engine, &[q]);
         assert_eq!(s.cache_hits, 0);
         assert_eq!(cache.stats().entries, 1);
     }
@@ -684,15 +648,10 @@ mod tests {
     fn zero_capacity_retains_nothing() {
         let h = twp_instance(9);
         let q = Graph::one_way_path(&[Label(0)]);
-        let mut cache = EvalCache::with_capacity(0);
-        let _ = solve_many_cached(
-            std::slice::from_ref(&q),
-            &h,
-            SolverOptions::default(),
-            &mut cache,
-        );
-        let _ = solve_many_cached(&[q], &h, SolverOptions::default(), &mut cache);
-        let s = cache.stats();
+        let engine = Engine::builder().cache_capacity(0).build(h);
+        let _ = submit(&engine, std::slice::from_ref(&q));
+        let _ = submit(&engine, &[q]);
+        let s = engine.cache_stats();
         assert_eq!(s.entries, 0);
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, s.evictions);
@@ -727,7 +686,7 @@ mod tests {
         let queries: Vec<Graph> = (0..6)
             .map(|_| generate::connected(rng.gen_range(2..4), 1, 2, &mut rng))
             .collect();
-        let (_, stats) = solve_many_stats(&queries, &h, SolverOptions::default(), None);
+        let (_, stats) = submit(&Engine::new(h), &queries);
         // On a connected 2WP instance every connected query batches.
         assert!(stats.circuit_batched > 0, "{stats:?}");
         assert!(stats.shared_gates > 2, "{stats:?}");

@@ -1,7 +1,8 @@
 //! The session-oriented serving surface: a long-lived [`Engine`] per
-//! probabilistic instance, typed [`Request`]s/[`Response`]s, sharded
-//! batch submission, and a [`Fleet`] registry for serving many graph
-//! versions at once.
+//! probabilistic instance, typed [`Request`]s/[`Response`]s, and sharded
+//! batch submission. Many graph versions share one bounded answer cache
+//! by building their engines on one [`CacheHandle`]
+//! ([`EngineBuilder::shared_cache`]).
 //!
 //! The paper's dichotomy makes query evaluation a *routing* problem —
 //! every tractable `PHom` route ends in one engine pass — and a serving
@@ -12,9 +13,9 @@
 //! * the [`ProbGraph`] instance plus its cached
 //!   [`InstanceState`](crate::solver) (classification, labels, lazy
 //!   component split);
-//! * a **bounded LRU [`EvalCache`]** keyed by (instance fingerprint,
-//!   options fingerprint, interned query) — see
-//!   [`EngineBuilder::cache_capacity`];
+//! * a handle to a **bounded LRU answer cache** keyed by (instance
+//!   fingerprint, options fingerprint, interned query) — see
+//!   [`EngineBuilder::cache_capacity`] and [`CacheHandle`];
 //! * a **shard width** ([`EngineBuilder::threads`]): `submit` distributes
 //!   the batch's unique, uncached queries across scoped worker threads.
 //!
@@ -27,9 +28,9 @@
 //! exact rational probability — does not depend on which arena it lands
 //! in or on what else that arena holds (interning only deduplicates
 //! structurally identical gates), so `submit` returns **bit-identical**
-//! `Response`s for `threads = 1`, `threads = N`, and the legacy
-//! `solve_many` path. The equivalence suite in `tests/engine_api.rs`
-//! asserts exactly this.
+//! `Response`s for `threads = 1` and `threads = N`. The equivalence
+//! suite in `tests/engine_api.rs` asserts exactly this, and checks the
+//! answers against brute force.
 //!
 //! ## Quick start
 //!
@@ -61,7 +62,7 @@
 use crate::algo::lineage_circuits;
 use crate::batch::{
     instance_fingerprint, opts_fingerprint, BatchStats, CacheHandle, CacheKey, CacheKind,
-    CacheStats, CachedAnswer, EvalCache, QueryKey,
+    CacheStats, EvalCache, QueryKey,
 };
 use crate::sensitivity::{self, SensitivityRoute};
 use crate::solver::{
@@ -468,10 +469,10 @@ impl EngineBuilder {
         }
     }
 
-    /// Bound the engine's [`EvalCache`] to `n` answers (LRU eviction).
-    /// Ignored when the engine joins a shared cache
-    /// ([`shared_cache`](EngineBuilder::shared_cache) / [`Fleet`]) —
-    /// the shared handle carries the bound.
+    /// Bound the engine's answer cache to `n` answers (LRU eviction;
+    /// `0` retains nothing). Ignored when the engine joins a shared cache
+    /// ([`shared_cache`](EngineBuilder::shared_cache)) — the shared
+    /// handle carries the bound.
     pub fn cache_capacity(mut self, n: usize) -> Self {
         self.cache_capacity = n;
         self
@@ -496,9 +497,9 @@ impl EngineBuilder {
 
     /// Joins an existing shared answer cache: the engine probes and
     /// fills `cache` instead of allocating its own, so many engines
-    /// (a [`Fleet`], a `phom_serve::Runtime`) compete for one bounded
-    /// LRU capacity. Cache keys embed the instance fingerprint — answers
-    /// never leak across versions.
+    /// (one per served graph version, or a `phom_serve::Runtime`'s)
+    /// compete for one bounded LRU capacity. Cache keys embed the
+    /// instance fingerprint — answers never leak across versions.
     pub fn shared_cache(mut self, cache: CacheHandle) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -561,7 +562,9 @@ impl Engine {
     }
 
     /// The instance's content fingerprint
-    /// ([`instance_fingerprint`]) — the routing key inside a [`Fleet`].
+    /// ([`instance_fingerprint`]) — the version key a
+    /// `phom_serve::Runtime` registers the engine under, and part of
+    /// every cache key.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -576,14 +579,15 @@ impl Engine {
         self.default_options
     }
 
-    /// Counters and size of the engine's answer cache. For a fleet
-    /// member these describe the *shared* cache.
+    /// Counters and size of the engine's answer cache. For an engine
+    /// built on a [`shared_cache`](EngineBuilder::shared_cache) these
+    /// describe the *shared* cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.lock_cache().stats()
     }
 
     /// Drops every cached answer (lifetime counters are kept — see
-    /// [`EvalCache::clear`]).
+    /// [`CacheHandle::clear`]).
     pub fn clear_cache(&self) {
         self.lock_cache().clear();
     }
@@ -626,7 +630,8 @@ impl Engine {
     ///
     /// The cache lock is held only for the (cheap) probe and fill
     /// phases, never across planning or solving — concurrent `submit`
-    /// calls against one engine (or one fleet) overlap their solve work.
+    /// calls against one engine (or engines on one shared cache) overlap
+    /// their solve work.
     /// Two concurrent misses of the same query may both solve it; the
     /// second insert is a no-op.
     ///
@@ -664,13 +669,7 @@ impl Engine {
         let opts = request.resolved_options(self.default_options);
         let key = self.request_cache_key(request, &opts);
         if let Some(key) = &key {
-            let cached = {
-                let mut guard = self.lock_cache();
-                match guard.get(key) {
-                    Some(CachedAnswer::Response(r)) => Some(r.clone()),
-                    _ => None,
-                }
-            };
+            let cached = self.lock_cache().get(key).cloned();
             if let Some(response) = cached {
                 return response;
             }
@@ -700,8 +699,7 @@ impl Engine {
                     | SolveError::BudgetExceeded { .. })
             ) || (time_capped && matches!(result, Ok(Response::Estimate { .. })));
             if !transient {
-                self.lock_cache()
-                    .insert(key, CachedAnswer::Response(result.clone()));
+                self.lock_cache().insert(key, result.clone());
             }
         }
         result
@@ -843,146 +841,7 @@ impl Engine {
 }
 
 // ---------------------------------------------------------------------
-// Fleet
-// ---------------------------------------------------------------------
-
-/// A registry of [`Engine`]s keyed by [`instance_fingerprint`], for
-/// processes serving **many graph versions** at once (the ROADMAP's
-/// cross-instance item). All member engines share **one** bounded
-/// [`EvalCache`] — the cache key embeds the instance fingerprint, so
-/// answers never leak across versions while hot versions compete for the
-/// same capacity.
-///
-/// ```
-/// use phom_core::{Fleet, Request, Response};
-/// use phom_graph::{Graph, ProbGraph};
-/// use phom_num::Rational;
-///
-/// let mut fleet = Fleet::with_cache_capacity(4096);
-/// let v1 = ProbGraph::new(Graph::directed_path(2), vec![
-///     Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)]);
-/// let fp = fleet.register(v1);
-/// let answers = fleet
-///     .submit(fp, &[Request::probability(Graph::directed_path(1))])
-///     .expect("registered version");
-/// assert_eq!(
-///     answers[0].as_ref().unwrap().probability(),
-///     Some(&Rational::from_ratio(3, 4)),
-/// );
-/// ```
-pub struct Fleet {
-    cache: CacheHandle,
-    engines: FxHashMap<u64, Engine>,
-    threads: usize,
-    default_options: SolverOptions,
-}
-
-impl Default for Fleet {
-    fn default() -> Self {
-        Fleet::new()
-    }
-}
-
-impl Fleet {
-    /// An empty fleet with an unbounded shared cache.
-    pub fn new() -> Self {
-        Fleet::with_cache_capacity(usize::MAX)
-    }
-
-    /// An empty fleet whose members share one cache bounded to
-    /// `capacity` answers (LRU across *all* served instances).
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        Fleet {
-            cache: CacheHandle::with_capacity(capacity),
-            engines: FxHashMap::default(),
-            threads: 1,
-            default_options: SolverOptions::default(),
-        }
-    }
-
-    /// Shard width applied to engines registered from now on.
-    pub fn threads(mut self, k: usize) -> Self {
-        self.threads = k;
-        self
-    }
-
-    /// Default [`SolverOptions`] applied to engines registered from now
-    /// on.
-    pub fn default_options(mut self, options: SolverOptions) -> Self {
-        self.default_options = options;
-        self
-    }
-
-    /// Registers an instance version, building its engine on the shared
-    /// cache, and returns its routing fingerprint. Re-registering an
-    /// identical instance replaces the engine (same fingerprint, same
-    /// cached answers).
-    pub fn register(&mut self, instance: ProbGraph) -> u64 {
-        let engine = EngineBuilder::new()
-            .threads(self.threads)
-            .default_options(self.default_options)
-            .shared_cache(self.cache.clone())
-            .build(instance);
-        let fingerprint = engine.fingerprint();
-        self.engines.insert(fingerprint, engine);
-        fingerprint
-    }
-
-    /// Removes a served version, freeing its engine (its cached answers
-    /// age out of the shared cache naturally).
-    pub fn deregister(&mut self, fingerprint: u64) -> bool {
-        self.engines.remove(&fingerprint).is_some()
-    }
-
-    /// The engine serving `fingerprint`, if registered.
-    pub fn engine(&self, fingerprint: u64) -> Option<&Engine> {
-        self.engines.get(&fingerprint)
-    }
-
-    /// Routes a batch to the engine serving `fingerprint`; `None` when no
-    /// such version is registered.
-    pub fn submit(
-        &self,
-        fingerprint: u64,
-        requests: &[Request],
-    ) -> Option<Vec<Result<Response, SolveError>>> {
-        Some(self.engine(fingerprint)?.submit(requests))
-    }
-
-    /// Registered versions.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// True iff no version is registered.
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
-    /// The routing fingerprints of every registered version.
-    pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.engines.keys().copied()
-    }
-
-    /// Counters and size of the shared cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// A cloneable handle to the fleet's shared cache (for building
-    /// further engines or runtimes on the same capacity).
-    pub fn cache_handle(&self) -> CacheHandle {
-        self.cache.clone()
-    }
-
-    /// Drops every cached answer across all served versions.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// The batch core (shared by Engine::submit and the legacy shims)
+// The batch core (shared by Engine::submit and the tick seam)
 // ---------------------------------------------------------------------
 
 /// One probability query with its resolved options.
@@ -1195,7 +1054,7 @@ fn plan_tick(engine: &Engine, requests: &[Request], config: &TickConfig) -> Plan
     let mut served: Vec<(usize, Result<Response, SolveError>)> = Vec::new();
     let mut prepared = {
         let mut guard = engine.lock_cache();
-        let prepared = prepare_batch(&prob_items, Some(&mut guard), engine.fingerprint);
+        let prepared = prepare_batch(&prob_items, &mut guard, engine.fingerprint);
         // Non-probability requests probe the cache at plan time too, so
         // a cached counting/sensitivity/UCQ answer produces no unit and
         // never queues behind a saturated (or panicking) pool.
@@ -1203,7 +1062,7 @@ fn plan_tick(engine: &Engine, requests: &[Request], config: &TickConfig) -> Plan
             let request = &requests[i];
             let opts = request.resolved_options(engine.default_options);
             if let Some(key) = engine.request_cache_key(request, &opts) {
-                if let Some(CachedAnswer::Response(response)) = guard.get(&key) {
+                if let Some(response) = guard.get(&key) {
                     served.push((i, response.clone()));
                     continue;
                 }
@@ -1273,7 +1132,7 @@ fn finish_tick(
     }
     let (prob_results, stats) = {
         let mut guard = engine.lock_cache();
-        finalize_batch(prepared, Some(&mut guard), engine.fingerprint)
+        finalize_batch(prepared, &mut guard, engine.fingerprint)
     };
     for (i, result) in prob_req.into_iter().zip(prob_results) {
         out[i] = Some(result);
@@ -1319,7 +1178,7 @@ fn count_degradations(stats: &mut BatchStats, answer: &Result<Response, SolveErr
 /// is the phase an [`Engine`] holds its cache lock around.
 fn prepare_batch(
     items: &[BatchItem<'_>],
-    mut cache: Option<&mut EvalCache>,
+    cache: &mut EvalCache,
     fingerprint: u64,
 ) -> PreparedBatch {
     let mut stats = BatchStats {
@@ -1358,34 +1217,18 @@ fn prepare_batch(
     slots.resize_with(unique.len(), || None);
     let mut pending: Vec<MissSlot> = Vec::new();
     for (slot, (item_idx, opts_fp, key)) in unique.iter().enumerate() {
-        if let Some(c) = cache.as_deref_mut() {
-            let ckey = CacheKey {
-                instance: fingerprint,
-                opts: *opts_fp,
-                kind: CacheKind::Probability,
-                query: key.clone(),
-            };
-            // Exact answers are stored as `Solution`s, float-tier answers
-            // as full `Response`s; the options fingerprint (which folds
-            // in the precision) keeps the two populations disjoint.
-            match c.get(&ckey) {
-                Some(CachedAnswer::Solution(answer)) => {
-                    stats.cache_hits += 1;
-                    slots[slot] = Some(
-                        answer
-                            .clone()
-                            .map(Response::Probability)
-                            .map_err(SolveError::Hard),
-                    );
-                    continue;
-                }
-                Some(CachedAnswer::Response(response)) => {
-                    stats.cache_hits += 1;
-                    slots[slot] = Some(response.clone());
-                    continue;
-                }
-                None => {}
-            }
+        let ckey = CacheKey {
+            instance: fingerprint,
+            opts: *opts_fp,
+            kind: CacheKind::Probability,
+            query: key.clone(),
+        };
+        // Exact and float-tier answers never alias: the options
+        // fingerprint folds in the precision.
+        if let Some(answer) = cache.get(&ckey) {
+            stats.cache_hits += 1;
+            slots[slot] = Some(answer.clone());
+            continue;
         }
         pending.push(MissSlot {
             slot,
@@ -1528,7 +1371,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// surfaces as `Err(SolveError::Internal)`, never a panic.
 fn finalize_batch(
     prepared: PreparedBatch,
-    cache: Option<&mut EvalCache>,
+    cache: &mut EvalCache,
     fingerprint: u64,
 ) -> (Vec<Result<Response, SolveError>>, BatchStats) {
     let PreparedBatch {
@@ -1545,27 +1388,23 @@ fn finalize_batch(
             slot.unwrap_or_else(|| Err(SolveError::Internal("a shard's output was lost".into())))
         })
         .collect();
-    if let Some(c) = cache {
-        for ((_, opts_fp, key), answer) in unique.into_iter().zip(&slots) {
-            let cached = match answer {
-                Ok(Response::Probability(sol)) => CachedAnswer::Solution(Ok(sol.clone())),
-                Ok(approx @ Response::Approximate { .. }) => {
-                    CachedAnswer::Response(Ok(approx.clone()))
-                }
-                Ok(_) => continue,
-                Err(SolveError::Hard(h)) => CachedAnswer::Solution(Err(h.clone())),
-                Err(_) => continue,
-            };
-            c.insert(
-                CacheKey {
-                    instance: fingerprint,
-                    opts: opts_fp,
-                    kind: CacheKind::Probability,
-                    query: key,
-                },
-                cached,
-            );
+    for ((_, opts_fp, key), answer) in unique.into_iter().zip(&slots) {
+        let deterministic = matches!(
+            answer,
+            Ok(Response::Probability(_) | Response::Approximate { .. }) | Err(SolveError::Hard(_))
+        );
+        if !deterministic {
+            continue;
         }
+        cache.insert(
+            CacheKey {
+                instance: fingerprint,
+                opts: opts_fp,
+                kind: CacheKind::Probability,
+                query: key,
+            },
+            answer.clone(),
+        );
     }
     let results = slot_of_item.iter().map(|&s| slots[s].clone()).collect();
     (results, stats)
@@ -2041,64 +1880,6 @@ fn run_shard(
     outcome
 }
 
-/// The legacy `solve_many*` core: uniform options, caller-owned cache,
-/// single shard. Kept so the deprecated shims in [`crate::batch`] stay
-/// bit-identical to their historical behavior — including propagating a
-/// worker panic to the caller (the typed containment is an [`Engine`]
-/// surface; these shims still speak bare `Hardness`).
-pub(crate) fn legacy_batch(
-    queries: &[Graph],
-    instance: &ProbGraph,
-    opts: SolverOptions,
-    mut cache: Option<&mut EvalCache>,
-) -> (Vec<Result<Solution, Hardness>>, BatchStats) {
-    // The legacy surface predates the float tiers and speaks `Solution`
-    // only — exact precision, whatever the caller's options say.
-    let opts = SolverOptions {
-        precision: Precision::Exact,
-        ..opts
-    };
-    let state = InstanceState::new(instance);
-    let shared = SharedInstance::new(instance, &state);
-    let items: Vec<BatchItem> = queries
-        .iter()
-        .map(|query| BatchItem {
-            query,
-            opts,
-            deadline_at: None,
-        })
-        .collect();
-    let fingerprint = if cache.is_some() {
-        instance_fingerprint(instance)
-    } else {
-        0 // never read: the cache is what consumes the fingerprint
-    };
-    let mut prepared = prepare_batch(&items, cache.as_deref_mut(), fingerprint);
-    let pending = plan_pending(shared, &items, &mut prepared);
-    let mut scratch = WorkerScratch::new();
-    for unit in shard_units(pending, 1, &mut prepared.stats) {
-        let UnitWork::Shard(work) = unit else {
-            unreachable!("probability-only batch")
-        };
-        apply_shard(&mut prepared, run_shard_guarded(shared, work, &mut scratch));
-    }
-    let (results, stats) = finalize_batch(prepared, cache, fingerprint);
-    let results = results
-        .into_iter()
-        .map(|r| {
-            r.map(|resp| match resp {
-                Response::Probability(sol) => sol,
-                other => unreachable!("exact batch answered as {other:?}"),
-            })
-            .map_err(|e| match e {
-                SolveError::Hard(h) => h,
-                other => panic!("{other}"),
-            })
-        })
-        .collect();
-    (results, stats)
-}
-
 // ---------------------------------------------------------------------
 // The tick seam: external worker pools
 // ---------------------------------------------------------------------
@@ -2296,16 +2077,19 @@ mod tests {
         )
     }
 
+    /// `Engine::solve` answers as the engine-less single-query path
+    /// ([`solve_with_impl`]) and brute force do, then serves the repeat
+    /// from its cache.
     #[test]
     fn engine_solve_matches_legacy_and_caches() {
         let h = twp_instance(0xE1);
         let q = Graph::one_way_path(&[Label(0), Label(1)]);
         let engine = Engine::new(h.clone());
         let sol = engine.solve(&q).unwrap();
-        #[allow(deprecated)]
-        let legacy = crate::solve(&q, &h).unwrap();
-        assert_eq!(sol.probability, legacy.probability);
-        assert_eq!(sol.route, legacy.route);
+        let reference = solve_with_impl(&q, &h, SolverOptions::default()).unwrap();
+        assert_eq!(sol.probability, reference.probability);
+        assert_eq!(sol.route, reference.route);
+        assert_eq!(sol.probability, crate::bruteforce::probability(&q, &h));
         let _ = engine.solve(&q).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(stats.hits, 1);
@@ -2416,34 +2200,41 @@ mod tests {
         assert_eq!(engine.cache_stats().hits, 1);
     }
 
+    /// A fleet of engines, one per instance version, built on one cache
+    /// handle: each keys its entries by its own fingerprint, so both
+    /// versions live in the one bounded cache without crossing.
     #[test]
     fn fleet_routes_by_fingerprint_and_shares_cache() {
         let h1 = twp_instance(1);
         let h2 = twp_instance(2);
-        let mut fleet = Fleet::with_cache_capacity(64);
-        let fp1 = fleet.register(h1.clone());
-        let fp2 = fleet.register(h2);
-        assert_ne!(fp1, fp2);
-        assert_eq!(fleet.len(), 2);
+        let cache = CacheHandle::with_capacity(64);
+        let on_cache = |h: &ProbGraph| {
+            Engine::builder()
+                .shared_cache(cache.clone())
+                .build(h.clone())
+        };
+        let (e1, e2) = (on_cache(&h1), on_cache(&h2));
+        assert_ne!(e1.fingerprint(), e2.fingerprint());
         let q = Graph::one_way_path(&[Label(0)]);
-        let r1 = fleet
-            .submit(fp1, &[Request::probability(q.clone())])
-            .unwrap();
-        let r2 = fleet
-            .submit(fp2, &[Request::probability(q.clone())])
-            .unwrap();
-        #[allow(deprecated)]
-        let expect = crate::solve(&q, &h1).unwrap();
+        let r1 = e1.submit(&[Request::probability(q.clone())]);
+        let r2 = e2.submit(&[Request::probability(q.clone())]);
+        for (answers, h) in [(&r1, &h1), (&r2, &h2)] {
+            assert_eq!(
+                answers[0].as_ref().unwrap().probability().unwrap(),
+                &crate::bruteforce::probability(&q, h)
+            );
+        }
+        // Both versions are cached in the one shared cache under
+        // distinct fingerprints, and each engine reports the shared
+        // counters.
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(e1.cache_stats(), cache.stats());
+        // The repeat on the first version hits its own entry.
+        let again = e1.submit(&[Request::probability(q)]);
         assert_eq!(
-            r1[0].as_ref().unwrap().probability().unwrap(),
-            &expect.probability
+            again[0].as_ref().unwrap().probability(),
+            r1[0].as_ref().unwrap().probability()
         );
-        // Different versions may answer differently; both are cached in
-        // the one shared cache under distinct fingerprints.
-        let _ = r2;
-        assert_eq!(fleet.cache_stats().misses, 2);
-        assert!(fleet.submit(fp1 ^ fp2 ^ 1, &[]).is_none());
-        assert!(fleet.deregister(fp2));
-        assert!(fleet.submit(fp2, &[]).is_none());
+        assert_eq!(cache.stats().hits, 1);
     }
 }

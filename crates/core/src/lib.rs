@@ -39,15 +39,11 @@ pub mod tables;
 pub mod ucq;
 pub mod xpath;
 
-pub use batch::{instance_fingerprint, BatchStats, CacheHandle, CacheStats, EvalCache, QueryKey};
-#[allow(deprecated)] // the shims stay exported so no caller breaks
-pub use batch::{solve_many, solve_many_cached, solve_many_stats};
+pub use batch::{instance_fingerprint, BatchStats, CacheHandle, CacheStats, QueryKey};
 pub use engine::{
-    Engine, EngineBuilder, Fleet, Lane, Request, Response, Tick, TickConfig, TickOutput, TickUnit,
+    Engine, EngineBuilder, Lane, Request, Response, Tick, TickConfig, TickOutput, TickUnit,
     WorkerScratch,
 };
-#[allow(deprecated)] // the shims stay exported so no caller breaks
-pub use solver::{solve, solve_with};
 pub use solver::{
     Budget, Fallback, Hardness, OnHard, Precision, Route, Solution, SolveError, SolverOptions,
 };

@@ -387,13 +387,6 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Solves with default options (no fallback).
-#[deprecated(note = "build a long-lived `phom_core::Engine` and use \
-                     `Engine::solve` / `Engine::submit` instead")]
-pub fn solve(query: &Graph, instance: &ProbGraph) -> Result<Solution, Hardness> {
-    solve_with_impl(query, instance, SolverOptions::default())
-}
-
 /// Owned instance-side state shared across many queries: classification,
 /// the instance's label set, and the Lemma 3.7 component split (computed
 /// lazily — trivial and hard routes never pay for it). One `solve` call
@@ -686,22 +679,10 @@ pub(crate) fn execute_plan(
     }
 }
 
-/// Solves with explicit options.
-#[deprecated(note = "build a long-lived `phom_core::Engine` (with \
-                     `EngineBuilder::default_options`) and use \
-                     `Engine::solve` / `Engine::submit` instead")]
-pub fn solve_with(
-    query: &Graph,
-    instance: &ProbGraph,
-    opts: SolverOptions,
-) -> Result<Solution, Hardness> {
-    solve_with_impl(query, instance, opts)
-}
-
-/// The non-deprecated internal single-query path: builds the instance
-/// state fresh and solves. The `solve`/`solve_with` shims and in-crate
-/// callers (counting, the engine's conditioning fallback) route through
-/// here.
+/// The single-query path with no [`crate::Engine`]: builds the instance
+/// state fresh and solves. Its callers are the engine's conditioning
+/// fallback (one solve per pinned instance); in-crate unit tests use
+/// it as the dispatcher reference.
 pub(crate) fn solve_with_impl(
     query: &Graph,
     instance: &ProbGraph,
@@ -713,7 +694,7 @@ pub(crate) fn solve_with_impl(
 }
 
 /// The shared-state entry point: one [`SharedInstance`], many calls
-/// (`solve_with` builds it fresh; the batched solver reuses it).
+/// ([`solve_with_impl`] builds it fresh; counting reuses the engine's).
 pub(crate) fn solve_shared(
     query: &Graph,
     shared: &SharedInstance,
@@ -923,9 +904,13 @@ pub(crate) fn dyadic_from_f64(x: f64) -> Rational {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the suite exercises the legacy shims on purpose
 mod tests {
+    use super::solve_with_impl as solve_with;
     use super::*;
+
+    fn solve(query: &Graph, instance: &ProbGraph) -> Result<Solution, Hardness> {
+        solve_with(query, instance, SolverOptions::default())
+    }
     use phom_graph::fixtures;
     use phom_graph::generate;
     use phom_graph::Label;

@@ -749,7 +749,12 @@ impl WireRequest {
                             .get("samples")
                             .and_then(Json::as_u64)
                             .ok_or("monte_carlo fallback needs 'samples'")?,
-                        seed: mc.get("seed").and_then(Json::as_u64).unwrap_or(0),
+                        seed: match mc.get("seed") {
+                            None | Some(Json::Null) => 0,
+                            Some(seed) => seed
+                                .as_u64()
+                                .ok_or("monte_carlo 'seed' must be an integer up to 2^53")?,
+                        },
                     }
                 } else {
                     return Err("unknown fallback shape".into());
@@ -1203,6 +1208,31 @@ mod tests {
             decoded.precision,
             Some(Precision::Float { max_rel_err: 1e-9 })
         );
+    }
+
+    #[test]
+    fn malformed_monte_carlo_seeds_are_refused() {
+        // A seed that is not an exact integer is a typed error, never a
+        // silent seed 0 (which would answer a different estimate than
+        // the client asked for); an absent seed still means 0.
+        let request = |seed: &str| {
+            Json::parse(&format!(
+                r#"{{"kind":"probability","query":{{"vertices":1,"edges":[]}},
+                    "fallback":{{"monte_carlo":{{"samples":10{seed}}}}}}}"#
+            ))
+            .unwrap()
+        };
+        for bad in [r#","seed":"7""#, r#","seed":1.5"#, r#","seed":1e300"#] {
+            let err = WireRequest::decode(&request(bad)).unwrap_err();
+            assert!(err.contains("seed"), "{bad}: {err}");
+        }
+        for (ok, seed) in [("", 0), (r#","seed":null"#, 0), (r#","seed":7"#, 7)] {
+            let decoded = WireRequest::decode(&request(ok)).unwrap();
+            assert!(
+                matches!(decoded.fallback, Some(WireFallback::MonteCarlo { seed: s, .. }) if s == seed),
+                "{ok}: {decoded:?}"
+            );
+        }
     }
 
     #[test]

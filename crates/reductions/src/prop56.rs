@@ -120,13 +120,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the legacy shim to the hard cell too
     fn solver_reports_prop_56_hardness() {
         // The dispatcher must classify the reduced inputs into the Prop 5.6
         // hard cell (unlabeled 2WP query on a polytree instance).
         let phi = Pp2Dnf::figure_7_formula();
         let red = reduce(&phi);
-        let err = phom_core::solve(&red.query, &red.instance).unwrap_err();
-        assert_eq!(err.prop, "Prop 5.6");
+        let engine = phom_core::Engine::new(red.instance);
+        match engine.solve(&red.query) {
+            Err(phom_core::SolveError::Hard(h)) => assert_eq!(h.prop, "Prop 5.6"),
+            other => panic!("expected the Prop 5.6 hard cell, got {other:?}"),
+        }
     }
 }

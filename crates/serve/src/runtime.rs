@@ -156,8 +156,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Serve off an existing shared cache (e.g. one also used by a
-    /// [`Fleet`](phom_core::Fleet) or another runtime).
+    /// Serve off an existing shared cache (e.g. one also used by
+    /// engines built with
+    /// [`EngineBuilder::shared_cache`](phom_core::EngineBuilder::shared_cache)
+    /// or by another runtime).
     pub fn shared_cache(mut self, cache: CacheHandle) -> Self {
         self.shared_cache = Some(cache);
         self

@@ -93,9 +93,9 @@ fn main() {
 
     // An operator fixes one sensor: its link becomes certain. A new graph
     // version means a new engine — its fingerprint moves, so nothing the
-    // old version cached can ever be served for the new one (in a
-    // `Fleet`, both versions would coexist behind one shared cache; see
-    // examples/fleet_serving.rs).
+    // old version cached can ever be served for the new one (built with
+    // `.shared_cache(engine.cache_handle())`, both versions would coexist
+    // behind one shared cache).
     let mut probs = h.probs().to_vec();
     probs[0] = Rational::one();
     let h2 = ProbGraph::new(h.graph().clone(), probs);

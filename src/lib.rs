@@ -52,7 +52,7 @@
 //! | [`graph`] | graphs, probabilistic graphs, classes, homomorphisms |
 //! | [`lineage`] | the **unified provenance engine** ([`lineage::engine`]): one arena IR with interned gates and structural hashing, one semiring-generic bottom-up evaluator shared by positive DNFs, β-acyclicity (Thm 4.9), d-DNNF circuits, and OBDDs; [`FlatArena`](phom_lineage::FlatArena) — the cone-restricted flat-slab run representation behind the float tier |
 //! | [`automata`] | the polytree encoding and path automata of Prop 5.4, compiling into engine arenas |
-//! | [`core`] | the per-proposition algorithms and the Tables 1–3 dispatcher, behind the serving surface of [`core::engine`]: a long-lived [`Engine`] per instance (bounded LRU [`EvalCache`], sharded [`Engine::submit`], the [`Tick`](phom_core::Tick) seam for external pools), typed [`Request`]/[`Response`], and a [`Fleet`] registry serving many graph versions off one shared cache |
+//! | [`core`] | the per-proposition algorithms and the Tables 1–3 dispatcher, behind the serving surface of [`core::engine`]: a long-lived [`Engine`] per instance (a bounded LRU answer cache behind a [`CacheHandle`](phom_core::CacheHandle) that many engines can share, sharded [`Engine::submit`], the [`Tick`](phom_core::Tick) seam for external pools) and typed [`Request`]/[`Response`] |
 //! | [`serve`] | the **persistent serving runtime**: [`Runtime`] with **work-conserving** micro-batching ticks over a worker pool spawned once (an idle lane flushes at once; requests wait for company only while a tick of their lane is in flight), bounded-queue backpressure ([`SolveError::Overloaded`]), [`Ticket`]s, graceful drain, [`RuntimeStats`] |
 //! | [`net`] | the **network front end**: a TCP [`NetServer`] + [`NetClient`] speaking the length-prefixed JSON protocol of [`net::wire`] over a shared [`Runtime`] (`phom serve --listen ADDR`) |
 //! | [`fleet`] | the **multi-process sharded fleet**: a front-door [`Router`] on one address fanning out to member `phom serve` processes — weighted rendezvous routing on the instance fingerprint, lazy broadcast-on-demand registration, the `move` re-register handoff, typed `member_unavailable` health, and fleet-wide stats rollup (`phom router --listen ADDR --members FILE`) |
@@ -140,8 +140,8 @@
 //! Provenance-bearing requests, counting, sensitivity, and UCQ are
 //! always answered exactly; the precision (tolerance bits included) is
 //! part of the cache key, so float and exact answers can never alias —
-//! not in an engine's cache, a [`Fleet`]'s shared cache, or over the
-//! wire (`tests/precision_cache_isolation.rs`).
+//! not in an engine's cache, a cache shared by several engines, or over
+//! the wire (`tests/precision_cache_isolation.rs`).
 //!
 //! ```
 //! use phom::prelude::*;
@@ -408,12 +408,13 @@
 //! ```
 //!
 //! The same engines remain directly usable: [`EngineBuilder::threads`]
-//! shards an [`Engine::submit`] batch across scoped worker threads, a
-//! [`Fleet`] registers many instance *versions* — engines keyed by
-//! [`instance_fingerprint`](phom_core::instance_fingerprint) — off one
-//! shared bounded cache (as does the runtime's router), and the engine's
-//! [`EvalCache`] caches **every** response kind: probability solutions,
-//! counting, sensitivity, and UCQ answers, under kind-tagged keys.
+//! shards an [`Engine::submit`] batch across scoped worker threads,
+//! [`EngineBuilder::shared_cache`] builds one engine per instance
+//! *version* on one shared bounded cache (the cache key embeds the
+//! [`instance_fingerprint`](phom_core::instance_fingerprint), so
+//! answers never cross versions), and the cache holds **every**
+//! response kind: probability solutions, counting, sensitivity, and UCQ
+//! answers, under kind-tagged keys.
 //!
 //! ```
 //! use phom::prelude::*;
@@ -424,20 +425,17 @@
 //! h_v2_probs[0] = Rational::one();
 //! let h_v2 = ProbGraph::new(h_v1.graph().clone(), h_v2_probs);
 //!
-//! let mut fleet = Fleet::with_cache_capacity(4096).threads(2);
-//! let v1 = fleet.register(h_v1);
-//! let v2 = fleet.register(h_v2);
+//! let cache = CacheHandle::with_capacity(4096);
+//! let on_cache = |h| Engine::builder().threads(2).shared_cache(cache.clone()).build(h);
+//! let (v1, v2) = (on_cache(h_v1), on_cache(h_v2));
+//! assert_ne!(v1.fingerprint(), v2.fingerprint());
 //! let q = Request::probability(Graph::directed_path(1));
-//! let a1 = fleet.submit(v1, &[q.clone()]).unwrap();
-//! let a2 = fleet.submit(v2, &[q]).unwrap();
+//! let a1 = v1.submit(&[q.clone()]);
+//! let a2 = v2.submit(&[q]);
 //! assert_eq!(a1[0].as_ref().unwrap().probability(), Some(&Rational::from_ratio(3, 4)));
 //! assert_eq!(a2[0].as_ref().unwrap().probability(), Some(&Rational::one()));
+//! assert_eq!(cache.stats().misses, 2); // one entry per version
 //! ```
-//!
-//! (The pre-engine free functions `solve`, `solve_with`, `solve_many`,
-//! `solve_many_cached`, and `solve_many_stats` remain available as
-//! deprecated shims over the same machinery, so existing callers keep
-//! working and keep returning bit-identical answers.)
 //!
 //! Beyond the paper's own results, the workspace implements its Section 6
 //! future-work program: **bounded-treewidth instances**
@@ -462,11 +460,9 @@ pub use phom_num as num;
 pub use phom_reductions as reductions;
 pub use phom_serve as serve;
 
-#[allow(deprecated)] // the legacy shims stay exported so no caller breaks
-pub use phom_core::{solve, solve_many, solve_many_cached, solve_with};
 pub use phom_core::{
-    Budget, Engine, EngineBuilder, EvalCache, Fallback, Fleet, Hardness, Lane, OnHard, Precision,
-    Request, Response, Route, Solution, SolveError, SolverOptions, TickConfig, WorkerScratch,
+    Budget, Engine, EngineBuilder, Fallback, Hardness, Lane, OnHard, Precision, Request, Response,
+    Route, Solution, SolveError, SolverOptions, TickConfig, WorkerScratch,
 };
 pub use phom_fleet::{MemberSpec, Router, RouterBuilder, RouterStats};
 pub use phom_net::{Client as NetClient, NetError, NetStats, Server as NetServer, WireRequest};
@@ -477,12 +473,9 @@ pub mod cli;
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
     pub use phom_core::ucq::Ucq;
-    #[allow(deprecated)] // the legacy shims stay exported so no caller breaks
-    pub use phom_core::{solve, solve_many, solve_many_cached, solve_with};
     pub use phom_core::{
-        BatchStats, Budget, CacheHandle, CacheStats, Engine, EngineBuilder, EvalCache, Fallback,
-        Fleet, Lane, OnHard, Precision, Request, Response, Route, Solution, SolveError,
-        SolverOptions, TickConfig,
+        BatchStats, Budget, CacheHandle, CacheStats, Engine, EngineBuilder, Fallback, Lane, OnHard,
+        Precision, Request, Response, Route, Solution, SolveError, SolverOptions, TickConfig,
     };
     pub use phom_fleet::{MemberSpec, Router, RouterBuilder, RouterStats};
     pub use phom_graph::{classify, Dir, Graph, GraphBuilder, Label, ProbGraph};

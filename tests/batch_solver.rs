@@ -1,20 +1,23 @@
-//! Equivalence suite for the batched solver: `solve_many` must be
-//! indistinguishable from per-query `solve_with` — same probabilities
-//! (bit-identical rationals), same routes, same hardness cells, same
-//! provenance behavior, and the same model counts — across randomized
-//! query sets on every tractable route, with and without the eval cache.
+//! Equivalence suite for the batched engine: every answer of a batched
+//! `Engine::submit` must be indistinguishable from submitting its query
+//! alone — same probabilities (bit-identical rationals), same routes,
+//! same hardness cells, same provenance behavior — and must equal an
+//! independent reference: brute-force enumeration of the possible
+//! worlds, or, for the Monte-Carlo fallback, the public sampler run
+//! under the same seed. Randomized query sets cover every tractable
+//! route, with and without the answer cache, and the model counts.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
+mod reference;
 
 use phom::prelude::*;
-use phom_core::{
-    counting, instance_fingerprint, solve_many_cached, solve_many_stats, EvalCache, Fallback,
-    Hardness, Solution,
-};
+use phom_core::{bruteforce, counting, instance_fingerprint};
 use phom_graph::generate::{self, ProbProfile};
 use phom_num::Natural;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference::{assert_reference, assert_same_response};
+
+type Answer = Result<Response, SolveError>;
 
 /// A randomized instance drawn from every interesting class: connected
 /// 2WP / DWT / polytree, unions of them, and (sometimes) general graphs
@@ -59,41 +62,58 @@ fn random_queries(h: &ProbGraph, rng: &mut SmallRng) -> Vec<Graph> {
     queries
 }
 
-fn assert_same(batch: &Result<Solution, Hardness>, solo: &Result<Solution, Hardness>, ctx: &str) {
-    match (batch, solo) {
-        (Ok(b), Ok(s)) => {
-            assert_eq!(b.probability, s.probability, "{ctx}: probability");
-            assert_eq!(b.route, s.route, "{ctx}: route");
-            assert_eq!(
-                b.provenance.is_some(),
-                s.provenance.is_some(),
-                "{ctx}: provenance presence"
-            );
-        }
-        (Err(b), Err(s)) => assert_eq!(b, s, "{ctx}: hardness"),
-        (b, s) => panic!("{ctx}: batch {b:?} but solo {s:?}"),
+/// An engine with no answer cache: every submit evaluates, so a solo
+/// submit re-derives its answer instead of reading the batch's.
+fn cacheless(h: &ProbGraph, opts: SolverOptions) -> Engine {
+    Engine::builder()
+        .cache_capacity(0)
+        .default_options(opts)
+        .build(h.clone())
+}
+
+fn probability_requests(queries: &[Graph]) -> Vec<Request> {
+    queries
+        .iter()
+        .map(|q| Request::probability(q.clone()))
+        .collect()
+}
+
+/// Submits `queries` as one batch and each query alone, and checks
+/// every batched answer against its solo twin and the reference.
+fn check_batch(h: &ProbGraph, queries: &[Graph], opts: SolverOptions, ctx: &str) -> Vec<Answer> {
+    let engine = cacheless(h, opts);
+    let requests = probability_requests(queries);
+    let (batch, stats) = engine.submit_stats(&requests);
+    assert_eq!(batch.len(), queries.len());
+    assert_eq!(
+        stats.circuit_batched + stats.general_solved + stats.cache_hits,
+        stats.unique_queries,
+        "{ctx}: every unique query is accounted for"
+    );
+    for (i, (q, request)) in queries.iter().zip(&requests).enumerate() {
+        let ctx = format!("{ctx} query {i}");
+        let solo = engine.submit(std::slice::from_ref(request)).remove(0);
+        assert_same_response(&batch[i], &solo, &ctx);
+        assert_reference(&batch[i], q, h, opts, &ctx);
     }
+    batch
 }
 
 #[test]
-fn solve_many_matches_per_query_solve_across_routes() {
+fn batched_submit_matches_solo_and_bruteforce_across_routes() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C41);
     let mut seen_routes = std::collections::BTreeSet::new();
     for trial in 0..60 {
         let h = random_instance(&mut rng);
         let queries = random_queries(&h, &mut rng);
-        let opts = SolverOptions::default();
-        let (batch, stats) = solve_many_stats(&queries, &h, opts, None);
-        assert_eq!(batch.len(), queries.len());
-        assert_eq!(
-            stats.circuit_batched + stats.general_solved + stats.cache_hits,
-            stats.unique_queries,
-            "trial {trial}: every unique query is accounted for"
+        let batch = check_batch(
+            &h,
+            &queries,
+            SolverOptions::default(),
+            &format!("trial {trial}"),
         );
-        for (i, q) in queries.iter().enumerate() {
-            let solo = phom::solve_with(q, &h, opts);
-            assert_same(&batch[i], &solo, &format!("trial {trial} query {i}"));
-            if let Ok(sol) = &solo {
+        for answer in &batch {
+            if let Ok(Response::Probability(sol)) = answer {
                 seen_routes.insert(format!("{:?}", sol.route));
             }
         }
@@ -106,7 +126,7 @@ fn solve_many_matches_per_query_solve_across_routes() {
 }
 
 #[test]
-fn solve_many_matches_solve_with_provenance_handles() {
+fn batched_provenance_handles_match_solo_and_bruteforce() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C42);
     let opts = SolverOptions {
         want_provenance: true,
@@ -115,21 +135,17 @@ fn solve_many_matches_solve_with_provenance_handles() {
     for trial in 0..30 {
         let h = random_instance(&mut rng);
         let queries = random_queries(&h, &mut rng);
-        let batch = phom_core::solve_many(&queries, &h, opts);
-        for (i, q) in queries.iter().enumerate() {
-            let solo = phom::solve_with(q, &h, opts);
-            assert_same(&batch[i], &solo, &format!("trial {trial} query {i}"));
-            // When a handle attaches, it re-derives the probability
-            // through the engine — on both paths.
-            if let (Ok(b), Ok(s)) = (&batch[i], &solo) {
-                for sol in [b, s] {
-                    if let Some(prov) = &sol.provenance {
-                        assert_eq!(
-                            prov.probability::<Rational>(h.probs()),
-                            sol.probability,
-                            "trial {trial} query {i}"
-                        );
-                    }
+        let batch = check_batch(&h, &queries, opts, &format!("trial {trial}"));
+        // When a handle attaches, it re-derives the probability through
+        // the engine.
+        for (i, answer) in batch.iter().enumerate() {
+            if let Ok(Response::Probability(sol)) = answer {
+                if let Some(prov) = &sol.provenance {
+                    assert_eq!(
+                        prov.probability::<Rational>(h.probs()),
+                        sol.probability,
+                        "trial {trial} query {i}"
+                    );
                 }
             }
         }
@@ -137,7 +153,7 @@ fn solve_many_matches_solve_with_provenance_handles() {
 }
 
 #[test]
-fn solve_many_matches_solve_under_fallbacks() {
+fn batched_submit_matches_solo_and_references_under_fallbacks() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C43);
     for opts in [
         SolverOptions {
@@ -159,11 +175,7 @@ fn solve_many_matches_solve_under_fallbacks() {
         for trial in 0..12 {
             let h = random_instance(&mut rng);
             let queries = random_queries(&h, &mut rng);
-            let batch = phom_core::solve_many(&queries, &h, opts);
-            for (i, q) in queries.iter().enumerate() {
-                let solo = phom::solve_with(q, &h, opts);
-                assert_same(&batch[i], &solo, &format!("trial {trial} query {i}"));
-            }
+            check_batch(&h, &queries, opts, &format!("{opts:?} trial {trial}"));
         }
     }
 }
@@ -180,10 +192,12 @@ fn batched_probabilities_scale_to_model_counts() {
         };
         let h = generate::with_probabilities(g, ProbProfile::half(), &mut rng);
         let queries = random_queries(&h, &mut rng);
-        let batch = phom_core::solve_many(&queries, &h, SolverOptions::default());
+        let batch = Engine::new(h.clone()).submit(&probability_requests(&queries));
         let u = h.uncertain_edges().len() as u32;
         for (i, q) in queries.iter().enumerate() {
-            let Ok(sol) = &batch[i] else { continue };
+            let Ok(Response::Probability(sol)) = &batch[i] else {
+                continue;
+            };
             let scaled =
                 sol.probability
                     .mul(&Rational::new(false, Natural::one().shl(u), Natural::one()));
@@ -209,18 +223,28 @@ fn cache_serves_repeats_and_instance_mutation_invalidates() {
         &mut rng,
     );
     let queries = random_queries(&h, &mut rng);
+    let requests = probability_requests(&queries);
     let opts = SolverOptions::default();
-    let mut cache = EvalCache::new();
+    let cache = CacheHandle::unbounded();
+    let on_cache = |h: &ProbGraph| {
+        Engine::builder()
+            .shared_cache(cache.clone())
+            .build(h.clone())
+    };
+    let engine = on_cache(&h);
 
     // Cold batch: all misses.
-    let (cold, s_cold) = solve_many_stats(&queries, &h, opts, Some(&mut cache));
+    let (cold, s_cold) = engine.submit_stats(&requests);
     assert_eq!(s_cold.cache_hits, 0);
     assert_eq!(cache.stats().misses as usize, s_cold.unique_queries);
     assert_eq!(cache.stats().entries, s_cold.unique_queries);
+    for (i, (q, a)) in queries.iter().zip(&cold).enumerate() {
+        assert_reference(a, q, &h, opts, &format!("cold {i}"));
+    }
 
     // Warm batch: all unique queries hit; nothing recompiles; identical
     // answers.
-    let (warm, s_warm) = solve_many_stats(&queries, &h, opts, Some(&mut cache));
+    let (warm, s_warm) = engine.submit_stats(&requests);
     assert_eq!(s_warm.cache_hits, s_warm.unique_queries);
     assert_eq!(s_warm.circuit_batched + s_warm.general_solved, 0);
     assert_eq!(
@@ -228,7 +252,7 @@ fn cache_serves_repeats_and_instance_mutation_invalidates() {
         "no shard arena when nothing batched"
     );
     for (i, (a, b)) in cold.iter().zip(&warm).enumerate() {
-        assert_same(a, b, &format!("cold vs warm {i}"));
+        assert_same_response(a, b, &format!("cold vs warm {i}"));
     }
 
     // Different options key separately (no cross-option bleed).
@@ -236,11 +260,15 @@ fn cache_serves_repeats_and_instance_mutation_invalidates() {
         prefer_dp: true,
         ..Default::default()
     };
-    let (_, s_dp) = solve_many_stats(&queries, &h, dp_opts, Some(&mut cache));
+    let dp_requests: Vec<Request> = requests
+        .iter()
+        .map(|r| r.clone().options(dp_opts))
+        .collect();
+    let (_, s_dp) = engine.submit_stats(&dp_requests);
     assert_eq!(s_dp.cache_hits, 0, "other options must not hit");
 
     // Structural mutation: drop the last edge. New fingerprint, cold
-    // cache, and answers match a fresh per-query solve.
+    // cache, and answers match the reference on the mutated instance.
     let keep = h.graph().n_edges() - 1;
     let mut b = phom_graph::GraphBuilder::with_vertices(h.graph().n_vertices());
     for e in &h.graph().edges()[..keep] {
@@ -248,39 +276,18 @@ fn cache_serves_repeats_and_instance_mutation_invalidates() {
     }
     let h2 = ProbGraph::new(b.build(), h.probs()[..keep].to_vec());
     assert_ne!(instance_fingerprint(&h), instance_fingerprint(&h2));
-    let (mutated, s_mut) = solve_many_stats(&queries, &h2, opts, Some(&mut cache));
+    let (mutated, s_mut) = on_cache(&h2).submit_stats(&requests);
     assert_eq!(s_mut.cache_hits, 0, "mutated instance must not hit");
-    for (i, q) in queries.iter().enumerate() {
-        assert_same(
-            &mutated[i],
-            &phom::solve_with(q, &h2, opts),
-            &format!("mutated {i}"),
-        );
+    for (i, (q, a)) in queries.iter().zip(&mutated).enumerate() {
+        assert_reference(a, q, &h2, opts, &format!("mutated {i}"));
     }
 
     // The original instance's entries still serve.
-    let (again, s_again) = solve_many_cached_stats(&queries, &h, opts, &mut cache);
+    let (again, s_again) = engine.submit_stats(&requests);
     assert_eq!(s_again.cache_hits, s_again.unique_queries);
     for (i, (a, b)) in cold.iter().zip(&again).enumerate() {
-        assert_same(a, b, &format!("original after mutation {i}"));
+        assert_same_response(a, b, &format!("original after mutation {i}"));
     }
-}
-
-/// Thin adapter so the test reads uniformly (stats + the convenience
-/// wrapper are both part of the public surface).
-fn solve_many_cached_stats(
-    queries: &[Graph],
-    h: &ProbGraph,
-    opts: SolverOptions,
-    cache: &mut EvalCache,
-) -> (Vec<Result<Solution, Hardness>>, phom_core::BatchStats) {
-    let before = cache.stats();
-    let results = solve_many_cached(queries, h, opts, cache);
-    let after = cache.stats();
-    let mut stats = phom_core::BatchStats::default();
-    stats.cache_hits = (after.hits - before.hits) as usize;
-    stats.unique_queries = stats.cache_hits + (after.misses - before.misses) as usize;
-    (results, stats)
 }
 
 #[test]
@@ -296,12 +303,16 @@ fn batch_order_is_preserved_under_heavy_duplication() {
     let b = Graph::directed_path(0);
     let pattern = [&a, &b, &a, &a, &b, &a, &b, &b, &a, &a];
     let queries: Vec<Graph> = pattern.iter().map(|q| (*q).clone()).collect();
-    let (results, stats) = solve_many_stats(&queries, &h, SolverOptions::default(), None);
+    let (results, stats) = Engine::new(h.clone()).submit_stats(&probability_requests(&queries));
     assert_eq!(stats.unique_queries, 2);
-    let pa = phom::solve(&a, &h).unwrap().probability;
-    let pb = phom::solve(&b, &h).unwrap().probability;
+    let pa = bruteforce::probability(&a, &h);
+    let pb = bruteforce::probability(&b, &h);
     for (i, q) in pattern.iter().enumerate() {
         let expect = if std::ptr::eq(*q, &a) { &pa } else { &pb };
-        assert_eq!(&results[i].as_ref().unwrap().probability, expect, "{i}");
+        assert_eq!(
+            results[i].as_ref().unwrap().probability(),
+            Some(expect),
+            "{i}"
+        );
     }
 }

@@ -1,10 +1,12 @@
 //! The engine-surface equivalence suite: `Engine::submit` must return
-//! **bit-identical** responses for 1 shard, N shards, and the legacy
-//! `solve_many`/`solve_with` paths — across every route of the Tables
-//! 1–3 dispatcher, with provenance, counting, sensitivity, and UCQ
-//! requests, and under cache eviction with a tiny capacity.
+//! **bit-identical** responses for 1 shard and N shards, and those
+//! responses must match independent references — brute force, the
+//! public Monte-Carlo estimator, and the counting, UCQ and sensitivity
+//! modules — across every route of the Tables 1–3 dispatcher, with
+//! provenance, counting, sensitivity, and UCQ requests, and under cache
+//! eviction with a tiny capacity.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
+mod reference;
 
 use phom::prelude::*;
 use phom_core::counting::count_satisfying_worlds_with;
@@ -13,6 +15,7 @@ use phom_core::{ucq, Hardness};
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference::{assert_reference, assert_same_response};
 
 /// A random instance spanning every column of the paper's tables:
 /// two-way paths, downward trees and their unions, polytrees, and small
@@ -46,36 +49,11 @@ fn random_query(h: &ProbGraph, rng: &mut SmallRng) -> Graph {
     }
 }
 
-fn assert_same_solution(a: &Solution, b: &Solution, ctx: &str) {
-    assert_eq!(a.probability, b.probability, "{ctx}");
-    assert_eq!(a.route, b.route, "{ctx}");
-    match (&a.provenance, &b.provenance) {
-        (None, None) => {}
-        (Some(pa), Some(pb)) => {
-            assert_eq!(pa.negated, pb.negated, "{ctx}");
-            assert_eq!(pa.circuit.n_gates(), pb.circuit.n_gates(), "{ctx}");
-        }
-        _ => panic!("{ctx}: provenance presence differs"),
-    }
-}
-
-fn assert_matches_legacy(
-    engine_result: &Result<Response, SolveError>,
-    legacy: &Result<Solution, Hardness>,
-    ctx: &str,
-) {
-    match (engine_result, legacy) {
-        (Ok(Response::Probability(a)), Ok(b)) => assert_same_solution(a, b, ctx),
-        (Err(SolveError::Hard(a)), Err(b)) => assert_eq!(a, b, "{ctx}"),
-        (a, b) => panic!("{ctx}: engine {a:?} vs legacy {b:?}"),
-    }
-}
-
 /// The headline acceptance test: randomized workloads over every route,
-/// submitted at shard widths 1, 2, and 5, against legacy `solve_many`
-/// and per-query `solve_with` — all bit-identical.
+/// submitted at shard widths 1, 2, and 5 — all bit-identical, and every
+/// answer equal to its brute-force (or seeded Monte-Carlo) reference.
 #[test]
-fn submit_is_bit_identical_across_shard_widths_and_legacy() {
+fn submit_is_bit_identical_across_shard_widths_and_matches_references() {
     let mut rng = SmallRng::seed_from_u64(0xE9612E);
     for trial in 0..30 {
         let h = random_instance(&mut rng, ProbProfile::default());
@@ -102,8 +80,7 @@ fn submit_is_bit_identical_across_shard_widths_and_legacy() {
             .iter()
             .map(|q| Request::probability(q.clone()))
             .collect();
-        let legacy = solve_many(&queries, &h, opts);
-        let mut widths = Vec::new();
+        let mut widths: Vec<Vec<Result<Response, SolveError>>> = Vec::new();
         for threads in [1usize, 2, 5] {
             let engine = Engine::builder()
                 .threads(threads)
@@ -112,27 +89,22 @@ fn submit_is_bit_identical_across_shard_widths_and_legacy() {
             let (answers, stats) = engine.submit_stats(&requests);
             assert_eq!(answers.len(), queries.len());
             assert!(stats.shards <= threads.max(1), "{stats:?}");
-            for (i, (a, l)) in answers.iter().zip(&legacy).enumerate() {
-                assert_matches_legacy(a, l, &format!("trial {trial}, q {i}, k {threads}"));
+            if let Some(first) = widths.first() {
+                for (i, (a, b)) in answers.iter().zip(first).enumerate() {
+                    assert_same_response(a, b, &format!("trial {trial}, q {i}, k {threads}"));
+                }
             }
             widths.push(answers);
         }
-        // Per-query dispatcher agreement (the legacy single-query shim).
-        for (i, q) in queries.iter().enumerate() {
-            match (&widths[0][i], solve_with(q, &h, opts)) {
-                (Ok(Response::Probability(a)), Ok(b)) => {
-                    assert_same_solution(a, &b, &format!("trial {trial}, q {i} vs solve_with"))
-                }
-                (Err(SolveError::Hard(a)), Err(b)) => assert_eq!(a, &b),
-                (a, b) => panic!("trial {trial}, q {i}: {a:?} vs {b:?}"),
-            }
+        for (i, (q, a)) in queries.iter().zip(&widths[0]).enumerate() {
+            assert_reference(a, q, &h, opts, &format!("trial {trial}, q {i}"));
         }
     }
 }
 
 /// Provenance handles ride through the sharded path unchanged: presence,
 /// polarity, size, and the re-derived probability all agree across shard
-/// widths and with the legacy path.
+/// widths, and the probability is the brute-force one.
 #[test]
 fn provenance_requests_are_identical_across_widths() {
     let mut rng = SmallRng::seed_from_u64(0x9C0F ^ 0xBEEF);
@@ -147,12 +119,16 @@ fn provenance_requests_are_identical_across_widths() {
             want_provenance: true,
             ..Default::default()
         };
-        let legacy = solve_many(&queries, &h, opts);
+        let mut widths: Vec<Vec<Result<Response, SolveError>>> = Vec::new();
         for threads in [1usize, 4] {
             let engine = Engine::builder().threads(threads).build(h.clone());
             let answers = engine.submit(&requests);
-            for (i, (a, l)) in answers.iter().zip(&legacy).enumerate() {
-                assert_matches_legacy(a, l, &format!("trial {trial}, q {i}, k {threads}"));
+            for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
+                let ctx = format!("trial {trial}, q {i}, k {threads}");
+                match widths.first() {
+                    Some(first) => assert_same_response(a, &first[i], &ctx),
+                    None => assert_reference(a, q, &h, opts, &ctx),
+                }
                 if let Ok(Response::Probability(sol)) = a {
                     if let Some(prov) = &sol.provenance {
                         assert_eq!(
@@ -163,6 +139,7 @@ fn provenance_requests_are_identical_across_widths() {
                     }
                 }
             }
+            widths.push(answers);
         }
     }
 }
@@ -385,7 +362,9 @@ fn tiny_cache_evicts_but_stays_correct() {
         .iter()
         .map(|q| Request::probability(q.clone()))
         .collect();
-    let legacy = solve_many(&queries, &h, SolverOptions::default());
+    // The first answers are checked against the reference; every later
+    // round, at every width, must repeat them bit for bit.
+    let mut first: Option<Vec<Result<Response, SolveError>>> = None;
     for threads in [1usize, 3] {
         let engine = Engine::builder()
             .threads(threads)
@@ -393,8 +372,16 @@ fn tiny_cache_evicts_but_stays_correct() {
             .build(h.clone());
         for round in 0..3 {
             let answers = engine.submit(&requests);
-            for (i, (a, l)) in answers.iter().zip(&legacy).enumerate() {
-                assert_matches_legacy(a, l, &format!("k {threads}, round {round}, q {i}"));
+            let Some(expect) = &first else {
+                for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
+                    let opts = SolverOptions::default();
+                    assert_reference(a, q, &h, opts, &format!("first round, q {i}"));
+                }
+                first = Some(answers);
+                continue;
+            };
+            for (i, (a, b)) in answers.iter().zip(expect).enumerate() {
+                assert_same_response(a, b, &format!("k {threads}, round {round}, q {i}"));
             }
             let stats = engine.cache_stats();
             assert!(stats.entries <= 2, "{stats:?}");
@@ -405,100 +392,99 @@ fn tiny_cache_evicts_but_stays_correct() {
     }
 }
 
-/// A fleet serving several versions off one tiny shared cache routes
-/// correctly and evicts across versions.
+/// A fleet of engines — one per instance version, all built on one tiny
+/// shared `CacheHandle` — answers every version correctly and evicts
+/// across versions. Rebuilding an engine for an identical instance on
+/// the same handle finds the cache still warm; a mutated instance gets
+/// a fresh fingerprint, so no stale answer can reach it.
 #[test]
 fn fleet_shares_one_bounded_cache_across_versions() {
     let mut rng = SmallRng::seed_from_u64(0xF0EE);
-    let mut fleet = Fleet::with_cache_capacity(3).threads(2);
-    let mut versions = Vec::new();
-    for _ in 0..3 {
-        let h = random_instance(&mut rng, ProbProfile::default());
-        versions.push((fleet.register(h.clone()), h));
-    }
+    let cache = CacheHandle::with_capacity(3);
+    let on_cache = |h: &ProbGraph| {
+        Engine::builder()
+            .threads(2)
+            .shared_cache(cache.clone())
+            .build(h.clone())
+    };
+    let versions: Vec<(Engine, ProbGraph)> = (0..3)
+        .map(|_| {
+            let h = random_instance(&mut rng, ProbProfile::default());
+            (on_cache(&h), h)
+        })
+        .collect();
     for round in 0..2 {
-        for (fp, h) in &versions {
+        for (engine, h) in &versions {
             let q = random_query(h, &mut rng);
-            let answers = fleet
-                .submit(*fp, &[Request::probability(q.clone())])
-                .expect("registered version");
-            match (&answers[0], solve_with(&q, h, SolverOptions::default())) {
-                (Ok(Response::Probability(a)), Ok(b)) => {
-                    assert_eq!(a.probability, b.probability, "round {round}")
-                }
-                (Err(SolveError::Hard(a)), Err(b)) => assert_eq!(a, &b),
-                (a, b) => panic!("round {round}: {a:?} vs {b:?}"),
-            }
+            let answers = engine.submit(&[Request::probability(q.clone())]);
+            let opts = SolverOptions::default();
+            assert_reference(&answers[0], &q, h, opts, &format!("round {round}"));
         }
     }
-    let stats = fleet.cache_stats();
+    let stats = cache.stats();
     assert!(stats.entries <= 3, "{stats:?}");
     assert!(stats.misses >= 3, "{stats:?}");
-}
+    assert!(
+        stats.evictions >= stats.misses - 3,
+        "capacity 3 evicts across versions: {stats:?}"
+    );
 
-/// Deregister + re-register semantics: re-registering the *identical*
-/// instance reuses the fingerprint and the shared cache stays warm
-/// (the repeat is a hit, not a solve), while a *mutated* instance gets
-/// a fresh fingerprint — there is no route by which a stale answer
-/// survives the mutation.
-#[test]
-fn fleet_deregister_and_reregister_semantics() {
-    let mut fleet = Fleet::new();
+    // An identical instance rebuilt on the same handle: same
+    // fingerprint, and its repeat is a hit, not a solve.
     let h = ProbGraph::new(
         Graph::directed_path(2),
         vec![Rational::from_ratio(1, 2), Rational::from_ratio(1, 2)],
     );
     let q = Request::probability(Graph::directed_path(1));
-    let answer = |fleet: &Fleet, fp: u64| -> Option<Rational> {
-        let answers = fleet.submit(fp, std::slice::from_ref(&q))?;
-        match &answers[0] {
-            Ok(Response::Probability(sol)) => Some(sol.probability.clone()),
-            other => panic!("{other:?}"),
-        }
-    };
-    let fp = fleet.register(h.clone());
-    assert_eq!(answer(&fleet, fp), Some(Rational::from_ratio(3, 4)));
-    let misses = fleet.cache_stats().misses;
-
-    // Deregister: the version stops routing, twice is a no-op.
-    assert!(fleet.deregister(fp));
-    assert!(!fleet.deregister(fp), "second deregister is a no-op");
-    assert!(answer(&fleet, fp).is_none());
-    assert!(fleet.is_empty());
-
-    // Re-register the identical instance: same fingerprint, and the
-    // shared cache is still warm — the repeat answers without a solve.
-    let hits = fleet.cache_stats().hits;
+    let answer = |engine: &Engine| engine.submit(std::slice::from_ref(&q)).remove(0);
+    let first = on_cache(&h);
     assert_eq!(
-        fleet.register(h.clone()),
-        fp,
+        answer(&first).unwrap().probability(),
+        Some(&Rational::from_ratio(3, 4))
+    );
+    let before = cache.stats();
+    let rebuilt = on_cache(&h);
+    assert_eq!(
+        rebuilt.fingerprint(),
+        first.fingerprint(),
         "identical ⇒ same fingerprint"
     );
-    assert_eq!(answer(&fleet, fp), Some(Rational::from_ratio(3, 4)));
-    let stats = fleet.cache_stats();
-    assert_eq!(stats.misses, misses, "warm cache: no new solve");
-    assert!(stats.hits > hits, "warm cache: the repeat was a hit");
+    assert_eq!(
+        answer(&rebuilt).unwrap().probability(),
+        Some(&Rational::from_ratio(3, 4))
+    );
+    let after = cache.stats();
+    assert_eq!(after.misses, before.misses, "warm cache: no new solve");
+    assert_eq!(
+        after.hits,
+        before.hits + 1,
+        "warm cache: the repeat was a hit"
+    );
 
-    // Mutate the instance and re-register: a fresh fingerprint whose
-    // answers reflect the mutation, never the old version's cache.
-    let mutated = ProbGraph::new(
+    // A mutated instance: a fresh fingerprint whose answer reflects the
+    // mutation, never the old version's cached one.
+    let mutated = on_cache(&ProbGraph::new(
         Graph::directed_path(2),
         vec![Rational::one(), Rational::from_ratio(1, 2)],
+    ));
+    assert_ne!(
+        mutated.fingerprint(),
+        first.fingerprint(),
+        "mutation ⇒ new fingerprint"
     );
-    let fp_mut = fleet.register(mutated);
-    assert_ne!(fp_mut, fp, "mutation ⇒ new fingerprint");
-    assert_eq!(answer(&fleet, fp_mut), Some(Rational::one()));
-    // Retiring the old version leaves only the mutated truth routable.
-    assert!(fleet.deregister(fp));
-    assert!(
-        answer(&fleet, fp).is_none(),
-        "no stale route to old answers"
+    assert_eq!(
+        answer(&mutated).unwrap().probability(),
+        Some(&Rational::one())
     );
-    assert_eq!(answer(&fleet, fp_mut), Some(Rational::one()));
+    assert_eq!(
+        answer(&first).unwrap().probability(),
+        Some(&Rational::from_ratio(3, 4)),
+        "the old version still answers its own truth"
+    );
 }
 
-/// `SolveError` keeps `From<Hardness>` for the shims and displays its
-/// variants.
+/// `SolveError` keeps `From<Hardness>` (the engine's conditioning
+/// fallback converts with `?`) and displays its variants.
 #[test]
 fn solve_error_conversions_and_display() {
     let hard = Hardness {

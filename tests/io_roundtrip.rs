@@ -1,8 +1,6 @@
 //! Property-based round-trip tests for the text graph format and an
 //! end-to-end CLI exercise: parse → solve → compare with the API.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::graph::generate;
 use phom::graph::io::{parse_graph, write_prob_graph};
 use phom::prelude::*;
@@ -63,8 +61,8 @@ proptest! {
         }
         let q2 = qb.build();
         let h2 = parsed.into_prob_graph();
-        let p1 = phom::solve(&q, &h).unwrap().probability;
-        let p2 = phom::solve(&q2, &h2).unwrap().probability;
+        let p1 = Engine::new(h).solve(&q).unwrap().probability;
+        let p2 = Engine::new(h2).solve(&q2).unwrap().probability;
         prop_assert_eq!(p1, p2);
     }
 }
@@ -101,7 +99,7 @@ fn cli_pipeline_on_written_files() {
         &fs,
     )
     .unwrap();
-    let expect = phom::solve(&q, &h).unwrap().probability;
+    let expect = Engine::new(h.clone()).solve(&q).unwrap().probability;
     assert!(
         out.contains(&format!("= {expect} ")),
         "out={out} expect={expect}"

@@ -1,7 +1,5 @@
 //! The paper's worked examples and figures, reproduced exactly.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::core::{bruteforce, tables};
 use phom::graph::fixtures;
 use phom::graph::graded::{is_graded, level_mapping};
@@ -136,7 +134,7 @@ fn conclusion_maximal_tractable_cases() {
         profile,
         &mut rng,
     );
-    assert!(phom::solve(&q, &h).is_ok());
+    assert!(Engine::new(h).solve(&q).is_ok());
 
     // 2. One-way path queries on labeled downward trees (Prop 4.10).
     let q = phom::graph::generate::one_way_path(3, 2, &mut rng);
@@ -145,7 +143,7 @@ fn conclusion_maximal_tractable_cases() {
         profile,
         &mut rng,
     );
-    assert!(phom::solve(&q, &h).is_ok());
+    assert!(Engine::new(h).solve(&q).is_ok());
 
     // 3. Connected queries on two-way labeled path instances (Prop 4.11).
     let q = phom::graph::generate::connected(4, 1, 2, &mut rng);
@@ -154,7 +152,7 @@ fn conclusion_maximal_tractable_cases() {
         profile,
         &mut rng,
     );
-    assert!(phom::solve(&q, &h).is_ok());
+    assert!(Engine::new(h).solve(&q).is_ok());
 
     // 4. Downward tree queries on unlabeled polytrees (Prop 5.5).
     let q = phom::graph::generate::downward_tree(5, 1, &mut rng);
@@ -163,5 +161,5 @@ fn conclusion_maximal_tractable_cases() {
         profile,
         &mut rng,
     );
-    assert!(phom::solve(&q, &h).is_ok());
+    assert!(Engine::new(h).solve(&q).is_ok());
 }

@@ -1,8 +1,9 @@
 //! Precision tiers must never share cached answers: a `Float` answer is
 //! never served to an `Exact` request and vice versa — the precision
 //! (including the tolerance bits) is part of the cache key. Pinned at
-//! every caching layer: a single `Engine`, a `Fleet`'s shared cache, and
-//! the wire protocol's `submit` path through a shared `Runtime`.
+//! every caching layer: a single `Engine`, one `CacheHandle` shared by a
+//! fleet of engines, and the wire protocol's `submit` path through a
+//! shared `Runtime`.
 
 use phom::net::wire::WireRequest;
 use phom::net::{Client, Server};
@@ -85,13 +86,15 @@ fn engine_cache_never_crosses_precision_tiers() {
     assert_eq!(engine.cache_stats().hits, 1);
 }
 
-/// The Fleet's shared cache: the same (version, query) under different
-/// tiers stays isolated, across both registered versions.
+/// A fleet's shared cache — two instance versions, each served by an
+/// engine built on one `CacheHandle`: the same (version, query) under
+/// different tiers stays isolated, across both versions.
 #[test]
 fn fleet_shared_cache_never_crosses_precision_tiers() {
-    let mut fleet = Fleet::with_cache_capacity(256);
-    let v1 = fleet.register(instance());
-    let v2 = fleet.register({
+    let cache = CacheHandle::with_capacity(256);
+    let on_cache = |h: ProbGraph| Engine::builder().shared_cache(cache.clone()).build(h);
+    let v1 = on_cache(instance());
+    let v2 = on_cache({
         let h = instance();
         let mut probs = h.probs().to_vec();
         probs[0] = Rational::one(); // Pr becomes 3/4
@@ -99,53 +102,47 @@ fn fleet_shared_cache_never_crosses_precision_tiers() {
     });
 
     // Warm both versions with exact answers.
-    let a1 = fleet.submit(v1, &[Request::probability(query())]).unwrap();
+    let a1 = v1.submit(&[Request::probability(query())]);
     assert!(is_exact_3_8(&a1[0]), "{:?}", a1[0]);
-    let a2 = fleet.submit(v2, &[Request::probability(query())]).unwrap();
+    let a2 = v2.submit(&[Request::probability(query())]);
     assert!(
         matches!(&a2[0], Ok(Response::Probability(sol))
             if sol.probability == Rational::from_ratio(3, 4)),
         "{:?}",
         a2[0]
     );
-    let warm_hits = fleet.cache_stats().hits;
+    let warm_hits = cache.stats().hits;
 
     // Float requests against the warmed shared cache: fresh float
     // answers, no cross-tier hits.
-    let f1 = fleet
-        .submit(v1, &[Request::probability(query()).precision(FLOAT)])
-        .unwrap();
+    let f1 = v1.submit(&[Request::probability(query()).precision(FLOAT)]);
     assert!(
         is_approx_3_8(&f1[0]),
         "exact leaked through the fleet: {:?}",
         f1[0]
     );
-    let f2 = fleet
-        .submit(v2, &[Request::probability(query()).precision(FLOAT)])
-        .unwrap();
+    let f2 = v2.submit(&[Request::probability(query()).precision(FLOAT)]);
     assert!(
         matches!(&f2[0], Ok(Response::Approximate { value, .. })
             if (value - 0.75).abs() < 1e-9),
         "{:?}",
         f2[0]
     );
-    assert_eq!(fleet.cache_stats().hits, warm_hits);
+    assert_eq!(cache.stats().hits, warm_hits);
 
     // And back: exact requests still answer exactly off their own keys.
-    let e1 = fleet.submit(v1, &[Request::probability(query())]).unwrap();
+    let e1 = v1.submit(&[Request::probability(query())]);
     assert!(
         is_exact_3_8(&e1[0]),
         "float leaked through the fleet: {:?}",
         e1[0]
     );
-    assert_eq!(fleet.cache_stats().hits, warm_hits + 1); // the exact key, warmed above
+    assert_eq!(cache.stats().hits, warm_hits + 1); // the exact key, warmed above
 
     // Same-tier float repeat: a shared-cache hit.
-    let f1_again = fleet
-        .submit(v1, &[Request::probability(query()).precision(FLOAT)])
-        .unwrap();
+    let f1_again = v1.submit(&[Request::probability(query()).precision(FLOAT)]);
     assert!(is_approx_3_8(&f1_again[0]), "{:?}", f1_again[0]);
-    assert_eq!(fleet.cache_stats().hits, warm_hits + 2);
+    assert_eq!(cache.stats().hits, warm_hits + 2);
 }
 
 /// The wire path: one runtime, one TCP server, interleaved exact and

@@ -1,7 +1,5 @@
 //! Property-based tests (proptest) on the workspace invariants.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::core::bruteforce;
 use phom::graph::generate;
 use phom::graph::hom::{exists_hom, exists_hom_into_world};
@@ -84,7 +82,7 @@ proptest! {
             generate::ProbProfile { certain_ratio: 0.25, denominator: 4 },
             &mut rng,
         );
-        if let Ok(sol) = phom::solve(&q, &h) {
+        if let Ok(sol) = Engine::new(h.clone()).solve(&q) {
             prop_assert!(sol.probability.is_probability());
             prop_assert_eq!(sol.probability, bruteforce::probability(&q, &h));
         }

@@ -9,8 +9,6 @@
 //! Together the loops below cover well over 500 randomized
 //! query/instance (or DNF/weights) pairs per run.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::graph::generate;
 use phom::graph::hom::exists_hom_into_world;
 use phom::lineage::beta::beta_dnf_probability;
@@ -251,7 +249,8 @@ fn solver_provenance_reconciles_with_counting_and_bruteforce() {
         let h = generate::with_probabilities(h_graph, generate::ProbProfile::half(), &mut rng);
         let q = generate::planted_path_query(h.graph(), rng.gen_range(1..4), &mut rng)
             .unwrap_or_else(|| generate::one_way_path(2, 2, &mut rng));
-        let Ok(sol) = phom::solve_with(&q, &h, opts) else {
+        let engine = Engine::builder().default_options(opts).build(h.clone());
+        let Ok(sol) = engine.solve(&q) else {
             continue;
         };
         assert_eq!(

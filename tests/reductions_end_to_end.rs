@@ -4,8 +4,6 @@
 //! against independent counters — including *exhaustive* checks over all
 //! small source instances.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::reductions::edge_cover::Bipartite;
 use phom::reductions::pp2dnf::Pp2Dnf;
 use phom::reductions::{prop33, prop34, prop41, prop56};
@@ -103,6 +101,14 @@ fn prop56_exhaustive_on_tiny_formulas() {
     }
 }
 
+/// The hard cell the engine reports for `red`'s query on its instance.
+fn hardness(red: &phom::reductions::Reduction) -> phom::Hardness {
+    match phom::Engine::new(red.instance.clone()).solve(&red.query) {
+        Err(phom::SolveError::Hard(h)) => h,
+        other => panic!("expected a hard cell, got {other:?}"),
+    }
+}
+
 /// The dispatcher classifies every reduction image into the intended hard
 /// cell (no fast path accidentally solves them).
 #[test]
@@ -111,20 +117,16 @@ fn reduction_images_land_in_hard_cells() {
     let phi = Pp2Dnf::figure_7_formula();
 
     let r33 = prop33::reduce(&gamma);
-    let e = phom::solve(&r33.query, &r33.instance).unwrap_err();
-    assert_eq!(e.prop, "Prop 3.3");
+    assert_eq!(hardness(&r33).prop, "Prop 3.3");
 
     let r34 = prop34::reduce(&gamma);
-    let e = phom::solve(&r34.query, &r34.instance).unwrap_err();
-    assert_eq!(e.prop, "Prop 3.4");
+    assert_eq!(hardness(&r34).prop, "Prop 3.4");
 
     let r41 = prop41::reduce(&phi);
-    let e = phom::solve(&r41.query, &r41.instance).unwrap_err();
-    assert_eq!(e.prop, "Prop 4.1");
+    assert_eq!(hardness(&r41).prop, "Prop 4.1");
 
     let r56 = prop56::reduce(&phi);
-    let e = phom::solve(&r56.query, &r56.instance).unwrap_err();
-    assert_eq!(e.prop, "Prop 5.6");
+    assert_eq!(hardness(&r56).prop, "Prop 5.6");
 }
 
 /// The reductions compose with the Monte-Carlo fallback: approximate
@@ -141,7 +143,11 @@ fn monte_carlo_approximates_reduction_counts() {
         },
         ..Default::default()
     };
-    let sol = phom::solve_with(&red.query, &red.instance, opts).unwrap();
+    let sol = Engine::builder()
+        .default_options(opts)
+        .build(red.instance.clone())
+        .solve(&red.query)
+        .unwrap();
     let approx_count = sol.probability.to_f64() * (1u64 << red.log2_scale) as f64;
     assert!(
         (approx_count - 2.0).abs() < 0.5,

@@ -2,16 +2,23 @@
 //! inputs drawn from every PTIME cell of Tables 1–3, the dispatcher must
 //! (a) accept the input and (b) return exactly the brute-force probability.
 
-#![allow(deprecated)] // the suite pins the legacy shims to the engine path
-
 use phom::core::bruteforce;
 use phom::graph::generate;
 use phom::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// One query through a fresh, cacheless engine under `opts`.
+fn solve_with(q: &Graph, h: &ProbGraph, opts: SolverOptions) -> Result<Solution, SolveError> {
+    Engine::builder()
+        .cache_capacity(0)
+        .default_options(opts)
+        .build(h.clone())
+        .solve(q)
+}
+
 fn check_exact(q: &Graph, h: &ProbGraph, expected_route: Option<&Route>) {
-    let sol = phom::solve(q, h).unwrap_or_else(|e| {
+    let sol = solve_with(q, h, SolverOptions::default()).unwrap_or_else(|e| {
         panic!(
             "solver refused a PTIME-cell input: {e:?}\n q={q:?}\n h={:?}",
             h.graph()
@@ -143,8 +150,8 @@ fn t3_path_queries_on_polytrees_all_strategies() {
     }
 }
 
-/// The DP ablations (prefer_dp) agree with the lineage pipelines
-/// everywhere they apply.
+/// The DP ablations (prefer_dp) agree with the lineage pipelines and
+/// with brute force everywhere they apply.
 #[test]
 fn dp_ablations_agree_with_lineage() {
     let mut rng = SmallRng::seed_from_u64(1006);
@@ -169,8 +176,11 @@ fn dp_ablations_agree_with_lineage() {
             },
         );
         match (a, b) {
-            (Ok(x), Ok(y)) => assert_eq!(x.probability, y.probability, "q={q:?}"),
-            (Err(x), Err(y)) => assert_eq!(x.prop, y.prop),
+            (Ok(x), Ok(y)) => {
+                assert_eq!(x.probability, y.probability, "q={q:?}");
+                assert_eq!(x.probability, bruteforce::probability(&q, &h), "q={q:?}");
+            }
+            (Err(SolveError::Hard(x)), Err(SolveError::Hard(y))) => assert_eq!(x.prop, y.prop),
             (x, y) => panic!("routes disagree: {x:?} vs {y:?}"),
         }
     }
@@ -213,8 +223,12 @@ fn probability_is_monotone_in_edge_probabilities() {
         probs[e] = probs[e].add(&probs[e].one_minus().mul(&Rational::from_ratio(1, 2)));
         let h2 = ProbGraph::new(tree, probs);
         let q = generate::one_way_path(rng.gen_range(1..4), 2, &mut rng);
-        let p1 = phom::solve(&q, &h1).unwrap().probability;
-        let p2 = phom::solve(&q, &h2).unwrap().probability;
+        let p1 = solve_with(&q, &h1, SolverOptions::default())
+            .unwrap()
+            .probability;
+        let p2 = solve_with(&q, &h2, SolverOptions::default())
+            .unwrap()
+            .probability;
         assert!(p2 >= p1, "q={q:?}");
     }
 }
