@@ -424,19 +424,6 @@ impl Response {
             _ => None,
         }
     }
-
-    /// Any probability-shaped answer as an `f64` — exact responses are
-    /// converted (correctly rounded), approximate ones return their
-    /// carried value, estimates their interval midpoint.
-    pub fn value_f64(&self) -> Option<f64> {
-        match self {
-            Response::Probability(sol) => Some(sol.probability.to_f64()),
-            Response::Approximate { value, .. } => Some(*value),
-            Response::Ucq { probability, .. } => Some(probability.to_f64()),
-            Response::Estimate { lo, hi, .. } => Some((lo + hi) / 2.0),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -574,22 +561,11 @@ impl Engine {
         self.threads
     }
 
-    /// The options requests inherit when they don't override them.
-    pub fn default_options(&self) -> SolverOptions {
-        self.default_options
-    }
-
     /// Counters and size of the engine's answer cache. For an engine
     /// built on a [`shared_cache`](EngineBuilder::shared_cache) these
     /// describe the *shared* cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.lock_cache().stats()
-    }
-
-    /// Drops every cached answer (lifetime counters are kept — see
-    /// [`CacheHandle::clear`]).
-    pub fn clear_cache(&self) {
-        self.lock_cache().clear();
     }
 
     /// A cloneable handle to the engine's answer cache, for building
@@ -1434,6 +1410,23 @@ fn run_shared_eval_guarded(
     }
 }
 
+/// Compiles a circuit-shaped plan into `arena`: a Prop 4.11 plan as its
+/// match event, a Prop 4.10 plan as its failure event (`negated`).
+/// `None` for any other plan, or when the route builds no circuit.
+fn compile_circuit(
+    arena: &mut Arena,
+    planned: &Planned,
+    h: &Graph,
+) -> Option<(GateId, bool, Route)> {
+    match &planned.plan {
+        Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
+            .map(|root| (root, false, Route::Prop411)),
+        Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &planned.absorbed, h)
+            .map(|root| (root, true, Route::Prop410)),
+        _ => None,
+    }
+}
+
 /// The cross-shard shared-arena split: compiles every circuit-compilable
 /// pending plan into **one** arena (sequentially, at plan time — gate
 /// interning across queries maximizes sharing) and partitions the
@@ -1458,38 +1451,11 @@ fn split_shared_arena(
         // evaluation; the shared multi-root pass can't stop one root
         // without stopping them all.
         if !pending.opts.want_provenance && !pending.is_metered() {
-            match &pending.planned.plan {
-                Plan::Prop411 { effective } => {
-                    if let Some(root) =
-                        lineage_circuits::match_into_2wp(&mut arena, effective, instance.graph())
-                    {
-                        deferred.push((
-                            pending.slot,
-                            root,
-                            false,
-                            Route::Prop411,
-                            pending.opts.precision,
-                        ));
-                        continue;
-                    }
-                }
-                Plan::Prop410 => {
-                    if let Some(root) = lineage_circuits::fail_into_dwt(
-                        &mut arena,
-                        &pending.planned.absorbed,
-                        instance.graph(),
-                    ) {
-                        deferred.push((
-                            pending.slot,
-                            root,
-                            true,
-                            Route::Prop410,
-                            pending.opts.precision,
-                        ));
-                        continue;
-                    }
-                }
-                _ => {}
+            if let Some((root, negated, route)) =
+                compile_circuit(&mut arena, &pending.planned, instance.graph())
+            {
+                deferred.push((pending.slot, root, negated, route, pending.opts.precision));
+                continue;
             }
         }
         rest.push(pending);
@@ -1710,20 +1676,9 @@ fn run_metered_slot(
     let instance = shared.instance;
     if shared.ic().is_connected() && !opts.want_provenance {
         let mut arena = Arena::new(instance.graph().n_edges());
-        let compiled = match &pending.planned.plan {
-            Plan::Prop411 { effective } => {
-                lineage_circuits::match_into_2wp(&mut arena, effective, instance.graph())
-                    .map(|root| (root, false, Route::Prop411))
-            }
-            Plan::Prop410 => lineage_circuits::fail_into_dwt(
-                &mut arena,
-                &pending.planned.absorbed,
-                instance.graph(),
-            )
-            .map(|root| (root, true, Route::Prop410)),
-            _ => None,
-        };
-        if let Some((root, negated, route)) = compiled {
+        if let Some((root, negated, route)) =
+            compile_circuit(&mut arena, &pending.planned, instance.graph())
+        {
             outcome.circuit_batched += 1;
             outcome.gates += arena.n_gates();
             let result = eval_metered_root(
@@ -1834,28 +1789,12 @@ fn run_shard(
         // connected instance, when no provenance handle was requested
         // (handles own their circuit, so they compile separately).
         if connected && !opts.want_provenance {
-            match &pending.planned.plan {
-                Plan::Prop411 { effective } => {
-                    if let Some(root) =
-                        lineage_circuits::match_into_2wp(&mut arena, effective, instance.graph())
-                    {
-                        deferred.push((pending.slot, root, false, Route::Prop411, opts.precision));
-                        outcome.circuit_batched += 1;
-                        continue;
-                    }
-                }
-                Plan::Prop410 => {
-                    if let Some(root) = lineage_circuits::fail_into_dwt(
-                        &mut arena,
-                        &pending.planned.absorbed,
-                        instance.graph(),
-                    ) {
-                        deferred.push((pending.slot, root, true, Route::Prop410, opts.precision));
-                        outcome.circuit_batched += 1;
-                        continue;
-                    }
-                }
-                _ => {}
+            if let Some((root, negated, route)) =
+                compile_circuit(&mut arena, &pending.planned, instance.graph())
+            {
+                deferred.push((pending.slot, root, negated, route, opts.precision));
+                outcome.circuit_batched += 1;
+                continue;
             }
         }
         // General path: finish the plan exactly as `solve_with` does —

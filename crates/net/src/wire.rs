@@ -172,6 +172,10 @@
 //!   `"lo":…,"hi":…,"samples":n,"route":…}` — a certified 95%
 //!   confidence interval from budgeted Monte-Carlo sampling (`lo`/`hi`
 //!   as shortest-roundtrip float strings).
+//!
+//! These counts, and the Monte-Carlo fallback's `samples` and `seed`,
+//! are JSON numbers up to 2⁵³; a larger value travels as a `"0x…"` hex
+//! string, like a version.
 
 use crate::json::Json;
 use phom_core::ucq::Ucq;
@@ -650,15 +654,15 @@ impl WireRequest {
         match self.fallback {
             Some(WireFallback::BruteForce { max_uncertain }) => pairs.push((
                 "fallback".to_string(),
-                Json::obj(vec![("brute_force", Json::u64(max_uncertain as u64))]),
+                Json::obj(vec![("brute_force", encode_count(max_uncertain as u64))]),
             )),
             Some(WireFallback::MonteCarlo { samples, seed }) => pairs.push((
                 "fallback".to_string(),
                 Json::obj(vec![(
                     "monte_carlo",
                     Json::obj(vec![
-                        ("samples", Json::u64(samples)),
-                        ("seed", Json::u64(seed)),
+                        ("samples", encode_count(samples)),
+                        ("seed", encode_count(seed)),
                     ]),
                 )]),
             )),
@@ -679,18 +683,18 @@ impl WireRequest {
             None => {}
         }
         if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms".to_string(), Json::u64(ms)));
+            pairs.push(("deadline_ms".to_string(), encode_count(ms)));
         }
         if let Some(budget) = self.budget {
             let mut members = Vec::new();
             if let Some(samples) = budget.samples {
-                members.push(("samples", Json::u64(samples)));
+                members.push(("samples", encode_count(samples)));
             }
             if let Some(gates) = budget.gates {
-                members.push(("gates", Json::u64(gates)));
+                members.push(("gates", encode_count(gates)));
             }
             if let Some(ms) = budget.time_ms {
-                members.push(("time_ms", Json::u64(ms)));
+                members.push(("time_ms", encode_count(ms)));
             }
             pairs.push(("budget".to_string(), Json::obj(members)));
         }
@@ -739,7 +743,7 @@ impl WireRequest {
         let fallback = match json.get("fallback") {
             None | Some(Json::Null) => None,
             Some(f) => Some(
-                if let Some(n) = f.get("brute_force").and_then(Json::as_u64) {
+                if let Some(n) = f.get("brute_force").and_then(decode_count) {
                     WireFallback::BruteForce {
                         max_uncertain: n as usize,
                     }
@@ -747,13 +751,12 @@ impl WireRequest {
                     WireFallback::MonteCarlo {
                         samples: mc
                             .get("samples")
-                            .and_then(Json::as_u64)
+                            .and_then(decode_count)
                             .ok_or("monte_carlo fallback needs 'samples'")?,
                         seed: match mc.get("seed") {
                             None | Some(Json::Null) => 0,
-                            Some(seed) => seed
-                                .as_u64()
-                                .ok_or("monte_carlo 'seed' must be an integer up to 2^53")?,
+                            Some(seed) => decode_count(seed)
+                                .ok_or("monte_carlo 'seed' must be an exact integer")?,
                         },
                     }
                 } else {
@@ -767,7 +770,7 @@ impl WireRequest {
         };
         let deadline_ms = match json.get("deadline_ms") {
             None | Some(Json::Null) => None,
-            Some(d) => Some(d.as_u64().ok_or("deadline_ms must be a number")?),
+            Some(d) => Some(decode_count(d).ok_or("deadline_ms must be a number")?),
         };
         let budget = match json.get("budget") {
             None | Some(Json::Null) => None,
@@ -775,8 +778,7 @@ impl WireRequest {
                 let member = |name: &str| -> Result<Option<u64>, String> {
                     match b.get(name) {
                         None | Some(Json::Null) => Ok(None),
-                        Some(v) => v
-                            .as_u64()
+                        Some(v) => decode_count(v)
                             .map(Some)
                             .ok_or_else(|| format!("budget '{name}' must be a number")),
                     }
@@ -808,6 +810,25 @@ impl WireRequest {
             on_hard,
             trace,
         })
+    }
+}
+
+/// A request count or seed on the wire: a JSON number while it is exact
+/// (up to 2⁵³), a hex string like a version above that.
+fn encode_count(n: u64) -> Json {
+    if n <= 1 << 53 {
+        Json::u64(n)
+    } else {
+        encode_version(n)
+    }
+}
+
+/// Parses an [`encode_count`] value: an exact integer or a `0x` hex
+/// string.
+fn decode_count(json: &Json) -> Option<u64> {
+    match json {
+        Json::Str(text) if text.starts_with("0x") => decode_version(json).ok(),
+        _ => json.as_u64(),
     }
 }
 
@@ -1226,13 +1247,47 @@ mod tests {
             let err = WireRequest::decode(&request(bad)).unwrap_err();
             assert!(err.contains("seed"), "{bad}: {err}");
         }
-        for (ok, seed) in [("", 0), (r#","seed":null"#, 0), (r#","seed":7"#, 7)] {
+        for (ok, seed) in [
+            ("", 0),
+            (r#","seed":null"#, 0),
+            (r#","seed":7"#, 7),
+            (r#","seed":"0xffffffffffffffff""#, u64::MAX),
+        ] {
             let decoded = WireRequest::decode(&request(ok)).unwrap();
             assert!(
                 matches!(decoded.fallback, Some(WireFallback::MonteCarlo { seed: s, .. }) if s == seed),
                 "{ok}: {decoded:?}"
             );
         }
+    }
+
+    #[test]
+    fn counts_above_2_pow_53_roundtrip_as_hex() {
+        // Above 2^53 a JSON number would round; such counts and seeds
+        // travel as hex strings and come back exact.
+        let big = (1u64 << 53) + 1;
+        let request = WireRequest::probability(Graph::directed_path(1))
+            .with_fallback(WireFallback::MonteCarlo {
+                samples: big,
+                seed: u64::MAX,
+            })
+            .with_deadline_ms(big)
+            .with_budget(WireBudget {
+                samples: Some(1 << 53),
+                gates: Some(1 << 60),
+                time_ms: Some(u64::MAX),
+            });
+        let text = request.encode().encode();
+        assert!(text.contains(r#""seed":"0xffffffffffffffff""#), "{text}");
+        assert!(text.contains(r#""samples":9007199254740992"#), "{text}");
+        let decoded = WireRequest::decode(&Json::parse(&text).unwrap()).unwrap();
+        assert!(matches!(
+            decoded.fallback,
+            Some(WireFallback::MonteCarlo { samples, seed: u64::MAX }) if samples == big
+        ));
+        assert_eq!(decoded.deadline_ms, Some(big));
+        assert_eq!(decoded.budget, request.budget);
+        assert_eq!(decoded.encode().encode(), text);
     }
 
     #[test]

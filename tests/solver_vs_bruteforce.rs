@@ -150,13 +150,19 @@ fn t3_path_queries_on_polytrees_all_strategies() {
     }
 }
 
-/// The DP ablations (prefer_dp) agree with the lineage pipelines and
-/// with brute force everywhere they apply.
+/// The DP ablations agree with the lineage pipelines and with brute
+/// force everywhere they apply: through the public `algo` routines, and
+/// through the engine's `prefer_dp` branch. The engine takes that branch
+/// on the provenance path; plain answers on a connected instance come
+/// from its shared-arena circuits instead.
 #[test]
 fn dp_ablations_agree_with_lineage() {
+    use phom::core::algo::{connected_on_2wp, path_on_dwt};
     let mut rng = SmallRng::seed_from_u64(1006);
+    let mut dp_routes = [0; 2];
     for _ in 0..120 {
-        let (q, h_graph) = if rng.gen_bool(0.5) {
+        let dwt = rng.gen_bool(0.5);
+        let (q, h_graph) = if dwt {
             // Prop 4.10 shape.
             let h = generate::downward_tree(rng.gen_range(1..8), 2, &mut rng);
             (generate::one_way_path(rng.gen_range(1..4), 2, &mut rng), h)
@@ -166,24 +172,44 @@ fn dp_ablations_agree_with_lineage() {
             (generate::connected(rng.gen_range(1..5), 1, 2, &mut rng), h)
         };
         let h = generate::with_probabilities(h_graph, profile(), &mut rng);
-        let a = solve_with(&q, &h, SolverOptions::default());
-        let b = solve_with(
+        let expect = bruteforce::probability(&q, &h);
+        let (dp, lineage): (Option<Rational>, Option<Rational>) = if dwt {
+            (
+                path_on_dwt::probability_dp(&q, &h),
+                path_on_dwt::probability_lineage(&q, &h),
+            )
+        } else {
+            (
+                connected_on_2wp::probability_dp(&q, &h),
+                connected_on_2wp::probability_lineage(&q, &h),
+            )
+        };
+        assert_eq!(dp.as_ref(), Some(&expect), "dp q={q:?}");
+        assert_eq!(lineage.as_ref(), Some(&expect), "lineage q={q:?}");
+
+        let sol = solve_with(
             &q,
             &h,
             SolverOptions {
                 prefer_dp: true,
+                want_provenance: true,
                 ..Default::default()
             },
-        );
-        match (a, b) {
-            (Ok(x), Ok(y)) => {
-                assert_eq!(x.probability, y.probability, "q={q:?}");
-                assert_eq!(x.probability, bruteforce::probability(&q, &h), "q={q:?}");
-            }
-            (Err(SolveError::Hard(x)), Err(SolveError::Hard(y))) => assert_eq!(x.prop, y.prop),
-            (x, y) => panic!("routes disagree: {x:?} vs {y:?}"),
+        )
+        .unwrap_or_else(|e| panic!("q={q:?}: {e:?}"));
+        assert_eq!(sol.probability, expect, "engine q={q:?} {:?}", sol.route);
+        match sol.route {
+            Route::Prop410 => dp_routes[0] += 1,
+            Route::Prop411 => dp_routes[1] += 1,
+            _ => {}
         }
     }
+    // Queries with one label collapse to the unlabeled routes; enough
+    // of the rest must reach each DP.
+    assert!(
+        dp_routes.iter().all(|&n| n >= 10),
+        "DP answers per route: {dp_routes:?}"
+    );
 }
 
 /// Lemma 3.7: disconnected instances are handled exactly, including

@@ -4,9 +4,9 @@
 //! graph, instance and request survives `decode(encode(x))` with the
 //! same bytes on re-encoding.
 //!
-//! Generated numbers stay within the protocol's exact-integer range
-//! (2⁵³): JSON numbers are `f64`, and 64-bit values (versions, trace
-//! ids) travel as hex strings.
+//! Generated request counts and seeds span the whole `u64` range: the
+//! protocol writes values above 2⁵³ (where a JSON number would round)
+//! as hex strings, like versions and trace ids.
 
 use phom::net::json::Json;
 use phom::net::wire::{self, WireBudget, WireFallback, WireKind, WireRequest};
@@ -15,9 +15,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::Cursor;
-
-/// The largest integer a JSON number carries exactly.
-const MAX_EXACT: u64 = 1 << 53;
 
 /// Bytes that steer a random string into the parser's deeper states.
 const JSON_ALPHABET: &[u8] = b"{}[]\",:0123456789.-+eE \\/\nnulltruefalse";
@@ -67,11 +64,7 @@ fn random_instance(rng: &mut SmallRng) -> ProbGraph {
 }
 
 fn maybe<T>(rng: &mut SmallRng, value: impl FnOnce(&mut SmallRng) -> T) -> Option<T> {
-    if rng.gen_bool(0.5) {
-        Some(value(rng))
-    } else {
-        None
-    }
+    rng.gen_bool(0.5).then(|| value(rng))
 }
 
 /// Any finite, non-negative tolerance, drawn over the whole exponent
@@ -96,19 +89,24 @@ fn random_request(rng: &mut SmallRng) -> WireRequest {
                 .collect(),
         ),
     };
-    let exact = |rng: &mut SmallRng| rng.gen_range(0..=MAX_EXACT);
+    // Small counts, the edges of the exact-number range, or any u64.
+    let count = |rng: &mut SmallRng| match rng.gen_range(0..3) {
+        0 => rng.gen_range(0..1000),
+        1 => (1u64 << 53) - 1 + rng.gen_range(0..3),
+        _ => rng.next_u64(),
+    };
     WireRequest {
         kind,
         provenance: rng.gen_bool(0.5),
         fallback: maybe(rng, |rng| {
             if rng.gen_bool(0.5) {
                 WireFallback::BruteForce {
-                    max_uncertain: exact(rng) as usize,
+                    max_uncertain: count(rng) as usize,
                 }
             } else {
                 WireFallback::MonteCarlo {
-                    samples: exact(rng),
-                    seed: exact(rng),
+                    samples: count(rng),
+                    seed: count(rng),
                 }
             }
         }),
@@ -121,18 +119,14 @@ fn random_request(rng: &mut SmallRng) -> WireRequest {
                 max_rel_err: random_tolerance(rng),
             },
         }),
-        deadline_ms: maybe(rng, exact),
+        deadline_ms: maybe(rng, count),
         budget: maybe(rng, |rng| WireBudget {
-            samples: maybe(rng, exact),
-            gates: maybe(rng, exact),
-            time_ms: maybe(rng, exact),
+            samples: maybe(rng, count),
+            gates: maybe(rng, count),
+            time_ms: maybe(rng, count),
         }),
         on_hard: maybe(rng, |rng| {
-            if rng.gen_bool(0.5) {
-                OnHard::Error
-            } else {
-                OnHard::Estimate
-            }
+            [OnHard::Error, OnHard::Estimate][rng.gen_range(0..2)]
         }),
         trace: maybe(rng, |rng| rng.next_u64()),
     }
