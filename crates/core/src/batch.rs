@@ -12,7 +12,7 @@
 //!
 //! The cache maps (instance fingerprint, solver-options fingerprint,
 //! request kind, interned query key) to the completed typed answer, a
-//! `Result<`[`Response`](crate::Response)`, SolveError>`, for every
+//! `Result<`[`Response`]`, SolveError>`, for every
 //! request kind under the same flat LRU order.
 //! Mutating the instance (structure *or* probabilities) changes its
 //! fingerprint and naturally invalidates every cached answer. Since one
@@ -410,7 +410,7 @@ pub struct BatchStats {
     /// and were re-evaluated exactly.
     pub escalations: usize,
     /// Requests answered with a Monte-Carlo
-    /// [`Response::Estimate`](crate::Response::Estimate) (the
+    /// [`Response::Estimate`] (the
     /// `OnHard::Estimate` degradation).
     pub estimates: usize,
     /// Requests that failed with `SolveError::DeadlineExceeded` inside

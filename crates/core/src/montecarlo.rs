@@ -113,8 +113,10 @@ fn estimate_event_metered<R: Rng>(
 }
 
 /// Metered [`estimate`]: draws up to `samples` worlds, stopping early
-/// at the first tripped [`WorkMeter`] checkpoint. See
-/// [`estimate_event_metered`] for the anytime contract.
+/// at the first tripped [`WorkMeter`] checkpoint. The estimate is
+/// anytime: a run stopped after at least one sample is still a valid
+/// (wider) estimate and comes back as `Ok` with the stop reason; a
+/// stop before the first sample is an `Err`.
 pub fn estimate_metered<R: Rng>(
     query: &Graph,
     instance: &ProbGraph,

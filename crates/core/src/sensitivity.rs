@@ -15,7 +15,7 @@
 //!   instances), all influences come from the engine's one forward + one
 //!   backward sweep ([`Provenance::gradients`]).
 //! * **Forward-mode dual numbers** ([`influence_forward`]) — the
-//!   [`Dual`](phom_num::Dual) semifield flows through the *β-elimination*
+//!   [`Dual`] semifield flows through the *β-elimination*
 //!   of Theorem 4.9 (divisions included), returning one edge's influence
 //!   per pass without any circuit. The demonstration that the `Semiring`
 //!   abstraction, not bespoke code, carries sensitivity.
@@ -85,7 +85,7 @@ pub fn influences<W: Weight>(
 
 /// One edge's influence by forward-mode automatic differentiation: the
 /// β-acyclic lineage of Theorem 4.9 is evaluated over the
-/// [`Dual`](phom_num::Dual) number semifield with edge `e` seeded, so the
+/// [`Dual`] number semifield with edge `e` seeded, so the
 /// derivative rides along through every product, sum, *and division* of
 /// the elimination — no circuit, no backward pass.
 ///

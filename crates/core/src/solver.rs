@@ -501,8 +501,10 @@ const _: () = {
     assert_send::<SolverOptions>();
 };
 
-/// Classifies one query against the shared instance state, mirroring the
-/// historical `solve_inner` decision order exactly.
+/// Classifies one query against the shared instance state. The order of
+/// the checks is fixed: an edgeless query, then a label missing from the
+/// instance, then component absorption, then the polytree zero, then the
+/// labeled or unlabeled cell of Tables 1–3.
 pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
     let trivially = |absorbed: Graph, solution: Solution| {
         let qc = classify(&absorbed);
@@ -716,9 +718,10 @@ pub(crate) fn finish_plan(
     let mut sol = execute_plan(planned, shared, opts)?;
     if opts.want_provenance && sol.provenance.is_none() {
         sol.provenance = compile_provenance(query, instance, &sol.route);
-        // compile_provenance mirrors solve_inner's routing (absorb +
-        // Prop 5.5 collapse); this guard catches any future drift between
-        // the two before a wrong handle reaches downstream consumers.
+        // compile_provenance repeats the planner's routing (absorb +
+        // Prop 5.5 collapse) on its own; this guard catches any drift
+        // between the two before a wrong handle reaches downstream
+        // consumers.
         debug_assert!(
             sol.provenance
                 .as_ref()
@@ -881,10 +884,9 @@ pub mod test_support {
 
     static FORCE_HARD: AtomicBool = AtomicBool::new(false);
 
-    /// While set, [`plan_query`](super::plan_query) classifies every
-    /// non-trivial query as [`Plan::Hard`](super::Plan::Hard), so all
-    /// probability traffic exercises the fallback / `OnHard`
-    /// degradation ladder. Global and process-wide: serialize tests
+    /// While set, query planning classifies every non-trivial query as
+    /// a hard cell, so all probability traffic exercises the fallback /
+    /// `OnHard` degradation ladder. Global and process-wide: serialize tests
     /// that flip it, and remember that hardness answers are cached —
     /// use fresh engines (or distinct queries) per test.
     pub fn force_hard_plans(on: bool) {

@@ -1,11 +1,12 @@
 //! The paper's Tables 1–3 as data: the complete combined-complexity
 //! classification of `PHom` for the query/instance classes of Figure 2.
 //!
-//! These tables drive the benchmark harness (`phom-bench`'s `tables`
-//! binary regenerates them with measured evidence) and the consistency
-//! tests: the dispatcher of [`crate::solver`] must solve every input drawn
-//! from a PTIME cell, and may only report hardness for inputs in #P-hard
-//! cells.
+//! These tables drive the consistency checks: the dispatcher of
+//! [`crate::solver`] must solve every input drawn from a PTIME cell, and
+//! may only report hardness for inputs in #P-hard cells.
+//! `examples/complexity_atlas.rs`, which CI runs, checks them: it solves
+//! a sample of every PTIME cell against brute force and checks that each
+//! hard cell's witness is refused.
 
 use phom_graph::ConnClass;
 

@@ -42,9 +42,10 @@
 //!   as the ticket's one terminal `poll` answer. The router never
 //!   silently retries a submit; exactly-once stays with the client.
 //! * **Fleet-wide observability**: the router's `stats` op aggregates
-//!   every member's `RuntimeStats` (per-member + rollup, with the
-//!   members' sparse latency histograms merged bucket-wise); the
-//!   `fleet` op reports membership and current placements. The router
+//!   every member's `RuntimeStats` (per-member + a rollup that merges
+//!   every runtime metric by its kind; `docs/metrics.md` lists the
+//!   names); the `fleet` op reports membership and current placements.
+//!   The router
 //!   is also the fleet's trace front door — it mints and injects a
 //!   trace id into submits that lack one, records a `routed` span per
 //!   forward, answers the `trace` op with member spans merged under
@@ -104,4 +105,4 @@ mod members;
 mod router;
 
 pub use members::{owner_of, parse_members, validate_members, MemberSpec};
-pub use router::{Router, RouterBuilder, RouterStats};
+pub use router::{Router, RouterBuilder, RouterStats, FLEET_METRICS, ROUTER_METRICS};

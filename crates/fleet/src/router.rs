@@ -56,16 +56,19 @@
 //! frame write, not the member's admission; member index in `detail`)
 //! lands in a local span ring. The `trace` op fans out to
 //! every member and merges member spans with the router's routing
-//! spans; the `metrics` op renders the router counters plus the
-//! fleet-merged latency histograms (same stable names as a member's,
-//! so dashboards work at either level); and the `stats` rollup merges
-//! the members' sparse histograms bucket-wise.
+//! spans. The `stats` rollup and the `metrics` op merge every
+//! [`RUNTIME_METRICS`] row of the members' `stats` replies by its kind
+//! (counters and levels summed, high-water marks maxed, histograms
+//! merged bucket-wise); merged histograms keep the members' family
+//! names, so dashboards work at either level.
 
 use crate::members::{owner_of, validate_members, MemberSpec};
 use phom_net::json::Json;
 use phom_net::wire::{self, read_frame, write_frame};
 use phom_net::{MuxClient, MuxTicket, NetError};
-use phom_obs::{Histogram, PromText, Span, SpanLane, SpanRing, Stage, TraceId};
+use phom_obs::Kind::{self, Counter, Level};
+use phom_obs::{Metric, PromText, Span, SpanLane, SpanRing, Stage, TraceId, Value};
+use phom_serve::{RuntimeStats, RUNTIME_METRICS};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -209,6 +212,25 @@ struct RouterCounters {
     tickets_open: AtomicI64,
 }
 
+impl RouterCounters {
+    fn snapshot(&self) -> RouterStats {
+        let submitted = self.submitted.load(Ordering::Relaxed);
+        RouterStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            frames_in: self.frames_in.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
+            submitted,
+            mux_submits: submitted,
+            delivered: self.delivered.load(Ordering::Relaxed),
+            member_unavailable: self.member_unavailable.load(Ordering::Relaxed),
+            handoffs: self.handoffs.load(Ordering::Relaxed),
+            lazy_registers: self.lazy_registers.load(Ordering::Relaxed),
+            drained_deregisters: self.drained_deregisters.load(Ordering::Relaxed),
+            open_tickets: self.tickets_open.load(Ordering::SeqCst),
+        }
+    }
+}
+
 struct RouterInner {
     members: Vec<MemberSpec>,
     draining: AtomicBool,
@@ -261,9 +283,37 @@ pub struct RouterStats {
     pub open_tickets: i64,
 }
 
-/// The fleet front door. See the [module docs](self) for structure and
-/// failure semantics, and [`phom_net::wire`] for the ops it serves
-/// (the member protocol plus `move` and `fleet`).
+/// The router's own metrics, one row each (`docs/metrics.md` lists
+/// them): the `stats` reply's `router` object and the `phom_router_*`
+/// families of the `metrics` text.
+#[rustfmt::skip]
+pub const ROUTER_METRICS: &[Metric<RouterStats>] = &[
+    Metric::new("connections", "phom_router_connections_total", &[], Counter, "client connections accepted", |r| r.connections.into()),
+    Metric::new("frames_in", "phom_router_frames_in_total", &[], Counter, "frames read off client connections", |r| r.frames_in.into()),
+    Metric::new("frames_out", "phom_router_frames_out_total", &[], Counter, "frames written to client connections", |r| r.frames_out.into()),
+    Metric::new("submitted", "phom_router_submitted_total", &[], Counter, "forwarded submits the member admitted", |r| r.submitted.into()),
+    Metric::new("mux_submits", "phom_router_mux_submits_total", &[], Counter, "submits that rode a multiplexed (protocol-v2) member link; equals submitted", |r| r.mux_submits.into()),
+    Metric::new("delivered", "phom_router_delivered_total", &[], Counter, "answers delivered to clients", |r| r.delivered.into()),
+    Metric::new("member_unavailable", "phom_router_member_unavailable_total", &[], Counter, "ops answered member_unavailable", |r| r.member_unavailable.into()),
+    Metric::new("handoffs", "phom_router_handoffs_total", &[], Counter, "completed move ops (routing flips)", |r| r.handoffs.into()),
+    Metric::new("lazy_registers", "phom_router_lazy_registers_total", &[], Counter, "broadcast-on-demand registrations", |r| r.lazy_registers.into()),
+    Metric::new("drained_deregisters", "phom_router_drained_deregisters_total", &[], Counter, "post-handoff deregistrations", |r| r.drained_deregisters.into()),
+    Metric::new("open_tickets", "phom_router_open_tickets", &[], Level, "tickets held router-side awaiting delivery", |r| r.open_tickets.into()),
+];
+
+/// The fleet's membership over `(configured, available)` member
+/// counts: the first rows of the `stats` reply's `rollup` object and of
+/// the `phom_fleet_*` families. The rest of the rollup is every
+/// [`RUNTIME_METRICS`] row merged across the members that answered.
+#[rustfmt::skip]
+pub const FLEET_METRICS: &[Metric<(u64, u64)>] = &[
+    Metric::new("members", "phom_fleet_members", &[], Level, "configured fleet members", |&(configured, _)| configured.into()),
+    Metric::new("members_available", "phom_fleet_members_available", &[], Level, "members that answered the last stats fan-out", |&(_, available)| available.into()),
+];
+
+/// The fleet front door. The `router` module docs describe its
+/// structure and failure semantics; [`phom_net::wire`] describes the
+/// ops it serves (the member protocol plus `move` and `fleet`).
 pub struct Router {
     inner: Arc<RouterInner>,
     accept: Option<JoinHandle<()>>,
@@ -294,21 +344,7 @@ impl Router {
 
     /// The router's own counters.
     pub fn stats(&self) -> RouterStats {
-        let c = &self.inner.counters;
-        let submitted = c.submitted.load(Ordering::Relaxed);
-        RouterStats {
-            connections: c.connections.load(Ordering::Relaxed),
-            frames_in: c.frames_in.load(Ordering::Relaxed),
-            frames_out: c.frames_out.load(Ordering::Relaxed),
-            submitted,
-            mux_submits: submitted,
-            delivered: c.delivered.load(Ordering::Relaxed),
-            member_unavailable: c.member_unavailable.load(Ordering::Relaxed),
-            handoffs: c.handoffs.load(Ordering::Relaxed),
-            lazy_registers: c.lazy_registers.load(Ordering::Relaxed),
-            drained_deregisters: c.drained_deregisters.load(Ordering::Relaxed),
-            open_tickets: c.tickets_open.load(Ordering::SeqCst),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Tickets currently held on behalf of connected clients.
@@ -1085,193 +1121,92 @@ impl<'a> Conn<'a> {
         )
     }
 
-    /// Fans a `stats` op out to every member, summing scalar rollup
-    /// fields and merging the sparse latency histograms bucket-wise. A
-    /// member that cannot be reached is reported (`ok: false`), never
-    /// an error for the whole collection.
-    fn collect_member_stats(&self) -> FleetRollup {
-        let mut rollup = FleetRollup {
+    /// Fans a `stats` op out to every member and merges each answer's
+    /// runtime readings by kind ([`wire::merge_metrics`]). A member that
+    /// cannot be reached is reported (`ok: false`), never an error for
+    /// the whole collection.
+    fn collect_member_stats(&self) -> FleetStats {
+        let zero = RuntimeStats::default();
+        let mut fleet = FleetStats {
             member_entries: Vec::new(),
-            scalars: Vec::new(),
-            hists: ROLLUP_HISTOGRAMS.iter().map(|_| Histogram::new()).collect(),
             available: 0,
+            merged: RUNTIME_METRICS
+                .iter()
+                .map(|row| (row.read)(&zero))
+                .collect(),
         };
         for idx in 0..self.inner.members.len() {
             let member = &self.inner.members[idx];
             let (name, addr) = (member.name.clone(), member.addr.clone());
             match self.inner.member_call(idx, MuxClient::stats) {
                 Ok(stats) => {
-                    rollup.available += 1;
-                    for field in ROLLUP_FIELDS {
-                        if let Some(v) = stats.get(field).and_then(Json::as_u64) {
-                            match rollup.scalars.iter_mut().find(|(f, _)| f == field) {
-                                Some((_, sum)) => *sum += v,
-                                None => rollup.scalars.push((field.to_string(), v)),
-                            }
-                        }
-                    }
-                    for (i, key) in ROLLUP_HISTOGRAMS.iter().enumerate() {
-                        if let Some(Ok(h)) = stats.get(key).map(wire::decode_histogram) {
-                            rollup.hists[i].merge(&h);
-                        }
-                    }
-                    rollup.member_entries.push(Json::obj(vec![
+                    fleet.available += 1;
+                    wire::merge_metrics(RUNTIME_METRICS, &mut fleet.merged, &stats);
+                    fleet.member_entries.push(Json::obj(vec![
                         ("name", Json::str(&name)),
                         ("addr", Json::str(&addr)),
                         ("ok", Json::Bool(true)),
                         ("stats", stats),
                     ]));
                 }
-                Err(_) => rollup.member_entries.push(Json::obj(vec![
+                Err(_) => fleet.member_entries.push(Json::obj(vec![
                     ("name", Json::str(&name)),
                     ("addr", Json::str(&addr)),
                     ("ok", Json::Bool(false)),
                 ])),
             }
         }
-        rollup
+        fleet
     }
 
-    /// `stats`: per-member snapshots plus a numeric rollup (scalar sums
-    /// and bucket-wise-merged latency histograms) and the router's own
-    /// counters.
+    /// `stats`: the router's own counters, per-member snapshots, and the
+    /// rollup: membership plus every runtime row merged across members.
     fn op_stats(&self, frame: &Json) -> Json {
         let fleet = self.collect_member_stats();
-        let c = self.stats_snapshot();
-        let mut rollup_pairs: Vec<(String, Json)> =
-            vec![("members_available".to_string(), Json::u64(fleet.available))];
-        rollup_pairs.extend(fleet.scalars.into_iter().map(|(f, v)| (f, Json::u64(v))));
-        for (i, key) in ROLLUP_HISTOGRAMS.iter().enumerate() {
-            rollup_pairs.push((key.to_string(), wire::encode_histogram(&fleet.hists[i])));
-        }
+        let membership = (self.inner.members.len() as u64, fleet.available);
+        let rollup = FLEET_METRICS
+            .iter()
+            .map(|row| (row.key, (row.read)(&membership)))
+            .chain(RUNTIME_METRICS.iter().map(|row| row.key).zip(fleet.merged));
+        let router = wire::encode_metrics(ROUTER_METRICS, &self.inner.counters.snapshot());
         ok_reply(
             frame,
             Json::obj(vec![(
                 "stats",
                 Json::obj(vec![
-                    ("router", c),
+                    ("router", router),
                     ("members", Json::Arr(fleet.member_entries)),
-                    ("rollup", Json::Obj(rollup_pairs)),
+                    ("rollup", wire::encode_readings(rollup)),
                 ]),
             )]),
         )
     }
 
-    /// `metrics`: Prometheus text for the fleet — router counters under
-    /// `phom_router_*`/`phom_fleet_*`, plus the members' latency
-    /// histograms merged bucket-wise and rendered under the *same*
-    /// stable names a single member uses (`phom_request_latency_ns`,
-    /// `phom_queue_latency_ns`, `phom_stage_latency_ns`), so dashboards
-    /// work unchanged at either level.
+    /// `metrics`: Prometheus text for the fleet — membership and router
+    /// counters, then every runtime row merged across members. A merged
+    /// scalar is `phom_fleet_<key>`; a merged histogram keeps the
+    /// member's family and labels, so dashboards work unchanged at
+    /// either level.
     fn op_metrics(&self, frame: &Json) -> Json {
         let fleet = self.collect_member_stats();
-        let c = &self.inner.counters;
         let mut prom = PromText::new();
-        prom.gauge(
-            "phom_fleet_members",
-            "configured fleet members",
-            self.inner.members.len() as u64,
+        prom.rows(
+            FLEET_METRICS,
+            &(self.inner.members.len() as u64, fleet.available),
         );
-        prom.gauge(
-            "phom_fleet_members_available",
-            "members that answered the last stats fan-out",
-            fleet.available,
-        );
-        prom.counter(
-            "phom_router_connections_total",
-            "client connections accepted",
-            c.connections.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_frames_in_total",
-            "frames read off client connections",
-            c.frames_in.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_frames_out_total",
-            "frames written to client connections",
-            c.frames_out.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_submitted_total",
-            "forwarded submits the member admitted",
-            c.submitted.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_mux_submits_total",
-            "submits that rode a multiplexed (protocol-v2) member link; equals submitted",
-            c.submitted.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_delivered_total",
-            "answers delivered to clients",
-            c.delivered.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_member_unavailable_total",
-            "ops answered member_unavailable",
-            c.member_unavailable.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_handoffs_total",
-            "completed move ops (routing flips)",
-            c.handoffs.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_lazy_registers_total",
-            "broadcast-on-demand registrations",
-            c.lazy_registers.load(Ordering::Relaxed),
-        );
-        prom.counter(
-            "phom_router_drained_deregisters_total",
-            "post-handoff deregistrations",
-            c.drained_deregisters.load(Ordering::Relaxed),
-        );
-        prom.gauge(
-            "phom_router_open_tickets",
-            "tickets held router-side awaiting delivery",
-            c.tickets_open.load(Ordering::SeqCst).max(0) as u64,
-        );
-        for (field, v) in &fleet.scalars {
-            let name = format!("phom_fleet_{field}");
-            let help = "summed across available members";
-            if ROLLUP_GAUGES.contains(&field.as_str()) {
-                prom.gauge(&name, help, *v);
-            } else {
-                prom.counter(&name, help, *v);
+        prom.rows(ROUTER_METRICS, &self.inner.counters.snapshot());
+        for (row, value) in RUNTIME_METRICS.iter().zip(&fleet.merged) {
+            if row.kind == Kind::Histogram {
+                let help = fleet_histogram_help(row.help);
+                prom.metric(row.name, row.labels, row.kind, &help, value);
+                continue;
             }
-        }
-        // (family, help, label, [(label value, ROLLUP_HISTOGRAMS key)])
-        type Series = &'static [(&'static str, &'static str)];
-        let families: [(&str, &str, &str, Series); 3] = [
-            (
-                "phom_request_latency_ns",
-                "end-to-end request latency, nanoseconds, merged fleet-wide",
-                "lane",
-                &[("fast", "request_ns_fast"), ("slow", "request_ns_slow")],
-            ),
-            (
-                "phom_queue_latency_ns",
-                "queue wait, nanoseconds, merged fleet-wide",
-                "lane",
-                &[("fast", "queue_ns_fast"), ("slow", "queue_ns_slow")],
-            ),
-            (
-                "phom_stage_latency_ns",
-                "per-tick-group stage time, nanoseconds, merged fleet-wide",
-                "stage",
-                &[
-                    ("plan", "plan_ns"),
-                    ("eval", "eval_ns"),
-                    ("encode", "encode_ns"),
-                ],
-            ),
-        ];
-        for (name, help, label, series) in families {
-            prom.family(name, help, "histogram");
-            for (value, key) in series {
-                prom.histogram(name, &[(label, value)], fleet.hist(key));
-            }
+            let name = format!("phom_fleet_{}", row.key.replace('.', "_"));
+            let help = match row.kind {
+                Kind::HighWater => "maximum across available members",
+                _ => "summed across available members",
+            };
+            prom.metric(&name, &[], row.kind, help, value);
         }
         ok_reply(
             frame,
@@ -1339,46 +1274,6 @@ impl<'a> Conn<'a> {
         )
     }
 
-    fn stats_snapshot(&self) -> Json {
-        let c = &self.inner.counters;
-        Json::obj(vec![
-            (
-                "connections",
-                Json::u64(c.connections.load(Ordering::Relaxed)),
-            ),
-            ("frames_in", Json::u64(c.frames_in.load(Ordering::Relaxed))),
-            (
-                "frames_out",
-                Json::u64(c.frames_out.load(Ordering::Relaxed)),
-            ),
-            ("submitted", Json::u64(c.submitted.load(Ordering::Relaxed))),
-            // Every member link is multiplexed: kept for readers of the
-            // field, always equal to `submitted`.
-            (
-                "mux_submits",
-                Json::u64(c.submitted.load(Ordering::Relaxed)),
-            ),
-            ("delivered", Json::u64(c.delivered.load(Ordering::Relaxed))),
-            (
-                "member_unavailable",
-                Json::u64(c.member_unavailable.load(Ordering::Relaxed)),
-            ),
-            ("handoffs", Json::u64(c.handoffs.load(Ordering::Relaxed))),
-            (
-                "lazy_registers",
-                Json::u64(c.lazy_registers.load(Ordering::Relaxed)),
-            ),
-            (
-                "drained_deregisters",
-                Json::u64(c.drained_deregisters.load(Ordering::Relaxed)),
-            ),
-            (
-                "open_tickets",
-                Json::Num(c.tickets_open.load(Ordering::SeqCst) as f64),
-            ),
-        ])
-    }
-
     /// `fleet`: the static membership plus current placements — the
     /// admin's view of where every fingerprint lives.
     fn op_fleet(&self, frame: &Json) -> Json {
@@ -1426,58 +1321,24 @@ impl<'a> Conn<'a> {
     }
 }
 
-/// One stats fan-out's worth of fleet state: per-member reply entries,
-/// summed scalar fields, and bucket-wise-merged latency histograms
-/// (parallel to [`ROLLUP_HISTOGRAMS`]).
-struct FleetRollup {
+/// One stats fan-out: the per-member reply entries, how many members
+/// answered, and their runtime readings merged by kind, one per
+/// [`RUNTIME_METRICS`] row.
+struct FleetStats {
     member_entries: Vec<Json>,
-    scalars: Vec<(String, u64)>,
-    hists: Vec<Histogram>,
     available: u64,
+    merged: Vec<Value>,
 }
 
-impl FleetRollup {
-    /// The merged histogram for `key`, one of [`ROLLUP_HISTOGRAMS`].
-    fn hist(&self, key: &str) -> &Histogram {
-        let i = ROLLUP_HISTOGRAMS
-            .iter()
-            .position(|k| *k == key)
-            .expect("a ROLLUP_HISTOGRAMS key");
-        &self.hists[i]
-    }
+/// A merged histogram's HELP: the member's without its parenthetical,
+/// plus where it was merged ("queue wait (admission to flush),
+/// nanoseconds" becomes "queue wait, nanoseconds, merged fleet-wide").
+fn fleet_histogram_help(help: &str) -> String {
+    let short = match (help.find(" ("), help.find(')')) {
+        (Some(open), Some(close)) if open < close => {
+            format!("{}{}", &help[..open], &help[close + 1..])
+        }
+        _ => help.to_string(),
+    };
+    format!("{short}, merged fleet-wide")
 }
-
-/// The member `stats` fields summed into the fleet-wide rollup. All
-/// are monotonic counters except the [`ROLLUP_GAUGES`].
-const ROLLUP_FIELDS: &[&str] = &[
-    "workers",
-    "queue_depth",
-    "admitted",
-    "rejected",
-    "cancelled",
-    "completed",
-    "shed_expired",
-    "ticks",
-    "queries",
-    "batch_cache_hits",
-    "float_evaluated",
-    "escalations",
-    "estimates",
-    "deadline_exceeded",
-    "budget_exceeded",
-];
-
-/// The [`ROLLUP_FIELDS`] that are point-in-time levels, not counters.
-const ROLLUP_GAUGES: &[&str] = &["workers", "queue_depth"];
-
-/// The member `stats` histogram fields merged bucket-wise into the
-/// fleet-wide rollup (sparse encoding; see `wire::encode_histogram`).
-const ROLLUP_HISTOGRAMS: &[&str] = &[
-    "queue_ns_fast",
-    "queue_ns_slow",
-    "plan_ns",
-    "eval_ns",
-    "encode_ns",
-    "request_ns_fast",
-    "request_ns_slow",
-];

@@ -161,7 +161,7 @@ impl FlatArena {
     }
 
     /// The certified tier: root probabilities over
-    /// [`ErrF64`](phom_num::ErrF64), each carrying a rigorous absolute
+    /// [`ErrF64`], each carrying a rigorous absolute
     /// error bound accumulated through every gate.
     pub fn eval_err_many(&self, prob_true: &[ErrF64], values: &mut Vec<ErrF64>) -> Vec<ErrF64> {
         self.eval_many(prob_true, values)

@@ -14,12 +14,12 @@
 //! the workspace lives in one arena IR and is evaluated by one
 //! semiring-generic bottom-up loop over a slab of ops:
 //!
-//! * [`engine`] — the [`Arena`](engine::Arena) IR (interned gates,
+//! * [`engine`] — the [`Arena`] IR (interned gates,
 //!   structural hashing, flat topological storage), the one
 //!   [`Semiring`](phom_num::Semiring)-generic slab loop (run over the
 //!   whole store by [`Arena::eval_roots`](engine::Arena::eval_roots) and
 //!   friends), the gradient backward sweep, and the
-//!   [`Provenance`](engine::Provenance) handle solver routes attach to
+//!   [`Provenance`] handle solver routes attach to
 //!   their solutions;
 //! * [`dnf`] — positive DNFs, brute-force evaluation/probability (test
 //!   oracle), and [`Dnf::to_provenance`](dnf::Dnf::to_provenance);
@@ -27,7 +27,7 @@
 //! * [`beta`] — the polynomial-time β-acyclic DNF probability algorithm
 //!   (Weight-generic: runs over exact rationals, `f64`, or
 //!   [`Dual`](phom_num::Dual) numbers for sensitivities);
-//! * [`flat`] — [`FlatArena`](flat::FlatArena), the same loop over a
+//! * [`flat`] — [`FlatArena`], the same loop over a
 //!   compiled cone: the roots' gates only, renumbered densely (the
 //!   serving engine's exact, float and metered passes);
 //! * [`circuit`] — d-DNNF circuits as arena views, with structural checks;

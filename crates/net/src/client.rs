@@ -387,7 +387,7 @@ impl Client {
     }
 
     /// The server's metrics in Prometheus text exposition format (the
-    /// stable names are documented on `RuntimeStats::prometheus_text`).
+    /// stable names are listed in `docs/metrics.md`).
     pub fn metrics(&mut self) -> Result<String, NetError> {
         self.call(Json::obj(vec![("op", Json::str("metrics"))]))?
             .get("metrics")

@@ -81,5 +81,5 @@ mod server;
 
 pub use client::{Client, MuxClient, MuxTicket, NetError, DEFAULT_MUX_WINDOW};
 pub use json::Json;
-pub use server::{NetStats, Server, ServerBuilder};
+pub use server::{NetStats, Server, ServerBuilder, NET_METRICS};
 pub use wire::{WireFallback, WireKind, WireRequest};

@@ -20,8 +20,9 @@ use crate::wire::{
     self, encode_error, encode_result, encode_version, read_frame, write_frame, WireRequest,
 };
 use phom_core::{Response, SolveError};
-use phom_obs::{Span, SpanLane, SpanRing, Stage};
-use phom_serve::{Runtime, RuntimeStats, Ticket};
+use phom_obs::Kind::{self, Counter, Level};
+use phom_obs::{Histogram, Metric, PromText, Span, SpanLane, SpanRing, Stage};
+use phom_serve::{Runtime, Ticket, RUNTIME_METRICS};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -89,7 +90,7 @@ impl ServerBuilder {
             inflight_window: self.inflight_window,
             conns: Mutex::new(Vec::new()),
             counters: Counters::default(),
-            inflight_depth: Mutex::new(phom_obs::Histogram::new()),
+            inflight_depth: Mutex::new(Histogram::new()),
             spans: SpanRing::new(phom_obs::DEFAULT_RING_CAPACITY),
         });
         let accept = {
@@ -146,15 +147,44 @@ struct ServerInner {
     counters: Counters,
     /// Window depth observed at each v2 admit (how deep pipelining
     /// actually runs) — `phom_net_inflight_depth` in the exposition.
-    inflight_depth: Mutex<phom_obs::Histogram>,
+    inflight_depth: Mutex<Histogram>,
     /// The front end's own spans (today: the `pushed` stage — ticket
     /// resolution to completion frame on the wire), merged with the
     /// runtime's ring by the `trace` op.
     spans: SpanRing,
 }
 
+impl Counters {
+    fn snapshot(&self) -> NetStats {
+        NetStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            frames_in: self.frames_in.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
+            delivered: self.delivered.load(Ordering::Relaxed),
+            open_tickets: self.tickets_open.load(Ordering::SeqCst),
+            pushed: self.pushed.load(Ordering::Relaxed),
+            hello_upgrades: self.hello_upgrades.load(Ordering::Relaxed),
+            inflight: self.inflight.load(Ordering::SeqCst),
+        }
+    }
+}
+
+impl ServerInner {
+    /// What [`NET_METRICS`] reads: the counters and the window-depth
+    /// histogram.
+    fn net_snapshot(&self) -> (NetStats, Histogram) {
+        let depth = self
+            .inflight_depth
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        (self.counters.snapshot(), depth.clone())
+    }
+}
+
 /// A point-in-time snapshot of the front end's own counters (the
-/// runtime's serving stats live in [`RuntimeStats`]).
+/// runtime's serving stats live in [`RuntimeStats`](phom_serve::RuntimeStats)).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NetStats {
     /// Connections accepted over the server's lifetime.
@@ -179,6 +209,25 @@ pub struct NetStats {
     /// Requests currently inside some v2 connection's in-flight window.
     pub inflight: i64,
 }
+
+/// The front end's metrics over its counters and the v2 window-depth
+/// histogram, one row each (`docs/metrics.md` lists them). The `stats`
+/// reply nests them under `net`; the `metrics` text follows the
+/// runtime's families with them.
+#[rustfmt::skip]
+pub const NET_METRICS: &[Metric<(NetStats, Histogram)>] = &[
+    Metric::new("connections", "phom_net_connections_total", &[], Counter, "connections accepted", |(n, _)| n.connections.into()),
+    Metric::new("frames_in", "phom_net_frames_in_total", &[], Counter, "frames read off all connections", |(n, _)| n.frames_in.into()),
+    Metric::new("frames_out", "phom_net_frames_out_total", &[], Counter, "frames written to all connections", |(n, _)| n.frames_out.into()),
+    Metric::new("submitted", "phom_net_submitted_total", &[], Counter, "submit ops that admitted a request", |(n, _)| n.submitted.into()),
+    Metric::new("rejected_overloaded", "phom_net_rejected_overloaded_total", &[], Counter, "submit ops rejected with backpressure", |(n, _)| n.rejected_overloaded.into()),
+    Metric::new("open_tickets", "phom_net_open_tickets", &[], Level, "tickets held server-side awaiting delivery", |(n, _)| n.open_tickets.into()),
+    Metric::new("delivered", "phom_net_delivered_total", &[], Counter, "answers delivered via poll", |(n, _)| n.delivered.into()),
+    Metric::new("pushed", "phom_net_pushed_total", &[], Counter, "completion frames pushed to v2 connections", |(n, _)| n.pushed.into()),
+    Metric::new("hello_upgrades", "phom_net_hello_total", &[], Counter, "connections upgraded to protocol v2", |(n, _)| n.hello_upgrades.into()),
+    Metric::new("inflight", "phom_net_inflight", &[], Level, "requests inside v2 in-flight windows (admitted, not yet pushed)", |(n, _)| n.inflight.into()),
+    Metric::new("inflight_depth", "phom_net_inflight_depth", &[], Kind::Histogram, "window depth observed at each v2 admit", |(_, depth)| depth.into()),
+];
 
 /// The network serving front end: a TCP listener speaking the
 /// length-prefixed JSON protocol of [`crate::wire`] over a shared
@@ -220,19 +269,7 @@ impl Server {
 
     /// The front end's counters.
     pub fn net_stats(&self) -> NetStats {
-        let c = &self.inner.counters;
-        NetStats {
-            connections: c.connections.load(Ordering::Relaxed),
-            frames_in: c.frames_in.load(Ordering::Relaxed),
-            frames_out: c.frames_out.load(Ordering::Relaxed),
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected_overloaded: c.rejected_overloaded.load(Ordering::Relaxed),
-            delivered: c.delivered.load(Ordering::Relaxed),
-            open_tickets: c.tickets_open.load(Ordering::SeqCst),
-            pushed: c.pushed.load(Ordering::Relaxed),
-            hello_upgrades: c.hello_upgrades.load(Ordering::Relaxed),
-            inflight: c.inflight.load(Ordering::SeqCst),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Draining shutdown: stop accepting connections, answer new
@@ -1334,85 +1371,21 @@ fn handle_op(
             }
         }
         "stats" => {
-            let stats = inner.runtime.stats();
-            ok_reply(
-                frame,
-                Json::obj(vec![("stats", encode_stats(&stats, &inner.counters))]),
-            )
+            let mut stats = wire::encode_metrics(RUNTIME_METRICS, &inner.runtime.stats());
+            if let Json::Obj(pairs) = &mut stats {
+                let net = wire::encode_metrics(NET_METRICS, &inner.net_snapshot());
+                pairs.push(("net".to_string(), net));
+            }
+            ok_reply(frame, Json::obj(vec![("stats", stats)]))
         }
         "metrics" => {
-            // The whole snapshot in Prometheus text format: the runtime
-            // metrics (stable names documented on
-            // `RuntimeStats::prometheus_text`) plus the front end's own
-            // counters.
-            let mut text = inner.runtime.stats().prometheus_text();
-            let c = &inner.counters;
-            let mut prom = phom_obs::PromText::new();
-            prom.counter(
-                "phom_net_connections_total",
-                "connections accepted",
-                c.connections.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_frames_in_total",
-                "frames read off all connections",
-                c.frames_in.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_frames_out_total",
-                "frames written to all connections",
-                c.frames_out.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_submitted_total",
-                "submit ops that admitted a request",
-                c.submitted.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_rejected_overloaded_total",
-                "submit ops rejected with backpressure",
-                c.rejected_overloaded.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_delivered_total",
-                "answers delivered via poll",
-                c.delivered.load(Ordering::Relaxed),
-            );
-            prom.gauge(
-                "phom_net_open_tickets",
-                "tickets held server-side awaiting delivery",
-                c.tickets_open.load(Ordering::SeqCst).max(0) as u64,
-            );
-            prom.counter(
-                "phom_net_pushed_total",
-                "completion frames pushed to v2 connections",
-                c.pushed.load(Ordering::Relaxed),
-            );
-            prom.counter(
-                "phom_net_hello_total",
-                "connections upgraded to protocol v2",
-                c.hello_upgrades.load(Ordering::Relaxed),
-            );
-            prom.gauge(
-                "phom_net_inflight",
-                "requests inside v2 in-flight windows (admitted, not yet pushed)",
-                c.inflight.load(Ordering::SeqCst).max(0) as u64,
-            );
-            prom.family(
-                "phom_net_inflight_depth",
-                "window depth observed at each v2 admit",
-                "histogram",
-            );
-            prom.histogram(
-                "phom_net_inflight_depth",
-                &[],
-                &inner
-                    .inflight_depth
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            text.push_str(&prom.finish());
-            ok_reply(frame, Json::obj(vec![("metrics", Json::str(text))]))
+            let mut prom = PromText::new();
+            prom.rows(RUNTIME_METRICS, &inner.runtime.stats());
+            prom.rows(NET_METRICS, &inner.net_snapshot());
+            ok_reply(
+                frame,
+                Json::obj(vec![("metrics", Json::str(prom.finish()))]),
+            )
         }
         "trace" => {
             // The runtime's spans plus the front end's own (the v2
@@ -1451,119 +1424,4 @@ fn handle_op(
         }
         other => err_reply(frame, "bad_request", &format!("unknown op '{other}'")),
     }
-}
-
-/// The `stats` op's payload: the runtime snapshot plus the front end's
-/// own counters.
-fn encode_stats(stats: &RuntimeStats, counters: &Counters) -> Json {
-    Json::obj(vec![
-        ("workers", Json::u64(stats.workers as u64)),
-        ("queue_depth", Json::u64(stats.queue_depth as u64)),
-        ("queue_depth_max", Json::u64(stats.queue_depth_max as u64)),
-        ("fast_lane_depth", Json::u64(stats.fast_lane_depth as u64)),
-        ("slow_lane_depth", Json::u64(stats.slow_lane_depth as u64)),
-        (
-            "fast_lane_depth_max",
-            Json::u64(stats.fast_lane_depth_max as u64),
-        ),
-        (
-            "slow_lane_depth_max",
-            Json::u64(stats.slow_lane_depth_max as u64),
-        ),
-        ("fast_lane_total", Json::u64(stats.fast_lane_total)),
-        ("slow_lane_total", Json::u64(stats.slow_lane_total)),
-        ("admitted", Json::u64(stats.admitted)),
-        ("rejected", Json::u64(stats.rejected)),
-        ("cancelled", Json::u64(stats.cancelled)),
-        ("completed", Json::u64(stats.completed)),
-        ("shed_expired", Json::u64(stats.shed_expired)),
-        ("ticks_in_flight", Json::u64(stats.ticks_in_flight as u64)),
-        ("ticks", Json::u64(stats.ticks)),
-        ("total_tick_requests", Json::u64(stats.total_tick_requests)),
-        (
-            "max_tick_requests",
-            Json::u64(stats.max_tick_requests as u64),
-        ),
-        (
-            "tick_size_hist",
-            Json::Arr(stats.tick_size_hist.iter().map(|&n| Json::u64(n)).collect()),
-        ),
-        ("shared_arena_ticks", Json::u64(stats.shared_arena_ticks)),
-        ("shared_gates", Json::u64(stats.shared_gates)),
-        ("queries", Json::u64(stats.queries)),
-        ("unique_queries", Json::u64(stats.unique_queries)),
-        ("batch_cache_hits", Json::u64(stats.batch_cache_hits)),
-        ("circuit_batched", Json::u64(stats.circuit_batched)),
-        ("general_solved", Json::u64(stats.general_solved)),
-        ("float_evaluated", Json::u64(stats.float_evaluated)),
-        ("escalations", Json::u64(stats.escalations)),
-        ("estimates", Json::u64(stats.estimates)),
-        ("deadline_exceeded", Json::u64(stats.deadline_exceeded)),
-        ("budget_exceeded", Json::u64(stats.budget_exceeded)),
-        ("scratch_reuse", Json::u64(stats.scratch_reuse)),
-        // Sparse latency histograms (see `wire::encode_histogram`); the
-        // fleet router merges these bucket-wise into its stats rollup.
-        (
-            "queue_ns_fast",
-            wire::encode_histogram(&stats.queue_ns_fast),
-        ),
-        (
-            "queue_ns_slow",
-            wire::encode_histogram(&stats.queue_ns_slow),
-        ),
-        ("plan_ns", wire::encode_histogram(&stats.plan_ns)),
-        ("eval_ns", wire::encode_histogram(&stats.eval_ns)),
-        ("encode_ns", wire::encode_histogram(&stats.encode_ns)),
-        (
-            "request_ns_fast",
-            wire::encode_histogram(&stats.request_ns_fast),
-        ),
-        (
-            "request_ns_slow",
-            wire::encode_histogram(&stats.request_ns_slow),
-        ),
-        (
-            "cache",
-            Json::obj(vec![
-                ("entries", Json::u64(stats.cache.entries as u64)),
-                ("hits", Json::u64(stats.cache.hits)),
-                ("misses", Json::u64(stats.cache.misses)),
-                ("evictions", Json::u64(stats.cache.evictions)),
-            ]),
-        ),
-        (
-            "net",
-            Json::obj(vec![
-                (
-                    "connections",
-                    Json::u64(counters.connections.load(Ordering::Relaxed)),
-                ),
-                (
-                    "frames_in",
-                    Json::u64(counters.frames_in.load(Ordering::Relaxed)),
-                ),
-                (
-                    "frames_out",
-                    Json::u64(counters.frames_out.load(Ordering::Relaxed)),
-                ),
-                (
-                    "open_tickets",
-                    Json::Num(counters.tickets_open.load(Ordering::SeqCst) as f64),
-                ),
-                (
-                    "delivered",
-                    Json::u64(counters.delivered.load(Ordering::Relaxed)),
-                ),
-                ("pushed", Json::u64(counters.pushed.load(Ordering::Relaxed))),
-                (
-                    "hello_upgrades",
-                    Json::u64(counters.hello_upgrades.load(Ordering::Relaxed)),
-                ),
-                (
-                    "inflight",
-                    Json::Num(counters.inflight.load(Ordering::SeqCst) as f64),
-                ),
-            ]),
-        ),
-    ])
 }

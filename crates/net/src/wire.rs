@@ -87,9 +87,8 @@
 //! router) `routed`.
 //!
 //! The `metrics` op returns the server's whole stats snapshot rendered
-//! as Prometheus text format — see
-//! [`RuntimeStats::prometheus_text`](phom_serve::RuntimeStats::prometheus_text)
-//! for the stable metric names.
+//! as Prometheus text format; `docs/metrics.md` lists the stable metric
+//! names.
 //!
 //! `register` is **idempotent-cheap**: a request carrying the expected
 //! fingerprint as a `version` hint acks `registered: "cached"` straight
@@ -181,6 +180,7 @@ use crate::json::Json;
 use phom_core::ucq::Ucq;
 use phom_core::{Budget, Fallback, OnHard, Precision, Request, Response, SolveError};
 use phom_graph::{Graph, GraphBuilder, Label, ProbGraph};
+use phom_obs::{Metric, Value};
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
@@ -902,6 +902,67 @@ pub fn encode_histogram(h: &phom_obs::Histogram) -> Json {
             ),
         ),
     ])
+}
+
+/// A metric table read off `snapshot` as a `stats` JSON object: each
+/// row's reading under its key, a `group.leaf` key nested under
+/// `group`. Histograms travel as [`encode_histogram`] objects.
+pub fn encode_metrics<S>(rows: &[Metric<S>], snapshot: &S) -> Json {
+    encode_readings(rows.iter().map(|row| (row.key, (row.read)(snapshot))))
+}
+
+/// [`encode_metrics`] over readings already taken (a fleet rollup's
+/// merged ones), as `(key, reading)` pairs.
+pub fn encode_readings<'a>(readings: impl IntoIterator<Item = (&'a str, Value)>) -> Json {
+    let mut pairs: Vec<(String, Json)> = Vec::new();
+    for (key, value) in readings {
+        let json = match value {
+            Value::U64(v) => Json::u64(v),
+            Value::I64(v) => Json::Num(v as f64),
+            Value::Buckets(counts) => Json::Arr(counts.into_iter().map(Json::u64).collect()),
+            Value::Hist(h) => encode_histogram(&h),
+        };
+        let Some((group, leaf)) = key.split_once('.') else {
+            pairs.push((key.to_string(), json));
+            continue;
+        };
+        if !pairs.iter().any(|(k, _)| k == group) {
+            pairs.push((group.to_string(), Json::Obj(Vec::new())));
+        }
+        if let Some((_, Json::Obj(inner))) = pairs.iter_mut().find(|(k, _)| k == group) {
+            inner.push((leaf.to_string(), json));
+        }
+    }
+    Json::Obj(pairs)
+}
+
+/// Merges one member's `stats` reply into `acc`, which holds one
+/// reading per row of `rows`, each by its row's [`Kind`](phom_obs::Kind)
+/// ([`Value::merge`]). A key the reply lacks, or carries in another
+/// shape than `acc`'s reading, is skipped.
+pub fn merge_metrics<S>(rows: &[Metric<S>], acc: &mut [Value], member: &Json) {
+    for (row, acc) in rows.iter().zip(acc) {
+        let json = match row.key.split_once('.') {
+            Some((group, leaf)) => member.get(group).and_then(|g| g.get(leaf)),
+            None => member.get(row.key),
+        };
+        let reading = json.and_then(|json| match acc {
+            Value::U64(_) => json.as_u64().map(Value::U64),
+            Value::I64(_) => json.as_f64().map(|v| Value::I64(v as i64)),
+            Value::Buckets(_) => json
+                .as_arr()?
+                .iter()
+                .map(Json::as_u64)
+                .collect::<Option<Vec<u64>>>()
+                .map(Value::Buckets),
+            Value::Hist(_) => decode_histogram(json)
+                .ok()
+                .map(|h| Value::Hist(Box::new(h))),
+        });
+        if let Some(reading) = reading {
+            acc.merge(row.kind, &reading);
+        }
+    }
 }
 
 /// Parses a sparse histogram off the wire (inverse of

@@ -14,8 +14,13 @@
 //!   never block and never allocate; the oldest spans are overwritten.
 //! - [`Histogram`]: a log-linear latency histogram (p50/p90/p99/max,
 //!   mergeable) with ≤ 1/8 relative bucket width above 8.
-//! - [`PromText`]: a tiny Prometheus text-format builder used by the
-//!   `metrics` wire op on both the server and the router.
+//! - [`Metric`] / [`Kind`] / [`Value`]: one metric declared once, as a
+//!   row of a `const` table per snapshot type. The serving layers'
+//!   `stats` JSON, Prometheus text and fleet rollup all render from
+//!   these rows (`docs/metrics.md` lists them).
+//! - [`PromText`]: a tiny Prometheus text-format builder over metric
+//!   readings, used by the `metrics` wire op on both the server and the
+//!   router.
 //!
 //! # Design notes
 //!
@@ -543,16 +548,150 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
+// Metric tables
+// ---------------------------------------------------------------------------
+
+/// How a metric moves over time. The kind fixes its Prometheus TYPE and
+/// how a fleet rollup merges the members' readings ([`Value::merge`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotonic count: TYPE `counter`, summed across members.
+    Counter,
+    /// A point-in-time level: TYPE `gauge`, summed across members.
+    Level,
+    /// A high-water mark: TYPE `gauge`, the maximum across members.
+    HighWater,
+    /// A latency histogram: TYPE `histogram`, merged bucket-wise.
+    Histogram,
+}
+
+impl Kind {
+    /// The Prometheus TYPE keyword.
+    fn prom_type(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Level | Kind::HighWater => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One reading of a metric.
+#[derive(Clone, Debug)]
+pub enum Value {
+    /// A count or a level.
+    U64(u64),
+    /// A level that can read below zero mid-race; Prometheus shows it
+    /// clamped at 0.
+    I64(i64),
+    /// Fixed-size bucket counts. Prometheus shows one sample per bucket,
+    /// labeled `bucket="<index>"`.
+    Buckets(Vec<u64>),
+    /// A latency histogram.
+    Hist(Box<Histogram>),
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::U64(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Value {
+        Value::U64(v as u64)
+    }
+}
+
+impl From<i64> for Value {
+    fn from(v: i64) -> Value {
+        Value::I64(v)
+    }
+}
+
+impl From<&Histogram> for Value {
+    fn from(h: &Histogram) -> Value {
+        Value::Hist(Box::new(h.clone()))
+    }
+}
+
+impl Value {
+    /// Folds `other` into `self` the way a rollup merges a metric of
+    /// `kind`: high-water marks take the maximum, histograms merge
+    /// bucket-wise, everything else sums. Readings of different shapes
+    /// leave `self` unchanged.
+    pub fn merge(&mut self, kind: Kind, other: &Value) {
+        match (self, other) {
+            (Value::U64(a), Value::U64(b)) if kind == Kind::HighWater => *a = (*a).max(*b),
+            (Value::I64(a), Value::I64(b)) if kind == Kind::HighWater => *a = (*a).max(*b),
+            (Value::U64(a), Value::U64(b)) => *a = a.saturating_add(*b),
+            (Value::I64(a), Value::I64(b)) => *a = a.saturating_add(*b),
+            (Value::Buckets(a), Value::Buckets(b)) => {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x = x.saturating_add(*y);
+                }
+            }
+            (Value::Hist(a), Value::Hist(b)) => a.merge(b),
+            _ => {}
+        }
+    }
+}
+
+/// One metric, declared once as a row of its snapshot type's table. The
+/// `stats` JSON reply, the Prometheus `metrics` text and the fleet
+/// rollup all render from these rows, so a name cannot drift between
+/// them.
+pub struct Metric<S> {
+    /// Key in the `stats` JSON reply; `group.leaf` nests under `group`.
+    pub key: &'static str,
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// Prometheus labels of this row's samples within the family.
+    pub labels: &'static [(&'static str, &'static str)],
+    /// How the metric moves over time.
+    pub kind: Kind,
+    /// Prometheus HELP text, shared by every row of the family.
+    pub help: &'static str,
+    /// Reads the metric off a snapshot.
+    pub read: fn(&S) -> Value,
+}
+
+impl<S> Metric<S> {
+    /// A row; positional so that a table keeps one row per line.
+    pub const fn new(
+        key: &'static str,
+        name: &'static str,
+        labels: &'static [(&'static str, &'static str)],
+        kind: Kind,
+        help: &'static str,
+        read: fn(&S) -> Value,
+    ) -> Metric<S> {
+        Metric {
+            key,
+            name,
+            labels,
+            kind,
+            help,
+            read,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Prometheus text builder
 // ---------------------------------------------------------------------------
 
-/// Minimal Prometheus text-format (version 0.0.4) builder.
+/// Minimal Prometheus text-format (version 0.0.4) builder over metric
+/// readings.
 ///
 /// Shared by the net server's and fleet router's `metrics` ops so metric
 /// names and render shape stay identical across layers.
 #[derive(Default)]
 pub struct PromText {
     out: String,
+    /// The family of the last sample written: a reading of another
+    /// family starts with HELP/TYPE lines.
+    family: String,
 }
 
 fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
@@ -578,18 +717,6 @@ impl PromText {
         PromText::default()
     }
 
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        self.out.push_str("# HELP ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(help);
-        self.out.push_str("\n# TYPE ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(kind);
-        self.out.push('\n');
-    }
-
     fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.out.push_str(name);
         write_labels(&mut self.out, labels);
@@ -598,51 +725,71 @@ impl PromText {
         self.out.push('\n');
     }
 
-    /// Emit a counter with HELP/TYPE headers and one unlabeled sample.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        self.sample(name, &[], value);
-    }
-
-    /// Emit a gauge with HELP/TYPE headers and one unlabeled sample.
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "gauge");
-        self.sample(name, &[], value);
-    }
-
-    /// Emit HELP/TYPE headers for a labeled family; follow with
-    /// [`PromText::labeled`] samples.
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) {
-        self.header(name, help, kind);
-    }
-
-    /// Emit one labeled sample (after [`PromText::family`]).
-    pub fn labeled(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.sample(name, labels, value);
-    }
-
-    /// Emit a full histogram family: cumulative `_bucket{le=...}` lines
-    /// over occupied buckets, `_sum`, `_count`, and convenience
-    /// `_p50`/`_p90`/`_p99`/`_max` gauge samples, all under `labels`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        let mut cumulative = 0u64;
-        let bucket_name = format!("{name}_bucket");
-        for (idx, c) in h.nonzero_buckets() {
-            cumulative += c;
-            let le = bucket_bounds(idx).1.to_string();
-            let mut all: Vec<(&str, &str)> = labels.to_vec();
-            all.push(("le", le.as_str()));
-            self.sample(&bucket_name, &all, cumulative);
+    /// Emits every row of `rows`, read off `snapshot`.
+    pub fn rows<S>(&mut self, rows: &[Metric<S>], snapshot: &S) {
+        for row in rows {
+            self.metric(
+                row.name,
+                row.labels,
+                row.kind,
+                row.help,
+                &(row.read)(snapshot),
+            );
         }
-        let mut inf: Vec<(&str, &str)> = labels.to_vec();
-        inf.push(("le", "+Inf"));
-        self.sample(&bucket_name, &inf, h.count());
-        self.sample(&format!("{name}_sum"), labels, h.sum());
-        self.sample(&format!("{name}_count"), labels, h.count());
-        self.sample(&format!("{name}_p50"), labels, h.quantile(0.50));
-        self.sample(&format!("{name}_p90"), labels, h.quantile(0.90));
-        self.sample(&format!("{name}_p99"), labels, h.quantile(0.99));
-        self.sample(&format!("{name}_max"), labels, h.max());
+    }
+
+    /// Emits one reading as samples of family `name` under `labels`,
+    /// preceded by the family's HELP/TYPE lines unless the previous
+    /// reading was of the same family. A histogram renders cumulative
+    /// `_bucket{le=...}` lines over occupied buckets, `_sum`, `_count`,
+    /// and convenience `_p50`/`_p90`/`_p99`/`_max` samples.
+    pub fn metric(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        kind: Kind,
+        help: &str,
+        value: &Value,
+    ) {
+        if self.family != name {
+            self.out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} {}\n",
+                kind.prom_type()
+            ));
+            self.family = name.to_string();
+        }
+        match value {
+            Value::U64(v) => self.sample(name, labels, *v),
+            Value::I64(v) => self.sample(name, labels, (*v).max(0) as u64),
+            Value::Buckets(counts) => {
+                for (i, &c) in counts.iter().enumerate() {
+                    let index = i.to_string();
+                    let mut all = labels.to_vec();
+                    all.push(("bucket", index.as_str()));
+                    self.sample(name, &all, c);
+                }
+            }
+            Value::Hist(h) => {
+                let mut cumulative = 0u64;
+                let bucket_name = format!("{name}_bucket");
+                for (idx, c) in h.nonzero_buckets() {
+                    cumulative += c;
+                    let le = bucket_bounds(idx).1.to_string();
+                    let mut all = labels.to_vec();
+                    all.push(("le", le.as_str()));
+                    self.sample(&bucket_name, &all, cumulative);
+                }
+                let mut inf = labels.to_vec();
+                inf.push(("le", "+Inf"));
+                self.sample(&bucket_name, &inf, h.count());
+                self.sample(&format!("{name}_sum"), labels, h.sum());
+                self.sample(&format!("{name}_count"), labels, h.count());
+                self.sample(&format!("{name}_p50"), labels, h.quantile(0.50));
+                self.sample(&format!("{name}_p90"), labels, h.quantile(0.90));
+                self.sample(&format!("{name}_p99"), labels, h.quantile(0.99));
+                self.sample(&format!("{name}_max"), labels, h.max());
+            }
+        }
     }
 
     /// The finished exposition text.
@@ -870,10 +1017,44 @@ mod tests {
             h.record(i * 1000);
         }
         let mut prom = PromText::new();
-        prom.counter("phom_requests_admitted_total", "requests admitted", 100);
-        prom.gauge("phom_queue_depth", "queued requests", 3);
-        prom.family("phom_request_latency_ns", "end-to-end latency", "histogram");
-        prom.histogram("phom_request_latency_ns", &[("lane", "fast")], &h);
+        let (admitted, depth) = (Value::U64(100), Value::U64(3));
+        prom.metric(
+            "phom_requests_admitted_total",
+            &[],
+            Kind::Counter,
+            "requests admitted",
+            &admitted,
+        );
+        prom.metric(
+            "phom_queue_depth",
+            &[],
+            Kind::Level,
+            "queued requests",
+            &depth,
+        );
+        let (fast, slow) = (Value::from(&h), Value::from(&Histogram::new()));
+        let latency = "end-to-end latency";
+        prom.metric(
+            "phom_request_latency_ns",
+            &[("lane", "fast")],
+            Kind::Histogram,
+            latency,
+            &fast,
+        );
+        prom.metric(
+            "phom_request_latency_ns",
+            &[("lane", "slow")],
+            Kind::Histogram,
+            latency,
+            &slow,
+        );
+        prom.metric(
+            "phom_net_inflight",
+            &[],
+            Kind::Level,
+            "in flight",
+            &Value::I64(-2),
+        );
         let text = prom.finish();
         assert!(text.contains("# TYPE phom_requests_admitted_total counter"));
         assert!(text.contains("phom_requests_admitted_total 100"));
@@ -886,9 +1067,37 @@ mod tests {
         assert!(text.contains(&format!(
             "phom_request_latency_ns_p99{{lane=\"fast\"}} {p99}"
         )));
+        // One HELP/TYPE pair per family, however many rows it has.
+        assert_eq!(text.matches("# TYPE phom_request_latency_ns ").count(), 1);
+        assert!(text.contains("phom_request_latency_ns_count{lane=\"slow\"} 0"));
+        // A signed level below zero shows as 0.
+        assert!(text.contains("phom_net_inflight 0\n"));
         // Every line parses as `name[{labels}] value` or a # comment.
         for line in text.lines() {
             assert!(line.starts_with('#') || line.rsplit_once(' ').is_some());
         }
+    }
+
+    #[test]
+    fn values_merge_by_kind() {
+        let mut sum = Value::U64(3);
+        sum.merge(Kind::Counter, &Value::U64(4));
+        assert!(matches!(sum, Value::U64(7)));
+        let mut high = Value::U64(3);
+        high.merge(Kind::HighWater, &Value::U64(2));
+        assert!(matches!(high, Value::U64(3)));
+        let mut buckets = Value::Buckets(vec![1, 2, 0]);
+        buckets.merge(Kind::Counter, &Value::Buckets(vec![10, 20, 30]));
+        assert!(matches!(&buckets, Value::Buckets(b) if b == &[11, 22, 30]));
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
+        a.record(5);
+        b.record(900);
+        let mut hist = Value::from(&a);
+        hist.merge(Kind::Histogram, &Value::from(&b));
+        assert!(matches!(&hist, Value::Hist(h) if h.count() == 2 && h.max() == 900));
+        // A reading of another shape is ignored.
+        let mut level = Value::U64(1);
+        level.merge(Kind::Level, &Value::I64(5));
+        assert!(matches!(level, Value::U64(1)));
     }
 }

@@ -34,9 +34,9 @@
 //!   tick-size histogram, per-shard latencies, batch
 //!   aggregates, cache counters;
 //! * **observability** (`phom_obs`): every admitted request carries a
-//!   [`TraceId`](phom_obs::TraceId) (its own if the front door minted
+//!   [`TraceId`] (its own if the front door minted
 //!   one, runtime-minted otherwise) and records per-stage
-//!   [`Span`](phom_obs::Span)s — admitted, queued, planned, evaluated,
+//!   [`Span`]s — admitted, queued, planned, evaluated,
 //!   encoded — into a lock-free overwrite-oldest ring
 //!   ([`Runtime::spans`]); [`RuntimeStats`] carries quantile-grade
 //!   log-linear latency [`Histogram`]s per lane and per stage, and
@@ -96,5 +96,5 @@ mod ticket;
 
 pub use phom_obs::{Histogram, PromText, Span, SpanLane, SpanRing, Stage, TraceId};
 pub use runtime::{Runtime, RuntimeBuilder};
-pub use stats::{tick_size_bucket, RuntimeStats, TICK_HIST_BUCKETS};
+pub use stats::{tick_size_bucket, RuntimeStats, RUNTIME_METRICS, TICK_HIST_BUCKETS};
 pub use ticket::Ticket;

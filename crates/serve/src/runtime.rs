@@ -496,7 +496,7 @@ impl Collector {
 
 /// A long-lived serving runtime over persistent worker threads: the
 /// async-friendly front end the ROADMAP's serving scale-out item calls
-/// for. See the [module docs](self) for the life of a request and
+/// for. The `runtime` module docs describe the life of a request; see
 /// [`RuntimeBuilder`] for the knobs.
 ///
 /// The handle is `Sync`: producers on any number of threads may

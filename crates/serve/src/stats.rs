@@ -4,7 +4,8 @@
 //! long-lived runtime.
 
 use phom_core::{BatchStats, CacheStats};
-use phom_obs::Histogram;
+use phom_obs::Kind::{self, Counter, HighWater, Level};
+use phom_obs::{Histogram, Metric, PromText, Value};
 
 /// Number of buckets in [`RuntimeStats::tick_size_hist`].
 pub const TICK_HIST_BUCKETS: usize = 8;
@@ -202,235 +203,64 @@ impl RuntimeStats {
             .saturating_sub(self.completed + self.cancelled + self.shed_expired)
     }
 
-    /// Renders the snapshot as Prometheus text-format metrics — the
-    /// body of the `metrics` wire op. Metric names are stable
-    /// (`tests/net_serving.rs` asserts the ones scrapers rely on):
-    ///
-    /// * counters: `phom_requests_{admitted,rejected,cancelled,completed,shed_expired}_total`,
-    ///   `phom_lane_requests_total{lane=…}`, `phom_ticks_total`,
-    ///   `phom_tick_requests_total`, `phom_shared_arena_ticks_total`,
-    ///   `phom_shared_gates_total`, `phom_unit_runs_total`,
-    ///   `phom_queries_total`, `phom_unique_queries_total`,
-    ///   `phom_batch_cache_hits_total`, `phom_circuit_batched_total`,
-    ///   `phom_general_solved_total`, `phom_float_evaluated_total`,
-    ///   `phom_escalations_total`, `phom_estimates_total`,
-    ///   `phom_deadline_exceeded_total`, `phom_budget_exceeded_total`,
-    ///   `phom_scratch_reuse_total`,
-    ///   `phom_cache_{hits,misses,evictions}_total`;
-    /// * gauges: `phom_workers`, `phom_queue_depth`,
-    ///   `phom_fast_lane_depth`, `phom_slow_lane_depth`,
-    ///   `phom_ticks_in_flight`, `phom_open_tickets`,
-    ///   `phom_cache_entries`;
-    /// * histograms (with `_p50`/`_p90`/`_p99`/`_max` convenience
-    ///   samples): `phom_request_latency_ns{lane=…}`,
-    ///   `phom_queue_latency_ns{lane=…}`,
-    ///   `phom_stage_latency_ns{stage="plan"|"eval"|"encode"}`.
+    /// Renders the snapshot as Prometheus text-format metrics, one
+    /// family per [`RUNTIME_METRICS`] row; `docs/metrics.md` lists the
+    /// names.
     pub fn prometheus_text(&self) -> String {
-        let mut prom = phom_obs::PromText::new();
-        prom.gauge(
-            "phom_workers",
-            "configured worker-pool size",
-            self.workers as u64,
-        );
-        prom.gauge(
-            "phom_queue_depth",
-            "requests waiting in the ingress queue",
-            self.queue_depth as u64,
-        );
-        prom.gauge(
-            "phom_fast_lane_depth",
-            "requests waiting in the fast lane",
-            self.fast_lane_depth as u64,
-        );
-        prom.gauge(
-            "phom_slow_lane_depth",
-            "requests waiting in the slow lane",
-            self.slow_lane_depth as u64,
-        );
-        prom.gauge(
-            "phom_ticks_in_flight",
-            "tick groups dispatched and not yet finished",
-            self.ticks_in_flight as u64,
-        );
-        prom.gauge(
-            "phom_open_tickets",
-            "admitted requests not yet resolved",
-            self.open_tickets(),
-        );
-        prom.counter(
-            "phom_requests_admitted_total",
-            "requests admitted past admission control",
-            self.admitted,
-        );
-        prom.counter(
-            "phom_requests_rejected_total",
-            "requests rejected with Overloaded",
-            self.rejected,
-        );
-        prom.counter(
-            "phom_requests_cancelled_total",
-            "requests resolved Cancelled",
-            self.cancelled,
-        );
-        prom.counter(
-            "phom_requests_completed_total",
-            "tickets fulfilled with a computed response",
-            self.completed,
-        );
-        prom.counter(
-            "phom_requests_shed_expired_total",
-            "requests shed expired-in-queue",
-            self.shed_expired,
-        );
-        prom.family(
-            "phom_lane_requests_total",
-            "requests admitted per lane",
-            "counter",
-        );
-        prom.labeled(
-            "phom_lane_requests_total",
-            &[("lane", "fast")],
-            self.fast_lane_total,
-        );
-        prom.labeled(
-            "phom_lane_requests_total",
-            &[("lane", "slow")],
-            self.slow_lane_total,
-        );
-        prom.counter("phom_ticks_total", "micro-batch ticks flushed", self.ticks);
-        prom.counter(
-            "phom_tick_requests_total",
-            "requests across all ticks",
-            self.total_tick_requests,
-        );
-        prom.counter(
-            "phom_shared_arena_ticks_total",
-            "tick groups compiled into one shared arena",
-            self.shared_arena_ticks,
-        );
-        prom.counter(
-            "phom_shared_gates_total",
-            "gates across all tick arenas",
-            self.shared_gates,
-        );
-        prom.counter(
-            "phom_unit_runs_total",
-            "work units executed",
-            self.unit_runs,
-        );
-        prom.counter("phom_queries_total", "probability queries", self.queries);
-        prom.counter(
-            "phom_unique_queries_total",
-            "structurally distinct (query, options) pairs",
-            self.unique_queries,
-        );
-        prom.counter(
-            "phom_batch_cache_hits_total",
-            "unique queries answered from the shared cache at plan time",
-            self.batch_cache_hits,
-        );
-        prom.counter(
-            "phom_circuit_batched_total",
-            "unique queries answered through multi-root engine passes",
-            self.circuit_batched,
-        );
-        prom.counter(
-            "phom_general_solved_total",
-            "unique queries answered on the general path",
-            self.general_solved,
-        );
-        prom.counter(
-            "phom_float_evaluated_total",
-            "unique circuit queries answered by the float tier",
-            self.float_evaluated,
-        );
-        prom.counter(
-            "phom_escalations_total",
-            "float-tier answers re-evaluated exactly",
-            self.escalations,
-        );
-        prom.counter(
-            "phom_estimates_total",
-            "hard cells degraded to certified estimates",
-            self.estimates,
-        );
-        prom.counter(
-            "phom_deadline_exceeded_total",
-            "requests that tripped a deadline mid-evaluation",
-            self.deadline_exceeded,
-        );
-        prom.counter(
-            "phom_budget_exceeded_total",
-            "requests that ran out of work budget",
-            self.budget_exceeded,
-        );
-        prom.counter(
-            "phom_scratch_reuse_total",
-            "unit runs on pooled worker scratch",
-            self.scratch_reuse,
-        );
-        prom.counter(
-            "phom_cache_hits_total",
-            "answer-cache hits",
-            self.cache.hits,
-        );
-        prom.counter(
-            "phom_cache_misses_total",
-            "answer-cache misses",
-            self.cache.misses,
-        );
-        prom.counter(
-            "phom_cache_evictions_total",
-            "answer-cache LRU evictions",
-            self.cache.evictions,
-        );
-        prom.gauge(
-            "phom_cache_entries",
-            "answer-cache entries stored",
-            self.cache.entries as u64,
-        );
-        prom.family(
-            "phom_request_latency_ns",
-            "end-to-end request latency (admission to fulfillment), nanoseconds",
-            "histogram",
-        );
-        prom.histogram(
-            "phom_request_latency_ns",
-            &[("lane", "fast")],
-            &self.request_ns_fast,
-        );
-        prom.histogram(
-            "phom_request_latency_ns",
-            &[("lane", "slow")],
-            &self.request_ns_slow,
-        );
-        prom.family(
-            "phom_queue_latency_ns",
-            "queue wait (admission to flush), nanoseconds",
-            "histogram",
-        );
-        prom.histogram(
-            "phom_queue_latency_ns",
-            &[("lane", "fast")],
-            &self.queue_ns_fast,
-        );
-        prom.histogram(
-            "phom_queue_latency_ns",
-            &[("lane", "slow")],
-            &self.queue_ns_slow,
-        );
-        prom.family(
-            "phom_stage_latency_ns",
-            "per-tick-group stage time, nanoseconds",
-            "histogram",
-        );
-        prom.histogram("phom_stage_latency_ns", &[("stage", "plan")], &self.plan_ns);
-        prom.histogram("phom_stage_latency_ns", &[("stage", "eval")], &self.eval_ns);
-        prom.histogram(
-            "phom_stage_latency_ns",
-            &[("stage", "encode")],
-            &self.encode_ns,
-        );
+        let mut prom = PromText::new();
+        prom.rows(RUNTIME_METRICS, self);
         prom.finish()
     }
 }
+
+/// The runtime's metrics, one row each: the `stats` reply, the
+/// `metrics` text and the fleet rollup all render from this table, and
+/// `docs/metrics.md` lists it.
+#[rustfmt::skip]
+pub const RUNTIME_METRICS: &[Metric<RuntimeStats>] = &[
+    Metric::new("workers", "phom_workers", &[], Level, "configured worker-pool size", |s| s.workers.into()),
+    Metric::new("queue_depth", "phom_queue_depth", &[], Level, "requests waiting in the ingress queue", |s| s.queue_depth.into()),
+    Metric::new("queue_depth_max", "phom_queue_depth_max", &[], HighWater, "high-water mark of the ingress queue depth", |s| s.queue_depth_max.into()),
+    Metric::new("fast_lane_depth", "phom_fast_lane_depth", &[], Level, "requests waiting in the fast lane", |s| s.fast_lane_depth.into()),
+    Metric::new("slow_lane_depth", "phom_slow_lane_depth", &[], Level, "requests waiting in the slow lane", |s| s.slow_lane_depth.into()),
+    Metric::new("fast_lane_depth_max", "phom_fast_lane_depth_max", &[], HighWater, "high-water mark of the fast-lane depth", |s| s.fast_lane_depth_max.into()),
+    Metric::new("slow_lane_depth_max", "phom_slow_lane_depth_max", &[], HighWater, "high-water mark of the slow-lane depth", |s| s.slow_lane_depth_max.into()),
+    Metric::new("fast_lane_total", "phom_lane_requests_total", &[("lane", "fast")], Counter, "requests admitted per lane", |s| s.fast_lane_total.into()),
+    Metric::new("slow_lane_total", "phom_lane_requests_total", &[("lane", "slow")], Counter, "requests admitted per lane", |s| s.slow_lane_total.into()),
+    Metric::new("admitted", "phom_requests_admitted_total", &[], Counter, "requests admitted past admission control", |s| s.admitted.into()),
+    Metric::new("rejected", "phom_requests_rejected_total", &[], Counter, "requests rejected with Overloaded", |s| s.rejected.into()),
+    Metric::new("cancelled", "phom_requests_cancelled_total", &[], Counter, "requests resolved Cancelled", |s| s.cancelled.into()),
+    Metric::new("completed", "phom_requests_completed_total", &[], Counter, "tickets fulfilled with a computed response", |s| s.completed.into()),
+    Metric::new("shed_expired", "phom_requests_shed_expired_total", &[], Counter, "requests shed expired-in-queue", |s| s.shed_expired.into()),
+    Metric::new("open_tickets", "phom_open_tickets", &[], Level, "admitted requests not yet resolved", |s| s.open_tickets().into()),
+    Metric::new("ticks_in_flight", "phom_ticks_in_flight", &[], Level, "tick groups dispatched and not yet finished", |s| s.ticks_in_flight.into()),
+    Metric::new("ticks", "phom_ticks_total", &[], Counter, "micro-batch ticks flushed", |s| s.ticks.into()),
+    Metric::new("total_tick_requests", "phom_tick_requests_total", &[], Counter, "requests across all ticks", |s| s.total_tick_requests.into()),
+    Metric::new("max_tick_requests", "phom_tick_requests_max", &[], HighWater, "largest tick flushed, in requests", |s| s.max_tick_requests.into()),
+    Metric::new("tick_size_hist", "phom_ticks_by_size_total", &[], Counter, "micro-batch ticks per size bucket (bucket b holds ticks of 2^b to 2^(b+1)-1 requests, the last bucket every larger tick too)", |s| Value::Buckets(s.tick_size_hist.to_vec())),
+    Metric::new("shared_arena_ticks", "phom_shared_arena_ticks_total", &[], Counter, "tick groups compiled into one shared arena", |s| s.shared_arena_ticks.into()),
+    Metric::new("shared_gates", "phom_shared_gates_total", &[], Counter, "gates across all tick arenas", |s| s.shared_gates.into()),
+    Metric::new("unit_runs", "phom_unit_runs_total", &[], Counter, "work units executed", |s| s.unit_runs.into()),
+    Metric::new("queries", "phom_queries_total", &[], Counter, "probability queries", |s| s.queries.into()),
+    Metric::new("unique_queries", "phom_unique_queries_total", &[], Counter, "structurally distinct (query, options) pairs", |s| s.unique_queries.into()),
+    Metric::new("batch_cache_hits", "phom_batch_cache_hits_total", &[], Counter, "unique queries answered from the shared cache at plan time", |s| s.batch_cache_hits.into()),
+    Metric::new("circuit_batched", "phom_circuit_batched_total", &[], Counter, "unique queries answered through multi-root engine passes", |s| s.circuit_batched.into()),
+    Metric::new("general_solved", "phom_general_solved_total", &[], Counter, "unique queries answered on the general path", |s| s.general_solved.into()),
+    Metric::new("float_evaluated", "phom_float_evaluated_total", &[], Counter, "unique circuit queries answered by the float tier", |s| s.float_evaluated.into()),
+    Metric::new("escalations", "phom_escalations_total", &[], Counter, "float-tier answers re-evaluated exactly", |s| s.escalations.into()),
+    Metric::new("estimates", "phom_estimates_total", &[], Counter, "hard cells degraded to certified estimates", |s| s.estimates.into()),
+    Metric::new("deadline_exceeded", "phom_deadline_exceeded_total", &[], Counter, "requests that tripped a deadline mid-evaluation", |s| s.deadline_exceeded.into()),
+    Metric::new("budget_exceeded", "phom_budget_exceeded_total", &[], Counter, "requests that ran out of work budget", |s| s.budget_exceeded.into()),
+    Metric::new("scratch_reuse", "phom_scratch_reuse_total", &[], Counter, "unit runs on pooled worker scratch", |s| s.scratch_reuse.into()),
+    Metric::new("queue_ns_fast", "phom_queue_latency_ns", &[("lane", "fast")], Kind::Histogram, "queue wait (admission to flush), nanoseconds", |s| (&s.queue_ns_fast).into()),
+    Metric::new("queue_ns_slow", "phom_queue_latency_ns", &[("lane", "slow")], Kind::Histogram, "queue wait (admission to flush), nanoseconds", |s| (&s.queue_ns_slow).into()),
+    Metric::new("plan_ns", "phom_stage_latency_ns", &[("stage", "plan")], Kind::Histogram, "per-tick-group stage time, nanoseconds", |s| (&s.plan_ns).into()),
+    Metric::new("eval_ns", "phom_stage_latency_ns", &[("stage", "eval")], Kind::Histogram, "per-tick-group stage time, nanoseconds", |s| (&s.eval_ns).into()),
+    Metric::new("encode_ns", "phom_stage_latency_ns", &[("stage", "encode")], Kind::Histogram, "per-tick-group stage time, nanoseconds", |s| (&s.encode_ns).into()),
+    Metric::new("request_ns_fast", "phom_request_latency_ns", &[("lane", "fast")], Kind::Histogram, "end-to-end request latency (admission to fulfillment), nanoseconds", |s| (&s.request_ns_fast).into()),
+    Metric::new("request_ns_slow", "phom_request_latency_ns", &[("lane", "slow")], Kind::Histogram, "end-to-end request latency (admission to fulfillment), nanoseconds", |s| (&s.request_ns_slow).into()),
+    Metric::new("cache.entries", "phom_cache_entries", &[], Level, "answer-cache entries stored", |s| s.cache.entries.into()),
+    Metric::new("cache.hits", "phom_cache_hits_total", &[], Counter, "answer-cache hits", |s| s.cache.hits.into()),
+    Metric::new("cache.misses", "phom_cache_misses_total", &[], Counter, "answer-cache misses", |s| s.cache.misses.into()),
+    Metric::new("cache.evictions", "phom_cache_evictions_total", &[], Counter, "answer-cache LRU evictions", |s| s.cache.evictions.into()),
+];

@@ -107,7 +107,7 @@
 //!
 //! Hardness is a typed error — [`SolveError::Hard`] — rather than the
 //! historical bare `Err(Hardness)`; configure a
-//! [`Fallback`](phom_core::Fallback) per request (or per engine) to turn
+//! [`Fallback`] per request (or per engine) to turn
 //! hard cells into brute-force or Monte-Carlo answers.
 //!
 //! ## Evaluation modes: exact, float, auto
@@ -359,22 +359,16 @@
 //!   member-side aggregation. `phom top --connect ADDR` renders the
 //!   quantiles live against either a server or a router.
 //! * **Metrics exposition** — the `metrics` wire op returns Prometheus
-//!   text format: counters (`phom_requests_{admitted,rejected,
-//!   cancelled,completed,shed_expired}_total`,
-//!   `phom_lane_requests_total{lane}`, `phom_ticks_total`,
-//!   `phom_shared_gates_total`, `phom_float_evaluated_total`,
-//!   `phom_escalations_total`, `phom_cache_{hits,misses,evictions}_total`,
-//!   …), gauges (`phom_workers`, `phom_queue_depth`,
-//!   `phom_{fast,slow}_lane_depth`, `phom_open_tickets`, …), and
-//!   histogram families with `_bucket{le}`/`_sum`/`_count` plus
-//!   convenience `_p50`/`_p90`/`_p99`/`_max` samples:
-//!   `phom_request_latency_ns{lane}`, `phom_queue_latency_ns{lane}`,
-//!   `phom_stage_latency_ns{stage}`. The net server appends its
-//!   `phom_net_*` counters; the router serves the same histogram names
-//!   fleet-merged plus `phom_router_*`/`phom_fleet_*` counters, so one
-//!   dashboard works at either level. The full stable-name reference
-//!   lives on [`RuntimeStats::prometheus_text`]; the `metrics` wire op
-//!   serves it from a live `phom serve` or `phom router`.
+//!   text format. Each metric is one row of a `const` table
+//!   ([`RUNTIME_METRICS`](phom_serve::RUNTIME_METRICS),
+//!   [`NET_METRICS`](phom_net::NET_METRICS),
+//!   [`ROUTER_METRICS`](phom_fleet::ROUTER_METRICS),
+//!   [`FLEET_METRICS`](phom_fleet::FLEET_METRICS)) holding its `stats`
+//!   JSON key, Prometheus family, labels, kind and HELP, so the `stats`
+//!   reply, the `metrics` text and the router's rollup cannot drift.
+//!   The router serves the same histogram names fleet-merged plus
+//!   `phom_router_*`/`phom_fleet_*` families, so one dashboard works at
+//!   either level. `docs/metrics.md` lists every name.
 //!
 //! The runtime layer in five lines — answers bit-identical to
 //! [`Engine::submit`] under every `max_batch` / `max_wait` /

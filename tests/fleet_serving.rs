@@ -13,7 +13,8 @@
 //! retry after a member lost its registry, a `submit` that answers
 //! without waiting for the member's ack (against a member that never
 //! acks), a member refusal delivered once at `poll` and never counted,
-//! and the Prometheus types of the fleet rollup.
+//! the Prometheus types of the fleet rollup, and a rollup that merges
+//! every runtime row of two members' replies.
 
 use phom::net::wire::{self, encode_result, WireFallback, WireRequest};
 use phom::net::{Client, Json, NetError, Server};
@@ -890,6 +891,156 @@ fn router_metrics_type_member_counters_as_counters() {
     ] {
         assert!(text.contains(line), "missing {line:?} in:\n{text}");
     }
+    drop(client);
+    router.shutdown(Duration::from_secs(1));
+    for server in servers {
+        server.shutdown(Duration::from_secs(1));
+    }
+}
+
+/// A two-edge R/S path instance whose fingerprint (and so its owning
+/// member) varies with `salt`.
+fn path_instance(salt: u64) -> ProbGraph {
+    let mut g = GraphBuilder::with_vertices(3);
+    g.edge(0, 1, Label(0));
+    g.edge(1, 2, Label(1));
+    let probs = vec![
+        Rational::from_ratio(1, salt + 2),
+        Rational::from_ratio(3, 4),
+    ];
+    ProbGraph::new(g.build(), probs)
+}
+
+/// The rollup merges every runtime row of its members' `stats`
+/// replies by the row's kind — counters and levels summed, high-water
+/// marks maxed, histograms merged — and the router's `metrics` text and
+/// `phom top` show the merged values.
+#[test]
+fn rollup_merges_every_runtime_row_across_members() {
+    let (servers, router) = in_process_fleet(2);
+    let mut client = Client::connect(router.local_addr()).expect("connect to router");
+    let mut by_owner: std::collections::BTreeMap<String, u64> = Default::default();
+    for salt in 0..32 {
+        let version = client.register(&path_instance(salt)).expect("register");
+        by_owner
+            .entry(owner_of_version(&mut client, version))
+            .or_insert(version);
+        if by_owner.len() == 2 {
+            break;
+        }
+    }
+    assert_eq!(by_owner.len(), 2, "both members own a version");
+    // Different traffic per member: 3 requests to one, 5 to the other.
+    let query = WireRequest::probability(Graph::one_way_path(&[Label(0), Label(1)]));
+    let mut sent = 0;
+    for (&version, n) in by_owner.values().zip([3, 5]) {
+        for _ in 0..n {
+            let ticket = client.submit(version, &query).expect("admitted");
+            client.wait(ticket).expect("answer");
+            sent += 1;
+        }
+    }
+    // Counters land just after a ticket resolves: wait for the books.
+    let mut stats = client.stats().expect("fleet stats");
+    for _ in 0..200 {
+        let rollup = stats.get("rollup").expect("rollup");
+        if rollup.get("completed").and_then(Json::as_u64) == Some(sent) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        stats = client.stats().expect("fleet stats");
+    }
+    let rollup = stats.get("rollup").expect("rollup");
+    let members: Vec<&Json> = stats
+        .get("members")
+        .and_then(Json::as_arr)
+        .expect("members")
+        .iter()
+        .map(|m| m.get("stats").expect("member stats"))
+        .collect();
+    assert_eq!(members.len(), 2, "{stats}");
+    let completed: Vec<u64> = members
+        .iter()
+        .map(|m| m.get("completed").and_then(Json::as_u64).unwrap_or(0))
+        .collect();
+    assert_eq!(completed.iter().sum::<u64>(), sent, "{stats}");
+    assert_ne!(completed[0], completed[1], "{stats}");
+    let at = |json: &Json, key: &str| -> Json {
+        match key.split_once('.') {
+            Some((group, leaf)) => json.get(group).and_then(|g| g.get(leaf)),
+            None => json.get(key),
+        }
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        .clone()
+    };
+    let zero = phom::serve::RuntimeStats::default();
+    for row in phom::serve::RUNTIME_METRICS {
+        let merged = at(rollup, row.key);
+        let readings: Vec<Json> = members.iter().map(|m| at(m, row.key)).collect();
+        match (row.read)(&zero) {
+            phom_obs::Value::U64(_) => {
+                let values = readings.iter().map(|r| r.as_u64().expect("a count"));
+                let want = match row.kind {
+                    phom_obs::Kind::HighWater => values.max().expect("two members"),
+                    _ => values.sum(),
+                };
+                assert_eq!(merged.as_u64(), Some(want), "{}: {stats}", row.key);
+            }
+            phom_obs::Value::Buckets(_) => {
+                let column = |r: &Json, i: usize| r.as_arr().expect("buckets")[i].as_u64();
+                let merged_len = merged.as_arr().expect("buckets").len();
+                for i in 0..merged_len {
+                    let want: u64 = readings.iter().map(|r| column(r, i).expect("count")).sum();
+                    assert_eq!(column(&merged, i), Some(want), "{}[{i}]: {stats}", row.key);
+                }
+            }
+            phom_obs::Value::Hist(_) => {
+                let count = |h: &Json| h.get("count").and_then(Json::as_u64).expect("count");
+                let want: u64 = readings.iter().map(count).sum();
+                assert_eq!(count(&merged), want, "{}: {stats}", row.key);
+            }
+            phom_obs::Value::I64(_) => panic!("{}: runtime rows are unsigned", row.key),
+        }
+    }
+    let circuit = rollup.get("circuit_batched").and_then(Json::as_u64);
+    assert!(
+        circuit > Some(0),
+        "the R/S path queries ride the circuit path: {stats}"
+    );
+
+    let text = client.metrics().expect("metrics op");
+    for line in [
+        "# TYPE phom_fleet_circuit_batched counter",
+        "# TYPE phom_fleet_queue_depth_max gauge",
+        "# HELP phom_fleet_admitted summed across available members",
+        "# HELP phom_request_latency_ns end-to-end request latency, nanoseconds, merged fleet-wide",
+        "# HELP phom_queue_latency_ns queue wait, nanoseconds, merged fleet-wide",
+        "# HELP phom_stage_latency_ns per-tick-group stage time, nanoseconds, merged fleet-wide",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in:\n{text}");
+    }
+
+    let (admitted, completed) = (
+        rollup
+            .get("admitted")
+            .and_then(Json::as_u64)
+            .expect("admitted"),
+        rollup
+            .get("completed")
+            .and_then(Json::as_u64)
+            .expect("completed"),
+    );
+    let args: Vec<String> = ["top", "--connect", &router.local_addr().to_string()]
+        .iter()
+        .map(|s| s.to_string())
+        .chain(["--iterations".to_string(), "1".to_string()])
+        .collect();
+    let top = phom::cli::run(&args, &|path| Err(format!("no file {path}"))).expect("phom top");
+    assert!(top.contains("(fleet)"), "{top}");
+    assert!(top.contains("members up: 2"), "{top}");
+    let want = format!("requests: {admitted} admitted, {completed} completed,");
+    assert!(top.contains(&want), "want {want:?} in:\n{top}");
+
     drop(client);
     router.shutdown(Duration::from_secs(1));
     for server in servers {
