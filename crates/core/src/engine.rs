@@ -59,15 +59,14 @@
 //! assert_eq!(engine.cache_stats().misses, 2);
 //! ```
 
-use crate::algo::lineage_circuits;
 use crate::batch::{
     instance_fingerprint, opts_fingerprint, BatchStats, CacheHandle, CacheKey, CacheKind,
     CacheStats, EvalCache, QueryKey,
 };
 use crate::sensitivity::{self, SensitivityRoute};
 use crate::solver::{
-    finish_plan, plan_query, solve_with_impl, Budget, Hardness, InstanceState, OnHard, Plan,
-    Planned, Precision, SharedInstance, Solution, SolveError, SolverOptions,
+    finish_plan, plan_query, solve_with_impl, Budget, Hardness, InstanceState, OnHard, Planned,
+    Precision, SharedInstance, Solution, SolveError, SolverOptions,
 };
 use crate::ucq::{Ucq, UcqRoute};
 use crate::{counting, Fallback, Route};
@@ -1410,23 +1409,6 @@ fn run_shared_eval_guarded(
     }
 }
 
-/// Compiles a circuit-shaped plan into `arena`: a Prop 4.11 plan as its
-/// match event, a Prop 4.10 plan as its failure event (`negated`).
-/// `None` for any other plan, or when the route builds no circuit.
-fn compile_circuit(
-    arena: &mut Arena,
-    planned: &Planned,
-    h: &Graph,
-) -> Option<(GateId, bool, Route)> {
-    match &planned.plan {
-        Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
-            .map(|root| (root, false, Route::Prop411)),
-        Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &planned.absorbed, h)
-            .map(|root| (root, true, Route::Prop410)),
-        _ => None,
-    }
-}
-
 /// The cross-shard shared-arena split: compiles every circuit-compilable
 /// pending plan into **one** arena (sequentially, at plan time — gate
 /// interning across queries maximizes sharing) and partitions the
@@ -1451,8 +1433,9 @@ fn split_shared_arena(
         // evaluation; the shared multi-root pass can't stop one root
         // without stopping them all.
         if !pending.opts.want_provenance && !pending.is_metered() {
-            if let Some((root, negated, route)) =
-                compile_circuit(&mut arena, &pending.planned, instance.graph())
+            if let Some((root, negated, route)) = pending
+                .planned
+                .compile_circuit(&mut arena, instance.graph())
             {
                 deferred.push((pending.slot, root, negated, route, pending.opts.precision));
                 continue;
@@ -1676,8 +1659,9 @@ fn run_metered_slot(
     let instance = shared.instance;
     if shared.ic().is_connected() && !opts.want_provenance {
         let mut arena = Arena::new(instance.graph().n_edges());
-        if let Some((root, negated, route)) =
-            compile_circuit(&mut arena, &pending.planned, instance.graph())
+        if let Some((root, negated, route)) = pending
+            .planned
+            .compile_circuit(&mut arena, instance.graph())
         {
             outcome.circuit_batched += 1;
             outcome.gates += arena.n_gates();
@@ -1698,7 +1682,7 @@ fn run_metered_slot(
     // General path (DP routes, fallbacks, provenance): the meter
     // checkpointed before the work; hard cells degrade per `on_hard`.
     outcome.general_solved += 1;
-    let answer = finish_plan(&pending.query, pending.planned, &shared, opts);
+    let answer = finish_plan(pending.planned, &shared, opts);
     let result = match answer {
         Err(_) if opts.on_hard == OnHard::Estimate => {
             estimate_response(&pending.query, instance, opts, &mut meter)
@@ -1789,8 +1773,9 @@ fn run_shard(
         // connected instance, when no provenance handle was requested
         // (handles own their circuit, so they compile separately).
         if connected && !opts.want_provenance {
-            if let Some((root, negated, route)) =
-                compile_circuit(&mut arena, &pending.planned, instance.graph())
+            if let Some((root, negated, route)) = pending
+                .planned
+                .compile_circuit(&mut arena, instance.graph())
             {
                 deferred.push((pending.slot, root, negated, route, opts.precision));
                 outcome.circuit_batched += 1;
@@ -1800,7 +1785,7 @@ fn run_shard(
         // General path: finish the plan exactly as `solve_with` does —
         // then degrade a hard cell to a budgeted estimate when the
         // request opted in.
-        let answer = finish_plan(&pending.query, pending.planned, &shared, opts);
+        let answer = finish_plan(pending.planned, &shared, opts);
         outcome.general_solved += 1;
         let result = match answer {
             Err(_) if opts.on_hard == OnHard::Estimate => {

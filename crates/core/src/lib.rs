@@ -47,4 +47,4 @@ pub use engine::{
 pub use solver::{
     Budget, Fallback, Hardness, OnHard, Precision, Route, Solution, SolveError, SolverOptions,
 };
-pub use tables::{CellStatus, Setting, TableId};
+pub use tables::{Cell, CellStatus, Prop, Setting, TableId};

@@ -1,6 +1,6 @@
-//! The `PHom` dispatcher: classifies the input into the paper's
-//! classification and routes it to the unique applicable polynomial-time
-//! algorithm — or reports the matching hardness result.
+//! The `PHom` dispatcher: places the input in its cell of the paper's
+//! tables ([`crate::tables::cell`]) and runs the polynomial-time algorithm
+//! of the cell's proposition — or reports the cell's hardness result.
 //!
 //! The dispatcher is *opportunistic*: class-level hardness (Tables 1–3)
 //! speaks about worst cases, so individually easy inputs inside hard cells
@@ -13,11 +13,12 @@ use crate::algo::path_on_pt::PtStrategy;
 use crate::algo::{
     collapse, components, connected_on_2wp, dwt_instance, lineage_circuits, path_on_dwt, path_on_pt,
 };
+use crate::tables::{self, Cell, CellStatus, Prop, Setting};
 use crate::{bruteforce, montecarlo};
 use phom_graph::classes::{classify, Classification};
 use phom_graph::graded::level_mapping;
 use phom_graph::{ConnClass, Graph, ProbGraph};
-use phom_lineage::engine::Arena;
+use phom_lineage::engine::{Arena, GateId};
 use phom_lineage::{MeterStop, Provenance, WorkMeter};
 use phom_num::{Natural, Rational};
 use rand::rngs::SmallRng;
@@ -435,6 +436,17 @@ impl<'a> SharedInstance<'a> {
         &self.state.h_labels
     }
 
+    /// The table cell of `query` on this instance. The setting is the
+    /// instance's: unlabeled iff it uses at most one label.
+    fn cell(&self, query: &Graph) -> Cell {
+        let setting = if self.ic().labeled {
+            Setting::Labeled
+        } else {
+            Setting::Unlabeled
+        };
+        tables::cell(&classify(query), self.ic(), setting)
+    }
+
     pub(crate) fn components(&self) -> &[ProbGraph] {
         self.state
             .components
@@ -466,9 +478,27 @@ impl<'a> SharedInstance<'a> {
 pub(crate) struct Planned {
     /// The query after component absorption (what the route runs on).
     pub(crate) absorbed: Graph,
-    pub(crate) qc: Classification,
-    pub(crate) unlabeled: bool,
     pub(crate) plan: Plan,
+}
+
+impl Planned {
+    /// Compiles a circuit-shaped plan into `arena` over the instance `h`:
+    /// a Prop 4.11 plan as its match event, a Prop 4.10 plan as its
+    /// failure event (`negated`). `None` for any other plan, or when the
+    /// route builds no circuit.
+    pub(crate) fn compile_circuit(
+        &self,
+        arena: &mut Arena,
+        h: &Graph,
+    ) -> Option<(GateId, bool, Route)> {
+        match &self.plan {
+            Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
+                .map(|root| (root, false, Route::Prop411)),
+            Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &self.absorbed, h)
+                .map(|root| (root, true, Route::Prop410)),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) enum Plan {
@@ -484,8 +514,8 @@ pub(crate) enum Plan {
     /// Prop 4.10: 1WP query on a `⊔DWT` instance (circuit-compilable when
     /// the instance is connected).
     Prop410,
-    /// No tractable route: hardness attribution or fallback.
-    Hard,
+    /// A #P-hard cell: hardness attribution or fallback.
+    Hard(Cell),
 }
 
 // The plan handoff types cross thread boundaries in the serving tick
@@ -501,35 +531,33 @@ const _: () = {
     assert_send::<SolverOptions>();
 };
 
-/// Classifies one query against the shared instance state. The order of
-/// the checks is fixed: an edgeless query, then a label missing from the
-/// instance, then component absorption, then the polytree zero, then the
-/// labeled or unlabeled cell of Tables 1–3.
+/// Classifies one query against the shared instance state. The named
+/// fast paths come first, in a fixed order: an edgeless query, a label
+/// missing from the instance, component absorption, and the polytree
+/// zero. Then the query's cell of the tables ([`tables::cell`]) picks the
+/// route by its proposition.
 pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
-    let trivially = |absorbed: Graph, solution: Solution| {
-        let qc = classify(&absorbed);
-        Planned {
-            absorbed,
-            qc,
-            unlabeled: false,
-            plan: Plan::Done(solution),
-        }
+    let done = |absorbed: Graph, solution: Solution| Planned {
+        absorbed,
+        plan: Plan::Done(solution),
     };
     // Trivial: an edgeless query maps anywhere (vertex sets are non-empty
     // and worlds keep all vertices).
     if query.n_edges() == 0 {
-        return trivially(
+        return done(
             query.clone(),
             Solution::new(Rational::one(), Route::TrivialNoEdges),
         );
     }
     // A query edge label absent from the instance can never be matched.
+    // Past this check the query's labels are among the instance's, so
+    // the instance alone decides the setting.
     if query
         .labels_used()
         .iter()
         .any(|l| shared.h_labels().binary_search(l).is_err())
     {
-        return trivially(
+        return done(
             query.clone(),
             Solution::new(Rational::zero(), Route::MissingLabel),
         );
@@ -539,106 +567,68 @@ pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
     // tractable cell (e.g. duplicated ⊔1WP components become one 1WP).
     let absorbed = crate::algo::absorb::absorb_query_components(query);
     if absorbed.n_edges() == 0 {
-        return trivially(
+        return done(
             absorbed,
             Solution::new(Rational::one(), Route::TrivialNoEdges),
         );
     }
-    let qc = classify(&absorbed);
-    let unlabeled = {
-        let mut labels = absorbed.labels_used();
-        labels.extend(shared.h_labels().iter().copied());
-        labels.sort_unstable();
-        labels.dedup();
-        labels.len() <= 1
+    let cell = shared.cell(&absorbed);
+    // Prop 5.5: an unlabeled ⊔DWT query is equivalent, on every
+    // instance, to the path →^m it collapses to.
+    let collapsed = || match cell.table.setting() {
+        Setting::Unlabeled => collapse::collapse_union_dwt_query(&absorbed),
+        Setting::Labeled => None,
     };
-    // On ⊔PT instances every world is a polytree forest: queries with a
-    // directed cycle or a jumping edge have probability 0 (App. A).
     let plan = if test_support::plans_forced_hard() {
         // Fault injection (chaos suites): every classified plan degrades
         // to the hard cell, exercising the fallback / `OnHard` ladder.
-        Plan::Hard
+        Plan::Hard(cell)
     } else if shared.ic().in_union_class(ConnClass::Polytree) && level_mapping(&absorbed).is_none()
     {
+        // On ⊔PT instances every world is a polytree forest: queries with
+        // a directed cycle or a jumping edge have probability 0 (App. A).
         Plan::Done(Solution::new(Rational::zero(), Route::ZeroOnPolytrees))
-    } else if unlabeled {
-        plan_unlabeled(&absorbed, &qc, shared.ic())
     } else {
-        plan_labeled(&absorbed, &qc, shared.ic())
+        match cell.status {
+            CellStatus::PTime(Prop::P3_6) => Plan::Prop36,
+            CellStatus::PTime(Prop::P4_10) => Plan::Prop410,
+            CellStatus::PTime(Prop::P4_11) | CellStatus::PTimeAfterCollapse(Prop::P4_11) => {
+                Plan::Prop411 {
+                    effective: collapsed().unwrap_or_else(|| absorbed.clone()),
+                }
+            }
+            CellStatus::PTime(Prop::P5_4) => Plan::Prop54 {
+                m: absorbed.n_edges(),
+                via_collapse: false,
+            },
+            CellStatus::PTime(Prop::P5_5) | CellStatus::PTimeAfterCollapse(Prop::P5_4) => {
+                match collapsed() {
+                    Some(path) => Plan::Prop54 {
+                        m: path.n_edges(),
+                        via_collapse: true,
+                    },
+                    None => Plan::Hard(cell),
+                }
+            }
+            _ => Plan::Hard(cell),
+        }
     };
-    Planned {
-        absorbed,
-        qc,
-        unlabeled,
-        plan,
-    }
+    Planned { absorbed, plan }
 }
 
-fn plan_unlabeled(absorbed: &Graph, qc: &Classification, ic: &Classification) -> Plan {
-    // Prop 3.6: any query on ⊔DWT instances.
-    if ic.in_union_class(ConnClass::DownwardTree) {
-        return Plan::Prop36;
-    }
-    // Prop 5.5: a ⊔DWT query collapses to →^m on every instance.
-    if let Some(path_query) = collapse::collapse_union_dwt_query(absorbed) {
-        if path_query.n_edges() == 0 {
-            return Plan::Done(Solution::new(Rational::one(), Route::TrivialNoEdges));
-        }
-        if ic.in_union_class(ConnClass::TwoWayPath) {
-            return Plan::Prop411 {
-                effective: path_query,
-            };
-        }
-        if ic.in_union_class(ConnClass::Polytree) {
-            return Plan::Prop54 {
-                m: path_query.n_edges(),
-                via_collapse: !qc.flags.owp || !qc.is_connected(),
-            };
-        }
-        return Plan::Hard;
-    }
-    // Connected queries on ⊔2WP instances (Prop 4.11, unlabeled flavor).
-    if qc.is_connected() && ic.in_union_class(ConnClass::TwoWayPath) {
-        return Plan::Prop411 {
-            effective: absorbed.clone(),
-        };
-    }
-    Plan::Hard
-}
-
-fn plan_labeled(absorbed: &Graph, qc: &Classification, ic: &Classification) -> Plan {
-    if !qc.is_connected() {
-        return Plan::Hard; // Prop 3.3 territory
-    }
-    // Prop 4.11: connected queries on ⊔2WP instances.
-    if ic.in_union_class(ConnClass::TwoWayPath) {
-        return Plan::Prop411 {
-            effective: absorbed.clone(),
-        };
-    }
-    // Prop 4.10: 1WP queries on ⊔DWT instances.
-    if qc.flags.owp && ic.in_union_class(ConnClass::DownwardTree) {
-        return Plan::Prop410;
-    }
-    Plan::Hard
-}
-
-/// Executes a plan exactly as the historical per-query path did; routes
-/// whose polynomial algorithm declines (`None`) fall through to the
-/// configured fallback / hardness attribution.
+/// Executes a plan exactly as the historical per-query path did; a hard
+/// cell, or a route whose polynomial algorithm declines (`None`, which a
+/// correct classification never causes), goes to the configured fallback
+/// or to hardness attribution.
 pub(crate) fn execute_plan(
     planned: Planned,
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
-    let Planned {
-        absorbed,
-        qc,
-        unlabeled,
-        plan,
-    } = planned;
+    let Planned { absorbed, plan } = planned;
     let attempt: Option<Solution> = match plan {
         Plan::Done(solution) => return Ok(solution),
+        Plan::Hard(cell) => return fallback(&absorbed, shared, cell, opts),
         // The query collapses to `→^m` (connected), so the cached
         // Lemma 3.7 split applies as on the other routes.
         Plan::Prop36 => match dwt_instance::collapse_length(&absorbed) {
@@ -666,18 +656,10 @@ pub(crate) fn execute_plan(
                 }
             })
             .map(|p| Solution::new(p, Route::Prop410)),
-        Plan::Hard => None,
     };
     match attempt {
         Some(solution) => Ok(solution),
-        None => fallback(
-            &absorbed,
-            shared.instance,
-            &qc,
-            shared.ic(),
-            unlabeled,
-            opts,
-        ),
+        None => fallback(&absorbed, shared, shared.cell(&absorbed), opts),
     }
 }
 
@@ -702,86 +684,59 @@ pub(crate) fn solve_shared(
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
-    finish_plan(query, plan_query(query, shared), shared, opts)
+    finish_plan(plan_query(query, shared), shared, opts)
 }
 
 /// Executes an already-computed plan and attaches the provenance handle —
 /// the tail of `solve_shared`, split out so the batched solver can finish
 /// a plan it already holds without planning the query a second time.
 pub(crate) fn finish_plan(
-    query: &Graph,
     planned: Planned,
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
     let instance = shared.instance;
+    let provenance = if opts.want_provenance {
+        compile_provenance(&planned, instance.graph())
+    } else {
+        None
+    };
     let mut sol = execute_plan(planned, shared, opts)?;
-    if opts.want_provenance && sol.provenance.is_none() {
-        sol.provenance = compile_provenance(query, instance, &sol.route);
-        // compile_provenance repeats the planner's routing (absorb +
-        // Prop 5.5 collapse) on its own; this guard catches any drift
-        // between the two before a wrong handle reaches downstream
-        // consumers.
-        debug_assert!(
-            sol.provenance
-                .as_ref()
-                .is_none_or(|p| p.probability::<Rational>(instance.probs()) == sol.probability),
-            "provenance handle disagrees with the solved probability"
-        );
-    }
+    sol.provenance = provenance;
+    // The circuit is compiled apart from the route's own evaluation; this
+    // guard catches a handle that disagrees with the answer before it
+    // reaches downstream consumers.
+    debug_assert!(
+        sol.provenance
+            .as_ref()
+            .is_none_or(|p| p.probability::<Rational>(instance.probs()) == sol.probability),
+        "provenance handle disagrees with the solved probability"
+    );
     Ok(sol)
 }
 
-/// Compiles the uniform provenance handle for the route taken, when the
-/// route admits a circuit over the instance's edge ids: the trivial
-/// routes yield constant circuits, Prop 4.10 the DWT fail circuit
-/// (complemented polarity, mirroring `1 − Pr(¬φ)`), and Prop 4.11 the 2WP
-/// match circuit. Routes whose lineage lives in a different variable
-/// space (Prop 5.4's tree encoding) or that never build one (Prop 3.6's
-/// direct DP, the fallbacks) return `None`; extending Lemma 3.7 routes on
-/// disconnected instances needs edge-id remapping and is tracked in
-/// `ROADMAP.md`.
-fn compile_provenance(
-    query: &Graph,
-    instance: &ProbGraph,
-    route: &Route,
-) -> Option<Box<Provenance>> {
-    let constant = |value: bool| {
-        let mut arena = Arena::new(instance.graph().n_edges());
-        let root = arena.constant(value);
-        Some(Box::new(Provenance::positive(arena, root)))
+/// Compiles the uniform provenance handle of a plan, when its route
+/// admits a circuit over the instance's edge ids: the trivial routes
+/// yield constant circuits, and Props 4.10/4.11 their plan's circuit
+/// ([`Planned::compile_circuit`]). Routes whose lineage lives in a
+/// different variable space (Prop 5.4's tree encoding) or that never
+/// build one (Prop 3.6's direct DP, the fallbacks) return `None`;
+/// extending Lemma 3.7 routes on disconnected instances needs edge-id
+/// remapping and is tracked in `ROADMAP.md`.
+fn compile_provenance(planned: &Planned, instance: &Graph) -> Option<Box<Provenance>> {
+    let mut circuit = Arena::new(instance.n_edges());
+    let (root, negated) = match &planned.plan {
+        Plan::Done(sol) => (circuit.constant(sol.route == Route::TrivialNoEdges), false),
+        _ => {
+            let (root, negated, _) = planned.compile_circuit(&mut circuit, instance)?;
+            (root, negated)
+        }
     };
-    match route {
-        Route::TrivialNoEdges => constant(true),
-        Route::MissingLabel | Route::ZeroOnPolytrees => constant(false),
-        Route::Prop410 => {
-            let absorbed = crate::algo::absorb::absorb_query_components(query);
-            let (circuit, root) = lineage_circuits::fail_circuit_dwt(&absorbed, instance.graph())?;
-            Some(Box::new(Provenance::complemented(circuit, root)))
-        }
-        Route::Prop411 => {
-            let absorbed = crate::algo::absorb::absorb_query_components(query);
-            // The unlabeled route may have gone through the Prop 5.5
-            // collapse first; mirror it so the circuit matches the query
-            // the solver actually ran. (Both lineages denote the same
-            // event on 2WP instances — Prop 5.5's equivalence — so either
-            // compilation is a correct provenance.)
-            let unlabeled = {
-                let mut labels = absorbed.labels_used();
-                labels.extend(instance.graph().labels_used());
-                labels.sort_unstable();
-                labels.dedup();
-                labels.len() <= 1
-            };
-            let effective = collapse::collapse_union_dwt_query(&absorbed)
-                .filter(|_| unlabeled)
-                .unwrap_or(absorbed);
-            let (circuit, root) =
-                lineage_circuits::match_circuit_2wp(&effective, instance.graph())?;
-            Some(Box::new(Provenance::positive(circuit, root)))
-        }
-        _ => None,
-    }
+    Some(Box::new(Provenance {
+        circuit,
+        root,
+        negated,
+    }))
 }
 
 fn prop_411(query: &Graph, instance: &ProbGraph, opts: SolverOptions) -> Option<Rational> {
@@ -794,12 +749,15 @@ fn prop_411(query: &Graph, instance: &ProbGraph, opts: SolverOptions) -> Option<
 
 fn fallback(
     query: &Graph,
-    instance: &ProbGraph,
-    qc: &Classification,
-    ic: &Classification,
-    unlabeled: bool,
+    shared: &SharedInstance,
+    cell: Cell,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
+    let instance = shared.instance;
+    let hardness = || Hardness {
+        prop: cell.status.prop().name(),
+        cell: cell.describe(shared.ic().is_connected()),
+    };
     match opts.fallback {
         Fallback::BruteForce { max_uncertain }
             if instance.uncertain_edges().len() <= max_uncertain =>
@@ -818,7 +776,7 @@ fn fallback(
                 None => samples,
             };
             if samples == 0 {
-                return Err(hardness(qc, ic, unlabeled));
+                return Err(hardness());
             }
             let mut rng = SmallRng::seed_from_u64(seed);
             let est = montecarlo::estimate(query, instance, samples, &mut rng);
@@ -830,49 +788,7 @@ fn fallback(
                 },
             ))
         }
-        _ => Err(hardness(qc, ic, unlabeled)),
-    }
-}
-
-/// Best-effort attribution of the hardness result covering the input's
-/// cell.
-fn hardness(qc: &Classification, ic: &Classification, unlabeled: bool) -> Hardness {
-    let q_union = !qc.is_connected();
-    let q_class = qc.flags.most_specific();
-    let i_class = ic.flags.most_specific();
-    let i_in_pt = ic.in_union_class(ConnClass::Polytree);
-    let i_in_dwt = ic.in_union_class(ConnClass::DownwardTree);
-    let prop: &'static str = if !i_in_pt {
-        "Prop 5.1" // instance beyond ⊔PT: hard already for 1WP queries
-    } else if !unlabeled {
-        if q_union {
-            "Prop 3.3"
-        } else if i_in_dwt {
-            match q_class {
-                ConnClass::TwoWayPath => "Prop 4.5",
-                _ => "Prop 4.4",
-            }
-        } else {
-            "Prop 4.1"
-        }
-    } else if q_union {
-        "Prop 3.4"
-    } else {
-        "Prop 5.6"
-    };
-    Hardness {
-        prop,
-        cell: format!(
-            "{} query ({}) on {} instance ({})",
-            if unlabeled { "unlabeled" } else { "labeled" },
-            crate::tables::class_name(q_class, q_union),
-            if ic.is_connected() {
-                "connected"
-            } else {
-                "disconnected"
-            },
-            crate::tables::class_name(i_class, !ic.is_connected()),
-        ),
+        _ => Err(hardness()),
     }
 }
 
@@ -1061,9 +977,13 @@ mod tests {
                 Graph::one_way_path(&labels)
             }
         };
-        if let Err(e) = solve(&q, &h) {
-            assert!(e.prop.contains("4.1") || e.prop.contains("4.4"), "{e:?}");
-        }
+        // The instance is a polytree that is neither a ⊔DWT nor a ⊔2WP,
+        // so the input lies in Table 2's (1WP, PT) cell only.
+        let ic = classify(h.graph());
+        assert!(!ic.in_union_class(ConnClass::DownwardTree));
+        assert!(!ic.in_union_class(ConnClass::TwoWayPath));
+        let e = solve(&q, &h).unwrap_err();
+        assert_eq!(e.prop, "Prop 4.1");
 
         // Unlabeled 2WP query on PT: Prop 5.6.
         let q = Graph::two_way_path(&[

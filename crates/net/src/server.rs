@@ -197,7 +197,7 @@ pub struct NetStats {
     pub submitted: u64,
     /// `submit` ops rejected with the `overloaded` backpressure frame.
     pub rejected_overloaded: u64,
-    /// Answers delivered to clients via `poll`.
+    /// Answers delivered to clients, by a v1 `poll` or a v2 push.
     pub delivered: u64,
     /// Tickets currently held server-side awaiting delivery (0 after a
     /// clean drain — the no-leak gauge).
@@ -222,7 +222,7 @@ pub const NET_METRICS: &[Metric<(NetStats, Histogram)>] = &[
     Metric::new("submitted", "phom_net_submitted_total", &[], Counter, "submit ops that admitted a request", |(n, _)| n.submitted.into()),
     Metric::new("rejected_overloaded", "phom_net_rejected_overloaded_total", &[], Counter, "submit ops rejected with backpressure", |(n, _)| n.rejected_overloaded.into()),
     Metric::new("open_tickets", "phom_net_open_tickets", &[], Level, "tickets held server-side awaiting delivery", |(n, _)| n.open_tickets.into()),
-    Metric::new("delivered", "phom_net_delivered_total", &[], Counter, "answers delivered via poll", |(n, _)| n.delivered.into()),
+    Metric::new("delivered", "phom_net_delivered_total", &[], Counter, "answers delivered via v1 poll or v2 push", |(n, _)| n.delivered.into()),
     Metric::new("pushed", "phom_net_pushed_total", &[], Counter, "completion frames pushed to v2 connections", |(n, _)| n.pushed.into()),
     Metric::new("hello_upgrades", "phom_net_hello_total", &[], Counter, "connections upgraded to protocol v2", |(n, _)| n.hello_upgrades.into()),
     Metric::new("inflight", "phom_net_inflight", &[], Level, "requests inside v2 in-flight windows (admitted, not yet pushed)", |(n, _)| n.inflight.into()),

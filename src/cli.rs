@@ -1184,21 +1184,18 @@ fn classify_cmd(
 
 fn tables_cmd() -> String {
     let mut out = String::new();
-    for (title, table, union_rows) in [
+    for (title, table) in [
         (
             "Table 1: PHom (unlabeled), disconnected queries",
             tables::TableId::T1UnlabeledDisconnected,
-            true,
         ),
         (
             "Table 2: PHom (labeled), connected queries",
             tables::TableId::T2LabeledConnected,
-            false,
         ),
         (
             "Table 3: PHom (unlabeled), connected queries",
             tables::TableId::T3UnlabeledConnected,
-            false,
         ),
     ] {
         let _ = writeln!(out, "\n{title}");
@@ -1208,13 +1205,9 @@ fn tables_cmd() -> String {
         }
         let _ = writeln!(out);
         for row in tables::CLASSES {
-            let _ = write!(out, "{:>14} |", tables::class_name(row, union_rows));
+            let _ = write!(out, "{:>14} |", tables::class_name(row, table.union_rows()));
             for col in tables::CLASSES {
-                let cell = tables::lookup(table, row, col);
-                let text = match cell {
-                    tables::CellStatus::PTime(p) => format!("PTIME [{p}]"),
-                    tables::CellStatus::Hard(p) => format!("#P-hard [{p}]"),
-                };
+                let text = tables::lookup(table, row, col).to_string();
                 let _ = write!(out, "{text:>26}");
             }
             let _ = writeln!(out);

@@ -72,8 +72,12 @@ fn render() -> String {
     let mut out = String::new();
     // (name, disconnected queries, labels): Tables 1–3, then the
     // labeled setting's disconnected queries (Prop 3.3).
-    for (name, union, sigma) in [("T1", true, 1), ("T2", false, 2), ("T3", false, 1), ("L⊔", true, 2)]
-    {
+    for (name, union, sigma) in [
+        ("T1", true, 1),
+        ("T2", false, 2),
+        ("T3", false, 1),
+        ("L⊔", true, 2),
+    ] {
         for row in CLASSES {
             for col in CLASSES {
                 for (shape, parts) in [("conn", 1), ("disc", 2)] {

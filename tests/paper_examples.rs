@@ -85,36 +85,37 @@ fn figure_6_level_mapping() {
 fn tables_border_cells() {
     use phom::graph::ConnClass::*;
     use tables::CellStatus::*;
+    use tables::Prop;
     // Table 1 row ⊔2WP: hard from 2WP instances on.
     assert!(matches!(
         tables::table1(TwoWayPath, TwoWayPath),
-        Hard("Prop 3.4")
+        Hard(Prop::P3_4)
     ));
     // Table 2: the four numbered cells.
     assert!(matches!(
         tables::table2(OneWayPath, DownwardTree),
-        PTime("Prop 4.10")
+        PTime(Prop::P4_10)
     ));
     assert!(matches!(
         tables::table2(General, TwoWayPath),
-        PTime("Prop 4.11")
+        PTime(Prop::P4_11)
     ));
     assert!(matches!(
         tables::table2(OneWayPath, Polytree),
-        Hard("Prop 4.1")
+        Hard(Prop::P4_1)
     ));
     assert!(matches!(
         tables::table2(DownwardTree, DownwardTree),
-        Hard("Prop 4.4")
+        Hard(Prop::P4_4)
     ));
     // Table 3.
     assert!(matches!(
         tables::table3(OneWayPath, Polytree),
-        PTime("Prop 5.4")
+        PTime(Prop::P5_4)
     ));
     assert!(matches!(
         tables::table3(TwoWayPath, Polytree),
-        Hard("Prop 5.6")
+        Hard(Prop::P5_6)
     ));
 }
 
