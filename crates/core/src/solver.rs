@@ -696,11 +696,10 @@ pub(crate) fn finish_plan(
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
     let instance = shared.instance;
-    let provenance = if opts.want_provenance {
-        compile_provenance(&planned, instance.graph())
-    } else {
-        None
-    };
+    let provenance = opts
+        .want_provenance
+        .then(|| compile_provenance(&planned, instance.graph()))
+        .flatten();
     let mut sol = execute_plan(planned, shared, opts)?;
     sol.provenance = provenance;
     // The circuit is compiled apart from the route's own evaluation; this

@@ -242,24 +242,19 @@ pub fn table3(row: ConnClass, col: ConnClass) -> CellStatus {
     }
 }
 
-/// `PHomL(⊔row, col)` — labeled disconnected queries: #P-hard already
-/// for `⊔1WP` queries on 1WP instances (Prop 3.3), so everywhere. As in
-/// Tables 1–3, the Connected column cites Prop 5.1.
-pub fn labeled_disconnected(row: ConnClass, col: ConnClass) -> CellStatus {
-    match (row, col) {
-        (_, ConnClass::General) => CellStatus::Hard(Prop::P5_1),
-        (ConnClass::OneWayPath, ConnClass::OneWayPath) => CellStatus::Hard(Prop::P3_3),
-        _ => CellStatus::HardByInclusion(&[Prop::P3_3]),
-    }
-}
-
 /// Looks up the appropriate table.
 pub fn lookup(table: TableId, row: ConnClass, col: ConnClass) -> CellStatus {
     match table {
         TableId::T1UnlabeledDisconnected => table1(row, col),
         TableId::T2LabeledConnected => table2(row, col),
         TableId::T3UnlabeledConnected => table3(row, col),
-        TableId::LabeledDisconnected => labeled_disconnected(row, col),
+        // Hard already for ⊔1WP queries on 1WP instances (Prop 3.3); as
+        // in Tables 1–3, the Connected column cites Prop 5.1.
+        TableId::LabeledDisconnected => match (row, col) {
+            (_, ConnClass::General) => CellStatus::Hard(Prop::P5_1),
+            (ConnClass::OneWayPath, ConnClass::OneWayPath) => CellStatus::Hard(Prop::P3_3),
+            _ => CellStatus::HardByInclusion(&[Prop::P3_3]),
+        },
     }
 }
 
@@ -391,12 +386,13 @@ mod tests {
                     | (General, General)
             )
         }
-        for table in [
-            table1 as fn(_, _) -> _,
-            table2,
-            table3,
-            labeled_disconnected,
+        for id in [
+            TableId::T1UnlabeledDisconnected,
+            TableId::T2LabeledConnected,
+            TableId::T3UnlabeledConnected,
+            TableId::LabeledDisconnected,
         ] {
+            let table = |row, col| lookup(id, row, col);
             for r1 in CLASSES {
                 for c1 in CLASSES {
                     for r2 in CLASSES {
@@ -423,6 +419,44 @@ mod tests {
                 if table2(r, c).is_ptime() {
                     assert!(table3(r, c).is_ptime(), "({r:?},{c:?})");
                 }
+            }
+        }
+    }
+
+    /// `tests/complexity_atlas.rs` accepts any citation whose statement
+    /// justifies a cell. Where several propositions do, the tables keep
+    /// the paper's choice (and Prop 3.3 for the labeled disconnected
+    /// setting).
+    #[test]
+    fn cells_with_several_justifications_cite_the_papers_choice() {
+        assert_eq!(table1(TwoWayPath, General), CellStatus::Hard(Prop::P5_1));
+        assert_eq!(table1(Polytree, General), CellStatus::Hard(Prop::P5_1));
+        assert_eq!(
+            table2(OneWayPath, OneWayPath),
+            CellStatus::PTime(Prop::P4_11)
+        );
+        assert_eq!(table2(Polytree, General), CellStatus::Hard(Prop::P5_1));
+        assert_eq!(
+            table2(General, DownwardTree),
+            CellStatus::HardByInclusion(&[Prop::P4_4, Prop::P4_5])
+        );
+        assert_eq!(
+            table2(General, Polytree),
+            CellStatus::HardByInclusion(&[Prop::P4_1])
+        );
+        assert_eq!(
+            table3(OneWayPath, OneWayPath),
+            CellStatus::PTime(Prop::P4_11)
+        );
+        for row in CLASSES {
+            for col in CLASSES {
+                let expected = if col == General {
+                    Prop::P5_1
+                } else {
+                    Prop::P3_3
+                };
+                let status = lookup(TableId::LabeledDisconnected, row, col);
+                assert_eq!(status.prop(), expected, "({row:?}, {col:?})");
             }
         }
     }

@@ -1,18 +1,23 @@
 //! The complexity atlas: checks the paper's Tables 1–3 (and the labeled
-//! setting with disconnected queries, Prop 3.3) against the dispatcher.
+//! setting with disconnected queries, Prop 3.3) against the propositions
+//! they cite and against the dispatcher.
 //!
 //! For every (query class, instance class) cell:
 //!
-//! * **sampled inputs** — random inputs drawn from the cell land in some
-//!   cell of [`tables::cell`] (an input lies in several cells; the
-//!   dispatcher prefers one). An input whose landing cell is PTIME must
-//!   be served by a named fast path or by a route of that cell's
-//!   proposition, and its answer must equal brute force; one whose
-//!   landing cell is #P-hard must be answered by a fast path or be
-//!   reported hard with that cell's proposition. An input drawn from a
-//!   PTIME cell must never be reported hard.
-//! * **#P-hard cells** — a *witness* built to dodge every fast path must
-//!   land in the cell itself and be reported hard with its proposition.
+//! * **the citation** — the cell must follow from the statement of the
+//!   proposition it cites: a PTIME statement must cover the cell (after
+//!   the Prop 5.5 collapse, for a collapse cell), and a #P-hard
+//!   statement's own cell must lie inside it.
+//! * **inputs** — random inputs drawn from the cell, and one
+//!   representative built from the cell's classes, land in some cell of
+//!   [`tables::cell`] (an input lies in several cells; the dispatcher
+//!   prefers one). An input whose landing cell is PTIME must be served by
+//!   a named fast path or by a route of that cell's proposition, and its
+//!   answer must equal brute force; one whose landing cell is #P-hard
+//!   must be answered by a fast path or be reported hard with that cell's
+//!   proposition. An input drawn from a PTIME cell is never reported hard.
+//! * **#P-hard cells** — the representative dodges every fast path, so
+//!   it must land in the cell itself and be reported hard.
 
 use phom::core::algo::absorb::absorb_query_components;
 use phom::core::tables::{self, Cell, CellStatus, Prop, Setting, TableId, CLASSES};
@@ -27,7 +32,7 @@ use rand::{Rng, SeedableRng};
 /// labels their inputs use.
 const TABLES: [(TableId, bool, u32); 4] = [
     (TableId::T1UnlabeledDisconnected, true, 1),
-    (TableId::T2LabeledConnected, false, 3),
+    (TableId::T2LabeledConnected, false, 2),
     (TableId::T3UnlabeledConnected, false, 1),
     (TableId::LabeledDisconnected, true, 2),
 ];
@@ -119,50 +124,130 @@ fn check_hard_report(query: &Graph, instance: &ProbGraph, landed: Cell, h: &Hard
     assert_eq!(h.cell, landed.describe(connected), "{query:?}");
 }
 
-/// Checks `trials` random inputs drawn from the cell (`table`, `row`,
-/// `col`); returns how many were served by the route of a PTIME cell.
-fn check_samples(
-    (table, union, sigma): (TableId, bool, u32),
-    row: ConnClass,
-    col: ConnClass,
-    rng: &mut SmallRng,
-) -> usize {
-    let drawn = tables::lookup(table, row, col);
-    let mut served = 0;
-    for _ in 0..10 {
-        let q = sample_query(row, union, sigma, rng);
-        let h = sample_instance(col, sigma, rng);
-        let landed = landing_cell(&q, &h);
-        let ctx = format!(
-            "drawn from {table:?} ({row:?}, {col:?}), landed in {landed:?}: {q:?} on {:?}",
-            h.graph()
-        );
-        match Engine::new(h.clone()).solve(&q) {
-            Ok(sol) => {
-                assert_eq!(sol.probability, bruteforce::probability(&q, &h), "{ctx}");
-                if !fast_path(&sol.route) {
-                    assert!(
-                        landed.status.is_ptime(),
-                        "{ctx}: a hard cell answered {:?}",
-                        sol.route
-                    );
-                    assert!(
-                        serves(landed.status, &sol.route),
-                        "{ctx}: served by {:?}",
-                        sol.route
-                    );
-                    served += 1;
-                }
+/// Checks one input drawn from a cell whose status is `drawn`; returns
+/// whether it was served by the route of a PTIME cell.
+fn check_input(q: &Graph, h: &ProbGraph, drawn: CellStatus, ctx: &str) -> bool {
+    let landed = landing_cell(q, h);
+    let ctx = format!("{ctx}, landed in {landed:?}: {q:?} on {:?}", h.graph());
+    match Engine::new(h.clone()).solve(q) {
+        Ok(sol) => {
+            assert_eq!(sol.probability, bruteforce::probability(q, h), "{ctx}");
+            if fast_path(&sol.route) {
+                return false;
             }
-            Err(SolveError::Hard(hard)) => {
-                assert!(!drawn.is_ptime(), "{ctx}: a PTIME cell reported {hard:?}");
-                assert!(!landed.status.is_ptime(), "{ctx}: reported {hard:?}");
-                check_hard_report(&q, &h, landed, &hard);
-            }
-            Err(e) => panic!("{ctx}: {e}"),
+            assert!(
+                landed.status.is_ptime(),
+                "{ctx}: a hard cell answered {:?}",
+                sol.route
+            );
+            assert!(
+                serves(landed.status, &sol.route),
+                "{ctx}: served by {:?}",
+                sol.route
+            );
+            true
         }
+        Err(SolveError::Hard(hard)) => {
+            assert!(!drawn.is_ptime(), "{ctx}: a PTIME cell reported {hard:?}");
+            assert!(!landed.status.is_ptime(), "{ctx}: reported {hard:?}");
+            check_hard_report(q, h, landed, &hard);
+            false
+        }
+        Err(e) => panic!("{ctx}: {e}"),
     }
-    served
+}
+
+/// `a ⊆ b` along the Figure 2 inclusions.
+fn includes(a: ConnClass, b: ConnClass) -> bool {
+    use ConnClass::*;
+    matches!(
+        (a, b),
+        (OneWayPath, _)
+            | (TwoWayPath, TwoWayPath | Polytree | General)
+            | (DownwardTree, DownwardTree | Polytree | General)
+            | (Polytree, Polytree | General)
+            | (General, General)
+    )
+}
+
+/// A class of inputs: the setting, the query class (`⊔` when `union`)
+/// and the instance class (its disjoint unions included).
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Inputs {
+    labeled: bool,
+    union: bool,
+    query: ConnClass,
+    instance: ConnClass,
+}
+
+impl Inputs {
+    /// `self ⊆ other`: unlabeled inputs are labeled ones with one label,
+    /// and a connected query class lies inside its `⊔` class.
+    fn within(self, other: Inputs) -> bool {
+        (!self.labeled || other.labeled)
+            && (!self.union || other.union)
+            && includes(self.query, other.query)
+            && includes(self.instance, other.instance)
+    }
+}
+
+/// The statement of a proposition: the inputs it covers, and whether it
+/// shows them PTIME (else #P-hard).
+fn statement(p: Prop) -> (Inputs, bool) {
+    use ConnClass::*;
+    let (labeled, union, query, instance, ptime) = match p {
+        Prop::P3_3 => (true, true, OneWayPath, OneWayPath, false),
+        Prop::P3_4 => (false, true, TwoWayPath, TwoWayPath, false),
+        Prop::P3_6 => (false, true, General, DownwardTree, true),
+        Prop::P4_1 => (true, false, OneWayPath, Polytree, false),
+        Prop::P4_4 => (true, false, DownwardTree, DownwardTree, false),
+        Prop::P4_5 => (true, false, TwoWayPath, DownwardTree, false),
+        Prop::P4_10 => (true, false, OneWayPath, DownwardTree, true),
+        Prop::P4_11 => (true, false, General, TwoWayPath, true),
+        Prop::P5_1 => (false, false, OneWayPath, General, false),
+        Prop::P5_4 => (false, false, OneWayPath, Polytree, true),
+        Prop::P5_5 => (false, true, DownwardTree, Polytree, true),
+        Prop::P5_6 => (false, false, TwoWayPath, Polytree, false),
+    };
+    let inputs = Inputs {
+        labeled,
+        union,
+        query,
+        instance,
+    };
+    (inputs, ptime)
+}
+
+/// True iff the status of the cell `inputs` follows from the statements
+/// of the propositions it cites.
+fn follows_from_statements(inputs: Inputs, status: CellStatus) -> bool {
+    let covers = |p: Prop, inputs: Inputs| {
+        let (stated, ptime) = statement(p);
+        ptime && inputs.within(stated)
+    };
+    let shows_hard = |p: Prop| {
+        let (stated, ptime) = statement(p);
+        !ptime && stated.within(inputs)
+    };
+    match status {
+        CellStatus::PTime(p) => covers(p, inputs),
+        // Prop 5.5 collapses the query to a connected 1WP.
+        CellStatus::PTimeAfterCollapse(p) => {
+            covers(Prop::P5_5, inputs)
+                && covers(
+                    p,
+                    Inputs {
+                        union: false,
+                        query: ConnClass::OneWayPath,
+                        ..inputs
+                    },
+                )
+        }
+        CellStatus::Hard(p) => shows_hard(p),
+        CellStatus::HardByInclusion(ps) => ps
+            .iter()
+            .all(|&p| shows_hard(p) && statement(p).0 != inputs),
+    }
 }
 
 /// A graded member of `row` that lies in no more specific row, over the
@@ -241,12 +326,12 @@ fn witness_instance(col: ConnClass, s: Label, t: Label) -> ProbGraph {
     ProbGraph::new(g, probs)
 }
 
-/// A witness of the hard cell (`table`, `row`, `col`) that dodges every
-/// fast path. A disconnected witness is two copies of a component with a
+/// An input of the cell (`table`, `row`, `col`) that dodges every fast
+/// path. A disconnected query is two copies of a component with a
 /// 17-edge tail: absorption only compares components of at most 16
 /// edges, so the copies stay apart (unlabeled `⊔DWT` components are
 /// otherwise always comparable, and would absorb into one).
-fn hard_witness(table: TableId, row: ConnClass, col: ConnClass) -> (Graph, ProbGraph) {
+fn representative(table: TableId, row: ConnClass, col: ConnClass) -> (Graph, ProbGraph) {
     let s = Label(0);
     let t = Label(match table.setting() {
         Setting::Labeled => 1,
@@ -284,31 +369,44 @@ fn hard_witness(table: TableId, row: ConnClass, col: ConnClass) -> (Graph, ProbG
 #[test]
 fn every_cell_agrees_with_the_dispatcher() {
     let mut rng = SmallRng::seed_from_u64(123);
-    for spec @ (table, _, _) in TABLES {
+    for (table, union, sigma) in TABLES {
         let mut served = 0;
         for row in CLASSES {
             for col in CLASSES {
-                served += check_samples(spec, row, col, &mut rng);
                 let status = tables::lookup(table, row, col);
-                if status.is_ptime() {
-                    continue;
-                }
-                let (wq, wh) = hard_witness(table, row, col);
-                let landed = landing_cell(&wq, &wh);
-                assert_eq!(
-                    (landed.table, landed.row, landed.col),
-                    (table, row, col),
-                    "the witness must land in its own cell"
+                let inputs = Inputs {
+                    labeled: table.setting() == Setting::Labeled,
+                    union,
+                    query: row,
+                    instance: col,
+                };
+                assert!(
+                    follows_from_statements(inputs, status),
+                    "{table:?} ({row:?}, {col:?}) does not follow from {status:?}"
                 );
-                let h = hardness(&wq, &wh)
-                    .unwrap_or_else(|e| panic!("{table:?} ({row:?}, {col:?}) witness: {e}"));
-                check_hard_report(&wq, &wh, landed, &h);
+                let ctx = format!("drawn from {table:?} ({row:?}, {col:?})");
+                for _ in 0..10 {
+                    let q = sample_query(row, union, sigma, &mut rng);
+                    let h = sample_instance(col, sigma, &mut rng);
+                    served += usize::from(check_input(&q, &h, status, &ctx));
+                }
+                let (rq, rh) = representative(table, row, col);
+                served += usize::from(check_input(&rq, &rh, status, &ctx));
+                if !status.is_ptime() {
+                    let landed = landing_cell(&rq, &rh);
+                    assert_eq!(
+                        (landed.table, landed.row, landed.col),
+                        (table, row, col),
+                        "the representative of a hard cell must land in it"
+                    );
+                    assert!(hardness(&rq, &rh).is_ok(), "{ctx}: not reported hard");
+                }
             }
         }
         if table != TableId::LabeledDisconnected {
             assert!(
                 served > 0,
-                "{table:?}: no sample reached a proposition's route"
+                "{table:?}: no input reached a proposition's route"
             );
         }
     }
