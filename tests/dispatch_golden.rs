@@ -5,10 +5,10 @@
 //! of `Engine::submit` in the `Exact` and the `Float{1e-6}` tier.
 //!
 //! `tests/golden/dispatch.txt` was rendered by the hand-written planner
-//! that dispatched before the tables did (`plan_unlabeled`,
-//! `plan_labeled` and `hardness()`); the table-driven dispatcher must
-//! reproduce every line byte for byte. The sampler below must never
-//! change, or the golden no longer describes the same inputs.
+//! and hardness attribution that preceded the table-driven dispatcher;
+//! the dispatcher must reproduce every line byte for byte. The sampler
+//! below must never change, or the golden no longer describes the same
+//! inputs.
 
 use phom::core::tables::{class_name, CLASSES};
 use phom::graph::generate;
