@@ -65,8 +65,8 @@ use crate::batch::{
 };
 use crate::sensitivity::{self, SensitivityRoute};
 use crate::solver::{
-    finish_plan, plan_query, solve_with_impl, Budget, Hardness, InstanceState, OnHard, Planned,
-    Precision, SharedInstance, Solution, SolveError, SolverOptions,
+    compile_circuit, finish_plan, plan_query, solve_with_impl, Budget, Hardness, InstanceState,
+    OnHard, Planned, Precision, SharedInstance, Solution, SolveError, SolverOptions,
 };
 use crate::ucq::{Ucq, UcqRoute};
 use crate::{counting, Fallback, Route};
@@ -1433,9 +1433,8 @@ fn split_shared_arena(
         // evaluation; the shared multi-root pass can't stop one root
         // without stopping them all.
         if !pending.opts.want_provenance && !pending.is_metered() {
-            if let Some((root, negated, route)) = pending
-                .planned
-                .compile_circuit(&mut arena, instance.graph())
+            if let Some((root, negated, route)) =
+                compile_circuit(&mut arena, &pending.planned, instance.graph())
             {
                 deferred.push((pending.slot, root, negated, route, pending.opts.precision));
                 continue;
@@ -1659,9 +1658,8 @@ fn run_metered_slot(
     let instance = shared.instance;
     if shared.ic().is_connected() && !opts.want_provenance {
         let mut arena = Arena::new(instance.graph().n_edges());
-        if let Some((root, negated, route)) = pending
-            .planned
-            .compile_circuit(&mut arena, instance.graph())
+        if let Some((root, negated, route)) =
+            compile_circuit(&mut arena, &pending.planned, instance.graph())
         {
             outcome.circuit_batched += 1;
             outcome.gates += arena.n_gates();
@@ -1773,9 +1771,8 @@ fn run_shard(
         // connected instance, when no provenance handle was requested
         // (handles own their circuit, so they compile separately).
         if connected && !opts.want_provenance {
-            if let Some((root, negated, route)) = pending
-                .planned
-                .compile_circuit(&mut arena, instance.graph())
+            if let Some((root, negated, route)) =
+                compile_circuit(&mut arena, &pending.planned, instance.graph())
             {
                 deferred.push((pending.slot, root, negated, route, opts.precision));
                 outcome.circuit_batched += 1;

@@ -481,23 +481,20 @@ pub(crate) struct Planned {
     pub(crate) plan: Plan,
 }
 
-impl Planned {
-    /// Compiles a circuit-shaped plan into `arena` over the instance `h`:
-    /// a Prop 4.11 plan as its match event, a Prop 4.10 plan as its
-    /// failure event (`negated`). `None` for any other plan, or when the
-    /// route builds no circuit.
-    pub(crate) fn compile_circuit(
-        &self,
-        arena: &mut Arena,
-        h: &Graph,
-    ) -> Option<(GateId, bool, Route)> {
-        match &self.plan {
-            Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
-                .map(|root| (root, false, Route::Prop411)),
-            Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &self.absorbed, h)
-                .map(|root| (root, true, Route::Prop410)),
-            _ => None,
-        }
+/// Compiles a circuit-shaped plan into `arena`: a Prop 4.11 plan as its
+/// match event, a Prop 4.10 plan as its failure event (`negated`).
+/// `None` for any other plan, or when the route builds no circuit.
+pub(crate) fn compile_circuit(
+    arena: &mut Arena,
+    planned: &Planned,
+    h: &Graph,
+) -> Option<(GateId, bool, Route)> {
+    match &planned.plan {
+        Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
+            .map(|root| (root, false, Route::Prop411)),
+        Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &planned.absorbed, h)
+            .map(|root| (root, true, Route::Prop410)),
+        _ => None,
     }
 }
 
@@ -717,7 +714,7 @@ pub(crate) fn finish_plan(
 /// Compiles the uniform provenance handle of a plan, when its route
 /// admits a circuit over the instance's edge ids: the trivial routes
 /// yield constant circuits, and Props 4.10/4.11 their plan's circuit
-/// ([`Planned::compile_circuit`]). Routes whose lineage lives in a
+/// ([`compile_circuit`]). Routes whose lineage lives in a
 /// different variable space (Prop 5.4's tree encoding) or that never
 /// build one (Prop 3.6's direct DP, the fallbacks) return `None`;
 /// extending Lemma 3.7 routes on disconnected instances needs edge-id
@@ -727,7 +724,7 @@ fn compile_provenance(planned: &Planned, instance: &Graph) -> Option<Box<Provena
     let (root, negated) = match &planned.plan {
         Plan::Done(sol) => (circuit.constant(sol.route == Route::TrivialNoEdges), false),
         _ => {
-            let (root, negated, _) = planned.compile_circuit(&mut circuit, instance)?;
+            let (root, negated, _) = compile_circuit(&mut circuit, planned, instance)?;
             (root, negated)
         }
     };
