@@ -5,12 +5,17 @@
 //! Both compute `Pr[ A accepts the random annotation of T ]`; they are
 //! cross-checked against each other and against world enumeration in the
 //! test suites.
+//!
+//! The per-node state maps are [`FxHashMap`]s: unlike std's randomly
+//! seeded hasher, their iteration order is a function of the inserted
+//! states alone, so a float run sums its terms in the same order on every
+//! run and process, and its value and error bound repeat bit for bit.
 
 use crate::dta::TreeAutomaton;
 use crate::utree::UTree;
+use phom_lineage::fxhash::FxHashMap;
 use phom_lineage::{Circuit, GateId};
 use phom_num::Weight;
-use std::collections::HashMap;
 
 /// The acceptance probability of `aut` on `tree`, by propagating the
 /// distribution over states bottom-up.
@@ -18,12 +23,18 @@ use std::collections::HashMap;
 /// At each node the distribution has one entry per *reachable* state; the
 /// merge of two children costs `O(|S_l| · |S_r|)` products.
 pub fn acceptance_probability<A: TreeAutomaton, W: Weight>(aut: &A, tree: &UTree) -> W {
-    let mut dists: Vec<Option<HashMap<A::State, W>>> = vec![None; tree.n_nodes()];
+    let mut dists: Vec<Option<FxHashMap<A::State, W>>> = vec![None; tree.n_nodes()];
     for n in tree.postorder() {
         let node = tree.node(n);
+        // A certain bit's other branch weighs an exact 0 in every `W`
+        // (a float `1 − p` would carry p's conversion error).
         let p = W::from_rational(&node.prob);
-        let q = p.complement();
-        let mut dist: HashMap<A::State, W> = HashMap::new();
+        let q = if node.prob.is_one() {
+            W::zero()
+        } else {
+            p.complement()
+        };
+        let mut dist: FxHashMap<A::State, W> = FxHashMap::default();
         match node.children {
             None => {
                 for (bit, w) in [(true, p), (false, q)] {
@@ -59,7 +70,7 @@ pub fn acceptance_probability<A: TreeAutomaton, W: Weight>(aut: &A, tree: &UTree
         .fold(W::zero(), |acc, (_, w)| acc.add(&w))
 }
 
-fn upsert<S: std::hash::Hash + Eq, W: Weight>(dist: &mut HashMap<S, W>, s: S, w: W) {
+fn upsert<S: std::hash::Hash + Eq, W: Weight>(dist: &mut FxHashMap<S, W>, s: S, w: W) {
     dist.entry(s).and_modify(|e| *e = e.add(&w)).or_insert(w);
 }
 
@@ -83,11 +94,11 @@ fn upsert<S: std::hash::Hash + Eq, W: Weight>(dist: &mut HashMap<S, W>, s: S, w:
 /// [`UTree::annotation_from_edge_mask`].
 pub fn compile_ddnnf<A: TreeAutomaton>(aut: &A, tree: &UTree) -> (Circuit, GateId) {
     let mut circuit = Circuit::new(tree.n_nodes());
-    let mut gates: Vec<Option<HashMap<A::State, GateId>>> = vec![None; tree.n_nodes()];
+    let mut gates: Vec<Option<FxHashMap<A::State, GateId>>> = vec![None; tree.n_nodes()];
     for n in tree.postorder() {
         let node = tree.node(n);
         // Buckets: state -> disjuncts.
-        let mut buckets: HashMap<A::State, Vec<GateId>> = HashMap::new();
+        let mut buckets: FxHashMap<A::State, Vec<GateId>> = FxHashMap::default();
         match node.children {
             None => {
                 for bit in [true, false] {
@@ -121,7 +132,7 @@ pub fn compile_ddnnf<A: TreeAutomaton>(aut: &A, tree: &UTree) -> (Circuit, GateI
                 }
             }
         }
-        let mut per_state: HashMap<A::State, GateId> = HashMap::new();
+        let mut per_state: FxHashMap<A::State, GateId> = FxHashMap::default();
         for (s, disjuncts) in buckets {
             let gate = if disjuncts.len() == 1 {
                 disjuncts[0]

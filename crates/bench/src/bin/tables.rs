@@ -12,15 +12,17 @@
 //!
 //! `tables --json` instead times the paper's tractable algorithms (Props
 //! 3.6, 4.10, 4.11 and 5.4, plus re-evaluation of a prebuilt Prop 4.11
-//! circuit) and emits one JSON document (schema `phom-bench-smoke/v1`, one
-//! `{"id", "n", "median_ns"}` entry per line). `bench_gate` compares it
-//! against a committed `BENCH_*.json` baseline.
+//! circuit, and uncached `Float` requests on the Prop 3.6 and 5.4
+//! instances through the engine) and emits one JSON document (schema
+//! `phom-bench-smoke/v1`, one `{"id", "n", "median_ns"}` entry per line).
+//! `bench_gate` compares it against a committed `BENCH_*.json` baseline.
 
 use phom_bench as wl;
 use phom_core::algo::path_on_pt::{self, PtStrategy};
 use phom_core::algo::{connected_on_2wp, dwt_instance as p36, path_on_dwt};
 use phom_core::bruteforce;
-use phom_graph::Graph;
+use phom_core::{Engine, Precision, Request, Response, Route};
+use phom_graph::{Graph, ProbGraph};
 use phom_num::Weight as _;
 use phom_reductions::edge_cover::Bipartite;
 use phom_reductions::pp2dnf::Pp2Dnf;
@@ -67,6 +69,23 @@ fn json_entry(out: &mut Vec<String>, id: &str, n: usize, mut run: impl FnMut() -
     ));
 }
 
+/// One uncached `Float{1e-6}` probability request through an [`Engine`]
+/// over `instance`, as a timing closure returning the served value. It
+/// panics unless the request is served approximately by a route that
+/// `is_route` accepts.
+fn float_request(
+    instance: ProbGraph,
+    query: Graph,
+    is_route: fn(&Route) -> bool,
+) -> impl FnMut() -> f64 {
+    let engine = Engine::builder().cache_capacity(0).build(instance);
+    let request = [Request::probability(query).precision(Precision::Float { max_rel_err: 1e-6 })];
+    move || match &engine.submit(&request)[0] {
+        Ok(Response::Approximate { value, route, .. }) if is_route(route) => *value,
+        other => panic!("not a float answer of the expected route: {other:?}"),
+    }
+}
+
 /// The `--json` smoke mode: the paper-algorithm timings in
 /// machine-readable form (one JSON document on stdout).
 fn json_smoke() {
@@ -83,6 +102,16 @@ fn json_smoke() {
             .map(|hc| p36::dwt_long_path_probability::<f64>(hc, m36).unwrap())
             .fold(1.0, |acc, p| acc * (1.0 - p))
     });
+
+    // The same Prop 3.6 instance and query through the engine's float
+    // tier: one uncached `Float{1e-6}` request per call (plan, DP over
+    // `ErrF64` per component, Lemma 3.7 combination).
+    json_entry(
+        &mut entries,
+        "prop36_engine_float",
+        512,
+        float_request(wl::dwt_union_instance(512, 1), q36, |r| *r == Route::Prop36),
+    );
 
     // Prop 4.10: β-acyclic lineage on a labeled DWT.
     json_entry(&mut entries, "prop410_beta_lineage", 1024, || {
@@ -161,6 +190,19 @@ fn json_smoke() {
         let h = wl::polytree_instance(1024, 1);
         path_on_pt::long_path_probability::<f64>(&h, 6, PtStrategy::OptAutomaton).unwrap()
     });
+
+    // The same Prop 5.4 instance and path through the engine's float
+    // tier, as prop36_engine_float.
+    json_entry(
+        &mut entries,
+        "prop54_engine_float",
+        1024,
+        float_request(
+            wl::polytree_instance(1024, 1),
+            Graph::directed_path(6),
+            |r| matches!(r, Route::Prop54 { .. }),
+        ),
+    );
 
     println!("{{");
     println!("  \"schema\": \"phom-bench-smoke/v1\",");

@@ -9,7 +9,7 @@
 
 use phom_graph::classes::connected_components;
 use phom_graph::ProbGraph;
-use phom_num::Rational;
+use phom_num::Weight;
 
 /// Splits a probabilistic instance into its connected components.
 pub fn split_components(instance: &ProbGraph) -> Vec<ProbGraph> {
@@ -30,12 +30,16 @@ pub fn split_components(instance: &ProbGraph) -> Vec<ProbGraph> {
 }
 
 /// Combines per-component probabilities for a connected query:
-/// `1 − Π (1 − pᵢ)`.
-pub fn combine_connected_query(per_component: &[Rational]) -> Rational {
+/// `1 − Π (1 − pᵢ)`, in the arithmetic `W` the components were solved in.
+/// Components that certainly miss (`pᵢ` exactly 0) contribute the factor
+/// 1 and are skipped, so a float `W` keeps an exact 0 exact.
+pub fn combine_connected_query<W: Weight>(per_component: &[W]) -> W {
     per_component
         .iter()
-        .fold(Rational::one(), |acc, p| acc.mul(&p.one_minus()))
-        .one_minus()
+        .filter(|p| !p.is_zero())
+        .map(W::complement)
+        .reduce(|acc, q| acc.mul(&q))
+        .map_or_else(W::zero, |none_match| none_match.complement())
 }
 
 #[cfg(test)]
@@ -43,6 +47,7 @@ mod tests {
     use super::*;
     use crate::bruteforce;
     use phom_graph::{Graph, GraphBuilder, Label};
+    use phom_num::Rational;
 
     #[test]
     fn combine_matches_brute_force() {
@@ -86,6 +91,6 @@ mod tests {
 
     #[test]
     fn empty_product_is_zero_probability() {
-        assert!(combine_connected_query(&[]).is_zero());
+        assert!(combine_connected_query::<Rational>(&[]).is_zero());
     }
 }

@@ -70,8 +70,15 @@ pub fn dwt_long_path_probability<W: Weight>(instance: &ProbGraph, m: usize) -> O
         cur[0] = W::one();
         for &e in instance.graph().out_edges(v) {
             let c = instance.graph().edge(e).dst;
+            // A certain edge's absence weighs an exact 0 in every `W`
+            // (a float `1 − p` would carry p's conversion error), so its
+            // branch is skipped.
             let p = W::from_rational(instance.prob(e));
-            let q = p.complement();
+            let q = if instance.prob(e).is_one() {
+                W::zero()
+            } else {
+                p.complement()
+            };
             let child = std::mem::take(&mut dist[c]);
             let mut next = vec![W::zero(); (m + 1) * 2];
             for d in 0..=m {

@@ -401,13 +401,13 @@ pub struct BatchStats {
     /// [`TickConfig::share_arena_at`](crate::TickConfig::share_arena_at))
     /// instead of one arena per shard.
     pub shared_arena: bool,
-    /// Unique circuit queries answered by the float tier
-    /// ([`Precision::Float`](crate::Precision::Float) /
-    /// [`Auto`](crate::Precision::Auto) requests whose certified bound
-    /// met the tolerance).
+    /// Unique circuit and DP (Prop 3.6 / 5.4) queries answered by the
+    /// float tier: every [`Precision::Float`](crate::Precision::Float)
+    /// answer, and [`Auto`](crate::Precision::Auto) answers whose
+    /// certified bound met the tolerance.
     pub float_evaluated: usize,
-    /// `Auto` circuit queries whose float bound exceeded the tolerance
-    /// and were re-evaluated exactly.
+    /// `Auto` circuit and DP queries whose float bound exceeded the
+    /// tolerance and were re-evaluated exactly.
     pub escalations: usize,
     /// Requests answered with a Monte-Carlo
     /// [`Response::Estimate`] (the

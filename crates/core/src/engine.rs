@@ -65,8 +65,8 @@ use crate::batch::{
 };
 use crate::sensitivity::{self, SensitivityRoute};
 use crate::solver::{
-    compile_circuit, finish_plan, plan_query, solve_with_impl, Budget, Hardness, InstanceState,
-    OnHard, Planned, Precision, SharedInstance, Solution, SolveError, SolverOptions,
+    compile_circuit, dp_probability, finish_plan, plan_query, solve_with_impl, Budget, Hardness,
+    InstanceState, OnHard, Planned, Precision, SharedInstance, Solution, SolveError, SolverOptions,
 };
 use crate::ucq::{Ucq, UcqRoute};
 use crate::{counting, Fallback, Route};
@@ -1482,11 +1482,75 @@ fn run_shard_guarded(
     }
 }
 
-/// Wraps a general-path (non-circuit) exact answer for its requested
-/// tier: under [`Precision::Float`] the exact probability is *reported*
-/// approximately (correctly-rounded conversion, half-ulp bound) — unless
-/// a provenance handle rides on the solution, which only the exact shape
-/// carries. `Exact` and `Auto` report the exact solution unchanged.
+/// The float tiers' serve-or-escalate decision on one certified value,
+/// counted in `outcome`: the [`Response::Approximate`] answer, or — when
+/// an `Auto` bound misses its tolerance — the route handed back for the
+/// exact pass. `Float` never escalates: above tolerance the value is
+/// still served, with its honest (too-large) bound.
+fn serve_float(
+    value: ErrF64,
+    route: Route,
+    precision: Precision,
+    outcome: &mut ShardOutcome,
+) -> Result<Response, Route> {
+    let rel_err_bound = value.rel_err_bound();
+    if let Precision::Auto { max_rel_err } = precision {
+        if rel_err_bound > max_rel_err {
+            outcome.escalations += 1;
+            return Err(route);
+        }
+    }
+    outcome.float_evaluated += 1;
+    Ok(Response::Approximate {
+        value: value.value(),
+        rel_err_bound,
+        route,
+    })
+}
+
+/// Answers one slot on the general (non-circuit) path, in its requested
+/// tier — the one copy that both [`run_shard`] and [`run_metered_slot`]
+/// call, so metered and unmetered twins answer byte-identically.
+///
+/// The direct DPs (Prop 3.6, Prop 5.4, combined by Lemma 3.7 on
+/// disconnected instances) run in the tier: `Float` and `Auto` evaluate
+/// over [`ErrF64`] and serve per [`serve_float`], and an `Auto`
+/// escalation runs the same [`Rational`] DP `Exact` runs. Everything
+/// else — and every `Exact` request — is finished exactly, and a hard
+/// cell degrades to a budgeted estimate (charged to `meter`) when the
+/// request opted in.
+fn answer_general(
+    shared: SharedInstance<'_>,
+    pending: PendingSlot,
+    meter: &mut WorkMeter,
+    outcome: &mut ShardOutcome,
+) -> Result<Response, SolveError> {
+    let opts = pending.opts;
+    outcome.general_solved += 1;
+    if !opts.precision.is_exact() {
+        if let Some((value, route)) = dp_probability::<ErrF64>(&pending.planned, &shared, opts) {
+            if let Ok(response) = serve_float(value, route, opts.precision, outcome) {
+                return Ok(response);
+            }
+        }
+    }
+    match finish_plan(pending.planned, &shared, opts) {
+        Err(_) if opts.on_hard == OnHard::Estimate => {
+            estimate_response(&pending.query, shared.instance, opts, meter)
+        }
+        other => respond_exact(other.map_err(SolveError::Hard), opts.precision),
+    }
+}
+
+/// Wraps a general-path exact answer for its requested tier. The direct
+/// DPs answer their float tiers in [`answer_general`]; under a float
+/// tier, what reaches here is work that has no float run — a trivial
+/// route (`Plan::Done`), a fallback, a disconnected Prop 4.10/4.11
+/// instance — or an `Auto` escalation. Under [`Precision::Float`] the exact
+/// probability is *reported* approximately (correctly-rounded
+/// conversion, half-ulp bound) — unless a provenance handle rides on the
+/// solution, which only the exact shape carries. `Exact` and `Auto`
+/// report the exact solution unchanged.
 fn respond_exact(
     answer: Result<Solution, SolveError>,
     precision: Precision,
@@ -1527,17 +1591,12 @@ fn eval_deferred(
     scratch: &mut WorkerScratch,
 ) {
     let mut exact: Vec<(usize, GateId, bool, Route)> = Vec::new();
-    // (slot, root, negated, route, tolerance, escalates-on-miss)
-    let mut float: Vec<(usize, GateId, bool, Route, f64, bool)> = Vec::new();
+    let mut float: Vec<DeferredRoot> = Vec::new();
     for (slot, root, negated, route, precision) in deferred {
-        match precision {
-            Precision::Exact => exact.push((slot, root, negated, route)),
-            Precision::Float { max_rel_err } => {
-                float.push((slot, root, negated, route, max_rel_err, false))
-            }
-            Precision::Auto { max_rel_err } => {
-                float.push((slot, root, negated, route, max_rel_err, true))
-            }
+        if precision.is_exact() {
+            exact.push((slot, root, negated, route));
+        } else {
+            float.push((slot, root, negated, route, precision));
         }
     }
     if !float.is_empty() {
@@ -1545,24 +1604,11 @@ fn eval_deferred(
         let flat = FlatArena::compile(arena, &roots);
         let leaves: Vec<ErrF64> = probs.iter().map(ErrF64::from_rational).collect();
         let values = flat.eval_err_many(&leaves, &mut scratch.float_values);
-        for ((slot, root, negated, route, tol, escalates), value) in float.into_iter().zip(values) {
+        for ((slot, root, negated, route, precision), value) in float.into_iter().zip(values) {
             let value = if negated { value.complement() } else { value };
-            let rel_err_bound = value.rel_err_bound();
-            if rel_err_bound > tol && escalates {
-                outcome.escalations += 1;
-                exact.push((slot, root, negated, route));
-            } else {
-                // `Float` never escalates: above tolerance the value is
-                // still served, with its honest (too-large) bound.
-                outcome.float_evaluated += 1;
-                outcome.results.push((
-                    slot,
-                    Ok(Response::Approximate {
-                        value: value.value(),
-                        rel_err_bound,
-                        route,
-                    }),
-                ));
+            match serve_float(value, route, precision, outcome) {
+                Ok(response) => outcome.results.push((slot, Ok(response))),
+                Err(route) => exact.push((slot, root, negated, route)),
             }
         }
     }
@@ -1679,15 +1725,7 @@ fn run_metered_slot(
     }
     // General path (DP routes, fallbacks, provenance): the meter
     // checkpointed before the work; hard cells degrade per `on_hard`.
-    outcome.general_solved += 1;
-    let answer = finish_plan(pending.planned, &shared, opts);
-    let result = match answer {
-        Err(_) if opts.on_hard == OnHard::Estimate => {
-            estimate_response(&pending.query, instance, opts, &mut meter)
-        }
-        other => respond_exact(other.map_err(SolveError::Hard), opts.precision),
-    };
-    (slot, result)
+    (slot, answer_general(shared, pending, &mut meter, outcome))
 }
 
 /// Metered evaluation of one compiled root, honoring its precision
@@ -1710,41 +1748,31 @@ fn eval_metered_root(
     scratch: &mut WorkerScratch,
 ) -> Result<Response, SolveError> {
     let flat = FlatArena::compile(arena, &[root]);
-    let exact_pass =
-        |meter: &mut WorkMeter, scratch: &mut WorkerScratch| -> Result<Response, SolveError> {
-            let values = flat
-                .eval_many_metered(probs, &mut scratch.exact_values, meter)
-                .map_err(SolveError::from_meter)?;
-            let value = values.into_iter().next().expect("one root");
-            let probability = if negated { value.one_minus() } else { value };
-            Ok(Response::Probability(Solution {
-                probability,
-                route: route.clone(),
-                provenance: None,
-            }))
-        };
-    let (tol, escalates) = match precision {
-        Precision::Exact => return exact_pass(meter, scratch),
-        Precision::Float { max_rel_err } => (max_rel_err, false),
-        Precision::Auto { max_rel_err } => (max_rel_err, true),
+    let exact_pass = |meter: &mut WorkMeter,
+                      scratch: &mut WorkerScratch,
+                      route: Route|
+     -> Result<Response, SolveError> {
+        let values = flat
+            .eval_many_metered(probs, &mut scratch.exact_values, meter)
+            .map_err(SolveError::from_meter)?;
+        let value = values.into_iter().next().expect("one root");
+        let probability = if negated { value.one_minus() } else { value };
+        Ok(Response::Probability(Solution {
+            probability,
+            route,
+            provenance: None,
+        }))
     };
+    if precision.is_exact() {
+        return exact_pass(meter, scratch, route);
+    }
     let leaves: Vec<ErrF64> = probs.iter().map(ErrF64::from_rational).collect();
     let values = flat
         .eval_many_metered(&leaves, &mut scratch.float_values, meter)
         .map_err(SolveError::from_meter)?;
     let value = values.into_iter().next().expect("one root");
     let value = if negated { value.complement() } else { value };
-    let rel_err_bound = value.rel_err_bound();
-    if rel_err_bound > tol && escalates {
-        outcome.escalations += 1;
-        return exact_pass(meter, scratch);
-    }
-    outcome.float_evaluated += 1;
-    Ok(Response::Approximate {
-        value: value.value(),
-        rel_err_bound,
-        route,
-    })
+    serve_float(value, route, precision, outcome).or_else(|route| exact_pass(meter, scratch, route))
 }
 
 /// Executes one shard's worth of planned queries.
@@ -1779,19 +1807,12 @@ fn run_shard(
                 continue;
             }
         }
-        // General path: finish the plan exactly as `solve_with` does —
-        // then degrade a hard cell to a budgeted estimate when the
-        // request opted in.
-        let answer = finish_plan(pending.planned, &shared, opts);
-        outcome.general_solved += 1;
-        let result = match answer {
-            Err(_) if opts.on_hard == OnHard::Estimate => {
-                let mut meter = opts.budget.arm(WorkMeter::unbounded());
-                estimate_response(&pending.query, instance, opts, &mut meter)
-            }
-            other => respond_exact(other.map_err(SolveError::Hard), opts.precision),
-        };
-        outcome.results.push((pending.slot, result));
+        // General path: the DPs in the request's tier, everything else
+        // exactly; a hard cell may degrade to a budgeted estimate.
+        let slot = pending.slot;
+        let mut meter = opts.budget.arm(WorkMeter::unbounded());
+        let result = answer_general(shared, pending, &mut meter, &mut outcome);
+        outcome.results.push((slot, result));
     }
     outcome.gates = arena.n_gates();
     // One multi-root engine pass per tier answers every deferred query.

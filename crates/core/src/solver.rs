@@ -20,7 +20,7 @@ use phom_graph::graded::level_mapping;
 use phom_graph::{ConnClass, Graph, ProbGraph};
 use phom_lineage::engine::{Arena, GateId};
 use phom_lineage::{MeterStop, Provenance, WorkMeter};
-use phom_num::{Natural, Rational};
+use phom_num::{Natural, Rational, Weight};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -49,35 +49,40 @@ pub enum Fallback {
 
 /// Which evaluation tier answers a probability request.
 ///
-/// The circuit routes (Props 4.10/4.11 on connected instances) can
-/// evaluate their lineage either exactly over [`Rational`] or over a
-/// flat `f64` slab with a running error bound
-/// ([`ErrF64`](phom_num::ErrF64)). The float tiers answer with
+/// Two kinds of route compute in the tier: the circuit routes (Props
+/// 4.10/4.11 on connected instances) evaluate their lineage either
+/// exactly over [`Rational`] or over a flat `f64` slab with a running
+/// error bound ([`ErrF64`](phom_num::ErrF64)), and the direct DPs
+/// (Prop 3.6's level DP, Prop 5.4's path automaton, and Lemma 3.7's
+/// combination of their components on disconnected instances) run over
+/// either arithmetic. The float tiers answer with
 /// [`Response::Approximate`](crate::Response::Approximate); the exact
 /// tier stays bit-identical across shard widths and scheduling.
 ///
-/// Non-circuit work — counting, sensitivity, UCQs, fallbacks, and the
-/// general probability routes — is always computed exactly; under
-/// `Float` the exact answer is *reported* as an `Approximate` response
-/// (half-ulp bound), under `Auto` it is reported exactly.
+/// All other work — counting, sensitivity, UCQs, fallbacks, trivial
+/// routes, and Props 4.10/4.11 on disconnected instances — is always
+/// computed exactly; under `Float` the exact answer is *reported* as an
+/// `Approximate` response (half-ulp bound), under `Auto` it is reported
+/// exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Precision {
     /// Exact rational arithmetic end to end (default; paper-faithful).
     #[default]
     Exact,
-    /// Float-first: circuit routes evaluate over `f64` with a running
-    /// error bound and always answer approximately. `max_rel_err` is
-    /// recorded in the cache key (callers with different tolerances
-    /// never share answers) and reported alongside the value.
+    /// Float-first: circuit and DP routes compute over `f64` with a
+    /// running error bound and always answer approximately.
+    /// `max_rel_err` is recorded in the cache key (callers with
+    /// different tolerances never share answers) and reported alongside
+    /// the value.
     Float {
         /// The caller's relative-error tolerance.
         max_rel_err: f64,
     },
-    /// Float-first with exact escalation: circuit routes evaluate over
-    /// `f64` first and fall back to the exact rational pass whenever
-    /// the certified relative-error bound exceeds `max_rel_err` — so
-    /// every answer is either certified-approximate within tolerance or
-    /// bit-identical to [`Precision::Exact`].
+    /// Float-first with exact escalation: circuit and DP routes compute
+    /// over `f64` first and fall back to the exact rational pass
+    /// whenever the certified relative-error bound exceeds `max_rel_err`
+    /// — so every answer is either certified-approximate within
+    /// tolerance or bit-identical to [`Precision::Exact`].
     Auto {
         /// Escalate to exact when the bound exceeds this.
         max_rel_err: f64,
@@ -454,18 +459,19 @@ impl<'a> SharedInstance<'a> {
     }
 
     /// Lemma 3.7: run a per-component algorithm and combine with
-    /// `1 − Π(1 − pᵢ)`. The query must be connected. On connected
-    /// instances the algorithm runs on the instance directly (no clone);
-    /// `1 − (1 − p) = p` exactly, so the value is unchanged.
-    fn per_component(
+    /// `1 − Π(1 − pᵢ)` over the same arithmetic `W`. The query must be
+    /// connected. On connected instances the algorithm runs on the
+    /// instance directly (no clone); `1 − (1 − p) = p` exactly, so the
+    /// value is unchanged.
+    fn per_component<W: Weight>(
         &self,
         query: &Graph,
-        algo: impl Fn(&Graph, &ProbGraph) -> Option<Rational>,
-    ) -> Option<Rational> {
+        algo: impl Fn(&Graph, &ProbGraph) -> Option<W>,
+    ) -> Option<W> {
         if self.ic().is_connected() {
             return algo(query, self.instance);
         }
-        let per: Option<Vec<Rational>> = self.components().iter().map(|h| algo(query, h)).collect();
+        let per: Option<Vec<W>> = self.components().iter().map(|h| algo(query, h)).collect();
         Some(components::combine_connected_query(&per?))
     }
 }
@@ -622,25 +628,15 @@ pub(crate) fn execute_plan(
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
+    if let Some((probability, route)) = dp_probability::<Rational>(&planned, shared, opts) {
+        return Ok(Solution::new(probability, route));
+    }
     let Planned { absorbed, plan } = planned;
     let attempt: Option<Solution> = match plan {
         Plan::Done(solution) => return Ok(solution),
         Plan::Hard(cell) => return fallback(&absorbed, shared, cell, opts),
-        // The query collapses to `→^m` (connected), so the cached
-        // Lemma 3.7 split applies as on the other routes.
-        Plan::Prop36 => match dwt_instance::collapse_length(&absorbed) {
-            Some(0) => Some(Rational::one()),
-            Some(m) => shared.per_component(&absorbed, |_q, h| {
-                dwt_instance::dwt_long_path_probability::<Rational>(h, m)
-            }),
-            None => Some(Rational::zero()),
-        }
-        .map(|p| Solution::new(p, Route::Prop36)),
-        Plan::Prop54 { m, via_collapse } => shared
-            .per_component(&absorbed, |_q, h| {
-                path_on_pt::long_path_probability::<Rational>(h, m, opts.pt_strategy)
-            })
-            .map(|p| Solution::new(p, Route::Prop54 { via_collapse })),
+        // Only reached when the DP declined.
+        Plan::Prop36 | Plan::Prop54 { .. } => None,
         Plan::Prop411 { effective } => shared
             .per_component(&effective, |q, h| prop_411(q, h, opts))
             .map(|p| Solution::new(p, Route::Prop411)),
@@ -657,6 +653,37 @@ pub(crate) fn execute_plan(
     match attempt {
         Some(solution) => Ok(solution),
         None => fallback(&absorbed, shared, shared.cell(&absorbed), opts),
+    }
+}
+
+/// The direct DP of a Prop 3.6 or Prop 5.4 plan, run over `W`: the
+/// probability and its route, or `None` for any other plan (or when the
+/// DP declines, which a correct classification never causes). Both DPs
+/// answer a connected query — Prop 3.6's collapses to `→^m` — so the
+/// cached Lemma 3.7 split applies, combined in `W` too. The exact path
+/// runs it over [`Rational`]; the engine's float tiers over
+/// [`ErrF64`](phom_num::ErrF64).
+pub(crate) fn dp_probability<W: Weight>(
+    planned: &Planned,
+    shared: &SharedInstance,
+    opts: SolverOptions,
+) -> Option<(W, Route)> {
+    let absorbed = &planned.absorbed;
+    match planned.plan {
+        Plan::Prop36 => match dwt_instance::collapse_length(absorbed) {
+            Some(0) => Some(W::one()),
+            Some(m) => shared.per_component(absorbed, |_q, h| {
+                dwt_instance::dwt_long_path_probability::<W>(h, m)
+            }),
+            None => Some(W::zero()),
+        }
+        .map(|p| (p, Route::Prop36)),
+        Plan::Prop54 { m, via_collapse } => shared
+            .per_component(absorbed, |_q, h| {
+                path_on_pt::long_path_probability::<W>(h, m, opts.pt_strategy)
+            })
+            .map(|p| (p, Route::Prop54 { via_collapse })),
+        _ => None,
     }
 }
 

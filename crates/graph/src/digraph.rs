@@ -66,18 +66,19 @@ pub struct Edge {
 
 /// A finite directed graph with labeled edges and no multi-edges.
 ///
-/// Adjacency is stored compactly: `adj` lists every vertex's out-edge ids
-/// (vertex by vertex, in insertion order) and then every vertex's in-edge
-/// ids; slot `s` (`v` for `v`'s out-edges, `n + v` for its in-edges) is
-/// `adj[off[s]..off[s + 1]]`. Two allocations per graph instead of one per
-/// vertex and a hash index keep small graphs small: servers and clients
-/// hold one per distinct query.
+/// Adjacency is stored compactly in one vector, `index`: its first
+/// `2n + 1` entries are slot boundaries, and the rest lists every
+/// vertex's out-edge ids (vertex by vertex, in insertion order) and then
+/// every vertex's in-edge ids. Slot `s` (`v` for `v`'s out-edges, `n + v`
+/// for its in-edges) is `index[index[s]..index[s + 1]]` — the boundaries
+/// are absolute positions in `index`. Two allocations per graph (edges
+/// and index) instead of one per vertex and a hash index keep small
+/// graphs small: servers and clients hold one per distinct query.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
-    off: Vec<usize>,
-    adj: Vec<EdgeId>,
+    index: Vec<usize>,
 }
 
 impl Graph {
@@ -103,12 +104,17 @@ impl Graph {
 
     /// Ids of edges leaving `v`, in insertion order.
     pub fn out_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.adj[self.off[v]..self.off[v + 1]]
+        self.slot(v)
     }
 
     /// Ids of edges entering `v`, in insertion order.
     pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.adj[self.off[self.n + v]..self.off[self.n + v + 1]]
+        self.slot(self.n + v)
+    }
+
+    /// Adjacency slot `s` of `index` (see the type's docs).
+    fn slot(&self, s: usize) -> &[EdgeId] {
+        &self.index[self.index[s]..self.index[s + 1]]
     }
 
     /// The edge from `src` to `dst`, if present: a scan of the shorter of
@@ -330,31 +336,35 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph.
-    pub fn build(self) -> Graph {
+    pub fn build(mut self) -> Graph {
+        // Graphs outlive their builders (instances, cached and recorded
+        // queries): drop the edge list's growth slack, up to half its
+        // allocation, before it is kept.
+        self.edges.shrink_to_fit();
         let n = self.n;
         // Counting sort of edge ids into the out- and in-slots (stable, so
-        // each slot keeps insertion order).
-        let mut off = vec![0usize; 2 * n + 1];
+        // each slot keeps insertion order), behind the 2n + 1 boundaries.
+        let bounds = 2 * n + 1;
+        let mut index = vec![0usize; bounds + 2 * self.edges.len()];
+        index[0] = bounds;
         for e in &self.edges {
-            off[e.src + 1] += 1;
-            off[n + e.dst + 1] += 1;
+            index[e.src + 1] += 1;
+            index[n + e.dst + 1] += 1;
         }
-        for s in 1..off.len() {
-            off[s] += off[s - 1];
+        for s in 1..bounds {
+            index[s] += index[s - 1];
         }
-        let mut next = off.clone();
-        let mut adj = vec![0; 2 * self.edges.len()];
+        let mut next = index[..bounds].to_vec();
         for (i, e) in self.edges.iter().enumerate() {
             for slot in [e.src, n + e.dst] {
-                adj[next[slot]] = i;
+                index[next[slot]] = i;
                 next[slot] += 1;
             }
         }
         Graph {
             n,
             edges: self.edges,
-            off,
-            adj,
+            index,
         }
     }
 }

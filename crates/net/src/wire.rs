@@ -198,12 +198,20 @@ pub const FRAME_READ_CHUNK: usize = 64 << 10;
 pub const PROTOCOL_V2: u64 = 2;
 
 /// Writes one frame: 4-byte big-endian length, then the JSON bytes.
+///
+/// Prefix and body go out in one `write_all` from one buffer: every
+/// socket in the stack sets `TCP_NODELAY`, so two writes would cost two
+/// syscalls and two segments per frame.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    let bytes = json.encode().into_bytes();
-    let len = u32::try_from(bytes.len())
+    const PREFIX: usize = 4;
+    let mut text = String::with_capacity(128);
+    text.push_str("\0\0\0\0"); // the length prefix's place
+    json.encode_into(&mut text);
+    let mut frame = text.into_bytes();
+    let len = u32::try_from(frame.len() - PREFIX)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&bytes)?;
+    frame[..PREFIX].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1195,6 +1203,28 @@ mod tests {
         assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), Some(v));
         assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), Some(Json::Null));
         assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Counts `write` calls; accepts every byte offered.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        let v = Json::obj(vec![("op", Json::str("ping"))]);
+        write_frame(&mut w, &v).unwrap();
+        assert_eq!(w.0.len(), 1, "prefix and body in one write");
+        let mut r = w.0[0].as_slice();
+        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), Some(v));
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -586,6 +586,56 @@ mod tests {
         Natural::from_u128(v)
     }
 
+    /// A product of `k` random odd 32–64-bit factors.
+    fn odd_product(runner: &mut proptest::TestRunner, k: u8) -> Natural {
+        (0..k).fold(Natural::one(), |acc, _| {
+            acc.mul(&Natural::from_u64(u64::arbitrary(runner) | 1 << 31 | 1))
+        })
+    }
+
+    /// Multi-limb gcd operands `(g·x << s, g·y << t)`: `g`, `x` and `y`
+    /// are products of odd 32–64-bit factors, so the binary GCD's shift,
+    /// swap and subtract loop runs over several limbs and must recover a
+    /// shared multi-limb factor (times the common power of two).
+    fn multi_limb_gcd_operands(runner: &mut proptest::TestRunner) -> (Natural, Natural) {
+        // (extra factors, shift)
+        let draw = |runner: &mut proptest::TestRunner| -> (u8, u32) {
+            (u8::arbitrary(runner) % 4, u32::arbitrary(runner) % 130)
+        };
+        let (kg, _) = draw(runner);
+        let g = odd_product(runner, kg + 1);
+        let (kx, s) = draw(runner);
+        let (ky, t) = draw(runner);
+        let a = g.mul(&odd_product(runner, kx)).shl(s);
+        let b = g.mul(&odd_product(runner, ky)).shl(t);
+        (a, b)
+    }
+
+    /// Euclid's algorithm over [`Natural::div_rem`]: the reference the
+    /// binary GCD is checked against.
+    fn euclid_by_div_rem(mut a: Natural, mut b: Natural) -> Natural {
+        while !b.is_zero() {
+            let r = a.div_rem(&b).1;
+            a = b;
+            b = r;
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn gcd_matches_euclid_on_multi_limb_operands(
+            ab in multi_limb_gcd_operands as fn(&mut proptest::TestRunner) -> (Natural, Natural)
+        ) {
+            let (a, b) = ab;
+            let want = euclid_by_div_rem(a.clone(), b.clone());
+            prop_assert_eq!(a.gcd(&b), want.clone());
+            prop_assert_eq!(b.gcd(&a), want);
+        }
+    }
+
     proptest! {
         #[test]
         fn add_matches_u128(a in 0u128..=u64::MAX as u128, b in 0u128..=u64::MAX as u128) {

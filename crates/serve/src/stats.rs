@@ -111,11 +111,12 @@ pub struct RuntimeStats {
     pub circuit_batched: u64,
     /// Unique queries answered on the general per-query path.
     pub general_solved: u64,
-    /// Unique circuit queries answered by the float evaluation tier
-    /// (`Precision::Float` / `Auto` within tolerance).
+    /// Unique circuit and DP (Prop 3.6 / 5.4) queries answered by the
+    /// float evaluation tier (`Precision::Float` / `Auto` within
+    /// tolerance).
     pub float_evaluated: u64,
-    /// `Precision::Auto` circuit queries whose certified bound exceeded
-    /// the tolerance and were re-evaluated exactly.
+    /// `Precision::Auto` circuit and DP queries whose certified bound
+    /// exceeded the tolerance and were re-evaluated exactly.
     pub escalations: u64,
     /// Requests answered with a certified interval
     /// ([`Response::Estimate`](phom_core::Response::Estimate)) because a
@@ -246,7 +247,7 @@ pub const RUNTIME_METRICS: &[Metric<RuntimeStats>] = &[
     Metric::new("batch_cache_hits", "phom_batch_cache_hits_total", &[], Counter, "unique queries answered from the shared cache at plan time", |s| s.batch_cache_hits.into()),
     Metric::new("circuit_batched", "phom_circuit_batched_total", &[], Counter, "unique queries answered through multi-root engine passes", |s| s.circuit_batched.into()),
     Metric::new("general_solved", "phom_general_solved_total", &[], Counter, "unique queries answered on the general path", |s| s.general_solved.into()),
-    Metric::new("float_evaluated", "phom_float_evaluated_total", &[], Counter, "unique circuit queries answered by the float tier", |s| s.float_evaluated.into()),
+    Metric::new("float_evaluated", "phom_float_evaluated_total", &[], Counter, "unique circuit and DP queries answered by the float tier", |s| s.float_evaluated.into()),
     Metric::new("escalations", "phom_escalations_total", &[], Counter, "float-tier answers re-evaluated exactly", |s| s.escalations.into()),
     Metric::new("estimates", "phom_estimates_total", &[], Counter, "hard cells degraded to certified estimates", |s| s.estimates.into()),
     Metric::new("deadline_exceeded", "phom_deadline_exceeded_total", &[], Counter, "requests that tripped a deadline mid-evaluation", |s| s.deadline_exceeded.into()),

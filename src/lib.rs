@@ -119,26 +119,34 @@
 //! * **`Precision::Exact`** (the default) — arbitrary-precision rational
 //!   arithmetic through the whole pipeline, answers as
 //!   [`Response::Probability`]. Nothing changes for existing callers.
-//! * **`Precision::Float { max_rel_err }`** — the lineage circuit is
-//!   compiled once into a [`FlatArena`](phom_lineage::FlatArena)
-//!   (topologically ordered contiguous slab, non-recursive evaluation)
-//!   and evaluated in [`ErrF64`](phom_num::ErrF64): `f64` values with a
-//!   **certified running error bound** (standard ulp accounting per
+//! * **`Precision::Float { max_rel_err }`** — the route computes in
+//!   [`ErrF64`](phom_num::ErrF64): `f64` values with a **certified
+//!   running error bound** (standard ulp accounting per
 //!   add/mul/complement, seeded by the correctly-rounded
-//!   `Rational::to_f64` leaf conversions). The answer is
-//!   [`Response::Approximate`]`{ value, rel_err_bound, route }` — always
-//!   served, with an honest bound even when it misses the tolerance.
+//!   `Rational::to_f64` leaf conversions). On the circuit routes (Props
+//!   4.10/4.11, connected instances) the lineage circuit is compiled
+//!   once into a [`FlatArena`](phom_lineage::FlatArena) (topologically
+//!   ordered contiguous slab, non-recursive evaluation) and evaluated
+//!   there; the direct DPs of Props 3.6 and 5.4 run over `ErrF64`
+//!   themselves, with Lemma 3.7's `1 − Π(1 − pᵢ)` combining the
+//!   components of a disconnected instance in the same arithmetic. The
+//!   answer is [`Response::Approximate`]`{ value, rel_err_bound, route }`
+//!   — always served, with an honest bound even when it misses the
+//!   tolerance.
 //! * **`Precision::Auto { max_rel_err }`** — float first; when the
 //!   certified bound exceeds the tolerance the request **escalates to
 //!   the same exact rational pass** `Exact` runs, so escalated answers
 //!   are bit-for-bit identical to exact ones
 //!   (`tests/float_exact_differential.rs` pins this on hundreds of
-//!   randomized cases). Escalations are counted in
-//!   [`BatchStats::escalations`](phom_core::BatchStats) and surfaced in
-//!   [`RuntimeStats`].
+//!   randomized cases). Float answers and escalations are counted in
+//!   [`BatchStats`](phom_core::BatchStats)' `float_evaluated` and
+//!   `escalations` and surfaced in [`RuntimeStats`].
 //!
-//! Provenance-bearing requests, counting, sensitivity, and UCQ are
-//! always answered exactly; the precision (tolerance bits included) is
+//! The other routes — trivial answers, fallbacks, and Props 4.10/4.11 on
+//! disconnected instances — compute exactly; under `Float` their exact
+//! answer is reported approximately (half-ulp bound), under `Auto` it is
+//! reported exactly. Provenance-bearing requests, counting, sensitivity,
+//! and UCQ are always answered exactly; the precision (tolerance bits included) is
 //! part of the cache key, so float and exact answers can never alias —
 //! not in an engine's cache, a cache shared by several engines, or over
 //! the wire (`tests/precision_cache_isolation.rs`).

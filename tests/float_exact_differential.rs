@@ -11,7 +11,9 @@
 //!   change an exact answer;
 //! * errors (hard cells, invalid queries) must be identical across tiers;
 //! * a metered request (deadline or gate budget) that finishes within its
-//!   limits answers byte-identically to its unmetered twin, in every tier.
+//!   limits answers byte-identically to its unmetered twin, in every tier;
+//! * the direct DPs' float answers (Prop 3.6, Prop 5.4, Lemma 3.7) are a
+//!   function of the request alone, whatever tick serves them.
 
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
@@ -67,6 +69,10 @@ fn assert_bound_holds(value: f64, rel_err_bound: f64, exact: f64, ctx: &str) {
     );
 }
 
+/// The least number of `Auto` answers the headline suite must see served
+/// by a DP's float run, per kind (Prop 3.6, Prop 5.4, disconnected).
+const MIN_DP: usize = 10;
+
 /// The headline suite: ≥500 randomized cases, three tiers each.
 #[test]
 fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
@@ -74,6 +80,9 @@ fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
     let mut cases = 0usize;
     let mut float_served = 0usize;
     let mut escalated = 0usize;
+    // `Auto` answers the DP routes served from their float run: on
+    // Prop 3.6, on Prop 5.4, and on a disconnected instance (Lemma 3.7).
+    let (mut dp36, mut dp54, mut dp_disconnected) = (0usize, 0usize, 0usize);
     for trial in 0..140 {
         let profile = if trial % 3 == 0 {
             ProbProfile::half()
@@ -81,6 +90,7 @@ fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
             ProbProfile::default()
         };
         let h = random_instance(&mut rng, profile);
+        let disconnected = !classify(h.graph()).is_connected();
         let queries: Vec<Graph> = (0..4).map(|_| random_query(&h, &mut rng)).collect();
         // Tolerance varies per trial: generous, tight, and impossible —
         // the impossible one forces Auto to escalate whenever the float
@@ -155,7 +165,7 @@ fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
                     Ok(Response::Approximate {
                         value,
                         rel_err_bound,
-                        ..
+                        route,
                     }),
                 ) => {
                     assert!(
@@ -163,6 +173,15 @@ fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
                         "{ctx}: Auto served a bound {rel_err_bound} above tolerance {tol}"
                     );
                     assert_bound_holds(*value, *rel_err_bound, es.probability.to_f64(), &ctx);
+                    let dp = match route {
+                        Route::Prop36 => Some(&mut dp36),
+                        Route::Prop54 { .. } => Some(&mut dp54),
+                        _ => None,
+                    };
+                    if let Some(count) = dp {
+                        *count += 1;
+                        dp_disconnected += usize::from(disconnected);
+                    }
                 }
                 (Err(ee), Err(ae)) => assert_eq!(ee.to_string(), ae.to_string(), "{ctx}"),
                 (e, a) => panic!("{ctx}: exact {e:?} vs auto {a:?}"),
@@ -174,6 +193,11 @@ fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
     assert!(
         escalated > 0,
         "Auto never escalated — tol 0 trials should force it"
+    );
+    assert!(
+        dp36 >= MIN_DP && dp54 >= MIN_DP && dp_disconnected >= MIN_DP,
+        "the DP float tier served too few answers: Prop 3.6 {dp36}, \
+         Prop 5.4 {dp54}, disconnected {dp_disconnected} (want {MIN_DP} each)"
     );
 }
 
@@ -359,4 +383,107 @@ fn metered_twins_answer_byte_identically_in_every_tier() {
         circuit_cases >= 50,
         "only {circuit_cases} metered circuit cases ran"
     );
+}
+
+/// The wire bytes of one answer.
+fn wire(result: &Result<Response, SolveError>) -> String {
+    phom_net::wire::encode_result(result).encode()
+}
+
+/// The direct DPs' float answers do not depend on the tick: each `Float`
+/// and `Auto` request on Prop 3.6 and Prop 5.4, on a connected and on a
+/// 2-component instance, answers the same wire bytes alone, inside
+/// batches with different neighbours, and on a second engine (two
+/// shards) over the same instance. Floating-point sums depend on their
+/// order, so this fails if a DP's state maps iterate in an order that
+/// changes from one run to the next (a randomly seeded `HashMap`).
+#[test]
+fn dp_float_answers_do_not_depend_on_the_tick() {
+    let mut rng = SmallRng::seed_from_u64(0xD9_71C4);
+    let profile = ProbProfile::default();
+    let dwt = |n: usize, parts: usize, rng: &mut SmallRng| {
+        let g = generate::union_of(parts, rng, |r| generate::downward_tree(n, 1, r));
+        generate::with_probabilities(g, profile, rng)
+    };
+    let prop36 = [dwt(40, 1, &mut rng), dwt(20, 2, &mut rng)];
+    let pt = |n: usize, parts: usize, rng: &mut SmallRng| {
+        let g = generate::union_of(parts, rng, |r| generate::polytree(n, 1, r));
+        generate::with_probabilities(g, profile, rng)
+    };
+    let prop54 = [pt(32, 1, &mut rng), pt(16, 2, &mut rng)];
+    let mut checked = 0usize;
+    for (h, want_route) in prop36
+        .iter()
+        .map(|h| (h, "Prop36"))
+        .chain(prop54.iter().map(|h| (h, "Prop54")))
+    {
+        let queries: Vec<Graph> = if want_route == "Prop36" {
+            (0..4)
+                .map(|_| generate::graded_query(rng.gen_range(4..=7), 2, 3, &mut rng))
+                .collect()
+        } else {
+            // Paths (Prop 5.4) and DWT queries collapsing to one (5.5).
+            (1..=3)
+                .map(Graph::directed_path)
+                .chain((0..2).map(|_| generate::downward_tree(rng.gen_range(3..=6), 1, &mut rng)))
+                .collect()
+        };
+        let requests: Vec<Request> = queries
+            .iter()
+            .flat_map(|q| {
+                [
+                    Precision::Float { max_rel_err: 1e-6 },
+                    Precision::Auto { max_rel_err: 1e-9 },
+                ]
+                .map(|p| Request::probability(q.clone()).precision(p))
+            })
+            .collect();
+        let engine = |threads| {
+            Engine::builder()
+                .cache_capacity(0)
+                .threads(threads)
+                .build(h.clone())
+        };
+        let alone: Vec<String> = requests
+            .iter()
+            .map(|r| wire(&engine(1).submit(std::slice::from_ref(r))[0]))
+            .collect();
+        for answer in &alone {
+            assert!(
+                answer.contains("\"type\":\"approximate\"") && answer.contains(want_route),
+                "not served by the {want_route} float tier: {answer}"
+            );
+        }
+        // Neighbours: the whole batch, reversed, and interleaved with
+        // the `Exact` twins; then the batch on a second engine.
+        let mut reversed = requests.clone();
+        reversed.reverse();
+        let with_exact: Vec<Request> = requests
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| [Request::probability(queries[i / 2].clone()), r.clone()])
+            .collect();
+        let one = engine(1);
+        let batched = one.submit(&requests);
+        let backwards = one.submit(&reversed);
+        let mixed = one.submit(&with_exact);
+        let second = engine(2).submit(&requests);
+        let n = requests.len();
+        for i in 0..n {
+            let ctx = format!(
+                "{want_route}, {} vertices, request {i}",
+                h.graph().n_vertices()
+            );
+            assert_eq!(alone[i], wire(&batched[i]), "{ctx}: in a batch");
+            assert_eq!(alone[i], wire(&backwards[n - 1 - i]), "{ctx}: reversed");
+            assert_eq!(
+                alone[i],
+                wire(&mixed[2 * i + 1]),
+                "{ctx}: beside Exact twins"
+            );
+            assert_eq!(alone[i], wire(&second[i]), "{ctx}: second engine");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 30, "only {checked} requests checked");
 }
