@@ -13,16 +13,19 @@
 //! `tables --json` instead times the paper's tractable algorithms (Props
 //! 3.6, 4.10, 4.11 and 5.4, plus re-evaluation of a prebuilt Prop 4.11
 //! circuit, and uncached `Float` requests on the Prop 3.6 and 5.4
-//! instances through the engine) and emits one JSON document (schema
-//! `phom-bench-smoke/v1`, one `{"id", "n", "median_ns"}` entry per line).
+//! instances through the engine), plus the Monte-Carlo estimate that
+//! answers a hard cell (`hard_estimate_engine`), and emits one JSON
+//! document (schema `phom-bench-smoke/v1`, one `{"id", "n",
+//! "median_ns"}` entry per line).
 //! `bench_gate` compares it against a committed `BENCH_*.json` baseline.
 
 use phom_bench as wl;
 use phom_core::algo::path_on_pt::{self, PtStrategy};
 use phom_core::algo::{connected_on_2wp, dwt_instance as p36, path_on_dwt};
 use phom_core::bruteforce;
-use phom_core::{Engine, Precision, Request, Response, Route};
-use phom_graph::{Graph, ProbGraph};
+use phom_core::{Budget, Engine, OnHard, Precision, Request, Response, Route};
+use phom_graph::{Graph, GraphBuilder, Label, ProbGraph};
+use phom_num::Rational;
 use phom_num::Weight as _;
 use phom_reductions::edge_cover::Bipartite;
 use phom_reductions::pp2dnf::Pp2Dnf;
@@ -203,6 +206,30 @@ fn json_smoke() {
             |r| matches!(r, Route::Prop54 { .. }),
         ),
     );
+
+    // The sampling fallback of the hard cells: one uncached
+    // `OnHard::Estimate` request for a 1-edge path on the 2-cycle
+    // (Prop 5.1's hard cell), 1500 sampled worlds, each checked by the
+    // request's planned homomorphism search.
+    {
+        let mut b = GraphBuilder::with_vertices(2);
+        b.edge(0, 1, Label::UNLABELED);
+        b.edge(1, 0, Label::UNLABELED);
+        let cycle = ProbGraph::new(b.build(), vec![Rational::from_ratio(1, 2); 2]);
+        let engine = Engine::builder().cache_capacity(0).build(cycle);
+        let request = [Request::probability(Graph::directed_path(1))
+            .on_hard(OnHard::Estimate)
+            .budget(Budget::unlimited().with_samples(1500))];
+        json_entry(
+            &mut entries,
+            "hard_estimate_engine",
+            1500,
+            || match &engine.submit(&request)[0] {
+                Ok(Response::Estimate { lo, hi, .. }) => (lo + hi) / 2.0,
+                other => panic!("not an estimate: {other:?}"),
+            },
+        );
+    }
 
     println!("{{");
     println!("  \"schema\": \"phom-bench-smoke/v1\",");

@@ -5,7 +5,7 @@
 //! oracle for every polynomial-time algorithm in this crate, and the
 //! workhorse behind the reduction-verification experiments.
 
-use phom_graph::hom::exists_hom_into_world;
+use phom_graph::hom::HomPlan;
 use phom_graph::{Graph, ProbGraph};
 use phom_num::Rational;
 
@@ -14,12 +14,13 @@ use phom_num::Rational;
 /// Panics (via [`ProbGraph::worlds`]) when the instance has ≥ 63 uncertain
 /// edges; intended for small instances only.
 pub fn probability(query: &Graph, instance: &ProbGraph) -> Rational {
+    let mut plan = HomPlan::new(query, instance.graph());
     let mut total = Rational::zero();
     for (mask, p) in instance.worlds() {
         if p.is_zero() {
             continue;
         }
-        if exists_hom_into_world(query, instance.graph(), &mask) {
+        if plan.maps_into_world(&mask) {
             total = total.add(&p);
         }
     }

@@ -4,11 +4,13 @@
 //! probability is trivially approximable by sampling possible worlds: each
 //! sample needs one homomorphism test (NP-hard in combined complexity in
 //! general, but cheap for the small queries where brute force already
-//! explodes in the *instance*). This estimator is the "practical fallback"
-//! discussed as future work in the paper's conclusion, and an ablation
-//! (ABL-4) in the benchmark harness.
+//! explodes in the *instance*). The search is planned once per request
+//! ([`HomPlan`]) and run on every sampled world. This estimator is the
+//! "practical fallback" discussed as future work in the paper's
+//! conclusion; `tables --json` times it through the engine as
+//! `hard_estimate_engine`.
 
-use phom_graph::hom::exists_hom_into_world;
+use phom_graph::hom::HomPlan;
 use phom_graph::{Graph, ProbGraph};
 use phom_lineage::{MeterStop, Provenance, WorkMeter};
 use rand::Rng;
@@ -33,42 +35,16 @@ impl Estimate {
     }
 }
 
-/// The one sampling loop behind every estimator: draws `samples` worlds
-/// from the product distribution over `prob_true` and reports the hit
-/// rate of `event` with its normal-approximation confidence interval.
-fn estimate_event<R: Rng>(
-    prob_true: &[f64],
-    samples: u64,
-    rng: &mut R,
-    mut event: impl FnMut(&[bool]) -> bool,
-) -> Estimate {
-    assert!(samples > 0);
-    let mut hits = 0u64;
-    let mut mask = vec![false; prob_true.len()];
-    for _ in 0..samples {
-        for (e, p) in prob_true.iter().enumerate() {
-            mask[e] = rng.gen_bool(*p);
-        }
-        if event(&mask) {
-            hits += 1;
-        }
-    }
-    let mean = hits as f64 / samples as f64;
-    let var = mean * (1.0 - mean) / samples as f64;
-    Estimate {
-        mean,
-        samples,
-        ci95: 1.96 * var.sqrt(),
-    }
-}
-
-/// [`estimate_event`] under a cooperative [`WorkMeter`]: each sample is
-/// charged before it is drawn, and the run stops at the first tripped
-/// checkpoint (sample budget, time budget, or deadline). This is the
-/// *anytime* loop behind `OnHard::Estimate`: when the meter trips after
-/// at least one sample, the truncated run is still a valid (wider)
-/// estimate, so it is returned as `Ok` alongside the stop reason; a
-/// stop before the first sample is a hard `Err`.
+/// The one sampling loop behind every estimator: draws up to `samples`
+/// worlds from the product distribution over `prob_true` and reports
+/// the hit rate of `event` with its normal-approximation confidence
+/// interval. Each sample is charged to the [`WorkMeter`] before it is
+/// drawn, and the run stops at the first tripped checkpoint (sample
+/// budget, time budget, or deadline). This is the *anytime* loop behind
+/// `OnHard::Estimate`: when the meter trips after at least one sample,
+/// the truncated run is still a valid (wider) estimate, so it is
+/// returned as `Ok` alongside the stop reason; a stop before the first
+/// sample is a hard `Err`.
 fn estimate_event_metered<R: Rng>(
     prob_true: &[f64],
     samples: u64,
@@ -112,6 +88,21 @@ fn estimate_event_metered<R: Rng>(
     ))
 }
 
+/// [`estimate_event_metered`] under an unbounded meter, which never
+/// trips: exactly `samples > 0` worlds are drawn.
+fn estimate_event<R: Rng>(
+    prob_true: &[f64],
+    samples: u64,
+    rng: &mut R,
+    event: impl FnMut(&[bool]) -> bool,
+) -> Estimate {
+    assert!(samples > 0);
+    let (estimate, _) =
+        estimate_event_metered(prob_true, samples, rng, &mut WorkMeter::unbounded(), event)
+            .expect("an unbounded meter never trips");
+    estimate
+}
+
 /// Metered [`estimate`]: draws up to `samples` worlds, stopping early
 /// at the first tripped [`WorkMeter`] checkpoint. The estimate is
 /// anytime: a run stopped after at least one sample is still a valid
@@ -125,8 +116,9 @@ pub fn estimate_metered<R: Rng>(
     meter: &mut WorkMeter,
 ) -> Result<(Estimate, Option<MeterStop>), MeterStop> {
     let probs: Vec<f64> = instance.probs().iter().map(|p| p.to_f64()).collect();
+    let mut plan = HomPlan::new(query, instance.graph());
     estimate_event_metered(&probs, samples, rng, meter, |mask| {
-        exists_hom_into_world(query, instance.graph(), mask)
+        plan.maps_into_world(mask)
     })
 }
 
@@ -139,9 +131,13 @@ pub fn estimate_ucq_metered<R: Rng>(
     meter: &mut WorkMeter,
 ) -> Result<(Estimate, Option<MeterStop>), MeterStop> {
     let probs: Vec<f64> = instance.probs().iter().map(|p| p.to_f64()).collect();
-    estimate_event_metered(&probs, samples, rng, meter, |mask| {
-        ucq.holds_in_world(instance.graph(), mask)
-    })
+    estimate_event_metered(
+        &probs,
+        samples,
+        rng,
+        meter,
+        ucq.world_test(instance.graph()),
+    )
 }
 
 /// Estimates `Pr(G ⇝ H)` from `samples` independent possible worlds.
@@ -152,9 +148,8 @@ pub fn estimate<R: Rng>(
     rng: &mut R,
 ) -> Estimate {
     let probs: Vec<f64> = instance.probs().iter().map(|p| p.to_f64()).collect();
-    estimate_event(&probs, samples, rng, |mask| {
-        exists_hom_into_world(query, instance.graph(), mask)
-    })
+    let mut plan = HomPlan::new(query, instance.graph());
+    estimate_event(&probs, samples, rng, |mask| plan.maps_into_world(mask))
 }
 
 /// Estimates `Pr(Q ⇝ H)` for a union of conjunctive queries from
@@ -168,9 +163,7 @@ pub fn estimate_ucq<R: Rng>(
     rng: &mut R,
 ) -> Estimate {
     let probs: Vec<f64> = instance.probs().iter().map(|p| p.to_f64()).collect();
-    estimate_event(&probs, samples, rng, |mask| {
-        ucq.holds_in_world(instance.graph(), mask)
-    })
+    estimate_event(&probs, samples, rng, ucq.world_test(instance.graph()))
 }
 
 /// Estimates `Pr[event]` from a compiled [`Provenance`] handle: worlds

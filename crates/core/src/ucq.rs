@@ -30,7 +30,7 @@
 
 use crate::algo::{connected_on_2wp, path_on_dwt, walk_on_tw};
 use phom_graph::classes::classify;
-use phom_graph::hom::exists_hom_into_world;
+use phom_graph::hom::HomPlan;
 use phom_graph::{ConnClass, Graph, Label, ProbGraph};
 use phom_lineage::beta::beta_dnf_probability_with_order;
 use phom_lineage::Dnf;
@@ -72,12 +72,16 @@ impl Ucq {
         self.disjuncts.is_empty()
     }
 
-    /// Whether the UCQ holds in the world of `instance` selected by the
-    /// `present` edge mask.
-    pub fn holds_in_world(&self, instance: &Graph, present: &[bool]) -> bool {
-        self.disjuncts
+    /// The test of whether the UCQ holds in a world of `instance`, given
+    /// as its edge mask: one [`HomPlan`] per disjunct, planned here and
+    /// run on every world the test is called with.
+    pub fn world_test<'h>(&self, instance: &'h Graph) -> impl FnMut(&[bool]) -> bool + 'h {
+        let mut plans: Vec<HomPlan<'h>> = self
+            .disjuncts
             .iter()
-            .any(|g| exists_hom_into_world(g, instance, present))
+            .map(|g| HomPlan::new(g, instance))
+            .collect();
+        move |present| plans.iter_mut().any(|plan| plan.maps_into_world(present))
     }
 
     /// True iff some disjunct is trivially satisfied (edgeless query:
@@ -114,12 +118,13 @@ pub enum UcqRoute {
 /// Exact `Pr(Q ⇝ H)` by world enumeration — the UCQ reference oracle
 /// (exponential in the number of uncertain edges).
 pub fn bruteforce_probability(ucq: &Ucq, instance: &ProbGraph) -> Rational {
+    let mut holds = ucq.world_test(instance.graph());
     let mut total = Rational::zero();
     for (mask, p) in instance.worlds() {
         if p.is_zero() {
             continue;
         }
-        if ucq.holds_in_world(instance.graph(), &mask) {
+        if holds(&mask) {
             total = total.add(&p);
         }
     }

@@ -83,6 +83,7 @@ pub struct Graph {
 
 impl Graph {
     /// Number of vertices.
+    #[inline]
     pub fn n_vertices(&self) -> usize {
         self.n
     }
@@ -93,6 +94,7 @@ impl Graph {
     }
 
     /// The edge with the given id.
+    #[inline]
     pub fn edge(&self, e: EdgeId) -> Edge {
         self.edges[e]
     }
@@ -103,22 +105,26 @@ impl Graph {
     }
 
     /// Ids of edges leaving `v`, in insertion order.
+    #[inline]
     pub fn out_edges(&self, v: VertexId) -> &[EdgeId] {
         self.slot(v)
     }
 
     /// Ids of edges entering `v`, in insertion order.
+    #[inline]
     pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
         self.slot(self.n + v)
     }
 
     /// Adjacency slot `s` of `index` (see the type's docs).
+    #[inline]
     fn slot(&self, s: usize) -> &[EdgeId] {
         &self.index[self.index[s]..self.index[s + 1]]
     }
 
     /// The edge from `src` to `dst`, if present: a scan of the shorter of
     /// `src`'s out-edges and `dst`'s in-edges.
+    #[inline]
     pub fn edge_between(&self, src: VertexId, dst: VertexId) -> Option<EdgeId> {
         if src >= self.n || dst >= self.n {
             return None;

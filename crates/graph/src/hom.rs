@@ -3,13 +3,21 @@
 //! `G ⇝ H` holds when there is a map `h : V(G) → V(H)` such that every edge
 //! `u --R--> v` of `G` has an image edge `h(u) --R--> h(v)` in `H`.
 //!
-//! The general problem is NP-hard (it is CSP); the backtracking search here
-//! is the *reference* decision procedure used by the brute-force solver and
-//! the test suite, with standard pruning. The polynomial-time special cases
-//! used by the paper's algorithms live in [`crate::xprop`] (X-property
-//! instances) and in the collapse arguments of `phom-core`.
+//! The general problem is NP-hard (it is CSP). [`HomPlan`] is the crate's
+//! one backtracking search. It is planned once per (query, instance) pair
+//! — the assignment order, and for each depth the anchor edge that draws
+//! the candidates and the checks against earlier vertices — and then run
+//! on any number of possible worlds of the instance, reusing its buffers.
+//! The world loops of `phom-core` hold one plan per request: the
+//! Monte-Carlo estimators (one plan per UCQ disjunct) and the brute-force
+//! solvers for CQs and UCQs. [`find_hom`], [`exists_hom`] and
+//! [`exists_hom_into_world`] are one-shot wrappers over a fresh plan, for
+//! single checks such as the query [`core_of`]. The polynomial-time
+//! special cases used by the paper's algorithms live in [`crate::xprop`]
+//! (X-property instances) and in the collapse arguments of `phom-core`.
 
-use crate::digraph::{Graph, VertexId};
+use crate::digraph::{Dir, Graph, Label, VertexId};
+use std::ops::Range;
 
 /// Decides whether `G ⇝ H`.
 pub fn exists_hom(g: &Graph, h: &Graph) -> bool {
@@ -18,150 +26,220 @@ pub fn exists_hom(g: &Graph, h: &Graph) -> bool {
 
 /// Finds a homomorphism from `g` to `h` if one exists.
 pub fn find_hom(g: &Graph, h: &Graph) -> Option<Vec<VertexId>> {
-    Search::new(g, h).run()
+    HomPlan::new(g, h).find()
 }
 
 /// Decides whether `G` maps into the world of `H` selected by the edge mask
-/// (the subgraph keeps all vertices, per the paper's convention).
+/// (the subgraph keeps all vertices, per the paper's convention). A loop
+/// over many worlds should build one [`HomPlan`] and run it per world.
 pub fn exists_hom_into_world(g: &Graph, h: &Graph, present: &[bool]) -> bool {
-    // Cheap path: worlds are edge-subgraphs, so reuse the search with a mask.
-    Search::with_mask(g, h, Some(present)).run().is_some()
+    HomPlan::new(g, h).maps_into_world(present)
 }
 
-struct Search<'a> {
-    g: &'a Graph,
-    h: &'a Graph,
-    mask: Option<&'a [bool]>,
-    /// Query vertices in assignment order (BFS across each component so
-    /// every vertex after the first of its component has an assigned
-    /// neighbor).
-    order: Vec<VertexId>,
-    assignment: Vec<Option<VertexId>>,
+/// A query edge between the vertex assigned at some depth and a vertex
+/// assigned earlier.
+#[derive(Clone, Copy)]
+struct Constraint {
+    /// The earlier vertex.
+    other: VertexId,
+    label: Label,
+    /// `Forward` for `u --label--> other`, `Backward` for
+    /// `other --label--> u`.
+    dir: Dir,
 }
 
-impl<'a> Search<'a> {
-    fn new(g: &'a Graph, h: &'a Graph) -> Self {
-        Search::with_mask(g, h, None)
-    }
+/// One depth of the search.
+struct Step {
+    /// The query vertex assigned at this depth.
+    vertex: VertexId,
+    /// The edge to an earlier vertex whose image draws the candidates, or
+    /// `None` for the first vertex of a component (every instance vertex
+    /// is then a candidate).
+    anchor: Option<Constraint>,
+    /// The other edges to earlier vertices: `HomPlan::checks[range]`.
+    checks: Range<usize>,
+    /// The label of the vertex's self-loop, if it has one.
+    self_loop: Option<Label>,
+}
 
-    fn with_mask(g: &'a Graph, h: &'a Graph, mask: Option<&'a [bool]>) -> Self {
-        let mut order = Vec::with_capacity(g.n_vertices());
-        let mut seen = vec![false; g.n_vertices()];
-        for start in 0..g.n_vertices() {
-            if seen[start] {
+/// A homomorphism search from a query `G` into the worlds of an instance
+/// `H`, planned once and run per world.
+///
+/// Query vertices are assigned in BFS order across each component, so
+/// exactly the first `d` of them are assigned at depth `d`, and every
+/// vertex after the first of its component has an assigned neighbor. The
+/// plan fixes, per depth, the first such neighbor's edge (its image's
+/// matching instance edges give the candidates, in increasing vertex
+/// order) and the remaining edges to check against earlier images. A run
+/// backtracks over those steps in a reused assignment and reused
+/// per-depth candidate buffers, so checking a world allocates nothing.
+pub struct HomPlan<'h> {
+    h: &'h Graph,
+    steps: Vec<Step>,
+    checks: Vec<Constraint>,
+    /// `assignment[u]` is the image of query vertex `u` (meaningful for
+    /// the vertices assigned so far).
+    assignment: Vec<VertexId>,
+    /// `candidates[d]` holds depth `d`'s candidates during a run.
+    candidates: Vec<Vec<VertexId>>,
+}
+
+impl<'h> HomPlan<'h> {
+    /// Plans the search of `g ⇝ h`.
+    pub fn new(g: &Graph, h: &'h Graph) -> Self {
+        let n = g.n_vertices();
+        // BFS across each component, with `order` as the queue.
+        let mut order = Vec::with_capacity(n);
+        let mut depth = vec![usize::MAX; n];
+        for start in 0..n {
+            if depth[start] != usize::MAX {
                 continue;
             }
-            seen[start] = true;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(v) = queue.pop_front() {
-                order.push(v);
+            depth[start] = order.len();
+            order.push(start);
+            let mut next = order.len() - 1;
+            while next < order.len() {
+                let v = order[next];
+                next += 1;
                 for (w, _, _) in g.und_neighbors(v) {
-                    if !seen[w] {
-                        seen[w] = true;
-                        queue.push_back(w);
+                    if depth[w] == usize::MAX {
+                        depth[w] = order.len();
+                        order.push(w);
                     }
                 }
             }
         }
-        Search {
-            g,
+        let mut checks = Vec::new();
+        let steps = order
+            .iter()
+            .enumerate()
+            .map(|(d, &u)| {
+                let earlier = |w: VertexId| depth[w] < d;
+                let constraint = |e, dir| {
+                    let edge = g.edge(e);
+                    let other = if dir == Dir::Forward {
+                        edge.dst
+                    } else {
+                        edge.src
+                    };
+                    Constraint {
+                        other,
+                        label: edge.label,
+                        dir,
+                    }
+                };
+                let anchor = g.und_neighbors(u).find(|&(w, _, _)| earlier(w));
+                let start = checks.len();
+                for (w, e, dir) in g.und_neighbors(u) {
+                    if earlier(w) && anchor.is_none_or(|(_, a, _)| a != e) {
+                        checks.push(constraint(e, dir));
+                    }
+                }
+                Step {
+                    vertex: u,
+                    anchor: anchor.map(|(_, e, dir)| constraint(e, dir)),
+                    checks: start..checks.len(),
+                    self_loop: g.edge_between(u, u).map(|e| g.edge(e).label),
+                }
+            })
+            .collect();
+        HomPlan {
             h,
-            mask,
-            order,
-            assignment: vec![None; g.n_vertices()],
+            steps,
+            checks,
+            assignment: vec![0; n],
+            candidates: vec![Vec::new(); n],
         }
     }
 
-    fn edge_present(&self, e: usize) -> bool {
-        self.mask.is_none_or(|m| m[e])
+    /// Whether the query maps into the world of the instance that keeps
+    /// the edges `e` with `present[e]`.
+    pub fn maps_into_world(&mut self, present: &[bool]) -> bool {
+        self.run(Some(present))
     }
 
-    fn run(mut self) -> Option<Vec<VertexId>> {
-        if self.backtrack(0) {
-            Some(self.assignment.iter().map(|a| a.unwrap()).collect())
-        } else {
-            None
-        }
+    /// A homomorphism into the whole instance, if one exists: the first
+    /// in the search order, as the image of each query vertex.
+    pub fn find(&mut self) -> Option<Vec<VertexId>> {
+        self.run(None).then(|| self.assignment.clone())
     }
 
-    /// Candidate images for query vertex `u` given current assignment:
-    /// derived from one assigned neighbor when available, else all of H.
-    fn candidates(&self, u: VertexId) -> Vec<VertexId> {
-        // Pick an assigned neighbor to constrain the domain.
-        for (w, e, dir) in self.g.und_neighbors(u) {
-            if let Some(hw) = self.assignment[w] {
-                let label = self.g.edge(e).label;
-                let mut cands = Vec::new();
-                match dir {
-                    // u --label--> w, so image must have x --label--> h(w).
-                    crate::digraph::Dir::Forward => {
-                        for &he in self.h.in_edges(hw) {
-                            if self.h.edge(he).label == label && self.edge_present(he) {
-                                cands.push(self.h.edge(he).src);
-                            }
-                        }
-                    }
-                    // w --label--> u.
-                    crate::digraph::Dir::Backward => {
-                        for &he in self.h.out_edges(hw) {
-                            if self.h.edge(he).label == label && self.edge_present(he) {
-                                cands.push(self.h.edge(he).dst);
-                            }
-                        }
-                    }
-                }
-                cands.sort_unstable();
-                cands.dedup();
-                return cands;
-            }
-        }
-        (0..self.h.n_vertices()).collect()
+    fn run(&mut self, present: Option<&[bool]>) -> bool {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        let found = self.search(0, present, &mut candidates);
+        self.candidates = candidates;
+        found
     }
 
-    /// Checks all constraints between `u ↦ img` and already-assigned
-    /// neighbors.
-    fn consistent(&self, u: VertexId, img: VertexId) -> bool {
-        for &e in self.g.out_edges(u) {
-            let edge = self.g.edge(e);
-            if let Some(hv) = self.assignment[edge.dst] {
-                match self.h.edge_between(img, hv) {
-                    Some(he) if self.h.edge(he).label == edge.label && self.edge_present(he) => {}
-                    _ => return false,
-                }
-            }
-        }
-        for &e in self.g.in_edges(u) {
-            let edge = self.g.edge(e);
-            if let Some(hv) = self.assignment[edge.src] {
-                match self.h.edge_between(hv, img) {
-                    Some(he) if self.h.edge(he).label == edge.label && self.edge_present(he) => {}
-                    _ => return false,
-                }
-            }
-        }
-        // Self-loop on u.
-        if let Some(e) = self.g.edge_between(u, u) {
-            match self.h.edge_between(img, img) {
-                Some(he)
-                    if self.h.edge(he).label == self.g.edge(e).label && self.edge_present(he) => {}
-                _ => return false,
-            }
-        }
-        true
+    /// Whether the instance edge `src --label--> dst` is in the world.
+    #[inline]
+    fn has_edge(
+        &self,
+        src: VertexId,
+        dst: VertexId,
+        label: Label,
+        present: Option<&[bool]>,
+    ) -> bool {
+        matches!(self.h.edge_between(src, dst),
+            Some(he) if self.h.edge(he).label == label && present.is_none_or(|m| m[he]))
     }
 
-    fn backtrack(&mut self, depth: usize) -> bool {
-        if depth == self.order.len() {
+    /// Extends the assignment from depth `d` on; `candidates` holds the
+    /// buffers of depth `d` and deeper.
+    fn search(
+        &mut self,
+        d: usize,
+        present: Option<&[bool]>,
+        candidates: &mut [Vec<VertexId>],
+    ) -> bool {
+        let Some(step) = self.steps.get(d) else {
             return true;
+        };
+        let (vertex, self_loop, checks) = (step.vertex, step.self_loop, step.checks.clone());
+        let Some((mine, deeper)) = candidates.split_first_mut() else {
+            unreachable!("one candidate buffer per depth");
+        };
+        mine.clear();
+        match step.anchor {
+            None => mine.extend(0..self.h.n_vertices()),
+            Some(anchor) => {
+                let hw = self.assignment[anchor.other];
+                match anchor.dir {
+                    // u --label--> w: the image needs an edge into h(w).
+                    Dir::Forward => {
+                        for &he in self.h.in_edges(hw) {
+                            let edge = self.h.edge(he);
+                            if edge.label == anchor.label && present.is_none_or(|m| m[he]) {
+                                mine.push(edge.src);
+                            }
+                        }
+                    }
+                    // w --label--> u: the image needs an edge out of h(w).
+                    Dir::Backward => {
+                        for &he in self.h.out_edges(hw) {
+                            let edge = self.h.edge(he);
+                            if edge.label == anchor.label && present.is_none_or(|m| m[he]) {
+                                mine.push(edge.dst);
+                            }
+                        }
+                    }
+                }
+                mine.sort_unstable();
+            }
         }
-        let u = self.order[depth];
-        for img in self.candidates(u) {
-            if self.consistent(u, img) {
-                self.assignment[u] = Some(img);
-                if self.backtrack(depth + 1) {
+        for &img in mine.iter() {
+            let consistent = self.checks[checks.clone()].iter().all(|c| {
+                let hv = self.assignment[c.other];
+                match c.dir {
+                    Dir::Forward => self.has_edge(img, hv, c.label, present),
+                    Dir::Backward => self.has_edge(hv, img, c.label, present),
+                }
+            }) && self_loop.is_none_or(|l| self.has_edge(img, img, l, present));
+            if consistent {
+                self.assignment[vertex] = img;
+                if self.search(d + 1, present, deeper) {
                     return true;
                 }
-                self.assignment[u] = None;
             }
         }
         false
@@ -322,6 +400,71 @@ mod tests {
         assert!(exists_hom(&triangle, &triangle));
         // The path maps into the cycle (wraps around).
         assert!(exists_hom(&path, &triangle));
+    }
+
+    /// Whether `g` maps into the world of `h` kept by `present`, by
+    /// enumerating all `|V(H)|^|V(G)|` maps.
+    fn maps_by_enumeration(g: &Graph, h: &Graph, present: &[bool]) -> bool {
+        let (n, m) = (g.n_vertices(), h.n_vertices());
+        let mut map = vec![0; n];
+        loop {
+            let hom = g.edges().iter().all(|e| {
+                matches!(h.edge_between(map[e.src], map[e.dst]),
+                    Some(he) if h.edge(he).label == e.label && present[he])
+            });
+            if hom {
+                return true;
+            }
+            // Next map, as an `n`-digit base-`m` counter.
+            let Some(i) = map.iter().position(|&img| img + 1 < m) else {
+                return false;
+            };
+            map[i] += 1;
+            map[..i].fill(0);
+        }
+    }
+
+    #[test]
+    fn planned_search_matches_enumeration_of_all_maps() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x40B1A2);
+        let (mut maps, mut mapless) = (0, 0);
+        for case in 0..2000 {
+            // Dense draws give self-loops and 2-cycles, sparse ones
+            // isolated vertices and disconnected queries.
+            let density = [0.15, 0.3, 0.5, 0.8][case % 4];
+            let sigma = 1 + (case % 3 == 0) as u32;
+            let g = crate::generate::arbitrary(rng.gen_range(1..=5), density, sigma, &mut rng);
+            let h = crate::generate::arbitrary(rng.gen_range(1..=4), 0.5, sigma, &mut rng);
+            let full = vec![true; h.n_edges()];
+            let expect = maps_by_enumeration(&g, &h, &full);
+            match find_hom(&g, &h) {
+                Some(hom) => assert!(expect && is_hom(&g, &h, &hom), "{g:?} into {h:?}: {hom:?}"),
+                None => assert!(!expect, "{g:?} into {h:?}: no hom found"),
+            }
+            let mut plan = HomPlan::new(&g, &h);
+            for _ in 0..4 {
+                let mask: Vec<bool> = (0..h.n_edges()).map(|_| rng.gen_bool(0.6)).collect();
+                let expect = maps_by_enumeration(&g, &h, &mask);
+                assert_eq!(
+                    plan.maps_into_world(&mask),
+                    expect,
+                    "{g:?} into {h:?} {mask:?}"
+                );
+                assert_eq!(exists_hom_into_world(&g, &h, &mask), expect);
+                if expect {
+                    maps += 1;
+                } else {
+                    mapless += 1;
+                }
+            }
+        }
+        // Both answers are common, so neither side is tested vacuously.
+        assert!(
+            maps > 1000 && mapless > 1000,
+            "{maps} worlds map, {mapless} do not"
+        );
     }
 
     #[test]
