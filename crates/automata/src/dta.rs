@@ -134,10 +134,13 @@ impl TreeAutomaton for PathAutomaton {
     }
 }
 
-/// The optimized automaton (ablation ABL-2 in `DESIGN.md`): `Max` only
+/// The optimized automaton: `Max` only
 /// matters through its final comparison with `m`, and paths that do not
 /// touch the current anchor can never grow, so `k` collapses to a
 /// *saturation bit*. States drop from `O(m³)` to `O(m²)`.
+/// `tests::opt_automaton_agrees_pointwise` checks it against the paper's
+/// automaton; the T3-ptime-a section of `tables` times both, and the
+/// `prop54_opt_automaton` entry of `tables --json` gates this one.
 #[derive(Clone, Copy, Debug)]
 pub struct OptPathAutomaton {
     /// The target path length (`m ≥ 1`).

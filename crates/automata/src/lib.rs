@@ -14,7 +14,7 @@
 //!    `⟨↑: i, ↓: j, Max: k⟩` tracking, for the processed subtree, the
 //!    longest present directed path *into* its anchor, *out of* its anchor,
 //!    and *anywhere*. An optimized variant collapses `Max` to a saturation
-//!    bit (an ablation measured in the benches).
+//!    bit (both timed in the T3-ptime-a section of `tables`).
 //! 3. [`run`] — two evaluation strategies, cross-checked in tests:
 //!    a direct state-distribution dynamic program, and the explicit
 //!    **d-DNNF** compilation of [5, Prop 3.1] (one gate per reachable

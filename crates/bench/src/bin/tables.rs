@@ -511,7 +511,7 @@ fn main() {
         }
     }
     // ------------------------------------------------------------------
-    println!("\n## Section 6 extensions (EXT-3 … EXT-6)\n");
+    println!("\n## Section 6 extensions (EXT-3, EXT-4, EXT-6)\n");
 
     println!("### EXT-3: bounded-treewidth walk DP (⊔DWT queries ≡ →^m on any instance)");
     {
@@ -549,24 +549,6 @@ fn main() {
                 .expect("DWT route")
                 .0
         });
-    }
-    println!();
-
-    println!("### EXT-5: OBDD compilation of the Prop 4.10 lineage — order matters");
-    {
-        println!("| n | clauses | OBDD nodes (DFS order) | OBDD nodes (β-elim order) |");
-        println!("|---|---|---|---|");
-        for n in [64usize, 128, 256] {
-            let h = wl::dwt_instance(n, 2);
-            let q = wl::planted_query(&h, 2);
-            if let Some((dfs, beta, clauses)) =
-                phom_core::algo::obdd_route::obdd_size_dwt(&q, h.graph())
-            {
-                println!("| {n} | {clauses} | {dfs} | {beta} |");
-            }
-        }
-        println!("- β-acyclic elimination stays linear on the same lineages; OBDD");
-        println!("  tractability needs the DFS order");
     }
     println!();
 

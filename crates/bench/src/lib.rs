@@ -1,7 +1,7 @@
 //! Shared workloads for the benchmark harness.
 //!
-//! Every workload is seeded, so Criterion runs and the `tables` binary
-//! measure identical inputs. Instances come in two probability regimes:
+//! Every workload is seeded, so each run of the `tables` binary measures
+//! identical inputs. Instances come in two probability regimes:
 //! the default mixed regime (some certain edges, denominators 16) and the
 //! all-½ regime of the hardness reductions.
 

@@ -18,13 +18,14 @@
 //! time proportional to the window, not to the instance, and no subgraph
 //! is built.
 //!
-//! Two evaluation strategies, cross-checked:
+//! Two evaluation strategies, cross-checked by
+//! `tests/solver_vs_bruteforce.rs` (`dp_ablations_agree_with_lineage`):
 //!
 //! * **Lineage + β-acyclicity** (the paper's proof): one clause per minimal
 //!   interval; eliminating edges left-to-right along the path is a
 //!   β-elimination order.
-//! * **Interval-automaton DP** (ablation ABL-1b in
-//!   `crates/bench/benches/ablations.rs`): scan edges left to right
+//! * **Interval-automaton DP** (timed next to the lineage in the
+//!   T2-ptime-b section of `tables`): scan edges left to right
 //!   tracking the first interval not yet broken by an absent edge; `O(n·k)`.
 
 use phom_graph::classes::{as_two_way_path, TwoWayPathView};

@@ -11,7 +11,6 @@ pub mod components;
 pub mod connected_on_2wp;
 pub mod dwt_instance;
 pub mod lineage_circuits;
-pub mod obdd_route;
 pub mod path_on_dwt;
 pub mod path_on_pt;
 pub mod walk_on_tw;

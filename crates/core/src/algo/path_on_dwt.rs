@@ -5,14 +5,15 @@
 //! spell `R₁ … R_m`; each vertex of the instance is the bottom endpoint of
 //! at most one such path, so there are at most `n` candidate matches.
 //!
-//! Two evaluation strategies, cross-checked:
+//! Two evaluation strategies, cross-checked by
+//! `tests/solver_vs_bruteforce.rs` (`dp_ablations_agree_with_lineage`):
 //!
 //! * **Lineage + β-acyclicity** (the paper's proof): one clause per match;
 //!   eliminating edge variables bottom-up (each leaf's parent edge first)
 //!   is a β-elimination order, and Theorem 4.9's algorithm finishes the
 //!   job.
-//! * **Direct run-length DP** (ablation ABL-1a in
-//!   `crates/bench/benches/ablations.rs`): process the tree top-down; the
+//! * **Direct run-length DP** (timed next to the lineage in the T2-ptime-a
+//!   section of `tables`): process the tree top-down; the
 //!   only relevant state at a vertex is the length of the streak of
 //!   *present* edges ending there (capped at `m`), since label matching is
 //!   static per vertex. `O(n·m)`.

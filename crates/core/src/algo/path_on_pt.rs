@@ -15,7 +15,9 @@ use phom_automata::{encode_polytree, OptPathAutomaton, PathAutomaton};
 use phom_graph::ProbGraph;
 use phom_num::Weight;
 
-/// Which Prop 5.4 pipeline to run (ablation ABL-2 in `DESIGN.md`).
+/// Which Prop 5.4 pipeline to run. `tests::all_strategies_agree_with_brute_force`
+/// checks all three; the T3-ptime-a section of `tables` times them, and the
+/// `prop54_opt_automaton` entry of `tables --json` gates the default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PtStrategy {
     /// Optimized `⟨↑, ↓, sat⟩` automaton + state-distribution DP (default).

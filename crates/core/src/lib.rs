@@ -37,7 +37,6 @@ pub mod sensitivity;
 pub mod solver;
 pub mod tables;
 pub mod ucq;
-pub mod xpath;
 
 pub use batch::{instance_fingerprint, BatchStats, CacheHandle, CacheStats, QueryKey};
 pub use engine::{

@@ -175,9 +175,10 @@ pub fn rank_edges<W: Weight + PartialOrd>(influences: Vec<W>) -> Vec<(EdgeId, W)
 }
 
 /// The most probable possible world satisfying the query (MPE of the
-/// lineage), with its probability, via the circuit routes of
-/// [`influences`]. Returns `Ok(None)` when the query holds in no world,
-/// and `Err(())` when no circuit route applies.
+/// lineage), with its probability, on the circuit routes of
+/// [`influences`]: an MPE search of the Prop 4.11 match circuit, or the
+/// best clause of the Prop 4.10 match DNF. Returns `Ok(None)` when the
+/// query holds in no world, and `Err(())` when no circuit route applies.
 #[allow(clippy::result_unit_err)]
 pub fn most_probable_witness(
     query: &Graph,
@@ -185,18 +186,26 @@ pub fn most_probable_witness(
 ) -> Result<Option<(Rational, Vec<bool>)>, ()> {
     let probs: Vec<Rational> = instance.probs().to_vec();
     let (prov, _) = lineage_provenance(query, instance).ok_or(())?;
-    if prov.negated {
-        // MPE needs the positive event; the DWT route's circuit encodes
-        // the complement, so compile the *match* DNF through the OBDD
-        // pipeline (DFS order keeps it linear) and search that instead.
+    let witness = if prov.negated {
+        // MPE needs the positive event, but the DWT route's circuit
+        // encodes the complement. The match DNF is monotone, so some most
+        // probable satisfying world sets one clause's edges present and
+        // every other edge to its likelier value: take the best clause.
         let (dnf, _) = path_on_dwt::lineage(query, instance.graph()).ok_or(())?;
-        let order = super::algo::obdd_route::dfs_edge_order(instance.graph()).ok_or(())?;
-        let (manager, f, _) = super::algo::obdd_route::compile(&dnf, order);
-        let (circuit, root) = manager.to_circuit(f);
-        let witness = analysis::mpe(&circuit, root, &probs);
-        return Ok(check_witness(query, instance, witness));
-    }
-    let witness = analysis::mpe(&prov.circuit, prov.root, &probs);
+        let likelier: Vec<bool> = probs.iter().map(|p| *p >= p.complement()).collect();
+        dnf.clauses()
+            .iter()
+            .map(|clause| {
+                let mut world = likelier.clone();
+                for &e in clause {
+                    world[e] = true;
+                }
+                (instance.world_probability(&world), world)
+            })
+            .reduce(|best, next| if next.0 > best.0 { next } else { best })
+    } else {
+        analysis::mpe(&prov.circuit, prov.root, &probs)
+    };
     Ok(check_witness(query, instance, witness))
 }
 
@@ -381,15 +390,29 @@ mod tests {
 
     #[test]
     fn witness_on_dwt_route() {
+        // Alternate ½-instances with instances that mix certain edges and
+        // non-dyadic probabilities, so the likelier value of an edge
+        // outside the matched path is sometimes "present" and sometimes
+        // "absent".
+        let mixed = ProbProfile {
+            certain_ratio: 0.2,
+            denominator: 5,
+        };
         let mut rng = SmallRng::seed_from_u64(0x5E57);
-        for trial in 0..10 {
-            let g = generate::downward_tree(rng.gen_range(2..7), 2, &mut rng);
+        for trial in 0..300 {
+            let g = generate::downward_tree(rng.gen_range(2..9), 2, &mut rng);
             if phom_graph::classes::as_two_way_path(&g).is_some() {
                 continue;
             }
-            let h = generate::with_probabilities(g, ProbProfile::half(), &mut rng);
-            let q = generate::planted_path_query(h.graph(), 1, &mut rng)
-                .unwrap_or_else(|| generate::one_way_path(1, 2, &mut rng));
+            let profile = if trial % 2 == 0 {
+                ProbProfile::half()
+            } else {
+                mixed
+            };
+            let h = generate::with_probabilities(g, profile, &mut rng);
+            let m = rng.gen_range(1..4);
+            let q = generate::planted_path_query(h.graph(), m, &mut rng)
+                .unwrap_or_else(|| generate::one_way_path(m, 2, &mut rng));
             let witness = most_probable_witness(&q, &h).expect("DWT route");
             let mut best: Option<Rational> = None;
             for (mask, p) in h.worlds() {
@@ -401,7 +424,11 @@ mod tests {
             }
             match (witness, best) {
                 (None, None) => {}
-                (Some((wp, _)), Some(bp)) => assert_eq!(wp, bp, "trial {trial}"),
+                (Some((wp, world)), Some(bp)) => {
+                    assert_eq!(wp, bp, "trial {trial}");
+                    assert_eq!(h.world_probability(&world), wp, "trial {trial}");
+                    assert!(exists_hom_into_world(&q, h.graph(), &world));
+                }
                 (w, b) => panic!("trial {trial}: {:?} vs {b:?}", w.map(|x| x.0)),
             }
         }

@@ -1,8 +1,8 @@
 //! Seeded random generators for the workloads of the benchmark harness and
 //! the randomized test suites.
 //!
-//! Every generator is deterministic given the `rng` passed in; benches and
-//! tests fix seeds so results are reproducible.
+//! Every generator is deterministic given the `rng` passed in; the harness
+//! and the tests fix seeds so results are reproducible.
 
 use crate::classes::as_downward_tree;
 use crate::digraph::{Dir, Graph, GraphBuilder, Label, VertexId};

@@ -21,8 +21,8 @@
 //!
 //! These operations apply uniformly to every circuit produced in this
 //! workspace: the Prop 5.4 automaton compilation, the labeled-route
-//! circuits of `phom-core::algo::lineage_circuits`, and OBDDs exported
-//! through [`crate::obdd`] (an OBDD *is* a d-DNNF).
+//! circuits of `phom-core::algo::lineage_circuits`, and decision d-DNNFs
+//! (Shannon expansions, as the tests below build them).
 
 use crate::circuit::{Circuit, Gate, GateId};
 use phom_num::Weight;
@@ -175,7 +175,6 @@ pub fn mpe<W: Weight + PartialOrd>(
 mod tests {
     use super::*;
     use crate::dnf::Dnf;
-    use crate::obdd::Manager;
     use phom_num::Rational;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -208,6 +207,33 @@ mod tests {
         dnf
     }
 
+    /// A decision d-DNNF for `dnf` built into `c`: Shannon expansion
+    /// `(v ∧ f|v) ∨ (¬v ∧ f|¬v)` over the variables in index order.
+    fn decision_dnnf(c: &mut Circuit, dnf: &Dnf) -> GateId {
+        fn expand(c: &mut Circuit, clauses: &[Vec<usize>], v: usize) -> GateId {
+            if clauses.iter().any(Vec::is_empty) {
+                return c.constant(true);
+            }
+            if clauses.is_empty() {
+                return c.constant(false);
+            }
+            let hi: Vec<Vec<usize>> = clauses
+                .iter()
+                .map(|cl| cl.iter().copied().filter(|&u| u != v).collect())
+                .collect();
+            let lo: Vec<Vec<usize>> = clauses
+                .iter()
+                .filter(|cl| !cl.contains(&v))
+                .cloned()
+                .collect();
+            let (hi, lo) = (expand(c, &hi, v + 1), expand(c, &lo, v + 1));
+            let (pos, neg) = (c.var(v), c.neg_var(v));
+            let branches = [c.and(&[pos, hi]), c.and(&[neg, lo])];
+            c.or(&branches)
+        }
+        expand(c, dnf.clauses(), 0)
+    }
+
     #[test]
     fn xor_gradients_match_conditioning_identity() {
         let (c, root) = xor_circuit();
@@ -223,15 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn gradients_on_obdd_circuits_match_finite_differences() {
+    fn gradients_on_decision_dnnf_circuits_match_finite_differences() {
         let mut rng = SmallRng::seed_from_u64(0x6AAD);
         for trial in 0..25 {
             let n = rng.gen_range(2..7);
             let n_clauses = rng.gen_range(1..5);
             let dnf = random_dnf(&mut rng, n, n_clauses);
-            let mut m = Manager::identity_order(n);
-            let f = m.from_dnf(&dnf);
-            let (c, root) = m.to_circuit(f);
+            let mut c = Circuit::new(n);
+            let root = decision_dnnf(&mut c, &dnf);
             let probs: Vec<Rational> = (0..n).map(|_| rat(rng.gen_range(1..4), 4)).collect();
             let grads = gradients(&c, root, &probs);
             for (v, grad) in grads.iter().enumerate() {
@@ -245,11 +270,10 @@ mod tests {
     #[test]
     fn influence_of_irrelevant_variable_is_zero() {
         // f = x₀ over 3 variables: x₁, x₂ have zero influence.
-        let mut m = Manager::identity_order(3);
         let mut dnf = Dnf::falsum(3);
         dnf.push_clause(vec![0]);
-        let f = m.from_dnf(&dnf);
-        let (c, root) = m.to_circuit(f);
+        let mut c = Circuit::new(3);
+        let root = decision_dnnf(&mut c, &dnf);
         let probs = vec![rat(1, 2); 3];
         let grads = gradients(&c, root, &probs);
         assert_eq!(grads[0], Rational::one());
@@ -264,17 +288,10 @@ mod tests {
             let n = rng.gen_range(2..7);
             let n_clauses = rng.gen_range(1..5);
             let dnf = random_dnf(&mut rng, n, n_clauses);
-            let mut m = Manager::identity_order(n);
-            let f = m.from_dnf(&dnf);
-            let (c, root) = m.to_circuit(f);
+            let mut c = Circuit::new(n);
+            let root = decision_dnnf(&mut c, &dnf);
             let probs: Vec<Rational> = (0..n).map(|_| rat(rng.gen_range(0..=4), 4)).collect();
-            // Brute-force MPE.
-            let mut best: Option<(Rational, Vec<bool>)> = None;
-            for mask in 0..1u32 << n {
-                let world: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-                if !dnf.eval(&world) {
-                    continue;
-                }
+            let world_prob = |world: &[bool]| {
                 let mut p = Rational::one();
                 for (i, &b) in world.iter().enumerate() {
                     p = p.mul(&if b {
@@ -283,6 +300,16 @@ mod tests {
                         probs[i].one_minus()
                     });
                 }
+                p
+            };
+            // Brute-force MPE.
+            let mut best: Option<(Rational, Vec<bool>)> = None;
+            for mask in 0..1u32 << n {
+                let world: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                if !dnf.eval(&world) {
+                    continue;
+                }
+                let p = world_prob(&world);
                 if best.as_ref().is_none_or(|(bp, _)| p > *bp) {
                     best = Some((p, world));
                 }
@@ -292,6 +319,7 @@ mod tests {
                 (None, None) => {}
                 (Some((bp, _)), Some((gp, gw))) => {
                     assert_eq!(gp, bp, "trial {trial}");
+                    assert_eq!(world_prob(&gw), gp, "trial {trial}");
                     assert!(c.eval_world(root, &gw));
                 }
                 (b, g) => panic!("trial {trial}: mismatch {b:?} vs {:?}", g.map(|x| x.0)),
@@ -308,13 +336,12 @@ mod tests {
 
     #[test]
     fn conditioning_chain_rule_total_probability() {
-        // Pr = p_v · Pr(|v) + (1−p_v) · Pr(|¬v), on a random OBDD circuit.
+        // Pr = p_v · Pr(|v) + (1−p_v) · Pr(|¬v), on a random decision d-DNNF.
         let mut rng = SmallRng::seed_from_u64(0xC0DE);
         let n = 5;
         let dnf = random_dnf(&mut rng, n, 4);
-        let mut m = Manager::identity_order(n);
-        let f = m.from_dnf(&dnf);
-        let (c, root) = m.to_circuit(f);
+        let mut c = Circuit::new(n);
+        let root = decision_dnnf(&mut c, &dnf);
         let probs: Vec<Rational> = (0..n).map(|_| rat(rng.gen_range(0..=4), 4)).collect();
         let total: Rational = c.probability(root, &probs);
         for v in 0..n {

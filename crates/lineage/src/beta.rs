@@ -4,7 +4,9 @@
 //! The paper proves Theorem 4.9 by reduction to the β-acyclic `#CSPd`
 //! partition function of Brault-Baron, Capelli and Mengel \[11]. We implement
 //! the partition-function computation directly, specialized to the constraint
-//! shape that the encoding produces. Derivation (also in `DESIGN.md` §4):
+//! shape that the encoding produces. Derivation (the tests
+//! `random_interval_dnfs_match_brute_force` and
+//! `random_tree_path_dnfs_match_brute_force` pin it):
 //!
 //! For a positive DNF `φ` we compute `q = Pr(¬φ)` — the probability that
 //! *every* clause has a false variable — and return `1 − q`. The state is a

@@ -135,7 +135,7 @@ impl Dnf {
     /// Boolean-semiring evaluation, witness checking, and Monte-Carlo
     /// sampling through the engine, but *not* for direct probability or
     /// model-counting passes — those route through the β-elimination of
-    /// Theorem 4.9 or an OBDD/d-DNNF compilation first.
+    /// Theorem 4.9 or a d-DNNF compilation first.
     pub fn to_provenance(&self, arena: &mut crate::engine::Arena) -> crate::engine::GateId {
         assert_eq!(
             arena.num_vars(),

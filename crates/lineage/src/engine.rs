@@ -140,7 +140,7 @@ pub(crate) fn weight_leaf<W: Weight>(prob_true: &[W]) -> impl Fn(usize, bool) ->
 }
 
 /// A borrowed view of one gate, for consumers that need to pattern-match
-/// the circuit structure (export, checkers, MPE).
+/// the circuit structure (checkers, MPE).
 #[derive(Clone, Copy, Debug)]
 pub enum Gate<'a> {
     /// A positive literal of variable `v`.

@@ -31,23 +31,18 @@
 //!   compiled cone: the roots' gates only, renumbered densely (the
 //!   serving engine's exact, float and metered passes);
 //! * [`circuit`] — d-DNNF circuits as arena views, with structural checks;
-//! * [`obdd`] — OBDD compilation; counting and probability route through
-//!   the engine via [`obdd::Manager::to_circuit`];
 //! * [`analysis`] — gradients, conditioning, and most-probable
-//!   explanations on arena circuits;
-//! * [`export`] — c2d NNF and DIMACS-like interchange formats.
+//!   explanations on arena circuits.
 
 pub mod analysis;
 pub mod beta;
 pub mod circuit;
 pub mod dnf;
 pub mod engine;
-pub mod export;
 pub mod flat;
 pub mod fxhash;
 pub mod hypergraph;
 pub mod meter;
-pub mod obdd;
 
 pub use beta::beta_dnf_probability;
 pub use circuit::{Circuit, GateId};

@@ -17,8 +17,10 @@
 //!   exact mode (the paper-faithful one), `f64` mode (large benchmark
 //!   sweeps), or dual-number mode (sensitivity).
 //!
-//! No external bignum crate is used: the whole stack is self-contained, as
-//! documented in `DESIGN.md`.
+//! No external bignum crate is used: [`natural`] and [`rational`] implement
+//! the arithmetic, so the whole stack builds from the workspace alone.
+//! Their unit tests pin it (e.g.
+//! `rational::tests::fast_and_slow_paths_agree_across_the_word_boundary`).
 
 pub mod errf64;
 pub mod natural;

@@ -18,8 +18,9 @@
 //!
 //! Props 4.4 and 4.5 are established in the paper by adapting the
 //! constructions of its reference \[3] (arXiv 1612.04203), whose text is not
-//! part of this paper; per `DESIGN.md` those two cells are demonstrated by
-//! brute-force scaling experiments instead of executable reductions.
+//! part of this paper. Those two cells are demonstrated by brute-force
+//! scaling instead of executable reductions: the T2-hard-b section of
+//! `tables` (`cargo run --release -p phom-bench --bin tables`).
 
 pub mod edge_cover;
 pub mod pp2dnf;

@@ -96,7 +96,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Same analysis on a DWT fact base (Prop 4.10 cell, OBDD-backed).
+    // Same analysis on a DWT fact base (Prop 4.10 cell, complemented fail circuit).
     // ------------------------------------------------------------------
     let (mgr, emp) = (Label(0), Label(1));
     // An org chart: manages-edges with employment confirmations below.

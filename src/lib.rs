@@ -50,7 +50,7 @@
 //! |---|---|
 //! | [`num`] | arbitrary-precision naturals, exact rationals, and the algebra layer: the [`Semiring`](phom_num::Semiring) trait (Rational / `f64` / [`Natural`](phom_num::Natural) counting / `bool` / [`Dual`](phom_num::Dual) forward-mode derivatives / [`ErrF64`](phom_num::ErrF64) — f64 with a running certified error bound) refined by [`Weight`](phom_num::Weight); correctly-rounded `to_f64` conversions |
 //! | [`graph`] | graphs, probabilistic graphs, classes, homomorphisms |
-//! | [`lineage`] | the **unified provenance engine** ([`lineage::engine`]): one arena IR with interned gates and structural hashing, one semiring-generic bottom-up evaluator shared by positive DNFs, β-acyclicity (Thm 4.9), d-DNNF circuits, and OBDDs; [`FlatArena`](phom_lineage::FlatArena) — the cone-restricted flat-slab run representation behind the float tier |
+//! | [`lineage`] | the **unified provenance engine** ([`lineage::engine`]): one arena IR with interned gates and structural hashing, one semiring-generic bottom-up evaluator shared by positive DNFs, β-acyclicity (Thm 4.9), and d-DNNF circuits; [`FlatArena`](phom_lineage::FlatArena) — the cone-restricted flat-slab run representation behind the float tier |
 //! | [`automata`] | the polytree encoding and path automata of Prop 5.4, compiling into engine arenas |
 //! | [`core`] | the per-proposition algorithms and the Tables 1–3 dispatcher, behind the serving surface of [`core::engine`]: a long-lived [`Engine`] per instance (a bounded LRU answer cache behind a [`CacheHandle`](phom_core::CacheHandle) that many engines can share, sharded [`Engine::submit`], the [`Tick`](phom_core::Tick) seam for external pools) and typed [`Request`]/[`Response`] |
 //! | [`serve`] | the **persistent serving runtime**: [`Runtime`] with **work-conserving** micro-batching ticks over a worker pool spawned once (an idle lane flushes at once; requests wait for company only while a tick of their lane is in flight), bounded-queue backpressure ([`SolveError::Overloaded`]), [`Ticket`]s, graceful drain, [`RuntimeStats`] |
@@ -443,8 +443,7 @@
 //! future-work program: **bounded-treewidth instances**
 //! ([`graph::treedecomp`] + [`core::algo::walk_on_tw`]), **unions of
 //! conjunctive queries** ([`core::ucq`], served via [`Request::ucq`]),
-//! **OBDD lineage compilation** ([`lineage::obdd`] +
-//! [`core::algo::obdd_route`]), **model counting** through the engine's
+//! **model counting** through the engine's
 //! counting semiring ([`core::counting`], served via
 //! [`Request::counting`](Request::counting)), and **sensitivity
 //! analysis** — engine gradients, dual-number forward mode, conditioning

@@ -1,11 +1,10 @@
 //! End-to-end tests for the Section 6 future-work extensions:
 //! bounded-treewidth instances (tree decompositions + the walk DP),
-//! unions of conjunctive queries, OBDD lineage compilation, and the
-//! circuit analysis operations (influences, conditioning, MPE) — each
-//! cross-checked against brute force and against the paper's original
-//! pipelines.
+//! unions of conjunctive queries, and the circuit analysis operations
+//! (influences, conditioning, MPE) — each cross-checked against brute
+//! force and against the paper's original pipelines.
 
-use phom::core::algo::{obdd_route, path_on_pt, walk_on_tw};
+use phom::core::algo::{path_on_pt, walk_on_tw};
 use phom::core::ucq::{self, Ucq};
 use phom::core::{bruteforce, sensitivity};
 use phom::graph::generate::{self, ProbProfile};
@@ -166,38 +165,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// OBDD route and circuit analysis
+// Circuit analysis
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The OBDD evaluators agree with the solver's own answer on both
-    /// labeled tractable cells.
-    #[test]
-    fn obdd_routes_agree_with_solver(seed: u64, twp: bool) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (q, h_graph) = if twp {
-            (
-                generate::two_way_path(rng.gen_range(1..4), 2, &mut rng),
-                generate::two_way_path(rng.gen_range(1..8), 2, &mut rng),
-            )
-        } else {
-            let h = generate::downward_tree(rng.gen_range(2..9), 2, &mut rng);
-            let q = generate::planted_path_query(&h, rng.gen_range(1..4), &mut rng)
-                .unwrap_or_else(|| generate::one_way_path(2, 2, &mut rng));
-            (q, h)
-        };
-        let h = generate::with_probabilities(h_graph, ProbProfile::half(), &mut rng);
-        let obdd: Option<Rational> = if twp {
-            obdd_route::probability_obdd_2wp(&q, &h)
-        } else {
-            obdd_route::probability_obdd_dwt(&q, &h)
-        };
-        if let Some(obdd) = obdd {
-            prop_assert_eq!(obdd, bruteforce::probability(&q, &h));
-        }
-    }
 
     /// Circuit influences obey the multilinearity identity
     /// `Pr = π(e)·Pr(|e) + (1−π(e))·Pr(|¬e)` and the gradient matches

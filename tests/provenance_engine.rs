@@ -1,7 +1,8 @@
 //! Equivalence property tests for the unified semiring provenance engine:
-//! every lineage representation in the workspace (positive DNFs, OBDDs,
-//! d-DNNF circuits, β-acyclic lineages), evaluated through the one
-//! engine routine, must agree with the independent oracles
+//! every lineage representation (positive DNFs, decision d-DNNFs built by
+//! Shannon expansion below, the solver routes' d-DNNF circuits, β-acyclic
+//! lineages), evaluated through the one engine routine, must agree with
+//! the independent oracles
 //! `Dnf::probability_brute_force` and `phom_core::bruteforce` on
 //! randomized inputs — across the probability (Rational and f64),
 //! counting (Natural), Boolean, and dual-number semirings.
@@ -13,8 +14,7 @@ use phom::graph::generate;
 use phom::graph::hom::exists_hom_into_world;
 use phom::lineage::beta::beta_dnf_probability;
 use phom::lineage::engine::Arena;
-use phom::lineage::obdd::Manager;
-use phom::lineage::{Dnf, VarStatus};
+use phom::lineage::{Dnf, GateId, Provenance, VarStatus};
 use phom::prelude::*;
 use phom_core::algo::lineage_circuits;
 use phom_core::{bruteforce, counting};
@@ -42,8 +42,35 @@ fn random_probs(rng: &mut SmallRng, n: usize, den: u64) -> Vec<Rational> {
     (0..n).map(|_| rat(rng.gen_range(0..=den), den)).collect()
 }
 
+/// A decision d-DNNF for `dnf` built into `arena`: Shannon expansion
+/// `(v ∧ f|v) ∨ (¬v ∧ f|¬v)` over the variables in index order.
+fn decision_dnnf(arena: &mut Arena, dnf: &Dnf) -> GateId {
+    fn expand(arena: &mut Arena, clauses: &[Vec<usize>], v: usize) -> GateId {
+        if clauses.iter().any(Vec::is_empty) {
+            return arena.constant(true);
+        }
+        if clauses.is_empty() {
+            return arena.constant(false);
+        }
+        let hi: Vec<Vec<usize>> = clauses
+            .iter()
+            .map(|c| c.iter().copied().filter(|&u| u != v).collect())
+            .collect();
+        let lo: Vec<Vec<usize>> = clauses
+            .iter()
+            .filter(|c| !c.contains(&v))
+            .cloned()
+            .collect();
+        let (hi, lo) = (expand(arena, &hi, v + 1), expand(arena, &lo, v + 1));
+        let (pos, neg) = (arena.var(v), arena.neg_var(v));
+        let branches = [arena.and(&[pos, hi]), arena.and(&[neg, lo])];
+        arena.or(&branches)
+    }
+    expand(arena, dnf.clauses(), 0)
+}
+
 /// Representation 1 — positive DNFs: the engine's Boolean pass agrees
-/// with direct clause evaluation on every world, and the OBDD compilation
+/// with direct clause evaluation on every world, and the decision d-DNNF
 /// of the same DNF, evaluated through the engine, matches the
 /// brute-force probability oracle in both exact and float arithmetic.
 #[test]
@@ -65,45 +92,44 @@ fn dnf_worlds_and_probability_through_engine() {
         }
         let probs = random_probs(&mut rng, n, 4);
         let oracle = dnf.probability_brute_force(&probs);
-        let mut manager = Manager::identity_order(n);
-        let f = manager.from_dnf(&dnf);
+        let f = decision_dnnf(&mut arena, &dnf);
         assert_eq!(
-            manager.probability::<Rational>(f, &probs),
+            arena.probability::<Rational>(f, &probs),
             oracle,
             "trial {trial}"
         );
         let fp: Vec<f64> = probs.iter().map(Rational::to_f64).collect();
-        let float = manager.probability::<f64>(f, &fp);
+        let float = arena.probability::<f64>(f, &fp);
         assert!((float - oracle.to_f64()).abs() < 1e-9, "trial {trial}");
     }
 }
 
-/// Representation 2 — OBDDs: engine-backed model counting (Natural
-/// semiring, with on-the-fly smoothing for skipped levels) equals world
-/// enumeration, free/pinned variables included.
+/// Representation 2 — decision d-DNNFs: engine-backed model counting
+/// (Natural semiring, with on-the-fly smoothing for skipped levels)
+/// equals world enumeration, free/pinned variables included.
 #[test]
-fn obdd_model_counts_match_enumeration() {
+fn decision_dnnf_model_counts_match_enumeration() {
     let mut rng = SmallRng::seed_from_u64(0xE16E_0002);
     for trial in 0..120 {
         let n = rng.gen_range(1..8);
         let n_clauses = rng.gen_range(0..6);
         let dnf = random_dnf(&mut rng, n, n_clauses);
-        let mut manager = Manager::identity_order(n);
-        let f = manager.from_dnf(&dnf);
+        let mut circuit = Arena::new(n);
+        let root = decision_dnnf(&mut circuit, &dnf);
         let expect: u64 = (0u64..1 << n)
             .filter(|mask| {
                 let world: Vec<bool> = (0..n).map(|v| mask >> v & 1 == 1).collect();
                 dnf.eval(&world)
             })
             .count() as u64;
+        let ones = vec![Natural::one(); n];
         assert_eq!(
-            manager.model_count(f),
+            circuit.eval_root(root, &ones, &ones),
             Natural::from_u64(expect),
             "trial {trial}"
         );
         // Pinned counting through the provenance handle.
-        let (circuit, root) = manager.to_circuit(f);
-        let prov = phom::lineage::Provenance::positive(circuit, root);
+        let prov = Provenance::positive(circuit, root);
         let pin = rng.gen_range(0..n);
         let value = rng.gen_range(0..2) == 1;
         let status: Vec<VarStatus> = (0..n)
@@ -154,10 +180,10 @@ fn route_circuits_match_bruteforce() {
             .unwrap_or_else(|| generate::one_way_path(2, 2, &mut rng));
         let compiled = if twp {
             lineage_circuits::match_circuit_2wp(&q, h.graph())
-                .map(|(c, r)| phom::lineage::Provenance::positive(c, r))
+                .map(|(c, r)| Provenance::positive(c, r))
         } else {
             lineage_circuits::fail_circuit_dwt(&q, h.graph())
-                .map(|(c, r)| phom::lineage::Provenance::complemented(c, r))
+                .map(|(c, r)| Provenance::complemented(c, r))
         };
         let Some(prov) = compiled else { continue };
         let oracle = bruteforce::probability(&q, &h);
@@ -221,10 +247,9 @@ fn beta_lineages_match_oracles_and_duals_match_gradients() {
             .collect();
         let dual_out = beta_dnf_probability(&dnf, &duals).expect("same hypergraph");
         assert_eq!(dual_out.val, oracle, "trial {trial}");
-        // Engine gradient on the OBDD compilation of the same DNF.
-        let mut manager = Manager::identity_order(n);
-        let f = manager.from_dnf(&dnf);
-        let (circuit, root) = manager.to_circuit(f);
+        // Engine gradient on the decision d-DNNF of the same DNF.
+        let mut circuit = Arena::new(n);
+        let root = decision_dnnf(&mut circuit, &dnf);
         let grads = circuit.gradients(root, &probs);
         assert_eq!(dual_out.der, grads[seed_var], "trial {trial}");
     }
@@ -285,11 +310,8 @@ fn batched_multi_query_evaluation_over_shared_arena() {
         for _ in 0..4 {
             let n_clauses = rng.gen_range(1..4);
             let dnf = random_dnf(&mut rng, n, n_clauses);
-            // Compile through the OBDD for d-DNNF structure, then rebuild
-            // the exported circuit inside the shared arena via NNF text.
-            let mut manager = Manager::identity_order(n);
-            let f = manager.from_dnf(&dnf);
-            roots.push(rebuild_into(&mut arena, &manager, f));
+            // A decision d-DNNF per query, all in the shared arena.
+            roots.push(decision_dnnf(&mut arena, &dnf));
             dnfs.push(dnf);
         }
         let neg: Vec<Rational> = probs.iter().map(|p| p.one_minus()).collect();
@@ -304,33 +326,9 @@ fn batched_multi_query_evaluation_over_shared_arena() {
     }
 }
 
-/// Rebuilds an OBDD function inside a caller-supplied arena (the
-/// multi-query compilation path: one arena, many roots).
-fn rebuild_into(arena: &mut Arena, manager: &Manager, f: usize) -> phom::lineage::GateId {
-    let (circuit, root) = manager.to_circuit(f);
-    let mut map: Vec<phom::lineage::GateId> = Vec::with_capacity(circuit.n_gates());
-    for (_, gate) in circuit.gates() {
-        use phom::lineage::circuit::Gate;
-        let new = match gate {
-            Gate::Const(b) => arena.constant(b),
-            Gate::Var(v) => arena.var(v),
-            Gate::NegVar(v) => arena.neg_var(v),
-            Gate::And(kids) => {
-                let ids: Vec<_> = kids.map(|c| map[c]).collect();
-                arena.and(&ids)
-            }
-            Gate::Or(kids) => {
-                let ids: Vec<_> = kids.map(|c| map[c]).collect();
-                arena.or(&ids)
-            }
-        };
-        map.push(new);
-    }
-    map[root]
-}
-
 /// Four-representation agreement on one fixed input: DNF brute force,
-/// β-elimination, OBDD-through-engine, and the route d-DNNF all compute
+/// β-elimination, the decision d-DNNF through the engine, and the route
+/// d-DNNF all compute
 /// the same number.
 #[test]
 fn four_representations_one_answer() {
@@ -357,10 +355,10 @@ fn four_representations_one_answer() {
                 .expect("path order is a β-elimination order");
             assert_eq!(beta, oracle);
         }
-        // OBDD of the same DNF, evaluated through the engine.
-        let mut manager = Manager::with_order(order);
-        let f = manager.from_dnf(&dnf);
-        assert_eq!(manager.probability::<Rational>(f, &probs), oracle);
+        // Decision d-DNNF of the same DNF, evaluated through the engine.
+        let mut decision = Arena::new(dnf.num_vars());
+        let f = decision_dnnf(&mut decision, &dnf);
+        assert_eq!(decision.probability::<Rational>(f, &probs), oracle);
         // Route d-DNNF through the engine.
         let (circuit, root) = lineage_circuits::match_circuit_2wp(&q, h.graph()).unwrap();
         assert_eq!(circuit.probability::<Rational>(root, &probs), oracle);
