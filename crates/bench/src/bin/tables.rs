@@ -12,8 +12,9 @@
 //!
 //! `tables --json` instead times the paper's tractable algorithms (Props
 //! 3.6, 4.10, 4.11 and 5.4, plus re-evaluation of a prebuilt Prop 4.11
-//! circuit, and uncached `Float` requests on the Prop 3.6 and 5.4
-//! instances through the engine), plus the Monte-Carlo estimate that
+//! circuit, uncached `Float` requests on the Prop 3.6, 4.10 and 5.4
+//! instances through the engine, and an uncached `Exact` Prop 3.6 request
+//! on non-dyadic probabilities), plus the Monte-Carlo estimate that
 //! answers a hard cell (`hard_estimate_engine`), and emits one JSON
 //! document (schema `phom-bench-smoke/v1`, one `{"id", "n",
 //! "median_ns"}` entry per line).
@@ -113,8 +114,31 @@ fn json_smoke() {
         &mut entries,
         "prop36_engine_float",
         512,
-        float_request(wl::dwt_union_instance(512, 1), q36, |r| *r == Route::Prop36),
+        float_request(wl::dwt_union_instance(512, 1), q36.clone(), |r| {
+            *r == Route::Prop36
+        }),
     );
+
+    // The Prop 3.6 DP in exact arithmetic, on the same graph with
+    // probabilities k/10: one uncached `Exact` request per call. Its
+    // rationals do not stay dyadic, so their gcds are not one shift.
+    {
+        let engine = Engine::builder()
+            .cache_capacity(0)
+            .build(wl::dwt_union_instance_over(512, 1, 10));
+        let request = [Request::probability(q36.clone()).precision(Precision::Exact)];
+        json_entry(
+            &mut entries,
+            "prop36_engine_exact_nondyadic",
+            512,
+            || match &engine.submit(&request)[0] {
+                Ok(Response::Probability(sol)) if sol.route == Route::Prop36 => {
+                    sol.probability.to_f64()
+                }
+                other => panic!("not an exact Prop 3.6 answer: {other:?}"),
+            },
+        );
+    }
 
     // Prop 4.10: β-acyclic lineage on a labeled DWT.
     json_entry(&mut entries, "prop410_beta_lineage", 1024, || {
@@ -122,6 +146,20 @@ fn json_smoke() {
         let q = wl::planted_query(&h, 6);
         path_on_dwt::probability_lineage::<f64>(&q, &h).unwrap()
     });
+
+    // Prop 4.10 through the engine's float tier, at the size of a
+    // serving request (a 48-vertex 2-label DWT, a planted 4-edge path):
+    // compile the run-length circuit, then one certified float pass.
+    {
+        let h = wl::dwt_instance(48, 2);
+        let q = wl::planted_query(&h, 4);
+        json_entry(
+            &mut entries,
+            "prop410_engine_float",
+            48,
+            float_request(h, q, |r| *r == Route::Prop410),
+        );
+    }
 
     // Prop 4.11: X-property + β-acyclic lineage on a 2WP.
     let q411 = wl::connected_query(4, 2);

@@ -26,12 +26,23 @@ fn profile() -> ProbProfile {
 
 /// A random `⊔DWT` instance with ~`n` vertices across 1–3 components.
 pub fn dwt_union_instance(n: usize, sigma: u32) -> ProbGraph {
+    dwt_union_instance_over(n, sigma, profile().denominator)
+}
+
+/// [`dwt_union_instance`]'s graph with its uncertain edges drawn as
+/// `k/denominator`: a denominator that is not a power of two gives the
+/// workload's non-dyadic twin.
+pub fn dwt_union_instance_over(n: usize, sigma: u32, denominator: u64) -> ProbGraph {
     let mut rng = rng_for(1, n);
     let parts = rng.gen_range(1..=3usize);
     let g = generate::union_of(parts, &mut rng, |r| {
         generate::downward_tree((n / parts).max(1), sigma, r)
     });
-    generate::with_probabilities(g, profile(), &mut rng)
+    let profile = ProbProfile {
+        denominator,
+        ..profile()
+    };
+    generate::with_probabilities(g, profile, &mut rng)
 }
 
 /// A connected DWT instance with `n` vertices.

@@ -19,12 +19,15 @@
 //!   r+1))]`, again a d-DNNF; it computes the **non-match** event (d-DNNFs
 //!   are not closed under negation, so the complement happens on the
 //!   probability: `Pr(match) = 1 − Pr(fail)`), mirroring how Theorem 4.9
-//!   computes `1 − Pr(¬φ)`.
+//!   computes `1 − Pr(¬φ)`. Of the `m+1` rows per vertex, typically one
+//!   or two are distinct; only those are built, into a flat table shared
+//!   with the Prop 4.10 DP (`path_on_dwt::run_length_table`), and the
+//!   arena comes out gate for gate as the full unroll would build it.
 
 use super::connected_on_2wp::minimal_intervals_on;
+use super::path_on_dwt::run_length_table;
 use phom_graph::classes::{as_downward_tree, as_one_way_path, as_two_way_path};
-use phom_graph::{Graph, VertexId};
-use phom_lineage::fxhash::FxHashMap;
+use phom_graph::Graph;
 use phom_lineage::{Circuit, GateId};
 
 /// Compiles the lineage of "the connected query matches the 2WP instance"
@@ -113,6 +116,13 @@ pub fn fail_circuit_dwt(query: &Graph, instance: &Graph) -> Option<(Circuit, Gat
 /// As [`fail_circuit_dwt`], compiling into a caller-provided arena (see
 /// [`match_into_2wp`] for why). Shape checks run before any gate is
 /// created, so a `None` return leaves `c` untouched.
+///
+/// Only distinct rows are built (`path_on_dwt::run_length_table`): a row
+/// that repeats the row before it would re-intern the same gates and get
+/// the same root back, so skipping it leaves the arena gate for gate as a
+/// full `(m+1)`-row unroll would build it. Each edge's literals and its
+/// "absent" branch (which reads the child's row 0 only) are interned in
+/// the vertex's row-0 pass and reused by its later rows.
 pub fn fail_into_dwt(c: &mut Circuit, query: &Graph, instance: &Graph) -> Option<GateId> {
     assert_eq!(c.num_vars(), instance.n_edges());
     let qpath = as_one_way_path(query)?;
@@ -121,60 +131,41 @@ pub fn fail_into_dwt(c: &mut Circuit, query: &Graph, instance: &Graph) -> Option
     if m == 0 {
         return Some(c.constant(false)); // the empty query always matches
     }
-    // matches[v]: the m edges above v exist and spell the query labels.
-    let mut matches = vec![false; instance.n_vertices()];
-    for &v in &view.order {
-        if view.depth[v] < m {
-            continue;
+    let w = m + 1;
+    let dead = c.constant(false);
+    // Per out-edge of the current vertex: (x_e, ¬x_e ∧ Fail(child, 0)).
+    let mut branches: Vec<(GateId, GateId)> = Vec::new();
+    let mut parts: Vec<GateId> = Vec::new();
+    let fail = run_length_table(instance, &view, &qpath.labels, dead, |v, r, fail| {
+        if r == 0 {
+            branches.clear();
         }
-        let mut cur = v;
-        let mut ok = true;
-        for i in 0..m {
-            let (parent, e) = view.parent[cur].unwrap();
-            if instance.edge(e).label != qpath.labels[m - 1 - i] {
-                ok = false;
-                break;
+        parts.clear();
+        for (i, &e) in instance.out_edges(v).iter().enumerate() {
+            let child = instance.edge(e).dst * w;
+            if r == 0 {
+                let x = c.var(e);
+                let nx = c.neg_var(e);
+                branches.push((x, c.and(&[nx, fail[child]])));
             }
-            cur = parent;
+            let (x, absent) = branches[i];
+            let present = c.and(&[x, fail[child + (r + 1).min(m)]]);
+            parts.push(c.or(&[absent, present]));
         }
-        matches[v] = ok;
-    }
-    // Fail(v, r): gates built bottom-up; r capped at m.
-    let mut gates: FxHashMap<(VertexId, usize), GateId> = FxHashMap::default();
-    for &v in view.order.iter().rev() {
-        for r in 0..=m {
-            let gate = if matches[v] && r >= m {
-                c.constant(false)
-            } else {
-                let mut parts = Vec::new();
-                for &e in instance.out_edges(v) {
-                    let child = instance.edge(e).dst;
-                    let x = c.var(e);
-                    let nx = c.neg_var(e);
-                    let absent = c.and_gate(vec![nx, gates[&(child, 0)]]);
-                    let present = c.and_gate(vec![x, gates[&(child, (r + 1).min(m))]]);
-                    parts.push(c.or_gate(vec![absent, present]));
-                }
-                if parts.is_empty() {
-                    c.constant(true)
-                } else if parts.len() == 1 {
-                    parts[0]
-                } else {
-                    c.and_gate(parts)
-                }
-            };
-            gates.insert((v, r), gate);
-        }
-    }
-    Some(gates[&(view.root, 0)])
+        c.and(&parts)
+    });
+    Some(fail[view.root * w])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::path_on_dwt::match_above;
     use crate::algo::{connected_on_2wp, path_on_dwt};
     use phom_graph::generate::{self, ProbProfile};
     use phom_graph::hom::exists_hom_into_world;
+    use phom_graph::VertexId;
+    use phom_lineage::fxhash::FxHashMap;
     use phom_num::{Rational, Weight};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -238,6 +229,81 @@ mod tests {
                     !exists_hom_into_world(&q, h.graph(), &mask)
                 );
                 assert!(circuit.check_deterministic_under(&mask));
+            }
+        }
+    }
+
+    /// The full `(m+1)`-row unroll of `Fail(v, r)` that [`fail_into_dwt`]
+    /// must reproduce gate for gate: every row of every vertex interned, keyed
+    /// by `(v, r)`.
+    fn fail_into_dwt_unrolled(c: &mut Circuit, query: &Graph, instance: &Graph) -> Option<GateId> {
+        let qpath = as_one_way_path(query)?;
+        let view = as_downward_tree(instance)?;
+        let m = qpath.labels.len();
+        if m == 0 {
+            return Some(c.constant(false));
+        }
+        let mut edges = Vec::new();
+        let mut gates: FxHashMap<(VertexId, usize), GateId> = FxHashMap::default();
+        for &v in view.order.iter().rev() {
+            let matched = match_above(instance, &view, &qpath.labels, v, &mut edges);
+            for r in 0..=m {
+                let gate = if matched && r >= m {
+                    c.constant(false)
+                } else {
+                    let mut parts = Vec::new();
+                    for &e in instance.out_edges(v) {
+                        let child = instance.edge(e).dst;
+                        let x = c.var(e);
+                        let nx = c.neg_var(e);
+                        let absent = c.and_gate(vec![nx, gates[&(child, 0)]]);
+                        let present = c.and_gate(vec![x, gates[&(child, (r + 1).min(m))]]);
+                        parts.push(c.or_gate(vec![absent, present]));
+                    }
+                    if parts.is_empty() {
+                        c.constant(true)
+                    } else if parts.len() == 1 {
+                        parts[0]
+                    } else {
+                        c.and_gate(parts)
+                    }
+                };
+                gates.insert((v, r), gate);
+            }
+        }
+        Some(gates[&(view.root, 0)])
+    }
+
+    #[test]
+    fn distinct_rows_build_the_unrolled_arena_gate_for_gate() {
+        // Shared arenas of 1–5 queries (m ≤ 6, planted or random) over
+        // random DWTs of 1–59 vertices and 1–3 labels: skipping repeated
+        // rows must create exactly the gates, in exactly the order, that
+        // the full (m+1)-row unroll creates, and return the same roots.
+        let mut rng = SmallRng::seed_from_u64(104);
+        let gates = |c: &Circuit| -> Vec<String> {
+            c.gates().map(|(_, gate)| format!("{gate:?}")).collect()
+        };
+        for _ in 0..1500 {
+            let sigma = rng.gen_range(1..4);
+            let h = generate::downward_tree(rng.gen_range(1..60), sigma, &mut rng);
+            let mut fast = Circuit::new(h.n_edges());
+            let mut full = Circuit::new(h.n_edges());
+            for _ in 0..rng.gen_range(1..6) {
+                let m = rng.gen_range(0..7);
+                let planted = if rng.gen_bool(0.7) {
+                    generate::planted_path_query(&h, m, &mut rng)
+                } else {
+                    None
+                };
+                let q = planted.unwrap_or_else(|| generate::one_way_path(m, sigma, &mut rng));
+                let root = fail_into_dwt(&mut fast, &q, &h);
+                assert_eq!(
+                    root,
+                    fail_into_dwt_unrolled(&mut full, &q, &h),
+                    "q={q:?} h={h:?}"
+                );
+                assert_eq!(gates(&fast), gates(&full), "q={q:?} h={h:?}");
             }
         }
     }

@@ -13,16 +13,96 @@
 //!   is a β-elimination order, and Theorem 4.9's algorithm finishes the
 //!   job.
 //! * **Direct run-length DP** (timed next to the lineage in the T2-ptime-a
-//!   section of `tables`): process the tree top-down; the
+//!   section of `tables`): process the tree bottom-up; the
 //!   only relevant state at a vertex is the length of the streak of
 //!   *present* edges ending there (capped at `m`), since label matching is
 //!   static per vertex. `O(n·m)`.
+//!
+//! The DP and its circuit twin (`lineage_circuits::fail_into_dwt`) share
+//! `run_length_table`: `Fail(v, r)` for `r = 0..=m` has only one or two
+//! distinct rows per vertex on most trees, so a row that provably repeats
+//! the row before it is not built again (see `run_length_table` for
+//! the condition). Both read the one match test, `match_above`.
 
-use phom_graph::classes::{as_downward_tree, as_one_way_path};
-use phom_graph::{Graph, ProbGraph};
+use phom_graph::classes::{as_downward_tree, as_one_way_path, DwtView};
+use phom_graph::{EdgeId, Graph, Label, ProbGraph, VertexId};
 use phom_lineage::beta::beta_dnf_probability_with_order;
 use phom_lineage::Dnf;
 use phom_num::Weight;
+
+/// Prop 4.10's match test: whether the `labels.len()` edges above `v`
+/// exist and spell `labels` (so `v` is the bottom endpoint of a match).
+/// On success `edges` holds the match's edges, bottom-up.
+pub(crate) fn match_above(
+    instance: &Graph,
+    view: &DwtView,
+    labels: &[Label],
+    v: VertexId,
+    edges: &mut Vec<EdgeId>,
+) -> bool {
+    edges.clear();
+    if view.depth[v] < labels.len() {
+        return false;
+    }
+    let mut cur = v;
+    for &label in labels.iter().rev() {
+        let (parent, e) = view.parent[cur].expect("depth ≥ m");
+        if instance.edge(e).label != label {
+            return false;
+        }
+        edges.push(e);
+        cur = parent;
+    }
+    true
+}
+
+/// The run-length table `Fail(v, r)`, `r = 0..=m` with `m = labels.len() ≥
+/// 1`, flat: `Fail(v, r)` is entry `v·(m+1) + r`. Vertices are filled
+/// bottom-up (reverse BFS order), each row in increasing `r`.
+///
+/// A matched row (`v` is a match bottom and `r = m`) is `dead`; any other
+/// row is built by `row(v, r, table)` from the children's rows `0` and
+/// `min(r+1, m)` — except that row `r ≥ 1` repeats row `r − 1`'s entry
+/// when both of these hold:
+/// * `v`'s match test gives the same result at `r` and `r − 1`;
+/// * every child's entry at `min(r+1, m)` equals its entry at `r`.
+///
+/// Row `r` then reads exactly the inputs row `r − 1` read, so building it
+/// would repeat row `r − 1`'s work and return the same entry. So `row`
+/// builds every vertex's row 0, before any later row of that vertex.
+pub(crate) fn run_length_table<T: Copy + Eq>(
+    instance: &Graph,
+    view: &DwtView,
+    labels: &[Label],
+    dead: T,
+    mut row: impl FnMut(VertexId, usize, &[T]) -> T,
+) -> Vec<T> {
+    let m = labels.len();
+    debug_assert!(m >= 1);
+    let w = m + 1;
+    let mut edges = Vec::with_capacity(m);
+    let mut fail = vec![dead; instance.n_vertices() * w];
+    for &v in view.order.iter().rev() {
+        let matched_v = match_above(instance, view, labels, v, &mut edges);
+        let matched = |r: usize| matched_v && r >= m;
+        for r in 0..=m {
+            let repeats = r > 0
+                && matched(r) == matched(r - 1)
+                && instance.out_edges(v).iter().all(|&e| {
+                    let c = instance.edge(e).dst * w;
+                    fail[c + (r + 1).min(m)] == fail[c + r]
+                });
+            fail[v * w + r] = if repeats {
+                fail[v * w + r - 1]
+            } else if matched(r) {
+                dead
+            } else {
+                row(v, r, &fail)
+            };
+        }
+    }
+    fail
+}
 
 /// The lineage DNF of a 1WP query on a connected DWT instance, with a valid
 /// β-elimination order on its variables (the instance's edges, bottom-up).
@@ -30,31 +110,15 @@ use phom_num::Weight;
 pub fn lineage(query: &Graph, instance: &Graph) -> Option<(Dnf, Vec<usize>)> {
     let qpath = as_one_way_path(query)?;
     let view = as_downward_tree(instance)?;
-    let m = qpath.labels.len();
     let mut dnf = Dnf::falsum(instance.n_edges());
-    if m == 0 {
+    if qpath.labels.is_empty() {
         dnf.push_clause(Vec::new()); // single-vertex query: constant true
     } else {
-        // For each vertex v at depth ≥ m, walk up m edges and compare
-        // labels (from the bottom: query labels reversed).
+        // One clause per match, by bottom endpoint in BFS order.
+        let mut clause = Vec::with_capacity(qpath.labels.len());
         for &v in &view.order {
-            if view.depth[v] < m {
-                continue;
-            }
-            let mut clause = Vec::with_capacity(m);
-            let mut cur = v;
-            let mut ok = true;
-            for i in 0..m {
-                let (parent, e) = view.parent[cur].expect("depth ≥ m");
-                if instance.edge(e).label != qpath.labels[m - 1 - i] {
-                    ok = false;
-                    break;
-                }
-                clause.push(e);
-                cur = parent;
-            }
-            if ok {
-                dnf.push_clause(clause);
+            if match_above(instance, &view, &qpath.labels, v, &mut clause) {
+                dnf.push_clause(clause.clone());
             }
         }
     }
@@ -84,6 +148,11 @@ pub fn probability_lineage<W: Weight>(query: &Graph, instance: &ProbGraph) -> Op
 }
 
 /// `Pr(G ⇝ H)` via the direct run-length DP (ablation). Same preconditions.
+///
+/// `Fail(v, r)` = Pr[no match fires in subtree(v) | the streak of present
+/// edges ending at `v` has length `r`, capped at `m`]. Each distinct row
+/// is one value in a pool, and the table holds pool slots (see
+/// `run_length_table`); each edge's probability is converted once.
 pub fn probability_dp<W: Weight>(query: &Graph, instance: &ProbGraph) -> Option<W> {
     let qpath = as_one_way_path(query)?;
     let view = as_downward_tree(instance.graph())?;
@@ -92,48 +161,23 @@ pub fn probability_dp<W: Weight>(query: &Graph, instance: &ProbGraph) -> Option<
         return Some(W::one());
     }
     let g = instance.graph();
-    // matches[v]: the upward path of m edges above v exists and spells the
-    // query labels (bottom-up reversed).
-    let mut matches = vec![false; g.n_vertices()];
-    for &v in &view.order {
-        if view.depth[v] < m {
-            continue;
+    let present: Vec<W> = instance.probs().iter().map(W::from_rational).collect();
+    let absent: Vec<W> = present.iter().map(W::complement).collect();
+    let w = m + 1;
+    let mut values = vec![W::zero()]; // slot 0: a matched row
+    let fail = run_length_table(g, &view, &qpath.labels, 0, |v, r, fail| {
+        let mut acc = W::one();
+        for &e in g.out_edges(v) {
+            let c = g.edge(e).dst * w;
+            let term = absent[e]
+                .mul(&values[fail[c]])
+                .add(&present[e].mul(&values[fail[c + (r + 1).min(m)]]));
+            acc = acc.mul(&term);
         }
-        let mut cur = v;
-        let mut ok = true;
-        for i in 0..m {
-            let (parent, e) = view.parent[cur].unwrap();
-            if g.edge(e).label != qpath.labels[m - 1 - i] {
-                ok = false;
-                break;
-            }
-            cur = parent;
-        }
-        matches[v] = ok;
-    }
-    // fail[v][r] = Pr[no match fires in subtree(v) | streak of present
-    // edges ending at v has length r (capped at m)].
-    let mut fail: Vec<Vec<W>> = vec![Vec::new(); g.n_vertices()];
-    for &v in view.order.iter().rev() {
-        let mut row = Vec::with_capacity(m + 1);
-        for r in 0..=m {
-            if matches[v] && r >= m {
-                row.push(W::zero());
-                continue;
-            }
-            let mut acc = W::one();
-            for &e in g.out_edges(v) {
-                let c = g.edge(e).dst;
-                let p = W::from_rational(instance.prob(e));
-                let q = p.complement();
-                let term = q.mul(&fail[c][0]).add(&p.mul(&fail[c][(r + 1).min(m)]));
-                acc = acc.mul(&term);
-            }
-            row.push(acc);
-        }
-        fail[v] = row;
-    }
-    Some(fail[view.root][0].complement())
+        values.push(acc);
+        values.len() - 1
+    });
+    Some(values[fail[view.root * w]].complement())
 }
 
 #[cfg(test)]

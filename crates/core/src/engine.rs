@@ -365,15 +365,16 @@ pub enum Response {
         route: UcqRoute,
     },
     /// A budgeted Monte-Carlo confidence interval: the degraded answer
-    /// for a #P-hard cell under [`OnHard::Estimate`]. The interval is a
-    /// 95% normal-approximation CI around the sampled hit rate; when a
+    /// for a #P-hard cell under [`OnHard::Estimate`]. The interval is the
+    /// 95% Wilson score interval of the sampled hit rate, which stays
+    /// wider than a point even when every sample agreed; when a
     /// deadline or time budget tripped mid-run, `samples` is the
     /// truncated count and the interval is honestly wider (the
     /// *anytime* contract — partial work is still a certified answer).
     Estimate {
-        /// Lower end of the 95% confidence interval (clamped to `[0, 1]`).
+        /// Lower end of the 95% confidence interval (within `[0, 1]`).
         lo: f64,
-        /// Upper end of the 95% confidence interval (clamped to `[0, 1]`).
+        /// Upper end of the 95% confidence interval (within `[0, 1]`).
         hi: f64,
         /// Worlds actually sampled (≤ the budgeted count).
         samples: u64,
@@ -778,8 +779,8 @@ impl Engine {
                 )
                 .map_err(SolveError::from_meter)?;
                 Ok(Response::Estimate {
-                    lo: (est.mean - est.ci95).max(0.0),
-                    hi: (est.mean + est.ci95).min(1.0),
+                    lo: est.lo,
+                    hi: est.hi,
                     samples: est.samples,
                     route: Route::MonteCarlo {
                         samples: est.samples,
@@ -1667,8 +1668,8 @@ fn estimate_response(
         crate::montecarlo::estimate_metered(query, instance, samples, &mut rng, meter)
             .map_err(SolveError::from_meter)?;
     Ok(Response::Estimate {
-        lo: (est.mean - est.ci95).max(0.0),
-        hi: (est.mean + est.ci95).min(1.0),
+        lo: est.lo,
+        hi: est.hi,
         samples: est.samples,
         route: Route::MonteCarlo {
             samples: est.samples,

@@ -23,22 +23,46 @@ pub struct Estimate {
     /// Number of samples.
     pub samples: u64,
     /// Half-width of an approximate 95% confidence interval
-    /// (normal approximation).
+    /// (normal approximation; 0 when every sample agreed).
     pub ci95: f64,
+    /// Lower end of the 95% Wilson score interval.
+    pub lo: f64,
+    /// Upper end of the 95% Wilson score interval.
+    pub hi: f64,
 }
 
 impl Estimate {
+    /// The estimate of `hits` successes in `samples > 0` draws. `lo..hi`
+    /// is the Wilson score interval, which stays a proper interval when
+    /// every sample hit or none did: 1 hit in 1 draw reads `[0.21, 1]`,
+    /// not `[1, 1]`. It always contains `mean`.
+    fn from_hits(hits: u64, samples: u64) -> Estimate {
+        const Z: f64 = 1.96;
+        let n = samples as f64;
+        let mean = hits as f64 / n;
+        let var = mean * (1.0 - mean) / n;
+        let z2n = Z * Z / n;
+        let center = (mean + z2n / 2.0) / (1.0 + z2n);
+        let half = Z / (1.0 + z2n) * (var + z2n / (4.0 * n)).sqrt();
+        Estimate {
+            mean,
+            samples,
+            ci95: Z * var.sqrt(),
+            lo: (center - half).clamp(0.0, mean),
+            hi: (center + half).clamp(mean, 1.0),
+        }
+    }
+
     /// True iff `value` lies within the 95% confidence interval (widened by
-    /// a small absolute slack for degenerate cases).
+    /// a small absolute slack for rounding).
     pub fn covers(&self, value: f64) -> bool {
-        (value - self.mean).abs() <= self.ci95 + 1e-9
+        self.lo - 1e-9 <= value && value <= self.hi + 1e-9
     }
 }
 
 /// The one sampling loop behind every estimator: draws up to `samples`
 /// worlds from the product distribution over `prob_true` and reports
-/// the hit rate of `event` with its normal-approximation confidence
-/// interval. Each sample is charged to the [`WorkMeter`] before it is
+/// the hit rate of `event` with its confidence interval. Each sample is charged to the [`WorkMeter`] before it is
 /// drawn, and the run stops at the first tripped checkpoint (sample
 /// budget, time budget, or deadline). This is the *anytime* loop behind
 /// `OnHard::Estimate`: when the meter trips after at least one sample,
@@ -76,16 +100,7 @@ fn estimate_event_metered<R: Rng>(
         // `samples == 0`: nothing was asked for and nothing tripped.
         return Err(MeterStop::Samples { limit: 0 });
     }
-    let mean = hits as f64 / drawn as f64;
-    let var = mean * (1.0 - mean) / drawn as f64;
-    Ok((
-        Estimate {
-            mean,
-            samples: drawn,
-            ci95: 1.96 * var.sqrt(),
-        },
-        stopped,
-    ))
+    Ok((Estimate::from_hits(hits, drawn), stopped))
 }
 
 /// [`estimate_event_metered`] under an unbounded meter, which never
@@ -264,6 +279,31 @@ mod tests {
             matches!(got, Err(MeterStop::Samples { limit: 0 })),
             "{got:?}"
         );
+    }
+
+    #[test]
+    fn wilson_interval_contains_the_mean_and_never_collapses() {
+        // All hits or no hits: a proper interval touching 1 or 0.
+        let one = Estimate::from_hits(1, 1);
+        assert_eq!((one.mean, one.hi), (1.0, 1.0));
+        assert!((one.lo - 0.2065).abs() < 1e-4, "{one:?}");
+        let none = Estimate::from_hits(0, 3);
+        assert_eq!((none.lo, none.mean), (0.0, 0.0));
+        assert!(none.hi > 0.4, "{none:?}");
+        let mut prev_width = f64::INFINITY;
+        for samples in [1, 2, 3, 10, 64, 500, 2000] {
+            for hits in 0..=samples {
+                let e = Estimate::from_hits(hits, samples);
+                assert!(0.0 <= e.lo && e.lo <= e.mean && e.mean <= e.hi && e.hi <= 1.0);
+                assert!(e.lo < e.hi, "{e:?}");
+                assert!(e.covers(e.mean));
+                if hits == samples {
+                    // The all-hit interval narrows as samples grow.
+                    assert!(e.hi - e.lo < prev_width);
+                    prev_width = e.hi - e.lo;
+                }
+            }
+        }
     }
 
     #[test]

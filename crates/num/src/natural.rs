@@ -6,6 +6,7 @@
 //! subtraction, multiplication, Knuth-style long division, binary GCD,
 //! shifts, comparison, and conversions.
 
+use crate::rational::gcd_u128;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -214,11 +215,6 @@ impl Natural {
         Natural::normalize(out)
     }
 
-    /// True iff the number is even (zero counts as even).
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l & 1 == 0)
-    }
-
     /// Comparison.
     pub fn cmp_nat(&self, other: &Natural) -> Ordering {
         if self.limbs.len() != other.limbs.len() {
@@ -316,36 +312,83 @@ impl Natural {
         (Natural::normalize(q), rem)
     }
 
-    /// Greatest common divisor (binary GCD; division-free inner loop).
+    /// Greatest common divisor: a binary GCD that works in place on one
+    /// copy of each operand, allocating nothing per step. Each round
+    /// subtracts the smaller odd operand from the larger in place and
+    /// strips all the difference's trailing zero bits at once; once both
+    /// operands fit in 4 limbs it finishes in `u128`.
     pub fn gcd(&self, other: &Natural) -> Natural {
-        if self.is_zero() {
-            return other.clone();
+        if let (Some(a), Some(b)) = (self.to_u128(), other.to_u128()) {
+            return Natural::from_u128(gcd_u128(a, b));
         }
-        if other.is_zero() {
-            return self.clone();
+        if self.is_zero() || other.is_zero() {
+            return if self.is_zero() { other } else { self }.clone();
         }
+        let shift = self.trailing_zeros().min(other.trailing_zeros());
         let mut a = self.clone();
         let mut b = other.clone();
-        let mut shift = 0u32;
-        while a.is_even() && b.is_even() {
-            a = a.shr(1);
-            b = b.shr(1);
-            shift += 1;
-        }
-        while a.is_even() {
-            a = a.shr(1);
-        }
+        a.shr_assign(a.trailing_zeros());
+        b.shr_assign(b.trailing_zeros());
+        // Both odd from here on.
         loop {
-            while b.is_even() {
-                b = b.shr(1);
+            match a.cmp_nat(&b) {
+                Ordering::Equal => return a.shl(shift as u32),
+                Ordering::Less => std::mem::swap(&mut a, &mut b),
+                Ordering::Greater => {}
             }
-            if a.cmp_nat(&b) == Ordering::Greater {
-                std::mem::swap(&mut a, &mut b);
+            a.sub_assign(&b);
+            a.shr_assign(a.trailing_zeros());
+            if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
+                return Natural::from_u128(gcd_u128(x, y)).shl(shift as u32);
             }
-            b = b.checked_sub(&a).expect("b >= a by the swap above");
-            if b.is_zero() {
-                return a.shl(shift);
+        }
+    }
+
+    /// Number of trailing zero bits (0 for zero).
+    fn trailing_zeros(&self) -> u64 {
+        match self.limbs.iter().position(|&l| l != 0) {
+            None => 0,
+            Some(i) => i as u64 * BASE_BITS as u64 + self.limbs[i].trailing_zeros() as u64,
+        }
+    }
+
+    /// `self -= other` in place; requires `self ≥ other`.
+    fn sub_assign(&mut self, other: &Natural) {
+        let mut borrow = false;
+        for (i, l) in self.limbs.iter_mut().enumerate() {
+            if i >= other.limbs.len() && !borrow {
+                break;
             }
+            let (d, o1) = l.overflowing_sub(other.limbs.get(i).copied().unwrap_or(0));
+            let (d, o2) = d.overflowing_sub(borrow as u32);
+            *l = d;
+            borrow = o1 || o2;
+        }
+        debug_assert!(!borrow, "sub_assign needs self ≥ other");
+        self.trim();
+    }
+
+    /// `self >>= bits` in place.
+    fn shr_assign(&mut self, bits: u64) {
+        let limbs = ((bits / BASE_BITS as u64) as usize).min(self.limbs.len());
+        self.limbs.drain(..limbs);
+        let bit_shift = (bits % BASE_BITS as u64) as u32;
+        if bit_shift != 0 {
+            for i in 0..self.limbs.len() {
+                let carry = self
+                    .limbs
+                    .get(i + 1)
+                    .map_or(0, |&h| h << (BASE_BITS - bit_shift));
+                self.limbs[i] = (self.limbs[i] >> bit_shift) | carry;
+            }
+        }
+        self.trim();
+    }
+
+    /// Drops trailing zero limbs, restoring the invariant.
+    fn trim(&mut self) {
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
         }
     }
 
@@ -593,22 +636,56 @@ mod tests {
         })
     }
 
-    /// Multi-limb gcd operands `(g·x << s, g·y << t)`: `g`, `x` and `y`
-    /// are products of odd 32–64-bit factors, so the binary GCD's shift,
-    /// swap and subtract loop runs over several limbs and must recover a
-    /// shared multi-limb factor (times the common power of two).
+    /// A random number of exactly `bits` bits (`bits ≥ 1`).
+    fn exact_bits(runner: &mut proptest::TestRunner, bits: u32) -> Natural {
+        let words = bits.div_ceil(64);
+        let low = (0..words).fold(Natural::zero(), |acc, _| {
+            acc.shl(64).add(&Natural::from_u64(u64::arbitrary(runner)))
+        });
+        low.shr(words * 64 - (bits - 1))
+            .add(&Natural::one().shl(bits - 1))
+    }
+
+    /// Multi-limb gcd operands in four shapes, each sharing a factor so
+    /// the answer is rarely 1:
+    /// * `(g·x << s, g·y << t)`, `g`, `x`, `y` products of odd 32–64-bit
+    ///   factors and shifts below 130, so the binary GCD's subtract and
+    ///   strip loop runs over several limbs;
+    /// * the same with dyadic-heavy shifts up to 400 bits (runs of whole
+    ///   zero limbs on one side or both);
+    /// * one operand a power of two `2^s`, the other `g·x << t`;
+    /// * `g·x << s` and `g·y << t` of 120–136 bits, straddling the 128-bit
+    ///   point where the loop hands over to `u128`.
     fn multi_limb_gcd_operands(runner: &mut proptest::TestRunner) -> (Natural, Natural) {
-        // (extra factors, shift)
-        let draw = |runner: &mut proptest::TestRunner| -> (u8, u32) {
-            (u8::arbitrary(runner) % 4, u32::arbitrary(runner) % 130)
-        };
-        let (kg, _) = draw(runner);
-        let g = odd_product(runner, kg + 1);
-        let (kx, s) = draw(runner);
-        let (ky, t) = draw(runner);
-        let a = g.mul(&odd_product(runner, kx)).shl(s);
-        let b = g.mul(&odd_product(runner, ky)).shl(t);
-        (a, b)
+        let shape = u8::arbitrary(runner) % 4;
+        let max_shift = if shape == 1 { 400 } else { 130 };
+        let shift = |runner: &mut proptest::TestRunner| u32::arbitrary(runner) % max_shift;
+        match shape {
+            0 | 1 => {
+                let kg = u8::arbitrary(runner) % 4;
+                let g = odd_product(runner, kg + 1);
+                let (kx, ky) = (u8::arbitrary(runner) % 4, u8::arbitrary(runner) % 4);
+                let a = g.mul(&odd_product(runner, kx)).shl(shift(runner));
+                let b = g.mul(&odd_product(runner, ky)).shl(shift(runner));
+                (a, b)
+            }
+            2 => {
+                let kx = u8::arbitrary(runner) % 4;
+                let a = Natural::one().shl(shift(runner));
+                let b = odd_product(runner, kx + 1).shl(shift(runner));
+                (a, b)
+            }
+            _ => {
+                let gbits = 1 + u32::arbitrary(runner) % 64;
+                let g = exact_bits(runner, gbits);
+                let side = |runner: &mut proptest::TestRunner| {
+                    let total = 120 + u32::arbitrary(runner) % 17;
+                    let s = (u32::arbitrary(runner) % 5).min(total - gbits - 1);
+                    g.mul(&exact_bits(runner, total - gbits - s)).shl(s)
+                };
+                (side(runner), side(runner))
+            }
+        }
     }
 
     /// Euclid's algorithm over [`Natural::div_rem`]: the reference the

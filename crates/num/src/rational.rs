@@ -51,6 +51,9 @@ impl Rational {
             return Rational::zero();
         }
         let g = num.gcd(&den);
+        if g.is_one() {
+            return Rational { neg, num, den };
+        }
         let (num, _) = num.div_rem(&g);
         let (den, _) = den.div_rem(&g);
         Rational { neg, num, den }
@@ -295,11 +298,12 @@ fn add_small(a: u64, b: u64, a_neg: bool, c: u64, d: u64, c_neg: bool) -> Option
 }
 
 /// Binary gcd over a primitive unsigned width: `gcd_u64` runs on the
-/// multiplication cross-reduction, `gcd_u128` normalizes word-sized sums.
+/// multiplication cross-reduction, `gcd_u128` normalizes word-sized sums
+/// and finishes [`Natural::gcd`] once both operands fit in 4 limbs.
 macro_rules! binary_gcd {
-    ($name:ident, $t:ty) => {
+    ($vis:vis $name:ident, $t:ty) => {
         #[inline]
-        fn $name(mut a: $t, mut b: $t) -> $t {
+        $vis fn $name(mut a: $t, mut b: $t) -> $t {
             if a == 0 {
                 return b;
             }
@@ -323,7 +327,7 @@ macro_rules! binary_gcd {
 }
 
 binary_gcd!(gcd_u64, u64);
-binary_gcd!(gcd_u128, u128);
+binary_gcd!(pub(crate) gcd_u128, u128);
 
 impl PartialOrd for Rational {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -493,6 +497,59 @@ mod tests {
         let p = rat(7, 10).mul(&rat(9, 10).mul(&rat(2, 10)).one_minus());
         assert_eq!(p, rat(287, 500));
         assert!((p.to_f64() - 0.574).abs() < 1e-12);
+    }
+
+    /// A product of up to 3 random factors, each a power of two below
+    /// 2^100, a small odd number or a full 64-bit word: zero, dyadic,
+    /// word-sized and multi-limb parts all occur.
+    fn factors(runner: &mut proptest::TestRunner) -> Natural {
+        (0..u8::arbitrary(runner) % 4).fold(Natural::one(), |acc, _| {
+            let f = match u8::arbitrary(runner) % 3 {
+                0 => Natural::one().shl(u32::arbitrary(runner) % 100),
+                1 => Natural::from_u64((u64::arbitrary(runner) % 1000) | 1),
+                _ => Natural::from_u64(u64::arbitrary(runner)),
+            };
+            acc.mul(&f)
+        })
+    }
+
+    /// `(g·x, g·y)` with `g`, `x`, `y` drawn by [`factors`]; `x` is
+    /// sometimes zero.
+    fn unreduced_parts(runner: &mut proptest::TestRunner) -> (Natural, Natural) {
+        let g = factors(runner);
+        let x = match u8::arbitrary(runner) % 16 {
+            0 => Natural::zero(),
+            _ => factors(runner),
+        };
+        (g.mul(&x), g.mul(&factors(runner)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn new_matches_normalization_by_euclid(
+            parts in unreduced_parts as fn(&mut proptest::TestRunner) -> (Natural, Natural),
+            neg: bool,
+        ) {
+            let (num, den) = parts;
+            let r = Rational::new(neg, num.clone(), den.clone());
+            // Euclid's algorithm over `div_rem` as the reference gcd.
+            let (mut a, mut b) = (num.clone(), den.clone());
+            while !b.is_zero() {
+                let rem = a.div_rem(&b).1;
+                a = b;
+                b = rem;
+            }
+            let (want_num, rem) = num.div_rem(&a);
+            prop_assert!(rem.is_zero());
+            let (want_den, rem) = den.div_rem(&a);
+            prop_assert!(rem.is_zero());
+            let want_den = if want_num.is_zero() { Natural::one() } else { want_den };
+            prop_assert_eq!(r.numer(), &want_num);
+            prop_assert_eq!(r.denom(), &want_den);
+            prop_assert_eq!(r.is_negative(), neg && !num.is_zero());
+        }
     }
 
     proptest! {

@@ -12,7 +12,9 @@
 //! An estimate is a hit count over a content-seeded world sequence, so
 //! any change in how a world is drawn or checked moves these bytes.
 //! `tests/golden/estimates.txt` was rendered before the homomorphism
-//! search was planned once per request; the sampler below must never
+//! search was planned once per request; only its estimate intervals were
+//! re-rendered since, when they became Wilson score intervals (the hit
+//! counts and every other byte kept). The sampler below must never
 //! change, or the golden no longer describes the same inputs.
 
 use phom::core::solver::test_support::force_hard_plans;
