@@ -98,9 +98,9 @@ fn json_smoke() {
     // Prop 3.6: level collapse + tree DP.
     let q36 = wl::graded_query(12);
     let m36 = p36::collapse_length(&q36).unwrap();
+    let h36 = wl::dwt_union_instance(512, 1);
     json_entry(&mut entries, "prop36_dwt_dp", 512, || {
-        let h = wl::dwt_union_instance(512, 1);
-        let parts = phom_core::algo::components::split_components(&h);
+        let parts = phom_core::algo::components::split_components(&h36);
         parts
             .iter()
             .map(|hc| p36::dwt_long_path_probability::<f64>(hc, m36).unwrap())
@@ -141,11 +141,13 @@ fn json_smoke() {
     }
 
     // Prop 4.10: β-acyclic lineage on a labeled DWT.
-    json_entry(&mut entries, "prop410_beta_lineage", 1024, || {
+    {
         let h = wl::dwt_instance(1024, 4);
         let q = wl::planted_query(&h, 6);
-        path_on_dwt::probability_lineage::<f64>(&q, &h).unwrap()
-    });
+        json_entry(&mut entries, "prop410_beta_lineage", 1024, || {
+            path_on_dwt::probability_lineage::<f64>(&q, &h).unwrap()
+        });
+    }
 
     // Prop 4.10 through the engine's float tier, at the size of a
     // serving request (a 48-vertex 2-label DWT, a planted 4-edge path):
@@ -163,9 +165,9 @@ fn json_smoke() {
 
     // Prop 4.11: X-property + β-acyclic lineage on a 2WP.
     let q411 = wl::connected_query(4, 2);
+    let h411 = wl::twp_instance(1024, 2);
     json_entry(&mut entries, "prop411_beta_lineage", 1024, || {
-        let h = wl::twp_instance(1024, 2);
-        connected_on_2wp::probability_lineage::<f64>(&q411, &h).unwrap()
+        connected_on_2wp::probability_lineage::<f64>(&q411, &h411).unwrap()
     });
 
     // Prop 4.11 via the provenance engine, on a query planted so the

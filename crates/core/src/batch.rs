@@ -298,6 +298,12 @@ impl EvalCache {
         }
     }
 
+    /// Whether an answer is stored under `key`. Unlike
+    /// [`get`](Self::get) it neither counts a hit nor refreshes recency.
+    pub(crate) fn contains(&self, key: &CacheKey) -> bool {
+        self.map.contains_key(key)
+    }
+
     /// Records a freshly solved answer (counted as a miss), evicting the
     /// least-recently-used entries if the bound is exceeded.
     pub(crate) fn insert(&mut self, key: CacheKey, answer: Result<Response, SolveError>) {

@@ -681,6 +681,33 @@ impl Engine {
         result
     }
 
+    /// Whether every request's answer is in the answer cache right now.
+    /// The probe neither counts a hit nor refreshes recency, and it is
+    /// only advisory: another engine on a shared cache may evict an
+    /// entry the moment the lock drops, and planning
+    /// ([`begin_tick_with`](Engine::begin_tick_with)) still decides what
+    /// is served from the cache. `phom_serve::Runtime` asks it at
+    /// admission, to answer an all-hit call on the admitting thread.
+    ///
+    /// It stops at the first miss, so a cold call pays for one key.
+    pub fn answers_cached(&self, requests: &[Request]) -> bool {
+        requests.iter().all(|request| {
+            let opts = request.resolved_options(self.default_options);
+            let key = match &request.kind {
+                RequestKind::Probability(query) => CacheKey {
+                    instance: self.fingerprint,
+                    opts: opts_fingerprint(&opts),
+                    kind: CacheKind::Probability,
+                    query: QueryKey::new(query),
+                },
+                _ => self
+                    .request_cache_key(request, &opts)
+                    .expect("non-probability requests have a kind-tagged key"),
+            };
+            self.lock_cache().contains(&key)
+        })
+    }
+
     /// The kind-tagged cache key of a non-probability request (`None`
     /// for probability requests — the batch path interns those itself).
     fn request_cache_key(&self, request: &Request, opts: &SolverOptions) -> Option<CacheKey> {

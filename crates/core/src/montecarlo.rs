@@ -22,8 +22,9 @@ pub struct Estimate {
     pub mean: f64,
     /// Number of samples.
     pub samples: u64,
-    /// Half-width of an approximate 95% confidence interval
-    /// (normal approximation; 0 when every sample agreed).
+    /// Half-width of the 95% Wilson score interval, `(hi - lo) / 2` —
+    /// never 0, so a run whose every sample agreed does not claim
+    /// certainty. `Route::MonteCarlo` carries it on the wire.
     pub ci95: f64,
     /// Lower end of the 95% Wilson score interval.
     pub lo: f64,
@@ -44,12 +45,14 @@ impl Estimate {
         let z2n = Z * Z / n;
         let center = (mean + z2n / 2.0) / (1.0 + z2n);
         let half = Z / (1.0 + z2n) * (var + z2n / (4.0 * n)).sqrt();
+        let lo = (center - half).clamp(0.0, mean);
+        let hi = (center + half).clamp(mean, 1.0);
         Estimate {
             mean,
             samples,
-            ci95: Z * var.sqrt(),
-            lo: (center - half).clamp(0.0, mean),
-            hi: (center + half).clamp(mean, 1.0),
+            ci95: (hi - lo) / 2.0,
+            lo,
+            hi,
         }
     }
 
@@ -297,6 +300,8 @@ mod tests {
                 assert!(0.0 <= e.lo && e.lo <= e.mean && e.mean <= e.hi && e.hi <= 1.0);
                 assert!(e.lo < e.hi, "{e:?}");
                 assert!(e.covers(e.mean));
+                // The half-width on the wire is the interval's own.
+                assert_eq!(e.ci95, (e.hi - e.lo) / 2.0, "{e:?}");
                 if hits == samples {
                     // The all-hit interval narrows as samples grow.
                     assert!(e.hi - e.lo < prev_width);

@@ -247,7 +247,9 @@ pub enum Route {
     MonteCarlo {
         /// Samples used.
         samples: u64,
-        /// 95% confidence half-width.
+        /// Half-width of the 95% Wilson score interval, times 10⁹
+        /// (truncated). Never 0: a run whose every sample agreed still
+        /// reports its uncertainty.
         ci95_times_1e9: u64,
     },
 }

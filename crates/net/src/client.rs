@@ -13,7 +13,7 @@ use crate::json::Json;
 use crate::wire::{self, read_frame, write_frame, WireRequest};
 use phom_graph::ProbGraph;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -1170,8 +1170,11 @@ impl Drop for MuxClient {
 }
 
 /// The background reader: routes acks and replies by id, dispatches
-/// pushed completions, and broadcasts connection death.
-fn mux_reader(inner: &Arc<MuxInner>, mut stream: TcpStream) {
+/// pushed completions, and broadcasts connection death. It reads
+/// through a `BufReader`: the server writes a cache hit's ack and push
+/// in one segment, and they cost this thread one `read` and one wakeup.
+fn mux_reader(inner: &Arc<MuxInner>, stream: TcpStream) {
+    let mut stream = BufReader::new(stream);
     loop {
         match read_frame(&mut stream, inner.max_frame) {
             Ok(Some(frame)) => {

@@ -12,19 +12,25 @@
 //! every outgoing frame through it, and *pushes* a completion frame
 //! the moment a ticket resolves — the wakeup rides
 //! [`Ticket::on_complete`], so an outstanding ticket costs a map entry,
-//! not a parked thread. Connections that never send `hello` get the v1
-//! protocol byte for byte.
+//! not a parked thread. Each pass of the writer sends every frame it
+//! drained — acks first, then one coalesced push — in **one** write,
+//! so a cache hit, which the runtime answers before its ack is even
+//! queued, leaves as ack and push in one segment. The v2 reader reads
+//! frames through a `BufReader`, so the several frames one segment
+//! carries cost it one `read`. Connections that never send `hello` get
+//! the v1 protocol byte for byte.
 
 use crate::json::Json;
 use crate::wire::{
-    self, encode_error, encode_result, encode_version, read_frame, write_frame, WireRequest,
+    self, encode_error, encode_frames, encode_result, encode_version, read_frame, write_frame,
+    WireRequest,
 };
 use phom_core::{Response, SolveError};
 use phom_obs::Kind::{self, Counter, Level};
 use phom_obs::{Histogram, Metric, PromText, Span, SpanLane, SpanRing, Stage};
 use phom_serve::{Runtime, Ticket, RUNTIME_METRICS};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -530,6 +536,10 @@ fn handle_conn_v2(inner: &Arc<ServerInner>, mut stream: TcpStream, hello: &Json)
     let Ok(writer) = writer else {
         return;
     };
+    // Buffered from here on: a pipelining client's frames arrive
+    // several to a segment. (The `hello` itself was read unbuffered, so
+    // no byte after it sits in a buffer the v1 loop owned.)
+    let mut stream = BufReader::new(stream);
     let mut next_ticket: u64 = 1;
     loop {
         let frame = match read_frame(&mut stream, inner.max_frame) {
@@ -995,15 +1005,16 @@ fn encode_push_entry(push: &PushMsg) -> Json {
     Json::Obj(pairs)
 }
 
-/// The per-connection writer: drains the queue, writes acks in order,
-/// and coalesces every completion that is ready at the same moment into
-/// one `results` frame (the streaming pair of `submit_batch`). Window
-/// slots free, tickets close and the push counters advance here, just
-/// before the completion goes on the wire.
+/// The per-connection writer: drains the queue, then sends the acks in
+/// order and every completion that is ready at the same moment,
+/// coalesced into one `results` frame (the streaming pair of
+/// `submit_batch`), all in **one** write per pass. Window slots free,
+/// tickets close and the push counters advance here, just before the
+/// completion goes on the wire.
 fn v2_writer(
     inner: &Arc<ServerInner>,
     conn: &Arc<V2Conn>,
-    mut stream: TcpStream,
+    mut stream: impl Write,
     rx: &mpsc::Receiver<WriterMsg>,
 ) {
     loop {
@@ -1011,18 +1022,18 @@ fn v2_writer(
             Ok(msg) => msg,
             Err(_) => return, // every sender gone
         };
-        // Greedily drain whatever else is already queued. Replies are
-        // written first (an ack always precedes its own push in the
-        // queue — the reader queues the ack before registering the
-        // callback — so this never reorders ack after push for one id),
-        // then all pushes coalesce into a single frame.
-        let mut replies = Vec::new();
+        // Greedily drain whatever else is already queued. Replies go
+        // first (an ack always precedes its own push in the queue — the
+        // reader queues the ack before registering the callback — so
+        // this never reorders ack after push for one id), then all
+        // pushes coalesce into a single frame.
+        let mut frames = Vec::new();
         let mut pushes = Vec::new();
         let mut close = false;
         let mut msg = Some(first);
         loop {
             match msg {
-                Some(WriterMsg::Reply(json)) => replies.push(json),
+                Some(WriterMsg::Reply(json)) => frames.push(json),
                 Some(WriterMsg::Push(push)) => pushes.push(push),
                 Some(WriterMsg::Close) => {
                     close = true;
@@ -1032,14 +1043,9 @@ fn v2_writer(
             }
             msg = rx.try_recv().ok();
         }
-        for reply in replies {
-            if write_reply(inner, &mut stream, reply).is_err() {
-                return;
-            }
-        }
+        let coalesced = pushes.len() as u64;
         if !pushes.is_empty() {
-            let coalesced = pushes.len() as u64;
-            let frame = if pushes.len() == 1 {
+            frames.push(if pushes.len() == 1 {
                 let mut pairs = vec![("push".to_string(), Json::str("result"))];
                 if let Json::Obj(entry) = encode_push_entry(&pushes[0]) {
                     pairs.extend(entry);
@@ -1053,7 +1059,7 @@ fn v2_writer(
                         Json::Arr(pushes.iter().map(encode_push_entry).collect()),
                     ),
                 ])
-            };
+            });
             // Settle the books *before* the write: a client that reads
             // the push may at once send its next submit, which must
             // find its window slot free, or read the stats, which must
@@ -1081,28 +1087,37 @@ fn v2_writer(
                 .counters
                 .pushed
                 .fetch_add(coalesced, Ordering::Relaxed);
-            let written = write_reply(inner, &mut stream, frame).is_ok();
+        }
+        inner
+            .counters
+            .frames_out
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
+        let written = encode_frames(&frames)
+            .and_then(|bytes| stream.write_all(&bytes))
+            .and_then(|()| stream.flush())
+            .is_ok();
+        if !pushes.is_empty() {
             inner.counters.pushes_writing.fetch_sub(1, Ordering::SeqCst);
-            if !written {
-                inner
-                    .counters
-                    .delivered
-                    .fetch_sub(coalesced, Ordering::Relaxed);
-                inner
-                    .counters
-                    .pushed
-                    .fetch_sub(coalesced, Ordering::Relaxed);
-                return;
-            }
-            for push in &pushes {
-                inner.spans.push(Span {
-                    trace: push.trace,
-                    stage: Stage::Pushed,
-                    lane: SpanLane::None,
-                    nanos: push.resolved_at.elapsed().as_nanos() as u64,
-                    detail: coalesced,
-                });
-            }
+        }
+        if !written {
+            inner
+                .counters
+                .delivered
+                .fetch_sub(coalesced, Ordering::Relaxed);
+            inner
+                .counters
+                .pushed
+                .fetch_sub(coalesced, Ordering::Relaxed);
+            return;
+        }
+        for push in &pushes {
+            inner.spans.push(Span {
+                trace: push.trace,
+                stage: Stage::Pushed,
+                lane: SpanLane::None,
+                nanos: push.resolved_at.elapsed().as_nanos() as u64,
+                detail: coalesced,
+            });
         }
         if close {
             return;
@@ -1423,5 +1438,85 @@ fn handle_op(
             )
         }
         other => err_reply(frame, "bad_request", &format!("unknown op '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call; accepts every byte offered.
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One writer pass — two acks and two completions queued together —
+    /// is one `write`: the acks in queue order, then one coalesced push.
+    #[test]
+    fn the_writer_sends_each_pass_in_one_write() {
+        let runtime = Arc::new(phom_serve::Runtime::builder().workers(1).build());
+        let inner = Arc::new(ServerInner {
+            runtime,
+            draining: AtomicBool::new(false),
+            max_frame: wire::MAX_FRAME,
+            poll_wait_cap: Duration::from_secs(1),
+            inflight_window: 8,
+            conns: Mutex::new(Vec::new()),
+            counters: Counters::default(),
+            inflight_depth: Mutex::new(Histogram::new()),
+            spans: SpanRing::new(16),
+        });
+        let conn = Arc::new(V2Conn {
+            tickets: Mutex::new(HashMap::new()),
+            inflight: AtomicI64::new(2),
+            window: 8,
+        });
+        let push = |ticket: u64| {
+            WriterMsg::Push(PushMsg {
+                id: Json::u64(7),
+                index: Some(ticket - 1),
+                ticket,
+                trace: ticket,
+                resolved_at: Instant::now(),
+                result: Err(SolveError::Cancelled),
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        for msg in [
+            WriterMsg::Reply(Json::obj(vec![("id", Json::u64(1))])),
+            push(1),
+            WriterMsg::Reply(Json::obj(vec![("id", Json::u64(2))])),
+            push(2),
+            WriterMsg::Close,
+        ] {
+            tx.send(msg).unwrap();
+        }
+        let mut writes = Writes(Vec::new());
+        v2_writer(&inner, &conn, &mut writes, &rx);
+        assert_eq!(writes.0.len(), 1, "one pass, one write");
+        let mut r = writes.0[0].as_slice();
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame(&mut r, wire::MAX_FRAME).unwrap() {
+            frames.push(frame);
+        }
+        assert_eq!(frames.len(), 3, "{frames:?}");
+        assert_eq!(frames[0].get("id").and_then(Json::as_u64), Some(1));
+        assert_eq!(frames[1].get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            frames[2].get("push").and_then(Json::as_str),
+            Some("results")
+        );
+        let net = inner.counters.snapshot();
+        assert_eq!(net.frames_out, 3);
+        assert_eq!(net.pushed, 2);
+        assert_eq!(conn.inflight.load(Ordering::SeqCst), 0);
     }
 }

@@ -197,27 +197,46 @@ pub const FRAME_READ_CHUNK: usize = 64 << 10;
 /// protocol; both stay supported forever.
 pub const PROTOCOL_V2: u64 = 2;
 
+/// Encodes `frames` back to back, each as a 4-byte big-endian length
+/// followed by its JSON bytes — the one frame encoder behind
+/// [`write_frame`] and the server's v2 writer, which sends every frame
+/// of a pass in one write. The bytes of each frame are the same however
+/// many share the buffer.
+pub fn encode_frames<'a>(frames: impl IntoIterator<Item = &'a Json>) -> io::Result<Vec<u8>> {
+    const PREFIX: usize = 4;
+    let mut text = String::with_capacity(128);
+    let mut starts = Vec::new();
+    for json in frames {
+        starts.push(text.len());
+        text.push_str("\0\0\0\0"); // the length prefix's place
+        json.encode_into(&mut text);
+    }
+    let mut bytes = text.into_bytes();
+    let ends = starts.iter().skip(1).copied().chain([bytes.len()]);
+    for (start, end) in starts.iter().copied().zip(ends) {
+        let body = start + PREFIX;
+        let len = u32::try_from(end - body)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        bytes[start..body].copy_from_slice(&len.to_be_bytes());
+    }
+    Ok(bytes)
+}
+
 /// Writes one frame: 4-byte big-endian length, then the JSON bytes.
 ///
 /// Prefix and body go out in one `write_all` from one buffer: every
 /// socket in the stack sets `TCP_NODELAY`, so two writes would cost two
 /// syscalls and two segments per frame.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    const PREFIX: usize = 4;
-    let mut text = String::with_capacity(128);
-    text.push_str("\0\0\0\0"); // the length prefix's place
-    json.encode_into(&mut text);
-    let mut frame = text.into_bytes();
-    let len = u32::try_from(frame.len() - PREFIX)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    frame[..PREFIX].copy_from_slice(&len.to_be_bytes());
-    w.write_all(&frame)?;
+    w.write_all(&encode_frames([json])?)?;
     w.flush()
 }
 
 /// Reads one frame. `Ok(None)` on a clean end of stream (EOF at a frame
 /// boundary); `InvalidData` on an oversized frame or a JSON parse
 /// failure (the payload was still consumed — framing stays aligned).
+/// Long-lived pipelined readers pass a [`std::io::BufReader`], so the
+/// several frames one segment carries cost one `read` between them.
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> io::Result<Option<Json>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
@@ -1248,6 +1267,80 @@ mod tests {
             read_frame(&mut r, MAX_FRAME).unwrap(),
             Some(Json::Bool(true))
         );
+    }
+
+    /// Several frames encoded into one buffer are the bytes of the
+    /// frames written one by one.
+    #[test]
+    fn encoded_frames_are_the_single_frames_back_to_back() {
+        let frames = [
+            Json::obj(vec![("op", Json::str("ping"))]),
+            Json::Null,
+            Json::str("x".repeat(300)),
+        ];
+        let mut one_by_one = Vec::new();
+        for frame in &frames {
+            write_frame(&mut one_by_one, frame).unwrap();
+        }
+        assert_eq!(encode_frames(&frames).unwrap(), one_by_one);
+        assert!(encode_frames(&[]).unwrap().is_empty());
+    }
+
+    /// Reading through a `BufReader` yields the same frames — an
+    /// oversized frame's discard and a parse failure included — whether
+    /// the underlying reader hands out one byte per read or several
+    /// frames per read.
+    #[test]
+    fn buffered_reads_yield_the_same_frames_at_any_read_size() {
+        /// Hands out at most `step` bytes per `read`.
+        struct Trickle<'a> {
+            bytes: &'a [u8],
+            step: usize,
+        }
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.step).min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes = &self.bytes[n..];
+                Ok(n)
+            }
+        }
+        const MAX: usize = 64;
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &Json::obj(vec![("id", Json::u64(1))])).unwrap();
+        write_frame(&mut stream, &Json::str("y".repeat(3 * MAX))).unwrap();
+        write_frame(&mut stream, &Json::Bool(true)).unwrap();
+        stream.extend_from_slice(&5u32.to_be_bytes());
+        stream.extend_from_slice(b"{oops");
+        write_frame(&mut stream, &Json::str("z".repeat(MAX - 2))).unwrap();
+        let read_all = |r: &mut dyn Read| {
+            let mut got = Vec::new();
+            loop {
+                match read_frame(&mut &mut *r, MAX) {
+                    Ok(Some(frame)) => got.push(Ok(frame)),
+                    Ok(None) => return got,
+                    Err(e) => got.push(Err(e.kind())),
+                }
+            }
+        };
+        let want = read_all(&mut stream.as_slice());
+        assert_eq!(want.len(), 5, "{want:?}");
+        assert_eq!(want[1], Err(io::ErrorKind::InvalidData));
+        assert_eq!(want[3], Err(io::ErrorKind::InvalidData));
+        for step in [1, 3, 7, stream.len()] {
+            for capacity in [1, 16, 8 << 10] {
+                let trickle = Trickle {
+                    bytes: &stream,
+                    step,
+                };
+                let mut reader = io::BufReader::with_capacity(capacity, trickle);
+                assert_eq!(
+                    read_all(&mut reader),
+                    want,
+                    "step {step}, capacity {capacity}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,19 @@
 //!    version, applies admission control (a full queue answers
 //!    [`SolveError::Overloaded`] immediately — backpressure instead of
 //!    unbounded memory), and returns a [`Ticket`].
-//! 2. The batcher accumulates admitted requests into a **tick**. It is
+//! 2. An admission call
+//!    ([`enqueue_to`](Runtime::enqueue_to) or
+//!    [`enqueue_batch_to`](Runtime::enqueue_batch_to)) whose every
+//!    request is already in its engine's answer cache
+//!    ([`Engine::answers_cached`], a probe that neither counts a hit nor
+//!    refreshes recency) skips the queue: it runs its tick through
+//!    steps 3–4 on the admitting thread and returns resolved tickets.
+//!    Such an *admission tick* never waits on the pool's backpressure;
+//!    should another version's insert evict a probed entry before
+//!    planning, the unit that answers it runs on the admitting thread
+//!    too, never on a pool that shutdown may have closed.
+//!    Every other admitted request waits for the batcher, which
+//!    accumulates them into a **tick**. It is
 //!    *work-conserving* per lane: when a waiting request's lane has no
 //!    tick group in flight it flushes at once, so idle workers never
 //!    sit on a request. While the lane is busy it waits for company,
@@ -24,7 +36,11 @@
 //!    worker pool, where shards compile their circuit plans into one
 //!    arena each and answer them with one multi-root engine pass.
 //! 4. [`Tick::finish`](phom_core::Tick::finish) fills the shared answer
-//!    cache and the batcher fulfills every ticket, in request order.
+//!    cache; every ticket is claimed, the tick is recorded in the
+//!    stats, histograms and spans, and only then are the answers
+//!    published, in request order — a waiter or
+//!    [`on_complete`](Ticket::on_complete) callback always finds its
+//!    own request counted.
 //!
 //! Results are **bit-identical** to calling [`Engine::submit`] with the
 //! same requests — micro-batching changes latency and throughput, never
@@ -40,6 +56,7 @@ use phom_core::{
 use phom_graph::ProbGraph;
 use phom_obs::{Span, SpanLane, SpanRing, Stage, TraceId};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -220,6 +237,7 @@ impl RuntimeBuilder {
             spans: SpanRing::new(phom_obs::DEFAULT_RING_CAPACITY),
             inflight: Mutex::new(InFlight::default()),
             inflight_done: Condvar::new(),
+            settling: AtomicUsize::new(0),
         });
         let workers = (0..pool_size)
             .map(|i| {
@@ -292,19 +310,21 @@ impl Drop for BatcherGuard {
             all.extend(ingress.slow.drain(..));
             all
         };
-        let mut resolved = 0u64;
-        for entry in stranded {
-            if entry.ticket.fulfill(Err(SolveError::Internal(
-                "the serving batcher thread died".into(),
-            ))) {
-                resolved += 1;
-            }
-        }
-        if resolved > 0 {
-            // Stranded tickets got a terminal typed error: count them as
+        let _settling = Settling::enter(&self.0);
+        let claimed: Vec<Admitted> = stranded
+            .into_iter()
+            .filter(|entry| entry.ticket.claim())
+            .collect();
+        if !claimed.is_empty() {
+            // Stranded tickets get a terminal typed error: count them as
             // completed so the books (admitted = completed + cancelled +
             // shed) still balance after a batcher death.
-            lock(&self.0.stats).completed += resolved;
+            lock(&self.0.stats).completed += claimed.len() as u64;
+        }
+        for entry in claimed {
+            entry.ticket.publish(Err(SolveError::Internal(
+                "the serving batcher thread died".into(),
+            )));
         }
         self.0.work.close();
     }
@@ -386,6 +406,41 @@ struct Inner {
     /// company. Lock order: `ingress` before `inflight`.
     inflight: Mutex<InFlight>,
     inflight_done: Condvar,
+    /// Passes whose tickets the books may already count but that have
+    /// not published them yet (see [`Settling`]), plus admission ticks
+    /// from admission until their tickets are published.
+    /// [`Runtime::drain`] returns only once this is 0.
+    settling: AtomicUsize,
+}
+
+/// Holds [`Inner::settling`] up for its lifetime. Every path that
+/// counts a ticket in the books before publishing its answer holds
+/// one, so a drain that finds the books balanced and no pass settling
+/// knows every ticket is resolved.
+struct Settling<'a>(&'a AtomicUsize);
+
+impl<'a> Settling<'a> {
+    fn enter(inner: &'a Inner) -> Self {
+        inner.settling.fetch_add(1, Ordering::SeqCst);
+        Settling(&inner.settling)
+    }
+}
+
+impl Drop for Settling<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Where a tick's work units run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// On the worker pool: the batcher's ticks.
+    Pool,
+    /// On the calling thread: admission ticks. Their requests were all
+    /// cache hits at the probe, so units appear only when an entry was
+    /// evicted in between.
+    Here,
 }
 
 /// Tick groups in flight, per lane. Groups answered at plan time
@@ -446,6 +501,9 @@ struct FinishJob {
     /// Per-request queue time (admission → flush), parallel to
     /// `tickets`.
     queue_nanos: Vec<u64>,
+    /// Whether the group's units went to the pool and it counts in
+    /// [`Inner::inflight`] until it finishes.
+    pooled: bool,
 }
 
 /// Gathers a tick group's unit outputs; the worker whose report
@@ -616,79 +674,21 @@ impl Runtime {
     }
 
     /// Routes `request` to the engine registered under `version` and
-    /// admits it into the ingress queue.
+    /// admits it into the ingress queue — or, when its answer is
+    /// already cached, answers it on this thread (an *admission tick*;
+    /// see the module docs) and returns a resolved ticket.
     ///
     /// * Full queue → `Err(SolveError::Overloaded)` **immediately** —
     ///   the backpressure signal; nothing is queued, already-admitted
-    ///   tickets are unaffected.
+    ///   tickets are unaffected. A cache hit is refused exactly as a
+    ///   miss would be.
     /// * Unknown version → `Err(SolveError::InvalidQuery)`.
     /// * After [`shutdown`](Runtime::shutdown) began →
     ///   `Err(SolveError::Cancelled)`.
     pub fn enqueue_to(&self, version: u64, request: Request) -> Result<Ticket, SolveError> {
-        let Some(engine) = self.engine(version) else {
-            return Err(SolveError::InvalidQuery(format!(
-                "no instance registered for version {version:#018x}"
-            )));
-        };
-        let ticket = TicketState::new();
-        // Lane and deadline are fixed at admission: the lane comes from
-        // the plan's route class (cheap exact plans go fast; anything
-        // that may sample or estimate goes slow), the deadline from the
-        // request's own clock. The trace id is the request's own when
-        // the front door (net server / router) minted one; in-process
-        // callers get a runtime-minted id so their spans are traceable
-        // too.
-        let lane = request.lane(self.inner.default_options);
-        let deadline_at = request.deadline_instant();
-        let trace = request.trace_id().unwrap_or_else(|| TraceId::mint().get());
-        let (depth, fast_depth, slow_depth) = {
-            let mut ingress = lock(&self.inner.ingress);
-            if ingress.shutdown {
-                return Err(SolveError::Cancelled);
-            }
-            if ingress.len() >= self.inner.queue_cap {
-                drop(ingress);
-                lock(&self.inner.stats).rejected += 1;
-                return Err(SolveError::Overloaded {
-                    capacity: self.inner.queue_cap,
-                });
-            }
-            let entry = Admitted {
-                version,
-                engine,
-                request,
-                ticket: Arc::clone(&ticket),
-                enqueued_at: Instant::now(),
-                lane,
-                deadline_at,
-                trace,
-            };
-            match lane {
-                Lane::Fast => ingress.fast.push_back(entry),
-                Lane::Slow => ingress.slow.push_back(entry),
-            }
-            (ingress.len(), ingress.fast.len(), ingress.slow.len())
-        };
-        {
-            let mut stats = lock(&self.inner.stats);
-            stats.admitted += 1;
-            stats.queue_depth_max = stats.queue_depth_max.max(depth);
-            stats.fast_lane_depth_max = stats.fast_lane_depth_max.max(fast_depth);
-            stats.slow_lane_depth_max = stats.slow_lane_depth_max.max(slow_depth);
-            match lane {
-                Lane::Fast => stats.fast_lane_total += 1,
-                Lane::Slow => stats.slow_lane_total += 1,
-            }
-        }
-        self.inner.spans.push(Span {
-            trace,
-            stage: Stage::Admitted,
-            lane: span_lane(lane),
-            nanos: 0,
-            detail: 0,
-        });
-        self.inner.ingress_ready.notify_all();
-        Ok(Ticket::new(ticket))
+        self.enqueue_batch_to(version, vec![request])
+            .pop()
+            .expect("one outcome per request")
     }
 
     /// Batched admission: admits `requests` in order under **one**
@@ -702,6 +702,10 @@ impl Runtime {
     /// by one also woke the batcher mid-loop; on a small box the tick
     /// it started preempted the admitting thread and delayed the ack
     /// by a scheduler timeslice.
+    ///
+    /// When every request's answer is already cached, the call wakes
+    /// no one: the admitted requests run as one admission tick on this
+    /// thread, and every returned ticket is resolved.
     pub fn enqueue_batch_to(
         &self,
         version: u64,
@@ -714,8 +718,32 @@ impl Runtime {
                 .map(|_| Err(SolveError::InvalidQuery(err.clone())))
                 .collect();
         };
-        // Lane, deadline, and trace are fixed at admission (see
-        // `enqueue_to`); precompute them outside the lock.
+        let dispatch = if engine.answers_cached(&requests) {
+            Dispatch::Here
+        } else {
+            Dispatch::Pool
+        };
+        self.admit(version, engine, requests, dispatch)
+    }
+
+    /// Admission proper: queues the admitted requests for the batcher
+    /// ([`Dispatch::Pool`]) or holds them for an admission tick on this
+    /// thread ([`Dispatch::Here`]). Held requests count against the
+    /// queue bound as if they were queued, so both refuse alike.
+    fn admit(
+        &self,
+        version: u64,
+        engine: Arc<Engine>,
+        requests: Vec<Request>,
+        dispatch: Dispatch,
+    ) -> Vec<Result<Ticket, SolveError>> {
+        // Lane and deadline are fixed at admission: the lane comes from
+        // the plan's route class (cheap exact plans go fast; anything
+        // that may sample or estimate goes slow), the deadline from the
+        // request's own clock. The trace id is the request's own when
+        // the front door (net server / router) minted one; in-process
+        // callers get a runtime-minted id so their spans are traceable
+        // too. All three are computed outside the lock.
         let prepared: Vec<(Request, Lane, Option<Instant>, u64)> = requests
             .into_iter()
             .map(|request| {
@@ -727,6 +755,8 @@ impl Runtime {
             .collect();
         let mut out = Vec::with_capacity(prepared.len());
         let mut admitted: Vec<(Lane, u64)> = Vec::with_capacity(prepared.len());
+        let mut held: Vec<Admitted> = Vec::new();
+        let mut settling = None;
         let mut rejected = 0u64;
         let (depth, fast_depth, slow_depth) = {
             let mut ingress = lock(&self.inner.ingress);
@@ -735,7 +765,7 @@ impl Runtime {
                     out.push(Err(SolveError::Cancelled));
                     continue;
                 }
-                if ingress.len() >= self.inner.queue_cap {
+                if ingress.len() + held.len() >= self.inner.queue_cap {
                     rejected += 1;
                     out.push(Err(SolveError::Overloaded {
                         capacity: self.inner.queue_cap,
@@ -753,12 +783,18 @@ impl Runtime {
                     deadline_at,
                     trace,
                 };
-                match lane {
-                    Lane::Fast => ingress.fast.push_back(entry),
-                    Lane::Slow => ingress.slow.push_back(entry),
+                match (dispatch, lane) {
+                    (Dispatch::Here, _) => held.push(entry),
+                    (Dispatch::Pool, Lane::Fast) => ingress.fast.push_back(entry),
+                    (Dispatch::Pool, Lane::Slow) => ingress.slow.push_back(entry),
                 }
                 admitted.push((lane, trace));
                 out.push(Ok(Ticket::new(ticket)));
+            }
+            if !held.is_empty() {
+                // Held requests are in no queue: a drain that begins
+                // once this lock drops must still wait for them.
+                settling = Some(Settling::enter(&self.inner));
             }
             (ingress.len(), ingress.fast.len(), ingress.slow.len())
         };
@@ -785,9 +821,12 @@ impl Runtime {
                 detail: 0,
             });
         }
-        if !admitted.is_empty() {
+        if !held.is_empty() {
+            process_tick(&self.inner, held, Dispatch::Here);
+        } else if !admitted.is_empty() {
             self.inner.ingress_ready.notify_all();
         }
+        drop(settling);
         out
     }
 
@@ -838,16 +877,18 @@ impl Runtime {
     /// (new enqueues answer [`SolveError::Cancelled`]), flushes every
     /// admitted request through final ticks, and returns once the books
     /// balance (`admitted == completed + cancelled + shed_expired`,
-    /// queue empty, no tick in flight) — every outstanding [`Ticket`]
-    /// is resolved. Unlike [`shutdown`](Runtime::shutdown) it takes
-    /// `&self`, so a front end still holding an `Arc<Runtime>` can keep
+    /// queue empty, no tick in flight, no admission tick running and
+    /// no answer counted but unpublished) — every outstanding
+    /// [`Ticket`] is resolved. Unlike [`shutdown`](Runtime::shutdown)
+    /// it takes `&self`, so a front end still holding an `Arc<Runtime>` can keep
     /// serving polls while the drain completes; call `shutdown`
     /// afterwards to join the (now idle) threads.
     pub fn drain(&self) {
         self.begin_shutdown();
         loop {
             let stats = self.stats();
-            let settled = stats.admitted == stats.completed + stats.cancelled + stats.shed_expired;
+            let settled = stats.admitted == stats.completed + stats.cancelled + stats.shed_expired
+                && self.inner.settling.load(Ordering::SeqCst) == 0;
             if settled && stats.queue_depth == 0 && stats.ticks_in_flight == 0 {
                 return;
             }
@@ -902,22 +943,31 @@ fn worker_loop(inner: &Inner) {
         // panics) are consumed one per executed unit. No-op unless a
         // test scripted a fault plan.
         crate::test_support::apply_next_fault();
-        let started = Instant::now();
-        let output = item.unit.run_with(&mut scratch);
-        let nanos = started.elapsed().as_nanos() as u64;
-        {
-            let mut stats = lock(&inner.stats);
-            stats.unit_runs += 1;
-            stats.unit_nanos_total += nanos;
-            stats.unit_nanos_max = stats.unit_nanos_max.max(nanos);
-            if first_run {
-                first_run = false;
-            } else {
-                stats.scratch_reuse += 1;
-            }
-        }
+        let output = run_unit(inner, item.unit, &mut scratch, !first_run);
+        first_run = false;
         item.collector.set(item.idx, output, inner);
     }
+}
+
+/// Runs one unit through `scratch` and books its time; `reused` counts
+/// a scratch that earlier units already warmed.
+fn run_unit(
+    inner: &Inner,
+    unit: TickUnit,
+    scratch: &mut WorkerScratch,
+    reused: bool,
+) -> TickOutput {
+    let started = Instant::now();
+    let output = unit.run_with(scratch);
+    let nanos = started.elapsed().as_nanos() as u64;
+    let mut stats = lock(&inner.stats);
+    stats.unit_runs += 1;
+    stats.unit_nanos_total += nanos;
+    stats.unit_nanos_max = stats.unit_nanos_max.max(nanos);
+    if reused {
+        stats.scratch_reuse += 1;
+    }
+    output
 }
 
 /// The batcher: accumulates admitted requests into micro-batch ticks,
@@ -990,7 +1040,10 @@ fn batcher_loop(inner: &Inner) {
             }
         };
         match batch {
-            Some(entries) => process_tick(inner, entries),
+            Some(entries) => {
+                process_tick(inner, entries, Dispatch::Pool);
+                wait_for_pool(inner);
+            }
             None => break,
         }
     }
@@ -999,15 +1052,20 @@ fn batcher_loop(inner: &Inner) {
 
 /// Executes one tick: shed cancelled and already-expired tickets, group
 /// by (instance version, lane), plan each group through
-/// `Engine::begin_tick`, and dispatch the units to the pool — fast-lane
-/// units into the feed's priority queue. Groups complete
-/// *asynchronously*: the worker reporting a group's last unit output
-/// runs [`finish_group`], so a slow group never delays a fast one and
-/// the batcher is free to flush the next tick (bounded by
-/// [`Inner::inflight_cap`]).
-fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
+/// `Engine::begin_tick`, and hand the units to `dispatch`. On the pool,
+/// fast-lane units go into the feed's priority queue and groups
+/// complete *asynchronously*: the worker reporting a group's last unit
+/// output runs [`finish_group`], so a slow group never delays a fast
+/// one and the batcher is free to flush the next tick (bounded by
+/// [`wait_for_pool`]). An admission tick ([`Dispatch::Here`]) runs any
+/// unit and finishes every group before it returns.
+fn process_tick(inner: &Inner, entries: Vec<Admitted>, dispatch: Dispatch) {
     let started = Instant::now();
     let mut live: Vec<Admitted> = Vec::with_capacity(entries.len());
+    // Shed tickets are claimed under the stats lock, where they are
+    // counted, and published after it drops.
+    let _settling = Settling::enter(inner);
+    let mut shed: Vec<(Arc<TicketState>, SolveError)> = Vec::new();
     {
         let now = Instant::now();
         let mut stats = lock(&inner.stats);
@@ -1022,15 +1080,18 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
                 // canceller finishing its half: a cancel that set the
                 // flag and then lost the race to this flush would
                 // otherwise leave `wait` hanging on the canceller's
-                // progress. Resolution is idempotent (first one wins),
-                // so the double fulfill is safe.
-                entry.ticket.fulfill(Err(SolveError::Cancelled));
+                // progress. Resolution is idempotent (the first claim
+                // wins), so the double resolution is safe.
+                if entry.ticket.claim() {
+                    shed.push((entry.ticket, SolveError::Cancelled));
+                }
                 stats.cancelled += 1;
             } else if entry.deadline_at.is_some_and(|at| now >= at) {
                 // Expired in the queue: shed without executing. The
-                // same idempotent-fulfill reasoning as cancellation
+                // same first-claim-wins reasoning as cancellation
                 // applies — a racing cancel keeps its `Err(Cancelled)`.
-                if entry.ticket.fulfill(Err(SolveError::DeadlineExceeded)) {
+                if entry.ticket.claim() {
+                    shed.push((entry.ticket, SolveError::DeadlineExceeded));
                     stats.shed_expired += 1;
                 } else {
                     stats.cancelled += 1;
@@ -1039,6 +1100,9 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
                 live.push(entry);
             }
         }
+    }
+    for (ticket, error) in shed {
+        ticket.publish(Err(error));
     }
     // Group by (version, lane), preserving arrival order within each
     // group. Lanes stay separate groups so a fast group's tickets
@@ -1053,8 +1117,8 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
             None => groups.push((entry.version, entry.lane, vec![entry])),
         }
     }
-    // Plan every group and dispatch all units; completion happens on
-    // the workers.
+    // Plan every group and dispatch all units; on the pool, completion
+    // happens on the workers.
     for (_version, lane, entries) in groups {
         // Each admitted entry pinned its engine at admission, so a
         // version deregistered since then still completes normally.
@@ -1081,6 +1145,7 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
         );
         let units = tick.take_units();
         let planned_at = Instant::now();
+        let pooled = dispatch == Dispatch::Pool && !units.is_empty();
         let job = FinishJob {
             tick,
             tickets,
@@ -1090,11 +1155,19 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
             plan_nanos: duration_to_nanos(planned_at.saturating_duration_since(plan_started)),
             traces,
             queue_nanos,
+            pooled,
         };
-        if units.is_empty() {
+        if !pooled {
             // Everything answered at plan time (cache hits, trivial
-            // routes): no worker will ever report, finish inline.
-            finish_group(inner, job, Vec::new());
+            // routes) — no worker will ever report — or an admission
+            // tick whose probed hit was evicted before planning: finish
+            // here, running any unit on this thread.
+            let mut scratch = WorkerScratch::new();
+            let outputs = units
+                .into_iter()
+                .map(|unit| run_unit(inner, unit, &mut scratch, false))
+                .collect();
+            finish_group(inner, job, outputs);
             continue;
         }
         *lock(&inner.inflight).lane_mut(lane) += 1;
@@ -1112,9 +1185,13 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
             debug_assert!(sent, "work channel closes only after the batcher exits");
         }
     }
-    // Backpressure on the pool feed: wait here (not before the flush,
-    // so deadline shedding above still runs promptly) until the
-    // in-flight count drops below the cap.
+}
+
+/// Backpressure on the pool feed: the batcher waits here after each
+/// tick (not before the flush, so deadline shedding still runs
+/// promptly) until the in-flight count drops below the cap. Admission
+/// ticks never wait here.
+fn wait_for_pool(inner: &Inner) {
     let cap = inner.inflight_cap();
     let mut inflight = lock(&inner.inflight);
     while inflight.total() >= cap {
@@ -1126,11 +1203,14 @@ fn process_tick(inner: &Inner, entries: Vec<Admitted>) {
 }
 
 /// Completes one tick group: folds the unit outputs through
-/// `Tick::finish`, fulfills the tickets, and feeds the stats. Runs on
-/// whichever worker reported the group's last unit (inline in the
-/// batcher for unit-less groups). The group that leaves its lane idle
-/// wakes a batcher holding queued requests of that lane, which flushes
-/// them at once.
+/// `Tick::finish`, claims every ticket, feeds the stats, histograms and
+/// spans, and then publishes the answers — so whoever an answer wakes
+/// (a waiter, an [`on_complete`](Ticket::on_complete) callback) sees
+/// its request counted. Runs on whichever worker reported the group's
+/// last unit (inline in the batcher for unit-less groups, on the
+/// admitting thread for admission ticks). The group that leaves its
+/// lane idle wakes a batcher holding queued requests of that lane,
+/// which flushes them at once.
 fn finish_group(inner: &Inner, job: FinishJob, outputs: Vec<TickOutput>) {
     let FinishJob {
         tick,
@@ -1141,29 +1221,23 @@ fn finish_group(inner: &Inner, job: FinishJob, outputs: Vec<TickOutput>) {
         plan_nanos,
         traces,
         queue_nanos,
+        pooled,
     } = job;
-    let had_units = !outputs.is_empty();
     // Evaluation ran from dispatch (planning done) until the last unit
     // reported — i.e. until this function was entered; everything after
-    // is result materialization + ticket fulfillment (the encode stage).
+    // is result materialization + ticket claims (the encode stage).
     let finish_started = Instant::now();
     let eval_nanos = duration_to_nanos(finish_started.saturating_duration_since(planned_at));
     let (results, batch_stats) = tick.finish(outputs);
     debug_assert_eq!(results.len(), tickets.len());
-    let mut fulfilled = 0u64;
-    let mut lost_to_cancel = 0u64;
-    for (ticket, result) in tickets.into_iter().zip(results) {
-        // `fulfill` reports whether the answer landed — a ticket
-        // cancelled mid-flight keeps its `Err(Cancelled)` and is
-        // counted as cancelled, not completed.
-        if ticket.fulfill(result) {
-            fulfilled += 1;
-        } else {
-            lost_to_cancel += 1;
-        }
-    }
+    // A claim that loses found the ticket cancelled mid-flight: it keeps
+    // its `Err(Cancelled)` and is counted as cancelled, not completed.
+    let claimed: Vec<bool> = tickets.iter().map(|ticket| ticket.claim()).collect();
+    let fulfilled = claimed.iter().filter(|&&won| won).count() as u64;
+    let lost_to_cancel = claimed.len() as u64 - fulfilled;
     let encode_nanos = finish_started.elapsed().as_nanos() as u64;
     let nanos = started.elapsed().as_nanos() as u64;
+    let settling = Settling::enter(inner);
     {
         let mut stats = lock(&inner.stats);
         let stats = &mut *stats;
@@ -1216,7 +1290,13 @@ fn finish_group(inner: &Inner, job: FinishJob, outputs: Vec<TickOutput>) {
             detail: 0,
         });
     }
-    if had_units {
+    for ((ticket, result), won) in tickets.into_iter().zip(results).zip(claimed) {
+        if won {
+            ticket.publish(result);
+        }
+    }
+    drop(settling);
+    if pooled {
         let lane_idle = {
             let mut inflight = lock(&inner.inflight);
             let count = inflight.lane_mut(lane);
@@ -1242,3 +1322,65 @@ const _: () = {
     assert_send_sync::<Runtime>();
     assert_send_sync::<Ticket>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phom_core::Response;
+    use phom_graph::Graph;
+    use phom_num::Rational;
+
+    fn path_instance(n: usize, p: Rational) -> ProbGraph {
+        ProbGraph::new(Graph::directed_path(n), vec![p; n])
+    }
+
+    /// The admission probe is advisory: on a shared capacity-1 cache,
+    /// another version's insert may evict a probed hit before planning.
+    /// The admission tick then runs the unit that answers it on the
+    /// admitting thread, and the answer is the one a fresh engine gives.
+    #[test]
+    fn a_probed_hit_evicted_before_planning_still_answers_bit_identically() {
+        let runtime = Runtime::builder().workers(1).cache_capacity(1).build();
+        let instance = path_instance(4, Rational::from_ratio(1, 3));
+        let a = runtime.register(instance.clone());
+        let b = runtime.register(path_instance(5, Rational::from_ratio(1, 2)));
+        let request = Request::probability(Graph::directed_path(2));
+        runtime
+            .enqueue_to(a, request.clone())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let engine = runtime.engine(a).unwrap();
+        let requests = vec![request.clone()];
+        assert!(
+            engine.answers_cached(&requests),
+            "warm after its first answer"
+        );
+        // The eviction lands between the probe and planning.
+        runtime
+            .enqueue_to(b, request.clone())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(!engine.answers_cached(&requests), "evicted by b's insert");
+        let before = runtime.stats();
+        let mut tickets = runtime.admit(a, engine, requests, Dispatch::Here);
+        let ticket = tickets.pop().unwrap().expect("admitted");
+        let answer = ticket.try_get().expect("resolved before admission returns");
+        let oracle = Engine::new(instance).submit(&[request]).pop().unwrap();
+        match (&answer, &oracle) {
+            (Ok(Response::Probability(x)), Ok(Response::Probability(y))) => {
+                assert_eq!(x.probability, y.probability);
+                assert_eq!(x.route, y.route);
+            }
+            other => panic!("unexpected answers {other:?}"),
+        }
+        let after = runtime.shutdown();
+        assert_eq!(after.ticks, before.ticks + 1);
+        assert_eq!(after.unit_runs, before.unit_runs + 1, "the unit ran here");
+        assert_eq!(after.cache.misses, before.cache.misses + 1);
+        assert_eq!(after.total_tick_requests, after.admitted);
+        assert_eq!(after.open_tickets(), 0, "{after:?}");
+        assert_eq!(after.ticks_in_flight, 0);
+    }
+}

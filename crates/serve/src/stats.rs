@@ -96,7 +96,8 @@ pub struct RuntimeStats {
     pub unit_nanos_total: u64,
     /// Slowest single unit so far.
     pub unit_nanos_max: u64,
-    /// Total wall time per tick (plan → dispatch → fulfill).
+    /// Total wall time per tick group (plan → dispatch → tickets
+    /// claimed).
     pub tick_nanos_total: u64,
     /// Slowest tick so far.
     pub tick_nanos_max: u64,
@@ -146,11 +147,12 @@ pub struct RuntimeStats {
     /// Per-tick-group circuit/float evaluation time (dispatch → last
     /// worker reports), in nanoseconds.
     pub eval_ns: Histogram,
-    /// Per-tick-group result materialization + ticket fulfillment time,
-    /// in nanoseconds.
+    /// Per-tick-group result materialization + ticket claim time (the
+    /// answers are published after the group is recorded), in
+    /// nanoseconds.
     pub encode_ns: Histogram,
     /// End-to-end latency of completed fast-lane requests (admission →
-    /// ticket fulfilled), in nanoseconds.
+    /// ticket claimed), in nanoseconds.
     pub request_ns_fast: Histogram,
     /// End-to-end latency of completed slow-lane requests.
     pub request_ns_slow: Histogram,

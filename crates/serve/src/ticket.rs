@@ -28,11 +28,15 @@ pub struct Ticket {
 /// The slot a resolution lands in, plus the at-most-one completion
 /// callback. Both live under ONE mutex: every resolution path (tick
 /// completion, cancel, flush shed, deadline shed, batcher teardown)
-/// funnels through [`TicketState::fulfill`], which atomically writes the
-/// result and takes the callback — so the callback observes exactly one
-/// resolution no matter how those paths race.
+/// first [claims](TicketState::claim) the slot, and only the winning
+/// claim [publishes](TicketState::publish) its result and takes the
+/// callback — so the callback observes exactly one resolution no matter
+/// how those paths race.
 struct Slot {
     result: Option<Result<Response, SolveError>>,
+    /// Set by the winning [`TicketState::claim`]; `result` follows when
+    /// that resolution publishes.
+    claimed: bool,
     callback: Option<Callback>,
 }
 
@@ -47,6 +51,7 @@ impl TicketState {
         Arc::new(TicketState {
             slot: Mutex::new(Slot {
                 result: None,
+                claimed: false,
                 callback: None,
             }),
             ready: Condvar::new(),
@@ -58,22 +63,41 @@ impl TicketState {
         self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Resolves the ticket. The first resolution wins; later ones (a
-    /// cancelled request whose tick still completed) are dropped.
+    /// Resolves the ticket in one step: [`claim`](Self::claim), then
+    /// [`publish`](Self::publish). The first resolution wins; later ones
+    /// (a cancelled request whose tick still completed) are dropped.
     /// Returns whether this resolution landed.
-    ///
-    /// If an [`on_complete`](Ticket::on_complete) callback is
-    /// registered, the winning resolution takes it out of the slot under
-    /// the same lock that guards the result — the losing racer finds the
-    /// slot occupied and the callback gone, so the push fires exactly
-    /// once. The callback itself runs *after* the lock is released (it
-    /// may take other locks; it must never re-enter this ticket's
-    /// resolution path).
     pub(crate) fn fulfill(&self, result: Result<Response, SolveError>) -> bool {
-        let mut slot = self.lock();
-        if slot.result.is_some() {
-            return false;
+        let won = self.claim();
+        if won {
+            self.publish(result);
         }
+        won
+    }
+
+    /// The first step of a two-step resolution: reserves the slot for
+    /// the caller's result without making it visible. Returns whether
+    /// this claim won; every later claim (and so every later
+    /// [`fulfill`](Self::fulfill) or [`Ticket::cancel`]) loses. The
+    /// runtime claims a tick's tickets, records the tick in its books,
+    /// histograms and spans, and only then publishes — so whoever the
+    /// answer wakes already sees its request counted.
+    pub(crate) fn claim(&self) -> bool {
+        !std::mem::replace(&mut self.lock().claimed, true)
+    }
+
+    /// The second step: writes the result of a winning
+    /// [`claim`](Self::claim), wakes every waiter, and fires the
+    /// [`on_complete`](Ticket::on_complete) callback, which it takes out
+    /// of the slot under the same lock that writes the result. The
+    /// callback runs *after* the lock is released (it may take other
+    /// locks; it must never re-enter this ticket's resolution path).
+    pub(crate) fn publish(&self, result: Result<Response, SolveError>) {
+        let mut slot = self.lock();
+        debug_assert!(
+            slot.claimed && slot.result.is_none(),
+            "publish once, after a won claim"
+        );
         let callback = slot.callback.take();
         slot.result = Some(result);
         // Snapshot for the callback while the slot stays immutable
@@ -86,7 +110,6 @@ impl TicketState {
         if let Some(cb) = callback {
             cb(&snapshot.expect("snapshot taken with callback"));
         }
-        true
     }
 
     /// Whether [`Ticket::cancel`] ran — the runtime skips execution of
@@ -177,7 +200,8 @@ impl Ticket {
     /// its tick is already executing (the computation may still run to
     /// completion, but its answer is discarded and not counted as
     /// completed). A request whose tick has not started is skipped
-    /// outright. Once the answer has landed, `cancel` is a no-op.
+    /// outright. Once the answer has landed — or its tick has claimed it
+    /// and is about to publish it — `cancel` is a no-op.
     /// Returns `true` when the cancellation resolved the ticket.
     pub fn cancel(&self) -> bool {
         self.state.cancelled.store(true, Ordering::SeqCst);
@@ -283,6 +307,29 @@ mod tests {
             assert_eq!(fires.load(Ordering::SeqCst), 1, "round {round}");
             assert!(ticket.is_done());
         }
+    }
+
+    /// A claimed ticket is not yet done, a cancel after the claim loses
+    /// cleanly, and the publish that follows fires the callback once
+    /// with the claimed result.
+    #[test]
+    fn cancel_after_a_claim_loses_and_publish_fires_once() {
+        let state = TicketState::new();
+        let ticket = Ticket::new(Arc::clone(&state));
+        let fires = Arc::new(AtomicU64::new(0));
+        let fires2 = Arc::clone(&fires);
+        ticket.on_complete(move |r| {
+            assert_eq!(r.as_ref().unwrap_err(), &SolveError::DeadlineExceeded);
+            fires2.fetch_add(1, Ordering::SeqCst);
+        });
+        assert!(state.claim());
+        assert!(!ticket.is_done(), "a claim publishes nothing");
+        assert!(!ticket.cancel(), "the claim already won");
+        assert!(!state.claim());
+        assert_eq!(fires.load(Ordering::SeqCst), 0);
+        state.publish(Err(SolveError::DeadlineExceeded));
+        assert_eq!(fires.load(Ordering::SeqCst), 1);
+        assert_eq!(ticket.wait().unwrap_err(), SolveError::DeadlineExceeded);
     }
 
     /// Registering on an already-resolved ticket fires immediately with

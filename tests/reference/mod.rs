@@ -46,8 +46,8 @@ pub fn assert_reference(
                 );
                 assert_eq!(ci95_times_1e9, (est.ci95 * 1e9) as u64, "{ctx}: ci95");
                 if h.uncertain_edges().len() <= MAX_BRUTE_FORCE {
-                    // Two half-widths, plus a rule-of-three term for a
-                    // run whose every sample agreed (zero width).
+                    // Two Wilson half-widths, plus a rule-of-three term
+                    // as a floor for runs of a few samples.
                     let truth = bruteforce::probability(q, h).to_f64();
                     let slack = 2.0 * est.ci95 + 4.0 / samples as f64;
                     assert!(

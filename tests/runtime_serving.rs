@@ -9,6 +9,7 @@
 mod support;
 
 use phom::prelude::*;
+use phom::serve::Stage;
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -996,4 +997,257 @@ fn exact_answers_survive_background_sampling_load_bit_for_bit() {
         stats.shed_expired, 0,
         "nothing carried a deadline: {stats:?}"
     );
+}
+
+/// An admission call whose every request is already cached runs its
+/// tick on the admitting thread: every ticket is resolved before
+/// `enqueue_batch_to` returns — even while the pool is held busy — and
+/// the tick, its requests and its cache hits each count exactly once
+/// (the admission probe counts no hit of its own).
+#[test]
+fn an_all_hit_admission_call_resolves_on_the_admitting_thread() {
+    let h = ProbGraph::new(Graph::directed_path(4), vec![Rational::from_ratio(1, 2); 4]);
+    let requests: Vec<Request> = (1..=3)
+        .map(|m| Request::probability(Graph::directed_path(m)))
+        .collect();
+    let want = Engine::new(h.clone()).submit(&requests);
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(1)
+        .build();
+    let v = runtime.register(h);
+    for ticket in runtime.enqueue_batch_to(v, requests.clone()) {
+        ticket.expect("admitted").wait().expect("answered");
+    }
+    let engine = runtime.engine(v).expect("registered");
+    assert!(engine.answers_cached(&requests));
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let before = runtime.stats();
+    let hits_before = engine.cache_stats().hits;
+    let traced: Vec<Request> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, r)| r.clone().trace(0xAD_0000 + i as u64))
+        .collect();
+    let tickets = runtime.enqueue_batch_to(v, traced);
+    for (i, (ticket, want)) in tickets.iter().zip(&want).enumerate() {
+        let ticket = ticket.as_ref().expect("admitted");
+        let answer = ticket
+            .try_get()
+            .unwrap_or_else(|| panic!("request {i} unresolved at return"));
+        assert_same(&answer, want, &format!("request {i}"));
+        let stages: Vec<Stage> = runtime
+            .spans_for(0xAD_0000 + i as u64)
+            .iter()
+            .map(|s| s.stage)
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                Stage::Admitted,
+                Stage::Queued,
+                Stage::Planned,
+                Stage::Evaluated,
+                Stage::Encoded
+            ],
+            "request {i}"
+        );
+    }
+    let after = runtime.stats();
+    assert_eq!(after.ticks, before.ticks + 1, "{after:?}");
+    assert_eq!(after.admitted, before.admitted + 3, "{after:?}");
+    assert_eq!(after.completed, before.completed + 3, "{after:?}");
+    assert_eq!(after.batch_cache_hits, before.batch_cache_hits + 3);
+    assert_eq!(engine.cache_stats().hits, hits_before + 3);
+    assert_eq!(after.queue_depth, 0);
+    hold.release();
+    let stats = runtime.shutdown();
+    assert_eq!(stats.total_tick_requests, stats.admitted, "{stats:?}");
+    assert_eq!(stats.open_tickets(), 0, "{stats:?}");
+}
+
+/// One miss sends the whole call through the batcher: with the fast
+/// lane held busy and ten minutes of patience, none of its requests —
+/// the cached ones included — answers before the hold is released.
+#[test]
+fn an_admission_call_with_one_miss_goes_through_the_batcher() {
+    let h = ProbGraph::new(Graph::directed_path(4), vec![Rational::from_ratio(1, 2); 4]);
+    let requests: Vec<Request> = (1..=3)
+        .map(|m| Request::probability(Graph::directed_path(m)))
+        .collect();
+    let want = Engine::new(h.clone()).submit(&requests);
+    let runtime = Runtime::builder()
+        .max_batch(10_000)
+        .max_wait(Duration::from_secs(600))
+        .workers(1)
+        .build();
+    let v = runtime.register(h);
+    for ticket in runtime.enqueue_batch_to(v, requests[..2].to_vec()) {
+        ticket.expect("admitted").wait().expect("answered");
+    }
+    let hold = PoolHold::engage(&runtime, Lane::Fast);
+    let before = runtime.stats();
+    let tickets: Vec<Ticket> = runtime
+        .enqueue_batch_to(v, requests.clone())
+        .into_iter()
+        .map(|t| t.expect("admitted"))
+        .collect();
+    assert_eq!(runtime.stats().queue_depth, 3);
+    for (i, ticket) in tickets.iter().enumerate() {
+        assert!(
+            ticket.try_get().is_none(),
+            "request {i} answered while held"
+        );
+    }
+    hold.release();
+    for (i, (ticket, want)) in tickets.iter().zip(&want).enumerate() {
+        let answer = ticket
+            .wait_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("request {i}: the freed pool must flush the queue"));
+        assert_same(&answer, want, &format!("request {i}"));
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.ticks, before.ticks + 1, "one batcher tick: {stats:?}");
+    assert_eq!(stats.max_tick_requests, 3, "{stats:?}");
+}
+
+/// Shutdowns racing admission ticks: producers hammer cached requests
+/// while the runtime drains. Once `drain` returns, every ticket handed
+/// out is resolved, no admission slips in afterwards, and the books
+/// balance with no ticket open.
+#[test]
+fn drains_racing_admission_ticks_leave_balanced_books() {
+    use std::sync::{mpsc, Arc};
+    let h = ProbGraph::new(Graph::directed_path(3), vec![Rational::from_ratio(1, 2); 3]);
+    let request = Request::probability(Graph::directed_path(2));
+    for round in 0..100u64 {
+        let runtime = Arc::new(Runtime::builder().workers(1).build());
+        let v = runtime.register(h.clone());
+        runtime
+            .enqueue_to(v, request.clone())
+            .unwrap()
+            .wait()
+            .unwrap();
+        // Producers report each admitted batch; the drain starts after
+        // the third, so it lands among admissions in flight.
+        let (started_tx, started) = mpsc::channel::<()>();
+        let producers: Vec<_> = (0..3)
+            .map(|p| {
+                let runtime = Arc::clone(&runtime);
+                let request = request.clone();
+                let started_tx = started_tx.clone();
+                std::thread::spawn(move || {
+                    let mut tickets = Vec::new();
+                    loop {
+                        let batch = vec![request.clone(); 1 + (p as usize)];
+                        for outcome in runtime.enqueue_batch_to(v, batch) {
+                            match outcome {
+                                Ok(ticket) => tickets.push(ticket),
+                                Err(SolveError::Cancelled) => return tickets,
+                                Err(e) => panic!("unexpected refusal {e:?}"),
+                            }
+                        }
+                        let _ = started_tx.send(());
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..3 {
+            started.recv().expect("a producer admitted");
+        }
+        runtime.drain();
+        let at_drain = runtime.stats();
+        let tickets: Vec<Ticket> = producers
+            .into_iter()
+            .flat_map(|p| p.join().expect("producer"))
+            .collect();
+        for (i, ticket) in tickets.iter().enumerate() {
+            assert!(
+                ticket.is_done(),
+                "round {round}: ticket {i} open after drain"
+            );
+        }
+        let runtime = Arc::try_unwrap(runtime).ok().expect("producers joined");
+        let stats = runtime.shutdown();
+        assert_eq!(stats.admitted, at_drain.admitted, "round {round}");
+        assert_eq!(stats.admitted, tickets.len() as u64 + 1, "round {round}");
+        assert_eq!(
+            stats.admitted,
+            stats.completed + stats.cancelled + stats.shed_expired,
+            "round {round}: {stats:?}"
+        );
+        assert_eq!(stats.open_tickets(), 0, "round {round}");
+        assert_eq!(stats.total_tick_requests, stats.admitted, "round {round}");
+    }
+}
+
+/// Record before fulfill: an `on_complete` callback that reads the
+/// runtime's stats and spans finds its own request counted — on a
+/// worker finishing a batcher tick and on the admitting thread
+/// finishing an admission tick alike.
+#[test]
+fn a_completion_callback_sees_its_own_request_counted() {
+    use std::sync::{mpsc, Arc};
+    let runtime = Arc::new(Runtime::builder().workers(1).build());
+    let v = runtime.register(ProbGraph::new(
+        Graph::directed_path(24),
+        vec![Rational::from_ratio(1, 2); 24],
+    ));
+    // What the callback saw: its thread, then the completed count, the
+    // fast-lane latency records and its own trace's stages.
+    type Seen = (Option<String>, u64, u64, Vec<Stage>);
+    let observe = |request: Request, trace: u64| -> Seen {
+        let ticket = runtime
+            .enqueue_to(v, request.trace(trace))
+            .expect("admitted");
+        let (tx, rx) = mpsc::channel::<Seen>();
+        let rt = Arc::clone(&runtime);
+        ticket.on_complete(move |_| {
+            let stats = rt.stats();
+            let stages = rt.spans_for(trace).iter().map(|s| s.stage).collect();
+            let thread = std::thread::current().name().map(String::from);
+            let _ = tx.send((
+                thread,
+                stats.completed,
+                stats.request_ns_fast.count(),
+                stages,
+            ));
+        });
+        rx.recv().expect("the callback fired")
+    };
+    let all_stages = vec![
+        Stage::Admitted,
+        Stage::Queued,
+        Stage::Planned,
+        Stage::Evaluated,
+        Stage::Encoded,
+    ];
+    // Batcher ticks: uncached queries, until one callback runs on the
+    // worker (a request may answer before its callback is registered).
+    let mut on_worker = false;
+    let mut completed = 0;
+    for len in 1..=24 {
+        let seen = observe(Request::probability(Graph::directed_path(len)), len as u64);
+        completed += 1;
+        assert_eq!(seen.1, completed, "batcher tick {len}: {seen:?}");
+        assert_eq!(seen.2, completed, "batcher tick {len}: {seen:?}");
+        assert_eq!(seen.3, all_stages, "batcher tick {len}");
+        if seen
+            .0
+            .as_deref()
+            .is_some_and(|n| n.starts_with("phom-serve-worker"))
+        {
+            on_worker = true;
+            break;
+        }
+    }
+    assert!(on_worker, "no callback ran on a worker");
+    // An admission tick: the query is cached now, so the tick and the
+    // callback both run on this thread.
+    let seen = observe(Request::probability(Graph::directed_path(1)), 0xA11);
+    assert_eq!(seen.0, std::thread::current().name().map(String::from));
+    assert_eq!(seen.1, completed + 1, "{seen:?}");
+    assert_eq!(seen.2, completed + 1, "{seen:?}");
+    assert_eq!(seen.3, all_stages);
 }

@@ -10,6 +10,7 @@
 //! A watchdog aborts the process if the soak wedges — a deadlock fails
 //! fast (here and in CI) instead of hanging the job.
 
+use phom::net::wire::WireBudget;
 use phom::net::{Client, Json, MuxClient, MuxTicket, NetError, Server, WireRequest};
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
@@ -46,6 +47,23 @@ fn arm_watchdog(limit: Duration, done: &Arc<AtomicBool>) {
 }
 
 /// Classifies one delivered result object.
+/// Cached answers skip the ingress queue (the runtime answers an
+/// admission whose every request is cached on the admitting thread), so
+/// a soak over a small catalogue would stop saturating the queue once
+/// the catalogue is cached. Request `n` therefore carries, when `n` is
+/// odd, a gates budget no request reaches, distinct per request: it
+/// keys a fresh cache entry, so the request evaluates and queues. Even
+/// requests stay cache hits.
+fn uncached_if_odd(request: WireRequest, n: usize) -> WireRequest {
+    if n.is_multiple_of(2) {
+        return request;
+    }
+    request.with_budget(WireBudget {
+        gates: Some((1 << 40) + n as u64),
+        ..WireBudget::default()
+    })
+}
+
 fn classify_result(result: &Json) -> &'static str {
     match result.get("status").and_then(Json::as_str) {
         Some("ok") => "answered",
@@ -128,6 +146,7 @@ fn saturated_soak_accounts_for_every_request() {
                                 2 => (v_census, WireRequest::counting(query)),
                                 _ => (v_live, WireRequest::ucq(vec![query])),
                             };
+                            let request = uncached_if_odd(request, c * PER_CLIENT + sent + j);
                             attempts.fetch_add(1, Ordering::Relaxed);
                             match client.submit(version, &request) {
                                 Ok(ticket) => {
@@ -341,6 +360,7 @@ fn pipelined_mux_soak_accounts_for_every_request() {
                                 2 => (v_census, WireRequest::counting(query)),
                                 _ => (v_live, WireRequest::ucq(vec![query])),
                             };
+                            let request = uncached_if_odd(request, c * MUX_PER_CLIENT + sent + j);
                             attempts.fetch_add(1, Ordering::Relaxed);
                             match client.submit(version, &request) {
                                 Ok(ticket) => {

@@ -40,23 +40,14 @@ fn fleet() -> (Vec<Server>, Router, Client) {
     (servers, router, client)
 }
 
-/// Polls the `trace` op until the trace's spans have landed (span
-/// writes race the ticket fulfillment by a few microseconds).
+/// The spans of one trace, read once: the runtime records a request's
+/// stages before it publishes the answer, and the router its `routed`
+/// span before it acks, so once the client holds the answer they are
+/// all there.
 fn spans_of(client: &mut Client, trace: u64) -> TraceRequest {
-    for _ in 0..400 {
-        let mut requests = client.trace_spans(trace).expect("trace op");
-        // The router merges member spans under its own routing spans, so
-        // wait until the runtime stages are present, not just `routed`.
-        if let Some(req) = requests.pop() {
-            if req.spans.iter().any(|s| s.stage == Stage::Encoded)
-                && req.spans.iter().any(|s| s.stage == Stage::Routed)
-            {
-                return req;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("spans for trace {trace:#x} never became complete");
+    let mut requests = client.trace_spans(trace).expect("trace op");
+    assert_eq!(requests.len(), 1, "{requests:?}");
+    requests.pop().expect("one request")
 }
 
 #[test]
@@ -181,25 +172,11 @@ fn metrics_op_serves_parseable_prometheus_text_at_both_layers() {
         client.wait(ticket).expect("answered");
     }
 
-    // The router's fleet-level exposition. Histogram records land just
-    // after ticket fulfillment, so poll until the last request shows.
+    // The router's fleet-level exposition. Histograms are recorded
+    // before an answer is published, so all eight requests show.
     let fast_count_name = "phom_request_latency_ns_count{lane=\"fast\"}";
-    let (text, samples) = {
-        let mut last = (String::new(), Vec::new());
-        for _ in 0..400 {
-            let text = client.metrics().expect("metrics op");
-            let samples = parse_prometheus(&text);
-            let settled = samples
-                .iter()
-                .any(|(name, v)| name == fast_count_name && *v >= 8);
-            last = (text, samples);
-            if settled {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        last
-    };
+    let text = client.metrics().expect("metrics op");
+    let samples = parse_prometheus(&text);
     let value_of = |needle: &str| -> Option<u64> {
         samples
             .iter()
