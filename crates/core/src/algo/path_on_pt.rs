@@ -15,13 +15,15 @@ use phom_automata::{encode_polytree, OptPathAutomaton, PathAutomaton};
 use phom_graph::ProbGraph;
 use phom_num::Weight;
 
-/// Which Prop 5.4 pipeline to run. `tests::all_strategies_agree_with_brute_force`
-/// checks all three; the T3-ptime-a section of `tables` times them, and the
-/// `prop54_opt_automaton` entry of `tables --json` gates the default.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Which Prop 5.4 pipeline a direct call of [`long_path_probability`]
+/// runs. Engine requests always run [`OptAutomaton`](PtStrategy::OptAutomaton).
+/// `tests::all_strategies_agree_with_brute_force` checks all three; the
+/// T3-ptime-a section of `tables` times them, and the
+/// `prop54_opt_automaton` entry of `tables --json` gates the one requests
+/// run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PtStrategy {
-    /// Optimized `⟨↑, ↓, sat⟩` automaton + state-distribution DP (default).
-    #[default]
+    /// Optimized `⟨↑, ↓, sat⟩` automaton + state-distribution DP.
     OptAutomaton,
     /// Paper-faithful `⟨↑, ↓, Max⟩` automaton + state-distribution DP.
     PaperAutomaton,

@@ -138,8 +138,6 @@ pub(crate) fn opts_fingerprint(opts: &SolverOptions) -> u64 {
             h.write_u64(seed);
         }
     }
-    h.write_u8(opts.pt_strategy as u8);
-    h.write_u8(opts.prefer_dp as u8);
     h.write_u8(opts.want_provenance as u8);
     // Precision isolates cache entries across evaluation tiers: a float
     // answer is never served to an exact request (or vice versa), and

@@ -16,21 +16,23 @@
 //! * a handle to a **bounded LRU answer cache** keyed by (instance
 //!   fingerprint, options fingerprint, interned query) — see
 //!   [`EngineBuilder::cache_capacity`] and [`CacheHandle`];
-//! * a **shard width** ([`EngineBuilder::threads`]): `submit` distributes
-//!   the batch's unique, uncached queries across scoped worker threads.
+//! * the **tick seam** ([`Engine::begin_tick_with`]): a batch is planned
+//!   into independent work units that a caller's worker pool runs.
+//!   `submit` runs the same units in order on the calling thread.
 //!
 //! ## Sharding and bit-identical results
 //!
-//! Planning is pure reads over the shared state. Each shard compiles its
-//! assigned circuit-compilable plans into its *own* lineage arena and
-//! answers them with one multi-root engine pass; all other plans run the
-//! exact per-query path. A query's compiled circuit — and therefore its
-//! exact rational probability — does not depend on which arena it lands
-//! in or on what else that arena holds (interning only deduplicates
-//! structurally identical gates), so `submit` returns **bit-identical**
-//! `Response`s for `threads = 1` and `threads = N`. The equivalence
-//! suite in `tests/engine_api.rs` asserts exactly this, and checks the
-//! answers against brute force.
+//! Planning is pure reads over the shared state. A tick splits its
+//! probability work across [`TickConfig::shards`] units. Each shard
+//! compiles its assigned circuit-compilable plans into its *own* lineage
+//! arena and answers them with one multi-root engine pass; all other
+//! plans run the exact per-query path. A query's compiled circuit — and
+//! therefore its exact rational probability — does not depend on which
+//! arena it lands in or on what else that arena holds (interning only
+//! deduplicates structurally identical gates), so a tick returns
+//! **bit-identical** `Response`s for every shard count, with or without
+//! a shared arena. The equivalence suite in `tests/engine_api.rs`
+//! asserts exactly this, and checks the answers against brute force.
 //!
 //! ## Quick start
 //!
@@ -78,7 +80,7 @@ use phom_num::{ErrF64, Natural, Rational, Weight};
 use rand::SeedableRng;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -434,7 +436,6 @@ impl Response {
 #[derive(Clone)]
 pub struct EngineBuilder {
     cache_capacity: usize,
-    threads: usize,
     default_options: SolverOptions,
     shared_cache: Option<CacheHandle>,
 }
@@ -446,11 +447,10 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Defaults: unbounded cache, one shard, default [`SolverOptions`].
+    /// Defaults: unbounded private cache, default [`SolverOptions`].
     pub fn new() -> Self {
         EngineBuilder {
             cache_capacity: usize::MAX,
-            threads: 1,
             default_options: SolverOptions::default(),
             shared_cache: None,
         }
@@ -462,16 +462,6 @@ impl EngineBuilder {
     /// handle carries the bound.
     pub fn cache_capacity(mut self, n: usize) -> Self {
         self.cache_capacity = n;
-        self
-    }
-
-    /// Shard width for [`Engine::submit`]: unique uncached queries are
-    /// distributed across `k` scoped worker threads. `1` keeps the
-    /// historical sequential path (one shared arena across the whole
-    /// batch); `0` resolves to the machine's available parallelism.
-    /// Results are bit-identical for every width.
-    pub fn threads(mut self, k: usize) -> Self {
-        self.threads = k;
         self
     }
 
@@ -497,11 +487,6 @@ impl EngineBuilder {
     pub fn build(self, instance: ProbGraph) -> Engine {
         let state = InstanceState::new(&instance);
         let fingerprint = instance_fingerprint(&instance);
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        };
         let cache = self
             .shared_cache
             .unwrap_or_else(|| CacheHandle::with_capacity(self.cache_capacity));
@@ -510,15 +495,14 @@ impl EngineBuilder {
             state,
             fingerprint,
             cache,
-            threads,
             default_options: self.default_options,
         }
     }
 }
 
 /// A long-lived serving handle for one probabilistic instance: owns the
-/// instance-side state, a bounded answer cache, and the sharded submit
-/// loop. See the [module docs](self) for the full story.
+/// instance-side state and a bounded answer cache. See the
+/// [module docs](self) for the full story.
 ///
 /// `Engine` is `Sync`: one engine can serve `submit` calls from many
 /// threads (the cache is internally locked; everything else is read-only
@@ -528,12 +512,11 @@ pub struct Engine {
     state: InstanceState,
     fingerprint: u64,
     cache: CacheHandle,
-    threads: usize,
     default_options: SolverOptions,
 }
 
 impl Engine {
-    /// An engine with default configuration (unbounded cache, one shard).
+    /// An engine with default configuration (unbounded private cache).
     pub fn new(instance: ProbGraph) -> Self {
         EngineBuilder::new().build(instance)
     }
@@ -554,11 +537,6 @@ impl Engine {
     /// every cache key.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The configured shard width.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Counters and size of the engine's answer cache. For an engine
@@ -600,9 +578,11 @@ impl Engine {
 
     /// Answers a batch of requests, preserving order. Probability
     /// requests are interned, served from the cache where possible, and
-    /// sharded across the configured worker threads; counting,
-    /// sensitivity, and UCQ requests run as independent jobs on the same
-    /// workers.
+    /// solved in one shard; counting, sensitivity, and UCQ requests run
+    /// as one unit each. Every unit runs in order on the calling thread:
+    /// this is the [`begin_tick_with`](Engine::begin_tick_with) seam
+    /// under the default [`TickConfig`], which is how a worker pool such
+    /// as `phom_serve::Runtime` evaluates in parallel.
     ///
     /// The cache lock is held only for the (cheap) probe and fill
     /// phases, never across planning or solving — concurrent `submit`
@@ -626,13 +606,12 @@ impl Engine {
         &self,
         requests: &[Request],
     ) -> (Vec<Result<Response, SolveError>>, BatchStats) {
-        let config = TickConfig {
-            shards: self.threads,
-            share_arena_at: None,
-        };
-        let mut tick = plan_tick(self, requests, &config);
-        let units = std::mem::take(&mut tick.units);
-        let outputs = run_units_scoped(self, units, self.threads);
+        let mut tick = plan_tick(self, requests, &TickConfig::default());
+        let mut scratch = WorkerScratch::new();
+        let outputs = std::mem::take(&mut tick.units)
+            .into_iter()
+            .map(|unit| run_unit(self, unit, &mut scratch))
+            .collect();
         finish_tick(self, tick, outputs)
     }
 
@@ -1313,49 +1292,6 @@ fn run_unit(engine: &Engine, work: UnitWork, scratch: &mut WorkerScratch) -> Uni
     }
 }
 
-/// Runs work units on up to `threads` scoped worker threads (inline
-/// when one suffices). Unit outputs are index-tagged, so scheduling
-/// never affects where results land; panics inside a unit are already
-/// contained by [`run_unit`].
-fn run_units_scoped(engine: &Engine, units: Vec<UnitWork>, threads: usize) -> Vec<UnitOutput> {
-    if threads <= 1 || units.len() <= 1 {
-        let mut scratch = WorkerScratch::new();
-        return units
-            .into_iter()
-            .map(|u| run_unit(engine, u, &mut scratch))
-            .collect();
-    }
-    let workers = threads.min(units.len());
-    let work: Vec<Mutex<Option<UnitWork>>> =
-        units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut acc = Vec::new();
-                    let mut scratch = WorkerScratch::new();
-                    let mut i = w;
-                    while i < work.len() {
-                        let unit = work[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .take()
-                            .expect("each unit is taken exactly once");
-                        acc.push(run_unit(engine, unit, &mut scratch));
-                        i += workers;
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("units contain their own panics"))
-            .collect()
-    })
-}
-
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1556,7 +1492,7 @@ fn answer_general(
     let opts = pending.opts;
     outcome.general_solved += 1;
     if !opts.precision.is_exact() {
-        if let Some((value, route)) = dp_probability::<ErrF64>(&pending.planned, &shared, opts) {
+        if let Some((value, route)) = dp_probability::<ErrF64>(&pending.planned, &shared) {
             if let Ok(response) = serve_float(value, route, opts.precision, outcome) {
                 return Ok(response);
             }
@@ -1858,15 +1794,15 @@ fn run_shard(
 /// independent [`TickUnit`]s — the plan/execute seam behind
 /// `phom_serve`'s persistent worker pools.
 ///
-/// [`Engine::begin_tick`] plans the batch (cheap, pure reads over the
+/// [`Engine::begin_tick_with`] plans the batch (cheap, pure reads over the
 /// shared instance state, sequential); the returned units are
 /// `Send + 'static` — they own their queries, options, and plans — and
 /// may run on any thread, in any order, **without scoped spawns**;
 /// [`Tick::finish`] fills the answer cache and assembles the responses
 /// in request order.
 ///
-/// [`Engine::submit`] is exactly this seam run on ad-hoc scoped
-/// threads, so tick results are **bit-identical** to `submit` for every
+/// [`Engine::submit`] is exactly this seam run in order on the calling
+/// thread, so tick results are **bit-identical** to `submit` for every
 /// shard count and scheduling.
 pub struct Tick {
     engine: Arc<Engine>,
@@ -1876,25 +1812,11 @@ pub struct Tick {
 
 impl Engine {
     /// Plans `requests` into a [`Tick`] whose probability work is split
-    /// across at most `shards` units (plus one unit per counting /
-    /// sensitivity / UCQ request). Cache hits are answered during
-    /// planning and produce no units at all. Per-shard arenas only; see
-    /// [`begin_tick_with`](Engine::begin_tick_with) for the cross-shard
-    /// shared-arena knob.
-    pub fn begin_tick(self: &Arc<Self>, requests: &[Request], shards: usize) -> Tick {
-        self.begin_tick_with(
-            requests,
-            &TickConfig {
-                shards,
-                share_arena_at: None,
-            },
-        )
-    }
-
-    /// As [`begin_tick`](Engine::begin_tick), with the full
-    /// [`TickConfig`] — including
-    /// [`share_arena_at`](TickConfig::share_arena_at), the cross-shard
-    /// shared-arena threshold the serving runtime uses for large ticks.
+    /// across at most [`shards`](TickConfig::shards) units (plus one unit
+    /// per counting / sensitivity / UCQ request), compiling into one
+    /// shared arena for ticks of at least
+    /// [`share_arena_at`](TickConfig::share_arena_at) misses. Cache hits
+    /// are answered during planning and produce no units at all.
     pub fn begin_tick_with(self: &Arc<Self>, requests: &[Request], config: &TickConfig) -> Tick {
         let mut plan = plan_tick(self, requests, config);
         let units = std::mem::take(&mut plan.units)

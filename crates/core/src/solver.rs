@@ -197,11 +197,6 @@ pub enum OnHard {
 pub struct SolverOptions {
     /// Fallback on hard cells.
     pub fallback: Fallback,
-    /// Pipeline for the polytree automaton cases (Prop 5.4).
-    pub pt_strategy: PtStrategy,
-    /// Use the direct dynamic programs instead of the paper's β-acyclic
-    /// lineages for Props 4.10/4.11 (ablation; same answers).
-    pub prefer_dp: bool,
     /// Attach a [`Provenance`] handle (a d-DNNF circuit over the
     /// instance's edge ids) to the solution on the routes that can
     /// compile one — see [`Solution::provenance`]. Provenance is an
@@ -400,7 +395,7 @@ impl std::error::Error for SolveError {}
 /// lazily — trivial and hard routes never pay for it). One `solve` call
 /// builds it once; a long-lived [`crate::Engine`] builds it once for its
 /// *whole lifetime*, which is the instance-side half of the amortization.
-/// `Sync`: the engine's sharded submit path reads it from many threads.
+/// `Sync`: a worker pool's tick units read it from many threads.
 pub(crate) struct InstanceState {
     pub(crate) ic: Classification,
     h_labels: Vec<phom_graph::Label>,
@@ -630,7 +625,7 @@ pub(crate) fn execute_plan(
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
-    if let Some((probability, route)) = dp_probability::<Rational>(&planned, shared, opts) {
+    if let Some((probability, route)) = dp_probability::<Rational>(&planned, shared) {
         return Ok(Solution::new(probability, route));
     }
     let Planned { absorbed, plan } = planned;
@@ -640,16 +635,10 @@ pub(crate) fn execute_plan(
         // Only reached when the DP declined.
         Plan::Prop36 | Plan::Prop54 { .. } => None,
         Plan::Prop411 { effective } => shared
-            .per_component(&effective, |q, h| prop_411(q, h, opts))
+            .per_component(&effective, connected_on_2wp::probability_lineage)
             .map(|p| Solution::new(p, Route::Prop411)),
         Plan::Prop410 => shared
-            .per_component(&absorbed, |q, h| {
-                if opts.prefer_dp {
-                    path_on_dwt::probability_dp::<Rational>(q, h)
-                } else {
-                    path_on_dwt::probability_lineage(q, h)
-                }
-            })
+            .per_component(&absorbed, path_on_dwt::probability_lineage)
             .map(|p| Solution::new(p, Route::Prop410)),
     };
     match attempt {
@@ -662,13 +651,13 @@ pub(crate) fn execute_plan(
 /// probability and its route, or `None` for any other plan (or when the
 /// DP declines, which a correct classification never causes). Both DPs
 /// answer a connected query — Prop 3.6's collapses to `→^m` — so the
-/// cached Lemma 3.7 split applies, combined in `W` too. The exact path
-/// runs it over [`Rational`]; the engine's float tiers over
+/// cached Lemma 3.7 split applies, combined in `W` too. Prop 5.4 always
+/// runs [`PtStrategy::OptAutomaton`]. The exact path runs it over
+/// [`Rational`]; the engine's float tiers over
 /// [`ErrF64`](phom_num::ErrF64).
 pub(crate) fn dp_probability<W: Weight>(
     planned: &Planned,
     shared: &SharedInstance,
-    opts: SolverOptions,
 ) -> Option<(W, Route)> {
     let absorbed = &planned.absorbed;
     match planned.plan {
@@ -682,7 +671,7 @@ pub(crate) fn dp_probability<W: Weight>(
         .map(|p| (p, Route::Prop36)),
         Plan::Prop54 { m, via_collapse } => shared
             .per_component(absorbed, |_q, h| {
-                path_on_pt::long_path_probability::<W>(h, m, opts.pt_strategy)
+                path_on_pt::long_path_probability::<W>(h, m, PtStrategy::OptAutomaton)
             })
             .map(|p| (p, Route::Prop54 { via_collapse })),
         _ => None,
@@ -762,14 +751,6 @@ fn compile_provenance(planned: &Planned, instance: &Graph) -> Option<Box<Provena
         root,
         negated,
     }))
-}
-
-fn prop_411(query: &Graph, instance: &ProbGraph, opts: SolverOptions) -> Option<Rational> {
-    if opts.prefer_dp {
-        connected_on_2wp::probability_dp::<Rational>(query, instance)
-    } else {
-        connected_on_2wp::probability_lineage(query, instance)
-    }
 }
 
 fn fallback(

@@ -2,7 +2,7 @@
 //!
 //! PR 3's [`Engine`](phom_core::Engine) made single-process serving
 //! cheap: instance-side state and the answer cache are paid once per
-//! instance lifetime. But every `submit` still spawned scoped threads,
+//! instance lifetime. But `submit` evaluates on the calling thread,
 //! and callers had to hand-assemble batches. This crate closes the loop
 //! for **heavy concurrent traffic**: a long-lived [`Runtime`] owns
 //!

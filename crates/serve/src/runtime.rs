@@ -31,7 +31,7 @@
 //!    whichever comes first. A fast-lane request never waits on a
 //!    slow lane's sampling groups.
 //! 3. Each tick is grouped by instance version and planned through
-//!    [`Engine::begin_tick`] (interning, cache probe, routing — cheap,
+//!    [`Engine::begin_tick_with`] (interning, cache probe, routing — cheap,
 //!    sequential); the resulting `Send` units are dispatched to the
 //!    worker pool, where shards compile their circuit plans into one
 //!    arena each and answer them with one multi-root engine pass.
@@ -1052,7 +1052,7 @@ fn batcher_loop(inner: &Inner) {
 
 /// Executes one tick: shed cancelled and already-expired tickets, group
 /// by (instance version, lane), plan each group through
-/// `Engine::begin_tick`, and hand the units to `dispatch`. On the pool,
+/// `Engine::begin_tick_with`, and hand the units to `dispatch`. On the pool,
 /// fast-lane units go into the feed's priority queue and groups
 /// complete *asynchronously*: the worker reporting a group's last unit
 /// output runs [`finish_group`], so a slow group never delays a fast
@@ -1382,5 +1382,40 @@ mod tests {
         assert_eq!(after.total_tick_requests, after.admitted);
         assert_eq!(after.open_tickets(), 0, "{after:?}");
         assert_eq!(after.ticks_in_flight, 0);
+    }
+
+    /// An all-hit admission call of k requests is one tick of k
+    /// requests: `ticks` rises by 1, `total_tick_requests` by k, and
+    /// the size histogram gains one tick in k's bucket.
+    #[test]
+    fn an_all_hit_admission_call_counts_as_one_tick_of_its_requests() {
+        let runtime = Runtime::builder().workers(1).build();
+        let version = runtime.register(path_instance(4, Rational::from_ratio(1, 3)));
+        let distinct: Vec<Request> = (1..=3)
+            .map(|m| Request::probability(Graph::directed_path(m)))
+            .collect();
+        for ticket in runtime.enqueue_batch_to(version, distinct.clone()) {
+            ticket.unwrap().wait().unwrap();
+        }
+        let k = 5;
+        let call: Vec<Request> = distinct.iter().cycle().take(k).cloned().collect();
+        let before = runtime.stats();
+        for ticket in runtime.enqueue_batch_to(version, call) {
+            let answer = ticket.unwrap().try_get();
+            assert!(matches!(answer, Some(Ok(_))), "answered at admission");
+        }
+        let after = runtime.shutdown();
+        assert_eq!(after.ticks, before.ticks + 1);
+        assert_eq!(
+            after.total_tick_requests,
+            before.total_tick_requests + k as u64
+        );
+        let bucket = tick_size_bucket(k);
+        assert_eq!(
+            after.tick_size_hist[bucket],
+            before.tick_size_hist[bucket] + 1
+        );
+        assert!(after.max_tick_requests >= k);
+        assert_eq!(after.unit_runs, before.unit_runs, "every answer was cached");
     }
 }

@@ -71,17 +71,21 @@ pub struct RuntimeStats {
     pub shed_expired: u64,
     /// Ticks currently dispatched to the pool and not yet finished.
     pub ticks_in_flight: usize,
-    /// Micro-batch ticks flushed (at once for an idle lane; by size or
-    /// by the `max_wait` timer while a lane has a tick in flight).
+    /// Ticks run, of two kinds: each batcher flush (at once for an idle
+    /// lane; by size or by the `max_wait` timer while a lane has a tick
+    /// in flight), and each admission tick — an admission call whose
+    /// every request was already cached, run whole on the admitting
+    /// thread.
     pub ticks: u64,
-    /// Requests across all ticks (mean tick size =
-    /// `total_tick_requests / ticks`).
+    /// Requests across all ticks of both kinds (mean tick size =
+    /// `total_tick_requests / ticks`); an admission tick adds its
+    /// call's admitted requests.
     pub total_tick_requests: u64,
-    /// Largest tick flushed so far.
+    /// Largest tick of either kind so far, in requests.
     pub max_tick_requests: usize,
-    /// Tick-size histogram: [`tick_size_bucket`] buckets
-    /// (`[1]`, `[2–3]`, `[4–7]`, …, `[≥128]`); the bucket counts sum to
-    /// [`ticks`](RuntimeStats::ticks).
+    /// Tick-size histogram over both kinds of tick: [`tick_size_bucket`]
+    /// buckets (`[1]`, `[2–3]`, `[4–7]`, …, `[≥128]`); the bucket counts
+    /// sum to [`ticks`](RuntimeStats::ticks).
     pub tick_size_hist: [u64; TICK_HIST_BUCKETS],
     /// Tick groups (one per instance version within a tick) that
     /// compiled their circuit plans into one cross-shard shared arena
@@ -161,7 +165,10 @@ pub struct RuntimeStats {
 }
 
 impl RuntimeStats {
-    /// Mean tick size in requests (0 before the first tick).
+    /// Mean tick size in requests over batcher flushes and admission
+    /// ticks alike (0 before the first tick). Under mostly cached
+    /// traffic it tends to the size of an admission call, whatever the
+    /// batcher does with the misses.
     pub fn mean_tick_requests(&self) -> f64 {
         if self.ticks == 0 {
             0.0
@@ -237,10 +244,10 @@ pub const RUNTIME_METRICS: &[Metric<RuntimeStats>] = &[
     Metric::new("shed_expired", "phom_requests_shed_expired_total", &[], Counter, "requests shed expired-in-queue", |s| s.shed_expired.into()),
     Metric::new("open_tickets", "phom_open_tickets", &[], Level, "admitted requests not yet resolved", |s| s.open_tickets().into()),
     Metric::new("ticks_in_flight", "phom_ticks_in_flight", &[], Level, "tick groups dispatched and not yet finished", |s| s.ticks_in_flight.into()),
-    Metric::new("ticks", "phom_ticks_total", &[], Counter, "micro-batch ticks flushed", |s| s.ticks.into()),
-    Metric::new("total_tick_requests", "phom_tick_requests_total", &[], Counter, "requests across all ticks", |s| s.total_tick_requests.into()),
-    Metric::new("max_tick_requests", "phom_tick_requests_max", &[], HighWater, "largest tick flushed, in requests", |s| s.max_tick_requests.into()),
-    Metric::new("tick_size_hist", "phom_ticks_by_size_total", &[], Counter, "micro-batch ticks per size bucket (bucket b holds ticks of 2^b to 2^(b+1)-1 requests, the last bucket every larger tick too)", |s| Value::Buckets(s.tick_size_hist.to_vec())),
+    Metric::new("ticks", "phom_ticks_total", &[], Counter, "ticks run: batcher flushes plus all-cached admission calls", |s| s.ticks.into()),
+    Metric::new("total_tick_requests", "phom_tick_requests_total", &[], Counter, "requests across all ticks, batcher and admission", |s| s.total_tick_requests.into()),
+    Metric::new("max_tick_requests", "phom_tick_requests_max", &[], HighWater, "largest tick run, in requests", |s| s.max_tick_requests.into()),
+    Metric::new("tick_size_hist", "phom_ticks_by_size_total", &[], Counter, "ticks of both kinds per size bucket (bucket b holds ticks of 2^b to 2^(b+1)-1 requests, the last bucket every larger tick too)", |s| Value::Buckets(s.tick_size_hist.to_vec())),
     Metric::new("shared_arena_ticks", "phom_shared_arena_ticks_total", &[], Counter, "tick groups compiled into one shared arena", |s| s.shared_arena_ticks.into()),
     Metric::new("shared_gates", "phom_shared_gates_total", &[], Counter, "gates across all tick arenas", |s| s.shared_gates.into()),
     Metric::new("unit_runs", "phom_unit_runs_total", &[], Counter, "work units executed", |s| s.unit_runs.into()),

@@ -10,10 +10,10 @@
 //! 1. instance preprocessing (classification, labels, component split)
 //!    runs once per *engine lifetime*, not once per query or per batch;
 //! 2. structurally identical queries in a batch intern to a single solve;
-//! 3. unique uncached queries are sharded across the engine's worker
-//!    threads, each shard answering its circuit-compilable plans with one
-//!    multi-root pass over its own lineage arena — results bit-identical
-//!    to the sequential path;
+//! 3. unique uncached circuit-compilable queries compile into one lineage
+//!    arena and are answered by one multi-root pass over it (a
+//!    `phom_serve::Runtime` splits the same work across its worker pool,
+//!    with bit-identical results);
 //! 4. across batches, the engine's **bounded LRU cache** serves hot
 //!    queries without touching the solver at all — until the instance
 //!    itself changes, which flips its fingerprint and invalidates every
@@ -43,11 +43,8 @@ fn main() {
         })
         .collect();
 
-    // The long-lived engine: two shards, a bounded answer cache.
-    let engine = Engine::builder()
-        .threads(2)
-        .cache_capacity(1024)
-        .build(h.clone());
+    // The long-lived engine with a bounded answer cache.
+    let engine = Engine::builder().cache_capacity(1024).build(h.clone());
 
     // A simulated traffic trace: 5 ticks × 32 requests, Zipf-ish skew
     // toward the first catalogue entries.
@@ -99,7 +96,7 @@ fn main() {
     let mut probs = h.probs().to_vec();
     probs[0] = Rational::one();
     let h2 = ProbGraph::new(h.graph().clone(), probs);
-    let engine2 = Engine::builder().threads(2).build(h2);
+    let engine2 = Engine::new(h2);
     assert_ne!(engine.fingerprint(), engine2.fingerprint());
     let requests: Vec<Request> = (0..8)
         .map(|i| Request::probability(catalogue[i % 4].clone()))

@@ -3,11 +3,10 @@
 //!
 //! ```text
 //! phom solve <query-file> <instance-file> [--brute-force <max-edges>]
-//!                                         [--monte-carlo <samples>] [--dp]
+//!                                         [--monte-carlo <samples>]
 //!                                         [--precision exact|float:<tol>|auto[:<tol>]]
 //! phom solve --queries-file <batch-file> <instance-file> [options]
-//!                                         [--threads <k>] [--cache-cap <n>]
-//!                                         [--stats]
+//!                                         [--cache-cap <n>] [--stats]
 //! phom serve --listen ADDR [--max-batch <n>] [--max-wait-ms <ms>]
 //!                          [--queue-cap <n>] [--workers <k>]
 //!                          [--share-arena-at <n|off>] [--serve-for-ms <ms>]
@@ -30,10 +29,10 @@
 //! from one file (sections separated by lines containing only `---`) and
 //! submits them as one request batch: instance preprocessing runs once,
 //! structurally identical queries intern to one solve, circuit-compilable
-//! queries compile into per-shard lineage arenas (`--threads` controls
-//! the shard width) answered by one engine pass each, and the engine's
-//! bounded answer cache (`--cache-cap`) serves repeats. A summary line
-//! reports the batch statistics; `--stats` adds the cache counters.
+//! queries compile into one lineage arena answered by one engine pass,
+//! and the engine's bounded answer cache (`--cache-cap`) serves repeats.
+//! A summary line reports the batch statistics; `--stats` adds the cache
+//! counters.
 
 use phom_core::tables;
 use phom_core::{Engine, Request, Response, SolveError};
@@ -105,11 +104,9 @@ fn usage() -> String {
      options for solve/count:\n\
      \x20 --brute-force <max-edges>   fall back to world enumeration\n\
      \x20 --monte-carlo <samples>     fall back to sampling (solve only)\n\
-     \x20 --dp                        use the direct-DP ablations\n\
      \x20 --queries-file <file>       solve only: batch mode — answer every\n\
      \x20                             query in <file> (sections split by ---)\n\
      \x20                             via one Engine::submit batch\n\
-     \x20 --threads <k>               engine shard width (0 = all cores)\n\
      \x20 --cache-cap <n>             bound the engine's answer cache (LRU)\n\
      \x20 --precision <p>             evaluation tier (solve only):\n\
      \x20                             exact (default), float:<tol> — f64 with\n\
@@ -786,7 +783,6 @@ fn solve_cmd(
     let mut files = Vec::new();
     let mut opts = phom_core::SolverOptions::default();
     let mut queries_file: Option<String> = None;
-    let mut threads: usize = 1;
     let mut cache_cap: Option<usize> = None;
     let mut show_stats = false;
     let mut deadline_ms: Option<u64> = None;
@@ -797,13 +793,6 @@ fn solve_cmd(
                 i += 1;
                 let f = args.get(i).ok_or("--queries-file needs a file")?;
                 queries_file = Some(f.clone());
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a shard count (0 = all cores)")?;
             }
             "--cache-cap" => {
                 i += 1;
@@ -833,7 +822,6 @@ fn solve_cmd(
                     seed: 0x5eed,
                 };
             }
-            "--dp" => opts.prefer_dp = true,
             "--deadline-ms" => {
                 i += 1;
                 let ms: u64 = args
@@ -886,6 +874,10 @@ fn solve_cmd(
                     .ok_or("--precision needs exact, float:<tol>, or auto[:<tol>]")?;
                 opts.precision = parse_precision(v)?;
             }
+            other if other.starts_with("--") => {
+                let cmd = if count_mode { "count" } else { "solve" };
+                return Err(format!("{cmd}: unknown flag '{other}'"));
+            }
             f => files.push(f.to_string()),
         }
         i += 1;
@@ -899,7 +891,6 @@ fn solve_cmd(
         };
         let batch = BatchConfig {
             opts,
-            threads,
             cache_cap,
             show_stats,
             deadline_ms,
@@ -910,9 +901,8 @@ fn solve_cmd(
         return Err("expected: <query-file> <instance-file>".into());
     };
     let (query, instance) = parse_inputs(qfile, hfile, read_file)?;
-    // The engine flags apply in single-query mode too (one query means
-    // one shard, but the cache bound and --stats output are honored).
-    let mut builder = Engine::builder().default_options(opts).threads(threads);
+    // The engine flags apply in single-query mode too.
+    let mut builder = Engine::builder().default_options(opts);
     if let Some(cap) = cache_cap {
         builder = builder.cache_capacity(cap);
     }
@@ -1004,7 +994,6 @@ fn solve_cmd(
 /// Batch-mode configuration collected from the `solve` flags.
 struct BatchConfig {
     opts: phom_core::SolverOptions,
-    threads: usize,
     cache_cap: Option<usize>,
     show_stats: bool,
     deadline_ms: Option<u64>,
@@ -1042,9 +1031,7 @@ fn batch_solve_cmd(
         return Err(format!("{qsfile}: no queries found"));
     }
     let instance = hparsed.into_prob_graph();
-    let mut builder = Engine::builder()
-        .default_options(config.opts)
-        .threads(config.threads);
+    let mut builder = Engine::builder().default_options(config.opts);
     if let Some(cap) = config.cache_cap {
         builder = builder.cache_capacity(cap);
     }
@@ -1105,14 +1092,13 @@ fn batch_solve_cmd(
     let _ = writeln!(
         out,
         "batch: {} queries, {} unique; {} via {} shard arena(s) ({} gates), \
-         {} general; {} threads",
+         {} general",
         stats.queries,
         stats.unique_queries,
         stats.circuit_batched,
         stats.shards,
         stats.shared_gates,
         stats.general_solved,
-        engine.threads(),
     );
     if config.show_stats {
         let cache = engine.cache_stats();
@@ -1359,6 +1345,20 @@ mod tests {
         let out = run(&args(&["solve", "q.pg", "h.pg"]), &fs).unwrap();
         assert!(out.contains("3/8"), "{out}");
         assert!(out.contains("Prop411"), "{out}"); // a 1WP instance routes via 2WP
+
+        // Unknown flags are refused by name, not read as a third file.
+        for (extra, flag) in [
+            (&["--dp"][..], "--dp"),
+            (&["--threads", "2"][..], "--threads"),
+            (&["--bogus"][..], "--bogus"),
+        ] {
+            for cmd in ["solve", "count"] {
+                let mut argv = vec![cmd, "q.pg", "h.pg"];
+                argv.extend_from_slice(extra);
+                let err = run(&args(&argv), &fs).unwrap_err();
+                assert_eq!(err, format!("{cmd}: unknown flag '{flag}'"));
+            }
+        }
     }
 
     #[test]
@@ -1536,15 +1536,13 @@ mod tests {
             ),
             ("h.pg", "vertices 3\nedge 0 1 R 1/2\nedge 1 2 S 3/4\n"),
         ]);
-        let sequential = run(&args(&["solve", "--queries-file", "qs.pg", "h.pg"]), &fs).unwrap();
-        let sharded = run(
+        let plain = run(&args(&["solve", "--queries-file", "qs.pg", "h.pg"]), &fs).unwrap();
+        let capped = run(
             &args(&[
                 "solve",
                 "--queries-file",
                 "qs.pg",
                 "h.pg",
-                "--threads",
-                "3",
                 "--cache-cap",
                 "8",
                 "--stats",
@@ -1552,7 +1550,7 @@ mod tests {
             &fs,
         )
         .unwrap();
-        // Bit-identical per-query lines regardless of shard width.
+        // Bit-identical per-query lines whatever the cache flags say.
         for i in 0..3 {
             let line = |s: &str| {
                 s.lines()
@@ -1560,18 +1558,20 @@ mod tests {
                     .unwrap()
                     .to_string()
             };
-            assert_eq!(line(&sequential), line(&sharded), "query {i}");
+            assert_eq!(line(&plain), line(&capped), "query {i}");
         }
-        assert!(sharded.contains("3 threads"), "{sharded}");
-        assert!(sharded.contains("cache:"), "{sharded}");
-        assert!(sharded.contains("(cap 8)"), "{sharded}");
-        assert!(!sequential.contains("cache:"), "{sequential}");
-        // Bad flag values are reported.
-        assert!(run(
-            &args(&["solve", "--queries-file", "qs.pg", "h.pg", "--threads", "x"]),
-            &fs
+        assert!(capped.contains("via 1 shard arena(s)"), "{capped}");
+        assert!(capped.contains("cache:"), "{capped}");
+        assert!(capped.contains("(cap 8)"), "{capped}");
+        assert!(!plain.contains("cache:"), "{plain}");
+        // The engine has no shard width: `--threads` is an unknown flag.
+        let err = run(
+            &args(&["solve", "--queries-file", "qs.pg", "h.pg", "--threads", "2"]),
+            &fs,
         )
-        .is_err());
+        .unwrap_err();
+        assert!(err.contains("solve: unknown flag '--threads'"), "{err}");
+        // Bad flag values are reported.
         assert!(run(
             &args(&["solve", "--queries-file", "qs.pg", "h.pg", "--cache-cap"]),
             &fs

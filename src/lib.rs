@@ -274,7 +274,7 @@
 //! differential suite:
 //!
 //! 1. **The engine tick seam** ([`core::engine`]):
-//!    [`Engine::begin_tick`](phom_core::Engine::begin_tick) plans a
+//!    [`Engine::begin_tick_with`](phom_core::Engine::begin_tick_with) plans a
 //!    batch into `Send + 'static` [`TickUnit`](phom_core::TickUnit)s
 //!    that any pool may run, and
 //!    [`Tick::finish`](phom_core::Tick::finish) assembles the answers.
@@ -409,8 +409,9 @@
 //! assert_eq!(stats.workers_started, 2);       // spawned exactly once
 //! ```
 //!
-//! The same engines remain directly usable: [`EngineBuilder::threads`]
-//! shards an [`Engine::submit`] batch across scoped worker threads,
+//! The same engines remain directly usable: [`Engine::submit`] answers
+//! a batch on the calling thread through the same tick seam (the
+//! runtime's pool is where evaluation runs in parallel),
 //! [`EngineBuilder::shared_cache`] builds one engine per instance
 //! *version* on one shared bounded cache (the cache key embeds the
 //! [`instance_fingerprint`](phom_core::instance_fingerprint), so
@@ -428,7 +429,7 @@
 //! let h_v2 = ProbGraph::new(h_v1.graph().clone(), h_v2_probs);
 //!
 //! let cache = CacheHandle::with_capacity(4096);
-//! let on_cache = |h| Engine::builder().threads(2).shared_cache(cache.clone()).build(h);
+//! let on_cache = |h| Engine::builder().shared_cache(cache.clone()).build(h);
 //! let (v1, v2) = (on_cache(h_v1), on_cache(h_v2));
 //! assert_ne!(v1.fingerprint(), v2.fingerprint());
 //! let q = Request::probability(Graph::directed_path(1));

@@ -167,10 +167,6 @@ fn batched_submit_matches_solo_and_references_under_fallbacks() {
             },
             ..Default::default()
         },
-        SolverOptions {
-            prefer_dp: true,
-            ..Default::default()
-        },
     ] {
         for trial in 0..12 {
             let h = random_instance(&mut rng);
@@ -256,16 +252,16 @@ fn cache_serves_repeats_and_instance_mutation_invalidates() {
     }
 
     // Different options key separately (no cross-option bleed).
-    let dp_opts = SolverOptions {
-        prefer_dp: true,
+    let other_opts = SolverOptions {
+        fallback: Fallback::BruteForce { max_uncertain: 12 },
         ..Default::default()
     };
-    let dp_requests: Vec<Request> = requests
+    let other_requests: Vec<Request> = requests
         .iter()
-        .map(|r| r.clone().options(dp_opts))
+        .map(|r| r.clone().options(other_opts))
         .collect();
-    let (_, s_dp) = engine.submit_stats(&dp_requests);
-    assert_eq!(s_dp.cache_hits, 0, "other options must not hit");
+    let (_, s_other) = engine.submit_stats(&other_requests);
+    assert_eq!(s_other.cache_hits, 0, "other options must not hit");
 
     // Structural mutation: drop the last edge. New fingerprint, cold
     // cache, and answers match the reference on the mutated instance.

@@ -1,6 +1,7 @@
-//! The engine-surface equivalence suite: `Engine::submit` must return
-//! **bit-identical** responses for 1 shard and N shards, and those
-//! responses must match independent references — brute force, the
+//! The engine-surface equivalence suite: a tick must return
+//! **bit-identical** responses for 1 shard and N shards, with per-shard
+//! or shared arenas, and those responses must match independent
+//! references — brute force, the
 //! public Monte-Carlo estimator, and the counting, UCQ and sensitivity
 //! modules — across every route of the Tables 1–3 dispatcher, with
 //! provenance, counting, sensitivity, and UCQ requests, and under cache
@@ -15,7 +16,8 @@ use phom_core::{ucq, Hardness};
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reference::{assert_reference, assert_same_response};
+use reference::{assert_reference, assert_same_response, shards, submit_with};
+use std::sync::Arc;
 
 /// A random instance spanning every column of the paper's tables:
 /// two-way paths, downward trees and their unions, polytrees, and small
@@ -50,8 +52,9 @@ fn random_query(h: &ProbGraph, rng: &mut SmallRng) -> Graph {
 }
 
 /// The headline acceptance test: randomized workloads over every route,
-/// submitted at shard widths 1, 2, and 5 — all bit-identical, and every
-/// answer equal to its brute-force (or seeded Monte-Carlo) reference.
+/// run as ticks of 1, 2, and 5 shards and as 3 shards over one shared
+/// arena — all bit-identical, and every answer equal to its brute-force
+/// (or seeded Monte-Carlo) reference.
 #[test]
 fn submit_is_bit_identical_across_shard_widths_and_matches_references() {
     let mut rng = SmallRng::seed_from_u64(0xE9612E);
@@ -68,7 +71,6 @@ fn submit_is_bit_identical_across_shard_widths_and_matches_references() {
                 ..Default::default()
             },
             _ => SolverOptions {
-                prefer_dp: true,
                 fallback: Fallback::MonteCarlo {
                     samples: 50,
                     seed: 7,
@@ -80,18 +82,19 @@ fn submit_is_bit_identical_across_shard_widths_and_matches_references() {
             .iter()
             .map(|q| Request::probability(q.clone()))
             .collect();
+        let shared_arena = TickConfig {
+            shards: 3,
+            share_arena_at: Some(1),
+        };
         let mut widths: Vec<Vec<Result<Response, SolveError>>> = Vec::new();
-        for threads in [1usize, 2, 5] {
-            let engine = Engine::builder()
-                .threads(threads)
-                .default_options(opts)
-                .build(h.clone());
-            let (answers, stats) = engine.submit_stats(&requests);
+        for config in [shards(1), shards(2), shards(5), shared_arena] {
+            let engine = Arc::new(Engine::builder().default_options(opts).build(h.clone()));
+            let (answers, stats) = submit_with(&engine, &requests, config);
             assert_eq!(answers.len(), queries.len());
-            assert!(stats.shards <= threads.max(1), "{stats:?}");
+            assert!(stats.shards <= config.shards, "{stats:?}");
             if let Some(first) = widths.first() {
                 for (i, (a, b)) in answers.iter().zip(first).enumerate() {
-                    assert_same_response(a, b, &format!("trial {trial}, q {i}, k {threads}"));
+                    assert_same_response(a, b, &format!("trial {trial}, q {i}, {config:?}"));
                 }
             }
             widths.push(answers);
@@ -120,11 +123,11 @@ fn provenance_requests_are_identical_across_widths() {
             ..Default::default()
         };
         let mut widths: Vec<Vec<Result<Response, SolveError>>> = Vec::new();
-        for threads in [1usize, 4] {
-            let engine = Engine::builder().threads(threads).build(h.clone());
-            let answers = engine.submit(&requests);
+        for k in [1usize, 4] {
+            let engine = Arc::new(Engine::new(h.clone()));
+            let (answers, _) = submit_with(&engine, &requests, shards(k));
             for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
-                let ctx = format!("trial {trial}, q {i}, k {threads}");
+                let ctx = format!("trial {trial}, q {i}, k {k}");
                 match widths.first() {
                     Some(first) => assert_same_response(a, &first[i], &ctx),
                     None => assert_reference(a, q, &h, opts, &ctx),
@@ -156,9 +159,9 @@ fn counting_requests_match_module_and_validate() {
             .iter()
             .map(|q| Request::probability(q.clone()).counting())
             .collect();
-        for threads in [1usize, 3] {
-            let engine = Engine::builder().threads(threads).build(h.clone());
-            let answers = engine.submit(&requests);
+        for k in [1usize, 3] {
+            let engine = Arc::new(Engine::new(h.clone()));
+            let (answers, _) = submit_with(&engine, &requests, shards(k));
             for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
                 let expect = count_satisfying_worlds_with(q, &h, SolverOptions::default());
                 match (a, expect) {
@@ -193,9 +196,9 @@ fn ucq_requests_match_module() {
             .map(|_| random_query(&h, &mut rng))
             .collect();
         let u = Ucq::new(disjuncts);
-        for threads in [1usize, 2] {
-            let engine = Engine::builder().threads(threads).build(h.clone());
-            let answers = engine.submit(&[Request::ucq(u.clone())]);
+        for k in [1usize, 2] {
+            let engine = Arc::new(Engine::new(h.clone()));
+            let (answers, _) = submit_with(&engine, &[Request::ucq(u.clone())], shards(k));
             match (&answers[0], ucq::probability::<Rational>(&u, &h)) {
                 (Ok(Response::Ucq { probability, route }), Some((p, r))) => {
                     assert_eq!(probability, &p, "trial {trial}");
@@ -217,7 +220,7 @@ fn sensitivity_requests_match_gradients_and_conditioning() {
     for trial in 0..12 {
         let h = random_instance(&mut rng, ProbProfile::half());
         let q = random_query(&h, &mut rng);
-        let engine = Engine::builder().threads(2).build(h.clone());
+        let engine = Engine::new(h.clone());
         let request = Request::probability(q.clone())
             .sensitivity()
             .fallback(Fallback::BruteForce { max_uncertain: 10 });
@@ -323,26 +326,20 @@ fn mixed_batches_preserve_order() {
         Request::probability(q2).with_provenance(),
         Request::probability(q1).sensitivity(),
     ];
-    for threads in [1usize, 4] {
-        let engine = Engine::builder().threads(threads).build(h.clone());
-        let answers = engine.submit(&batch);
-        assert!(
-            matches!(answers[0], Ok(Response::Probability(_))),
-            "{threads}"
-        );
-        assert!(
-            matches!(answers[1], Ok(Response::Count { .. })),
-            "{threads}"
-        );
-        assert!(matches!(answers[2], Ok(Response::Ucq { .. })), "{threads}");
+    for k in [1usize, 4] {
+        let engine = Arc::new(Engine::new(h.clone()));
+        let (answers, _) = submit_with(&engine, &batch, shards(k));
+        assert!(matches!(answers[0], Ok(Response::Probability(_))), "{k}");
+        assert!(matches!(answers[1], Ok(Response::Count { .. })), "{k}");
+        assert!(matches!(answers[2], Ok(Response::Ucq { .. })), "{k}");
         let Ok(Response::Probability(sol)) = &answers[3] else {
-            panic!("{threads}: {:?}", answers[3]);
+            panic!("{k}: {:?}", answers[3]);
         };
         assert!(sol.probability.is_one());
         assert!(sol.provenance.is_some(), "trivial route attaches a handle");
         assert!(
             matches!(answers[4], Ok(Response::Sensitivity { .. })),
-            "{threads}"
+            "{k}"
         );
     }
 }
@@ -365,13 +362,10 @@ fn tiny_cache_evicts_but_stays_correct() {
     // The first answers are checked against the reference; every later
     // round, at every width, must repeat them bit for bit.
     let mut first: Option<Vec<Result<Response, SolveError>>> = None;
-    for threads in [1usize, 3] {
-        let engine = Engine::builder()
-            .threads(threads)
-            .cache_capacity(2)
-            .build(h.clone());
+    for k in [1usize, 3] {
+        let engine = Arc::new(Engine::builder().cache_capacity(2).build(h.clone()));
         for round in 0..3 {
-            let answers = engine.submit(&requests);
+            let (answers, _) = submit_with(&engine, &requests, shards(k));
             let Some(expect) = &first else {
                 for (i, (q, a)) in queries.iter().zip(&answers).enumerate() {
                     let opts = SolverOptions::default();
@@ -381,7 +375,7 @@ fn tiny_cache_evicts_but_stays_correct() {
                 continue;
             };
             for (i, (a, b)) in answers.iter().zip(expect).enumerate() {
-                assert_same_response(a, b, &format!("k {threads}, round {round}, q {i}"));
+                assert_same_response(a, b, &format!("k {k}, round {round}, q {i}"));
             }
             let stats = engine.cache_stats();
             assert!(stats.entries <= 2, "{stats:?}");
@@ -403,7 +397,6 @@ fn fleet_shares_one_bounded_cache_across_versions() {
     let cache = CacheHandle::with_capacity(3);
     let on_cache = |h: &ProbGraph| {
         Engine::builder()
-            .threads(2)
             .shared_cache(cache.clone())
             .build(h.clone())
     };

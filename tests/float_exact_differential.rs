@@ -15,10 +15,14 @@
 //! * the direct DPs' float answers (Prop 3.6, Prop 5.4, Lemma 3.7) are a
 //!   function of the request alone, whatever tick serves them.
 
+mod reference;
+
 use phom::prelude::*;
 use phom_graph::generate::{self, ProbProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference::{shards, submit_with};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A random instance spanning every column of the paper's tables.
@@ -260,15 +264,10 @@ fn float_answers_are_identical_across_shard_widths() {
                 .precision(Precision::Auto { max_rel_err: 1e-9 })
         })
         .collect();
-    let one = Engine::builder()
-        .threads(1)
-        .build(h.clone())
-        .submit(&requests);
-    for threads in [2, 4] {
-        let many = Engine::builder()
-            .threads(threads)
-            .build(h.clone())
-            .submit(&requests);
+    let one = Engine::new(h.clone()).submit(&requests);
+    for k in [2, 4] {
+        let engine = Arc::new(Engine::new(h.clone()));
+        let (many, _) = submit_with(&engine, &requests, shards(k));
         for (i, (a, b)) in one.iter().zip(&many).enumerate() {
             match (a, b) {
                 (
@@ -283,24 +282,17 @@ fn float_answers_are_identical_across_shard_widths() {
                         route: rb,
                     }),
                 ) => {
-                    assert_eq!(va.to_bits(), vb.to_bits(), "{threads} shards, request {i}");
-                    assert_eq!(ba.to_bits(), bb.to_bits(), "{threads} shards, request {i}");
-                    assert_eq!(ra, rb, "{threads} shards, request {i}");
+                    assert_eq!(va.to_bits(), vb.to_bits(), "{k} shards, request {i}");
+                    assert_eq!(ba.to_bits(), bb.to_bits(), "{k} shards, request {i}");
+                    assert_eq!(ra, rb, "{k} shards, request {i}");
                 }
                 (Ok(Response::Probability(sa)), Ok(Response::Probability(sb))) => {
-                    assert_eq!(
-                        sa.probability, sb.probability,
-                        "{threads} shards, request {i}"
-                    );
+                    assert_eq!(sa.probability, sb.probability, "{k} shards, request {i}");
                 }
                 (Err(ea), Err(eb)) => {
-                    assert_eq!(
-                        ea.to_string(),
-                        eb.to_string(),
-                        "{threads} shards, request {i}"
-                    )
+                    assert_eq!(ea.to_string(), eb.to_string(), "{k} shards, request {i}")
                 }
-                (a, b) => panic!("{threads} shards, request {i}: {a:?} vs {b:?}"),
+                (a, b) => panic!("{k} shards, request {i}: {a:?} vs {b:?}"),
             }
         }
     }
@@ -438,15 +430,10 @@ fn dp_float_answers_do_not_depend_on_the_tick() {
                 .map(|p| Request::probability(q.clone()).precision(p))
             })
             .collect();
-        let engine = |threads| {
-            Engine::builder()
-                .cache_capacity(0)
-                .threads(threads)
-                .build(h.clone())
-        };
+        let engine = || Arc::new(Engine::builder().cache_capacity(0).build(h.clone()));
         let alone: Vec<String> = requests
             .iter()
-            .map(|r| wire(&engine(1).submit(std::slice::from_ref(r))[0]))
+            .map(|r| wire(&engine().submit(std::slice::from_ref(r))[0]))
             .collect();
         for answer in &alone {
             assert!(
@@ -463,11 +450,11 @@ fn dp_float_answers_do_not_depend_on_the_tick() {
             .enumerate()
             .flat_map(|(i, r)| [Request::probability(queries[i / 2].clone()), r.clone()])
             .collect();
-        let one = engine(1);
+        let one = engine();
         let batched = one.submit(&requests);
         let backwards = one.submit(&reversed);
         let mixed = one.submit(&with_exact);
-        let second = engine(2).submit(&requests);
+        let (second, _) = submit_with(&engine(), &requests, shards(2));
         let n = requests.len();
         for i in 0..n {
             let ctx = format!(

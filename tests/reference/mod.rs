@@ -1,12 +1,38 @@
 //! The checks the engine differentials share: bit identity between two
-//! engine answers, and the independent reference every answer must
-//! match — brute-force enumeration of the possible worlds. The
-//! reference does not run the engine's batch core.
+//! engine answers, the independent reference every answer must match —
+//! brute-force enumeration of the possible worlds — and a tick run under
+//! an explicit [`TickConfig`]. The reference does not run the engine's
+//! batch core.
+
+// Each suite that includes this module uses only some of it.
+#![allow(dead_code)]
 
 use phom::prelude::*;
-use phom_core::{bruteforce, montecarlo};
+use phom_core::{bruteforce, montecarlo, TickUnit};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// Answers `requests` through [`Engine::begin_tick_with`] under `config`,
+/// running every unit in order on this thread: the split a worker pool
+/// of `config.shards` workers would run, without the pool.
+pub fn submit_with(
+    engine: &Arc<Engine>,
+    requests: &[Request],
+    config: TickConfig,
+) -> (Vec<Result<Response, SolveError>>, BatchStats) {
+    let mut tick = engine.begin_tick_with(requests, &config);
+    let outputs = tick.take_units().into_iter().map(TickUnit::run).collect();
+    tick.finish(outputs)
+}
+
+/// `k` shards, each compiling its own arena.
+pub fn shards(k: usize) -> TickConfig {
+    TickConfig {
+        shards: k,
+        share_arena_at: None,
+    }
+}
 
 /// Instances up to this many uncertain edges are small enough to check
 /// a sampled answer against brute force.

@@ -119,10 +119,14 @@ fn t2_connected_queries_on_labeled_two_way_paths() {
 }
 
 /// Table 3 / Props 5.4+5.5: unlabeled path and DWT queries on (unions of)
-/// polytree instances, across all three Prop 5.4 pipelines.
+/// polytree instances. The engine matches brute force, and so does each
+/// of the three Prop 5.4 pipelines called directly on the query's
+/// collapse length, per component, combined by Lemma 3.7.
 #[test]
 fn t3_path_queries_on_polytrees_all_strategies() {
-    use phom::core::algo::path_on_pt::PtStrategy;
+    use phom::core::algo::components::{combine_connected_query, split_components};
+    use phom::core::algo::dwt_instance::collapse_length;
+    use phom::core::algo::path_on_pt::{long_path_probability, PtStrategy};
     let mut rng = SmallRng::seed_from_u64(1005);
     for _ in 0..100 {
         let h_graph = generate::union_of(rng.gen_range(1..3), &mut rng, |r| {
@@ -135,31 +139,34 @@ fn t3_path_queries_on_polytrees_all_strategies() {
             generate::downward_tree(rng.gen_range(2..6), 1, &mut rng)
         };
         let expect = bruteforce::probability(&q, &h);
+        let sol = solve_with(&q, &h, SolverOptions::default()).unwrap();
+        assert_eq!(sol.probability, expect, "engine q={q:?}");
+        let m = collapse_length(&q).expect("paths and DWTs are graded");
+        let components = split_components(&h);
         for strategy in [
             PtStrategy::OptAutomaton,
             PtStrategy::PaperAutomaton,
             PtStrategy::Ddnnf,
         ] {
-            let opts = SolverOptions {
-                pt_strategy: strategy,
-                ..Default::default()
-            };
-            let sol = solve_with(&q, &h, opts).unwrap();
-            assert_eq!(sol.probability, expect, "strategy {strategy:?} q={q:?}");
+            let per: Vec<Rational> = components
+                .iter()
+                .map(|c| long_path_probability(c, m, strategy).expect("polytree component"))
+                .collect();
+            let p = combine_connected_query(&per);
+            assert_eq!(p, expect, "strategy {strategy:?} q={q:?}");
         }
     }
 }
 
 /// The DP ablations agree with the lineage pipelines and with brute
-/// force everywhere they apply: through the public `algo` routines, and
-/// through the engine's `prefer_dp` branch. The engine takes that branch
-/// on the provenance path; plain answers on a connected instance come
-/// from its shared-arena circuits instead.
+/// force everywhere they apply, through the public `algo` routines. The
+/// engine's provenance path, which runs the lineage per component, agrees
+/// too, and enough inputs reach each of Props 4.10 and 4.11.
 #[test]
 fn dp_ablations_agree_with_lineage() {
     use phom::core::algo::{connected_on_2wp, path_on_dwt};
     let mut rng = SmallRng::seed_from_u64(1006);
-    let mut dp_routes = [0; 2];
+    let mut routes = [0; 2];
     for _ in 0..120 {
         let dwt = rng.gen_bool(0.5);
         let (q, h_graph) = if dwt {
@@ -191,7 +198,6 @@ fn dp_ablations_agree_with_lineage() {
             &q,
             &h,
             SolverOptions {
-                prefer_dp: true,
                 want_provenance: true,
                 ..Default::default()
             },
@@ -199,16 +205,16 @@ fn dp_ablations_agree_with_lineage() {
         .unwrap_or_else(|e| panic!("q={q:?}: {e:?}"));
         assert_eq!(sol.probability, expect, "engine q={q:?} {:?}", sol.route);
         match sol.route {
-            Route::Prop410 => dp_routes[0] += 1,
-            Route::Prop411 => dp_routes[1] += 1,
+            Route::Prop410 => routes[0] += 1,
+            Route::Prop411 => routes[1] += 1,
             _ => {}
         }
     }
     // Queries with one label collapse to the unlabeled routes; enough
-    // of the rest must reach each DP.
+    // of the rest must reach each route.
     assert!(
-        dp_routes.iter().all(|&n| n >= 10),
-        "DP answers per route: {dp_routes:?}"
+        routes.iter().all(|&n| n >= 10),
+        "engine answers per route: {routes:?}"
     );
 }
 

@@ -50,8 +50,8 @@ fn worker_panics_recover_into_per_request_errors() {
     let h = instance();
     let requests = mixed_requests();
 
-    // --- Engine::submit: the sharded scoped-thread path. -------------
-    let engine = Engine::builder().threads(3).build(h.clone());
+    // --- Engine::submit: every unit on the calling thread. -----------
+    let engine = Engine::new(h.clone());
     test_support::inject_unit_panic(true);
     let poisoned = engine.submit(&requests);
     test_support::inject_unit_panic(false);
