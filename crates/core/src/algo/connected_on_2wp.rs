@@ -145,7 +145,7 @@ pub fn probability_lineage<W: Weight>(query: &Graph, instance: &ProbGraph) -> Op
     if dnf.is_valid() {
         return Some(W::one());
     }
-    let probs: Vec<W> = instance.probs().iter().map(W::from_rational).collect();
+    let probs: Vec<W> = super::lineage_weights(instance);
     Some(
         beta_dnf_probability_with_order(&dnf, &probs, &order)
             .expect("left-to-right is a valid β-elimination order for interval lineages"),

@@ -22,11 +22,12 @@
 //!
 //! ## Sharding and bit-identical results
 //!
-//! Planning is pure reads over the shared state. A tick splits its
-//! probability work across [`TickConfig::shards`] units. Each shard
-//! compiles its assigned circuit-compilable plans into its *own* lineage
-//! arena and answers them with one multi-root engine pass; all other
-//! plans run the exact per-query path. A query's compiled circuit — and
+//! Planning is pure reads over the shared state: each unique miss is
+//! planned into the evaluator of its route. A tick splits its
+//! probability work across [`TickConfig::shards`] units. Each unit
+//! compiles its assigned lineage routes into its *own* arena and answers
+//! them with one multi-root engine pass per precision tier; every other
+//! route runs its evaluator on its own. A query's compiled circuit — and
 //! therefore its exact rational probability — does not depend on which
 //! arena it lands in or on what else that arena holds (interning only
 //! deduplicates structurally identical gates), so a tick returns
@@ -67,8 +68,8 @@ use crate::batch::{
 };
 use crate::sensitivity::{self, SensitivityRoute};
 use crate::solver::{
-    compile_circuit, dp_probability, finish_plan, plan_query, solve_with_impl, Budget, Hardness,
-    InstanceState, OnHard, Planned, Precision, SharedInstance, Solution, SolveError, SolverOptions,
+    plan_query, solve_planned, solve_with_impl, Budget, Hardness, InstanceState, OnHard, Planned,
+    Precision, RouteEval, SharedInstance, Solution, SolveError, SolverOptions,
 };
 use crate::ucq::{Ucq, UcqRoute};
 use crate::{counting, Fallback, Route};
@@ -856,12 +857,44 @@ struct PendingSlot {
 
 impl PendingSlot {
     /// True iff this slot needs cooperative [`WorkMeter`] checkpoints —
-    /// a deadline or any budget cap. Metered slots run the solo path
-    /// (own arena, fallible evaluation) and never join a deferred
-    /// multi-root batch pass, whose single evaluation couldn't honor
-    /// per-request limits.
+    /// a deadline or any budget cap. A metered slot's circuit compiles
+    /// into an arena of its own and never joins a multi-root slab pass,
+    /// whose single evaluation couldn't honor per-request limits.
     fn is_metered(&self) -> bool {
         self.deadline_at.is_some() || !self.opts.budget.is_unlimited()
+    }
+
+    /// The slot's meter, armed with its budget caps and deadline.
+    fn meter(&self) -> WorkMeter {
+        let meter = self.opts.budget.arm(WorkMeter::unbounded());
+        match self.deadline_at {
+            Some(at) => meter.with_deadline(at),
+            None => meter,
+        }
+    }
+
+    /// Compiles the slot's `Lineage` route into `arena` (over the
+    /// instance graph `h`), turning it into a `Circuit` — unless a
+    /// provenance handle was requested (handles own their circuit).
+    /// Returns whether it compiled.
+    fn lower(&mut self, arena: &mut Arena, h: &Graph) -> bool {
+        if self.opts.want_provenance {
+            return false;
+        }
+        let Some((root, negated)) = self.planned.route.compile(arena, h) else {
+            return false;
+        };
+        self.planned.route = RouteEval::Circuit { root, negated };
+        true
+    }
+
+    /// The slot's compiled root, tagged for its slab pass.
+    fn deferred(&self) -> Option<DeferredRoot> {
+        let RouteEval::Circuit { root, negated } = self.planned.route else {
+            return None;
+        };
+        let route = self.planned.route.route()?;
+        Some((self.slot, root, negated, route, self.opts.precision))
     }
 }
 
@@ -898,9 +931,8 @@ impl ShardOutcome {
     }
 }
 
-/// One circuit compiled into a shared arena, waiting for its partition's
-/// multi-root evaluation pass: (unique slot, root gate, negated, route,
-/// requested precision tier).
+/// One compiled circuit root, waiting for its arena's slab pass: (unique
+/// slot, root gate, negated, route, requested precision tier).
 type DeferredRoot = (usize, GateId, bool, Route, Precision);
 
 /// Reusable evaluation buffers for [`TickUnit::run_with`]: one value
@@ -924,16 +956,16 @@ impl WorkerScratch {
     }
 }
 
-/// One independent, owned unit of tick work: a shard of planned
-/// probability queries, a partition of a **cross-shard shared arena**
-/// (large ticks — every circuit compiled into one arena, each unit
-/// evaluating its slice of the roots), or a single non-probability
-/// request.
+/// One independent, owned unit of tick work: a share of the planned
+/// probability queries, or a single non-probability request.
 enum UnitWork {
-    Shard(Vec<PendingSlot>),
-    SharedEval {
-        arena: Arc<Arena>,
-        items: Vec<DeferredRoot>,
+    /// Planned probability slots. Their lineage routes compile into the
+    /// unit's own arena, unless they were compiled into a **cross-shard
+    /// shared `arena`** at plan time (large ticks — each unit then
+    /// evaluates its slice of the shared arena's roots).
+    Slots {
+        arena: Option<Arc<Arena>>,
+        slots: Vec<PendingSlot>,
     },
     Single {
         index: usize,
@@ -1247,39 +1279,44 @@ fn plan_pending(
         .collect()
 }
 
-/// Phase 2b: buckets the planned slots into at most `shards` shard
-/// units (round-robin — the historical assignment, so results stay
+/// Phase 2b: buckets the planned slots into at most `shards` units
+/// (round-robin — the historical assignment, so results stay
 /// bit-identical), recording the shard count in `stats`.
 fn shard_units(pending: Vec<PendingSlot>, shards: usize, stats: &mut BatchStats) -> Vec<UnitWork> {
-    let workers = if shards <= 1 {
-        1
-    } else {
-        shards.min(pending.len()).max(1)
-    };
-    stats.shards = workers;
-    if pending.is_empty() {
-        return Vec::new();
-    }
-    let mut buckets: Vec<Vec<PendingSlot>> = Vec::new();
-    buckets.resize_with(workers, Vec::new);
-    for (i, p) in pending.into_iter().enumerate() {
-        buckets[i % workers].push(p);
-    }
-    buckets.into_iter().map(UnitWork::Shard).collect()
+    stats.shards = shards.clamp(1, pending.len().max(1));
+    deal(pending, shards)
+        .into_iter()
+        .map(|slots| UnitWork::Slots { arena: None, slots })
+        .collect()
 }
 
-/// Executes one unit. Each shard owns an arena: circuit-compilable
-/// plans compile into it and are answered by one multi-root engine
-/// pass; everything else runs the exact per-query path. Panics are
-/// contained into per-request [`SolveError::Internal`] errors.
+/// Deals `items` round-robin into at most `n` non-empty buckets.
+fn deal<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
+    let n = n.clamp(1, items.len().max(1));
+    let mut buckets: Vec<Vec<T>> = Vec::new();
+    buckets.resize_with(n.min(items.len()), Vec::new);
+    for (i, item) in items.into_iter().enumerate() {
+        buckets[i % n].push(item);
+    }
+    buckets
+}
+
+/// Executes one unit. Panics are contained into per-request
+/// [`SolveError::Internal`] errors.
 fn run_unit(engine: &Engine, work: UnitWork, scratch: &mut WorkerScratch) -> UnitOutput {
     match work {
-        UnitWork::Shard(work) => {
+        UnitWork::Slots { arena, slots } => {
             let shared = SharedInstance::new(&engine.instance, &engine.state);
-            UnitOutput::Shard(run_shard_guarded(shared, work, scratch))
-        }
-        UnitWork::SharedEval { arena, items } => {
-            UnitOutput::Shard(run_shared_eval_guarded(engine, &arena, items, scratch))
+            let lost: Vec<usize> = slots.iter().map(|p| p.slot).collect();
+            UnitOutput::Shard(
+                std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    test_support::maybe_panic();
+                    run_slots(shared, arena.as_deref(), slots, scratch)
+                }))
+                .unwrap_or_else(|payload| {
+                    ShardOutcome::lost(lost, panic_message(payload.as_ref()))
+                }),
+            )
         }
         UnitWork::Single { index, request } => {
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1349,101 +1386,122 @@ fn finalize_batch(
     (results, stats)
 }
 
-/// Evaluates one partition of a cross-shard shared arena: a single
-/// multi-root engine pass restricted to this partition's root cones.
-/// Panic containment mirrors [`run_shard_guarded`].
-fn run_shared_eval_guarded(
-    engine: &Engine,
-    arena: &Arena,
-    items: Vec<DeferredRoot>,
-    scratch: &mut WorkerScratch,
-) -> ShardOutcome {
-    let slots: Vec<usize> = items.iter().map(|d| d.0).collect();
-    let n = items.len();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        test_support::maybe_panic();
-        let mut outcome = ShardOutcome::empty(n);
-        // The shared arena's gates are counted once, at plan time.
-        outcome.circuit_batched = n;
-        eval_deferred(arena, engine.instance.probs(), items, &mut outcome, scratch);
-        outcome
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => ShardOutcome::lost(slots, panic_message(payload.as_ref())),
-    }
-}
-
-/// The cross-shard shared-arena split: compiles every circuit-compilable
-/// pending plan into **one** arena (sequentially, at plan time — gate
-/// interning across queries maximizes sharing) and partitions the
-/// resulting roots round-robin into [`UnitWork::SharedEval`] units, one
-/// multi-root pass each. Plans that don't compile (general routes,
-/// provenance requests, failed compilations) are returned for the
-/// ordinary per-shard path. A query's compiled circuit — and therefore
-/// its exact rational probability — does not depend on which arena it
-/// lands in, so answers stay bit-identical to the per-shard path.
+/// The cross-shard shared-arena split: compiles every unmetered lineage
+/// route into **one** arena (sequentially, at plan time — gate interning
+/// across queries maximizes sharing) and deals the compiled slots
+/// round-robin into units that share the arena, one multi-root pass
+/// each. Slots that don't compile (other routes, provenance requests,
+/// metered slots) are returned for the per-shard units. A query's
+/// compiled circuit — and therefore its exact rational probability —
+/// does not depend on which arena it lands in, so answers stay
+/// bit-identical to the per-shard path.
 fn split_shared_arena(
     shared: SharedInstance<'_>,
     pending: Vec<PendingSlot>,
     shards: usize,
     stats: &mut BatchStats,
 ) -> (Vec<UnitWork>, Vec<PendingSlot>) {
-    let instance = shared.instance;
-    let mut arena = Arena::new(instance.graph().n_edges());
-    let mut deferred: Vec<DeferredRoot> = Vec::new();
-    let mut rest: Vec<PendingSlot> = Vec::new();
-    for pending in pending {
-        // Metered slots (deadline / budget) need a fallible solo
-        // evaluation; the shared multi-root pass can't stop one root
-        // without stopping them all.
-        if !pending.opts.want_provenance && !pending.is_metered() {
-            if let Some((root, negated, route)) =
-                compile_circuit(&mut arena, &pending.planned, instance.graph())
-            {
-                deferred.push((pending.slot, root, negated, route, pending.opts.precision));
-                continue;
-            }
+    let h = shared.instance.graph();
+    let mut arena = Arena::new(h.n_edges());
+    let (mut compiled, mut rest) = (Vec::new(), Vec::new());
+    for mut pending in pending {
+        if !pending.is_metered() && pending.lower(&mut arena, h) {
+            compiled.push(pending);
+        } else {
+            rest.push(pending);
         }
-        rest.push(pending);
     }
-    if deferred.is_empty() {
+    if compiled.is_empty() {
         return (Vec::new(), rest);
     }
     stats.shared_arena = true;
     stats.shared_gates += arena.n_gates();
     let arena = Arc::new(arena);
-    let partitions = shards.max(1).min(deferred.len());
-    let mut buckets: Vec<Vec<DeferredRoot>> = Vec::new();
-    buckets.resize_with(partitions, Vec::new);
-    for (i, d) in deferred.into_iter().enumerate() {
-        buckets[i % partitions].push(d);
-    }
-    let units = buckets
+    let units = deal(compiled, shards)
         .into_iter()
-        .map(|items| UnitWork::SharedEval {
-            arena: Arc::clone(&arena),
-            items,
+        .map(|slots| UnitWork::Slots {
+            arena: Some(Arc::clone(&arena)),
+            slots,
         })
         .collect();
     (units, rest)
 }
 
-/// Executes one shard with panic containment: a panicking plan turns
-/// into `Err(SolveError::Internal)` on every slot the shard was
-/// assigned, and the caller's thread never unwinds.
-fn run_shard_guarded(
+/// The one serve-or-escalate loop of a tick unit. A slot whose route is
+/// a circuit joins the unit arena's slab passes ([`eval_deferred`]); the
+/// unit compiles lineage routes into an arena of its own unless its
+/// slots share a plan-time `shared` arena. Every other route evaluates
+/// on its own ([`answer_general`]).
+///
+/// A metered slot (deadline / budget caps) checks its [`WorkMeter`]
+/// before any work, and its circuit compiles into an arena of its own,
+/// evaluated as a one-root slab under the meter, so a stuck or oversized
+/// evaluation stops cooperatively. Its circuit — and therefore its
+/// answer — is the one the batched pass builds, so a request that
+/// finishes within its limits answers bit-identically to an unmetered
+/// twin.
+fn run_slots(
     shared: SharedInstance<'_>,
-    work: Vec<PendingSlot>,
+    shared_arena: Option<&Arena>,
+    slots: Vec<PendingSlot>,
     scratch: &mut WorkerScratch,
 ) -> ShardOutcome {
-    let slots: Vec<usize> = work.iter().map(|p| p.slot).collect();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        test_support::maybe_panic();
-        run_shard(shared, work, scratch)
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => ShardOutcome::lost(slots, panic_message(payload.as_ref())),
+    let instance = shared.instance;
+    let h = instance.graph();
+    let mut outcome = ShardOutcome::empty(slots.len());
+    let mut own = shared_arena.is_none().then(|| Arena::new(h.n_edges()));
+    let mut deferred: Vec<DeferredRoot> = Vec::new();
+    for mut pending in slots {
+        let mut meter = pending.meter();
+        if pending.is_metered() {
+            // Pre-work checkpoint: a request that expired in a queue (or
+            // behind a stuck unit) sheds before compiling anything.
+            if let Err(stop) = meter.check_now() {
+                outcome
+                    .results
+                    .push((pending.slot, Err(SolveError::from_meter(stop))));
+                continue;
+            }
+            let mut solo = Arena::new(h.n_edges());
+            if pending.lower(&mut solo, h) {
+                let root = pending.deferred().expect("a compiled root");
+                outcome.circuit_batched += 1;
+                outcome.gates += solo.n_gates();
+                eval_deferred(
+                    &solo,
+                    instance.probs(),
+                    vec![root],
+                    Some(&mut meter),
+                    &mut outcome,
+                    scratch,
+                );
+                continue;
+            }
+        } else if let Some(own) = &mut own {
+            pending.lower(own, h);
+        }
+        if let Some(root) = pending.deferred() {
+            deferred.push(root);
+            outcome.circuit_batched += 1;
+            continue;
+        }
+        let slot = pending.slot;
+        let result = answer_general(shared, pending, &mut meter, &mut outcome);
+        outcome.results.push((slot, result));
     }
+    // The shared arena's gates are counted once, at plan time.
+    outcome.gates += own.as_ref().map_or(0, Arena::n_gates);
+    if let Some(arena) = shared_arena.or(own.as_ref()) {
+        eval_deferred(
+            arena,
+            instance.probs(),
+            deferred,
+            None,
+            &mut outcome,
+            scratch,
+        );
+    }
+    outcome
 }
 
 /// The float tiers' serve-or-escalate decision on one certified value,
@@ -1472,49 +1530,60 @@ fn serve_float(
     })
 }
 
-/// Answers one slot on the general (non-circuit) path, in its requested
-/// tier — the one copy that both [`run_shard`] and [`run_metered_slot`]
-/// call, so metered and unmetered twins answer byte-identically.
+/// Answers one slot whose route is not a circuit, in its requested tier.
 ///
-/// The direct DPs (Prop 3.6, Prop 5.4, combined by Lemma 3.7 on
-/// disconnected instances) run in the tier: `Float` and `Auto` evaluate
-/// over [`ErrF64`] and serve per [`serve_float`], and an `Auto`
-/// escalation runs the same [`Rational`] DP `Exact` runs. Everything
-/// else — and every `Exact` request — is finished exactly, and a hard
-/// cell degrades to a budgeted estimate (charged to `meter`) when the
-/// request opted in.
+/// `Float` and `Auto` run the route's evaluator over [`ErrF64`] and
+/// serve per [`serve_float`]; an `Auto` escalation, like every `Exact`
+/// request, runs the same evaluator over [`Rational`]. A request that
+/// carries a provenance handle answers exactly, and so do the routes
+/// with no float run: the trivial and zero routes and the fallbacks.
+/// A hard cell degrades to a budgeted estimate (charged to `meter`) when
+/// the request opted in.
 fn answer_general(
     shared: SharedInstance<'_>,
     pending: PendingSlot,
     meter: &mut WorkMeter,
     outcome: &mut ShardOutcome,
 ) -> Result<Response, SolveError> {
-    let opts = pending.opts;
+    let PendingSlot {
+        query,
+        opts,
+        planned,
+        ..
+    } = pending;
     outcome.general_solved += 1;
-    if !opts.precision.is_exact() {
-        if let Some((value, route)) = dp_probability::<ErrF64>(&pending.planned, &shared) {
+    let provenance = opts
+        .want_provenance
+        .then(|| planned.route.provenance(shared.instance.graph()))
+        .flatten();
+    if provenance.is_none() && !opts.precision.is_exact() {
+        // A float run that yields no number (a NaN, from a division whose
+        // divisor's interval touches 0) leaves the answer to the exact run.
+        let value = planned
+            .route
+            .eval::<ErrF64>(&shared)
+            .filter(|v| !v.value().is_nan() && !v.rel_err_bound().is_nan());
+        if let (Some(value), Some(route)) = (value, planned.route.route()) {
             if let Ok(response) = serve_float(value, route, opts.precision, outcome) {
                 return Ok(response);
             }
         }
     }
-    match finish_plan(pending.planned, &shared, opts) {
+    match solve_planned(planned, &shared, opts, provenance) {
         Err(_) if opts.on_hard == OnHard::Estimate => {
-            estimate_response(&pending.query, shared.instance, opts, meter)
+            estimate_response(&query, shared.instance, opts, meter)
         }
         other => respond_exact(other.map_err(SolveError::Hard), opts.precision),
     }
 }
 
-/// Wraps a general-path exact answer for its requested tier. The direct
-/// DPs answer their float tiers in [`answer_general`]; under a float
-/// tier, what reaches here is work that has no float run — a trivial
-/// route (`Plan::Done`), a fallback, a disconnected Prop 4.10/4.11
-/// instance — or an `Auto` escalation. Under [`Precision::Float`] the exact
-/// probability is *reported* approximately (correctly-rounded
-/// conversion, half-ulp bound) — unless a provenance handle rides on the
-/// solution, which only the exact shape carries. `Exact` and `Auto`
-/// report the exact solution unchanged.
+/// Wraps an exact answer for its requested tier. What reaches here under
+/// a float tier is work with no float run — a trivial or zero route
+/// (`RouteEval::Const`), a fallback — or an `Auto` escalation. Under
+/// [`Precision::Float`] the exact probability is *reported*
+/// approximately (correctly-rounded conversion, half-ulp bound) — unless
+/// a provenance handle rides on the solution, which only the exact shape
+/// carries. `Exact` and `Auto` report the exact solution unchanged.
 fn respond_exact(
     answer: Result<Solution, SolveError>,
     precision: Precision,
@@ -1534,62 +1603,85 @@ fn respond_exact(
     }
 }
 
-/// Answers every deferred circuit root of one arena, honoring each
-/// root's precision tier.
+/// Answers circuit roots of one arena, honoring each root's precision
+/// tier, under `meter` when one is given (a metered slot's one-root
+/// slab; a tripped meter answers each root of the pass with its typed
+/// stop).
 ///
 /// The float tiers (`Float` / `Auto`) compile the union of their root
 /// cones into a [`FlatArena`] and evaluate once over
 /// [`ErrF64`](phom_num::ErrF64), certifying a relative-error bound per
-/// root. `Float` roots always answer [`Response::Approximate`]; `Auto`
-/// roots whose bound exceeds their tolerance **escalate** into the
-/// exact pass. The exact pass — `Exact` roots plus escalations —
-/// compiles their cones into a second [`FlatArena`] and evaluates it
-/// over [`Rational`], so exact answers stay bit-identical to a
-/// pure-exact batch (per-root values don't depend on which other roots
-/// share the pass).
+/// root, served per [`serve_float`]. The exact pass — `Exact` roots plus
+/// escalations — compiles their cones into a second [`FlatArena`] and
+/// evaluates it over [`Rational`], so exact answers stay bit-identical
+/// to a pure-exact batch (per-root values don't depend on which other
+/// roots share the pass).
 fn eval_deferred(
     arena: &Arena,
     probs: &[Rational],
     deferred: Vec<DeferredRoot>,
+    mut meter: Option<&mut WorkMeter>,
     outcome: &mut ShardOutcome,
     scratch: &mut WorkerScratch,
 ) {
-    let mut exact: Vec<(usize, GateId, bool, Route)> = Vec::new();
-    let mut float: Vec<DeferredRoot> = Vec::new();
-    for (slot, root, negated, route, precision) in deferred {
-        if precision.is_exact() {
-            exact.push((slot, root, negated, route));
-        } else {
-            float.push((slot, root, negated, route, precision));
-        }
-    }
+    let (float, mut exact): (Vec<DeferredRoot>, Vec<DeferredRoot>) =
+        deferred.into_iter().partition(|d| !d.4.is_exact());
     if !float.is_empty() {
-        let roots: Vec<GateId> = float.iter().map(|d| d.1).collect();
-        let flat = FlatArena::compile(arena, &roots);
         let leaves: Vec<ErrF64> = probs.iter().map(ErrF64::from_rational).collect();
-        let values = flat.eval_err_many(&leaves, &mut scratch.float_values);
-        for ((slot, root, negated, route, precision), value) in float.into_iter().zip(values) {
-            let value = if negated { value.complement() } else { value };
+        let values = slab(
+            arena,
+            &float,
+            &leaves,
+            &mut scratch.float_values,
+            meter.as_deref_mut(),
+        );
+        for ((slot, gate, negated, route, precision), value) in float.into_iter().zip(values) {
+            let value = match value {
+                Ok(value) if negated => value.complement(),
+                Ok(value) => value,
+                Err(stop) => {
+                    outcome.results.push((slot, Err(stop)));
+                    continue;
+                }
+            };
             match serve_float(value, route, precision, outcome) {
                 Ok(response) => outcome.results.push((slot, Ok(response))),
-                Err(route) => exact.push((slot, root, negated, route)),
+                Err(route) => exact.push((slot, gate, negated, route, precision)),
             }
         }
     }
     if !exact.is_empty() {
-        let roots: Vec<GateId> = exact.iter().map(|d| d.1).collect();
-        let values = FlatArena::compile(arena, &roots).eval_many(probs, &mut scratch.exact_values);
-        for ((slot, _, negated, route), value) in exact.into_iter().zip(values) {
-            let probability = if negated { value.one_minus() } else { value };
-            outcome.results.push((
-                slot,
-                Ok(Response::Probability(Solution {
-                    probability,
+        let values = slab(arena, &exact, probs, &mut scratch.exact_values, meter);
+        for ((slot, _, negated, route, _), value) in exact.into_iter().zip(values) {
+            let answer = value.map(|v| {
+                Response::Probability(Solution {
+                    probability: if negated { v.one_minus() } else { v },
                     route,
                     provenance: None,
-                })),
-            ));
+                })
+            });
+            outcome.results.push((slot, answer));
         }
+    }
+}
+
+/// One slab pass over the cones of `roots`, under `meter` when given:
+/// each root's value, or the meter's typed stop for every root.
+fn slab<W: Weight>(
+    arena: &Arena,
+    roots: &[DeferredRoot],
+    leaves: &[W],
+    values: &mut Vec<W>,
+    meter: Option<&mut WorkMeter>,
+) -> Vec<Result<W, SolveError>> {
+    let gates: Vec<GateId> = roots.iter().map(|d| d.1).collect();
+    let flat = FlatArena::compile(arena, &gates);
+    match meter {
+        None => flat.eval_many(leaves, values).into_iter().map(Ok).collect(),
+        Some(meter) => match flat.eval_many_metered(leaves, values, meter) {
+            Ok(out) => out.into_iter().map(Ok).collect(),
+            Err(stop) => vec![Err(SolveError::from_meter(stop)); roots.len()],
+        },
     }
 }
 
@@ -1639,151 +1731,6 @@ fn estimate_response(
             ci95_times_1e9: (est.ci95 * 1e9) as u64,
         },
     })
-}
-
-/// The solo path for metered slots (deadline / budget caps): compiles
-/// the slot's own arena when its plan is circuit-shaped and evaluates
-/// it under the [`WorkMeter`]'s checkpoints, so a stuck or oversized
-/// evaluation stops cooperatively instead of wedging the worker. The
-/// compiled circuit — and therefore the exact rational answer — is
-/// identical to the batched path's, so a request that finishes within
-/// its limits answers bit-identically to an unmetered twin.
-fn run_metered_slot(
-    shared: SharedInstance<'_>,
-    pending: PendingSlot,
-    outcome: &mut ShardOutcome,
-    scratch: &mut WorkerScratch,
-) -> (usize, Result<Response, SolveError>) {
-    let opts = pending.opts;
-    let slot = pending.slot;
-    let mut meter = opts.budget.arm(WorkMeter::unbounded());
-    if let Some(at) = pending.deadline_at {
-        meter = meter.with_deadline(at);
-    }
-    // Pre-work checkpoint: a request that expired in a queue (or
-    // behind a stuck unit) sheds before compiling anything.
-    if let Err(stop) = meter.check_now() {
-        return (slot, Err(SolveError::from_meter(stop)));
-    }
-    let instance = shared.instance;
-    if shared.ic().is_connected() && !opts.want_provenance {
-        let mut arena = Arena::new(instance.graph().n_edges());
-        if let Some((root, negated, route)) =
-            compile_circuit(&mut arena, &pending.planned, instance.graph())
-        {
-            outcome.circuit_batched += 1;
-            outcome.gates += arena.n_gates();
-            let result = eval_metered_root(
-                &arena,
-                instance.probs(),
-                root,
-                negated,
-                route,
-                opts.precision,
-                &mut meter,
-                outcome,
-                scratch,
-            );
-            return (slot, result);
-        }
-    }
-    // General path (DP routes, fallbacks, provenance): the meter
-    // checkpointed before the work; hard cells degrade per `on_hard`.
-    (slot, answer_general(shared, pending, &mut meter, outcome))
-}
-
-/// Metered evaluation of one compiled root, honoring its precision
-/// tier. The root's cone is compiled into one [`FlatArena`] slab: the
-/// exact tier evaluates it over [`Rational`], the float tiers over
-/// [`ErrF64`] (with `Auto` escalating to the exact pass on the same
-/// slab when the certified bound misses tolerance). Arithmetic and
-/// evaluation order match the unmetered batch passes, so completed
-/// answers are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn eval_metered_root(
-    arena: &Arena,
-    probs: &[Rational],
-    root: GateId,
-    negated: bool,
-    route: Route,
-    precision: Precision,
-    meter: &mut WorkMeter,
-    outcome: &mut ShardOutcome,
-    scratch: &mut WorkerScratch,
-) -> Result<Response, SolveError> {
-    let flat = FlatArena::compile(arena, &[root]);
-    let exact_pass = |meter: &mut WorkMeter,
-                      scratch: &mut WorkerScratch,
-                      route: Route|
-     -> Result<Response, SolveError> {
-        let values = flat
-            .eval_many_metered(probs, &mut scratch.exact_values, meter)
-            .map_err(SolveError::from_meter)?;
-        let value = values.into_iter().next().expect("one root");
-        let probability = if negated { value.one_minus() } else { value };
-        Ok(Response::Probability(Solution {
-            probability,
-            route,
-            provenance: None,
-        }))
-    };
-    if precision.is_exact() {
-        return exact_pass(meter, scratch, route);
-    }
-    let leaves: Vec<ErrF64> = probs.iter().map(ErrF64::from_rational).collect();
-    let values = flat
-        .eval_many_metered(&leaves, &mut scratch.float_values, meter)
-        .map_err(SolveError::from_meter)?;
-    let value = values.into_iter().next().expect("one root");
-    let value = if negated { value.complement() } else { value };
-    serve_float(value, route, precision, outcome).or_else(|route| exact_pass(meter, scratch, route))
-}
-
-/// Executes one shard's worth of planned queries.
-fn run_shard(
-    shared: SharedInstance<'_>,
-    work: Vec<PendingSlot>,
-    scratch: &mut WorkerScratch,
-) -> ShardOutcome {
-    let instance = shared.instance;
-    let mut arena = Arena::new(instance.graph().n_edges());
-    let mut deferred: Vec<DeferredRoot> = Vec::new();
-    let mut outcome = ShardOutcome::empty(work.len());
-    let connected = shared.ic().is_connected();
-    for pending in work {
-        let opts = pending.opts;
-        // Metered slots (deadline / budget caps) run the fallible solo
-        // path: own arena, WorkMeter checkpoints, typed stops.
-        if pending.is_metered() {
-            let (slot, result) = run_metered_slot(shared, pending, &mut outcome, scratch);
-            outcome.results.push((slot, result));
-            continue;
-        }
-        // The shared-arena fast path: circuit-compilable plans on a
-        // connected instance, when no provenance handle was requested
-        // (handles own their circuit, so they compile separately).
-        if connected && !opts.want_provenance {
-            if let Some((root, negated, route)) =
-                compile_circuit(&mut arena, &pending.planned, instance.graph())
-            {
-                deferred.push((pending.slot, root, negated, route, opts.precision));
-                outcome.circuit_batched += 1;
-                continue;
-            }
-        }
-        // General path: the DPs in the request's tier, everything else
-        // exactly; a hard cell may degrade to a budgeted estimate.
-        let slot = pending.slot;
-        let mut meter = opts.budget.arm(WorkMeter::unbounded());
-        let result = answer_general(shared, pending, &mut meter, &mut outcome);
-        outcome.results.push((slot, result));
-    }
-    outcome.gates = arena.n_gates();
-    // One multi-root engine pass per tier answers every deferred query.
-    if !deferred.is_empty() {
-        eval_deferred(&arena, instance.probs(), deferred, &mut outcome, scratch);
-    }
-    outcome
 }
 
 // ---------------------------------------------------------------------
@@ -1888,8 +1835,7 @@ impl TickUnit {
     /// How many requests this unit answers (for load accounting).
     pub fn n_requests(&self) -> usize {
         match &self.work {
-            UnitWork::Shard(work) => work.len(),
-            UnitWork::SharedEval { items, .. } => items.len(),
+            UnitWork::Slots { slots, .. } => slots.len(),
             UnitWork::Single { .. } => 1,
         }
     }

@@ -49,21 +49,21 @@ pub enum Fallback {
 
 /// Which evaluation tier answers a probability request.
 ///
-/// Two kinds of route compute in the tier: the circuit routes (Props
+/// Every tractable route computes in the tier: the circuit routes (Props
 /// 4.10/4.11 on connected instances) evaluate their lineage either
 /// exactly over [`Rational`] or over a flat `f64` slab with a running
-/// error bound ([`ErrF64`](phom_num::ErrF64)), and the direct DPs
-/// (Prop 3.6's level DP, Prop 5.4's path automaton, and Lemma 3.7's
-/// combination of their components on disconnected instances) run over
-/// either arithmetic. The float tiers answer with
+/// error bound ([`ErrF64`](phom_num::ErrF64)), and the other evaluators
+/// (Prop 3.6's level DP, Prop 5.4's path automaton, the β-acyclic
+/// lineages of Props 4.10/4.11, and Lemma 3.7's combination of their
+/// components on disconnected instances) run over either arithmetic.
+/// The float tiers answer with
 /// [`Response::Approximate`](crate::Response::Approximate); the exact
 /// tier stays bit-identical across shard widths and scheduling.
 ///
-/// All other work — counting, sensitivity, UCQs, fallbacks, trivial
-/// routes, and Props 4.10/4.11 on disconnected instances — is always
-/// computed exactly; under `Float` the exact answer is *reported* as an
-/// `Approximate` response (half-ulp bound), under `Auto` it is reported
-/// exactly.
+/// All other work — counting, sensitivity, UCQs, fallbacks and trivial
+/// routes — is always computed exactly; under `Float` the exact answer is
+/// *reported* as an `Approximate` response (half-ulp bound), under
+/// `Auto` it is reported exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Precision {
     /// Exact rational arithmetic end to end (default; paper-faithful).
@@ -455,69 +455,141 @@ impl<'a> SharedInstance<'a> {
             .get_or_init(|| components::split_components(self.instance))
     }
 
-    /// Lemma 3.7: run a per-component algorithm and combine with
-    /// `1 − Π(1 − pᵢ)` over the same arithmetic `W`. The query must be
-    /// connected. On connected instances the algorithm runs on the
-    /// instance directly (no clone); `1 − (1 − p) = p` exactly, so the
-    /// value is unchanged.
-    fn per_component<W: Weight>(
-        &self,
-        query: &Graph,
-        algo: impl Fn(&Graph, &ProbGraph) -> Option<W>,
-    ) -> Option<W> {
+    /// Lemma 3.7 at planning: on a disconnected instance a connected
+    /// query's evaluator runs once per component ([`RouteEval::Union`]).
+    fn per_component(&self, leaf: RouteEval) -> RouteEval {
         if self.ic().is_connected() {
-            return algo(query, self.instance);
+            return leaf;
         }
-        let per: Option<Vec<W>> = self.components().iter().map(|h| algo(query, h)).collect();
-        Some(components::combine_connected_query(&per?))
+        RouteEval::Union(vec![leaf; self.components().len()])
     }
 }
 
-/// A per-query routing decision against a [`SharedInstance`] — what
-/// `solve` will execute. Splitting *planning* from *execution* lets the
-/// batched solver compile every circuit-backed plan into one shared arena
-/// and answer them in a single engine pass, while all other plans execute
-/// exactly as the per-query path does.
+/// A query planned against a [`SharedInstance`]: the query after
+/// component absorption (what the fallbacks run on) and the evaluator
+/// its route runs.
 pub(crate) struct Planned {
-    /// The query after component absorption (what the route runs on).
     pub(crate) absorbed: Graph,
-    pub(crate) plan: Plan,
+    pub(crate) route: RouteEval,
 }
 
-/// Compiles a circuit-shaped plan into `arena`: a Prop 4.11 plan as its
-/// match event, a Prop 4.10 plan as its failure event (`negated`).
-/// `None` for any other plan, or when the route builds no circuit.
-pub(crate) fn compile_circuit(
-    arena: &mut Arena,
-    planned: &Planned,
-    h: &Graph,
-) -> Option<(GateId, bool, Route)> {
-    match &planned.plan {
-        Plan::Prop411 { effective } => lineage_circuits::match_into_2wp(arena, effective, h)
-            .map(|root| (root, false, Route::Prop411)),
-        Plan::Prop410 => lineage_circuits::fail_into_dwt(arena, &planned.absorbed, h)
-            .map(|root| (root, true, Route::Prop410)),
-        _ => None,
-    }
-}
-
-pub(crate) enum Plan {
-    /// Answered during planning (the trivial and zero routes).
-    Done(Solution),
-    /// Prop 3.6: graded query on a `⊔DWT` instance (direct DP).
-    Prop36,
-    /// Prop 5.4: `→^m` on a `⊔PT` instance via the path automaton.
-    Prop54 { m: usize, via_collapse: bool },
-    /// Prop 4.11: connected `effective` query on a `⊔2WP` instance
-    /// (circuit-compilable when the instance is connected).
-    Prop411 { effective: Graph },
-    /// Prop 4.10: 1WP query on a `⊔DWT` instance (circuit-compilable when
-    /// the instance is connected).
-    Prop410,
+/// The evaluator of one planned query: one per tractable cell of the
+/// tables, lifted to disconnected instances by Lemma 3.7. Every variant
+/// but `Circuit` runs through [`eval`](RouteEval::eval) over any
+/// [`Weight`]; a `Circuit` root is answered by its tick unit's slab
+/// passes.
+#[derive(Clone)]
+pub(crate) enum RouteEval {
+    /// The trivial and zero routes, answered during planning.
+    Const(Solution),
+    /// A root compiled into a tick unit's arena: Prop 4.10's failure
+    /// event (`negated`) or Prop 4.11's match event.
+    Circuit { root: GateId, negated: bool },
+    /// Prop 3.6: the level DP for `→^m`, the path the graded query
+    /// collapses to (`None`: the query is cyclic or not graded, so 0).
+    LevelDp { m: Option<usize> },
+    /// Prop 5.4, after the Prop 5.5 collapse when `via_collapse`: the
+    /// path automaton for `→^m`.
+    PathAutomaton { m: usize, via_collapse: bool },
+    /// Props 4.10 (`on_dwt`) and 4.11: the β-acyclic lineage of `query`
+    /// on one connected instance or component.
+    Lineage { query: Graph, on_dwt: bool },
+    /// Lemma 3.7: the i-th evaluator runs on the instance's i-th
+    /// component, combined by `1 − Π(1 − pᵢ)`.
+    Union(Vec<RouteEval>),
     /// A #P-hard cell: hardness attribution or fallback.
     Hard(Cell),
 }
 
+impl RouteEval {
+    /// The route an answer of this evaluator reports (`None` for a hard
+    /// cell, whose fallback decides).
+    pub(crate) fn route(&self) -> Option<Route> {
+        Some(match self {
+            RouteEval::Const(sol) => sol.route.clone(),
+            RouteEval::Circuit { negated: true, .. } | RouteEval::Lineage { on_dwt: true, .. } => {
+                Route::Prop410
+            }
+            RouteEval::Circuit { .. } | RouteEval::Lineage { .. } => Route::Prop411,
+            RouteEval::LevelDp { .. } => Route::Prop36,
+            RouteEval::PathAutomaton { via_collapse, .. } => Route::Prop54 {
+                via_collapse: *via_collapse,
+            },
+            RouteEval::Union(parts) => return parts.first()?.route(),
+            RouteEval::Hard(_) => return None,
+        })
+    }
+
+    /// The probability over `W`: the exact path runs it over
+    /// [`Rational`], the engine's float tiers over
+    /// [`ErrF64`](phom_num::ErrF64). `None` for `Const`, `Circuit` and
+    /// `Hard`, and when an algorithm declines (which a correct
+    /// classification never causes).
+    pub(crate) fn eval<W: Weight>(&self, shared: &SharedInstance) -> Option<W> {
+        let RouteEval::Union(parts) = self else {
+            return self.eval_on(shared.instance);
+        };
+        let per: Option<Vec<W>> = parts
+            .iter()
+            .zip(shared.components())
+            .map(|(part, h)| part.eval_on(h))
+            .collect();
+        Some(components::combine_connected_query(&per?))
+    }
+
+    /// A leaf evaluator on one connected instance or component.
+    fn eval_on<W: Weight>(&self, h: &ProbGraph) -> Option<W> {
+        match self {
+            RouteEval::LevelDp { m: None } => Some(W::zero()),
+            RouteEval::LevelDp { m: Some(m) } => dwt_instance::dwt_long_path_probability(h, *m),
+            RouteEval::PathAutomaton { m, .. } => {
+                path_on_pt::long_path_probability(h, *m, PtStrategy::OptAutomaton)
+            }
+            RouteEval::Lineage {
+                query,
+                on_dwt: true,
+            } => path_on_dwt::probability_lineage(query, h),
+            RouteEval::Lineage { query, .. } => connected_on_2wp::probability_lineage(query, h),
+            _ => None,
+        }
+    }
+
+    /// Compiles a `Lineage` evaluator into `arena`, over the edges of
+    /// the instance `h`: Prop 4.10 as its failure event (`negated`),
+    /// Prop 4.11 as its match event. `None` for any other variant, or
+    /// when the inputs lack the proposition's shapes.
+    pub(crate) fn compile(&self, arena: &mut Arena, h: &Graph) -> Option<(GateId, bool)> {
+        match self {
+            RouteEval::Lineage {
+                query,
+                on_dwt: true,
+            } => lineage_circuits::fail_into_dwt(arena, query, h).map(|root| (root, true)),
+            RouteEval::Lineage { query, .. } => {
+                lineage_circuits::match_into_2wp(arena, query, h).map(|root| (root, false))
+            }
+            _ => None,
+        }
+    }
+
+    /// The uniform provenance handle, when the evaluator admits a circuit
+    /// over the instance's edge ids: a constant for `Const`, and the
+    /// compiled lineage of a `Lineage` on a connected instance. The other
+    /// routes' lineage lives in a different variable space (Prop 5.4's
+    /// tree encoding, Lemma 3.7's components) or is never built (Prop
+    /// 3.6's DP, the fallbacks); `ROADMAP.md` tracks them.
+    pub(crate) fn provenance(&self, h: &Graph) -> Option<Box<Provenance>> {
+        let mut circuit = Arena::new(h.n_edges());
+        let (root, negated) = match self {
+            RouteEval::Const(sol) => (circuit.constant(sol.route == Route::TrivialNoEdges), false),
+            _ => self.compile(&mut circuit, h)?,
+        };
+        Some(Box::new(Provenance {
+            circuit,
+            root,
+            negated,
+        }))
+    }
+}
 // The plan handoff types cross thread boundaries in the serving tick
 // path (engine shards, `phom_serve` worker pools). They are all owned
 // data, but enforce `Send` at compile time so a non-Send field can never
@@ -525,7 +597,7 @@ pub(crate) enum Plan {
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Planned>();
-    assert_send::<Plan>();
+    assert_send::<RouteEval>();
     assert_send::<Solution>();
     assert_send::<SolveError>();
     assert_send::<SolverOptions>();
@@ -535,19 +607,16 @@ const _: () = {
 /// fast paths come first, in a fixed order: an edgeless query, a label
 /// missing from the instance, component absorption, and the polytree
 /// zero. Then the query's cell of the tables ([`tables::cell`]) picks the
-/// route by its proposition.
+/// evaluator by its proposition.
 pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
-    let done = |absorbed: Graph, solution: Solution| Planned {
+    let done = |absorbed: Graph, probability: Rational, route: Route| Planned {
         absorbed,
-        plan: Plan::Done(solution),
+        route: RouteEval::Const(Solution::new(probability, route)),
     };
     // Trivial: an edgeless query maps anywhere (vertex sets are non-empty
     // and worlds keep all vertices).
     if query.n_edges() == 0 {
-        return done(
-            query.clone(),
-            Solution::new(Rational::one(), Route::TrivialNoEdges),
-        );
+        return done(query.clone(), Rational::one(), Route::TrivialNoEdges);
     }
     // A query edge label absent from the instance can never be matched.
     // Past this check the query's labels are among the instance's, so
@@ -557,20 +626,14 @@ pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
         .iter()
         .any(|l| shared.h_labels().binary_search(l).is_err())
     {
-        return done(
-            query.clone(),
-            Solution::new(Rational::zero(), Route::MissingLabel),
-        );
+        return done(query.clone(), Rational::zero(), Route::MissingLabel);
     }
     // Component absorption (algo::absorb): hom-comparable components of a
     // disconnected query are redundant; this can move the input into a
     // tractable cell (e.g. duplicated ⊔1WP components become one 1WP).
     let absorbed = crate::algo::absorb::absorb_query_components(query);
     if absorbed.n_edges() == 0 {
-        return done(
-            absorbed,
-            Solution::new(Rational::one(), Route::TrivialNoEdges),
-        );
+        return done(absorbed, Rational::one(), Route::TrivialNoEdges);
     }
     let cell = shared.cell(&absorbed);
     // Prop 5.5: an unlabeled ⊔DWT query is equivalent, on every
@@ -579,103 +642,46 @@ pub(crate) fn plan_query(query: &Graph, shared: &SharedInstance) -> Planned {
         Setting::Unlabeled => collapse::collapse_union_dwt_query(&absorbed),
         Setting::Labeled => None,
     };
-    let plan = if test_support::plans_forced_hard() {
+    let lineage =
+        |query: Graph, on_dwt: bool| shared.per_component(RouteEval::Lineage { query, on_dwt });
+    let route = if test_support::plans_forced_hard() {
         // Fault injection (chaos suites): every classified plan degrades
         // to the hard cell, exercising the fallback / `OnHard` ladder.
-        Plan::Hard(cell)
+        RouteEval::Hard(cell)
     } else if shared.ic().in_union_class(ConnClass::Polytree) && level_mapping(&absorbed).is_none()
     {
         // On ⊔PT instances every world is a polytree forest: queries with
         // a directed cycle or a jumping edge have probability 0 (App. A).
-        Plan::Done(Solution::new(Rational::zero(), Route::ZeroOnPolytrees))
+        RouteEval::Const(Solution::new(Rational::zero(), Route::ZeroOnPolytrees))
     } else {
         match cell.status {
-            CellStatus::PTime(Prop::P3_6) => Plan::Prop36,
-            CellStatus::PTime(Prop::P4_10) => Plan::Prop410,
+            CellStatus::PTime(Prop::P3_6) => match dwt_instance::collapse_length(&absorbed) {
+                // `→^0` and a query with no level mapping answer 1 and 0
+                // on every instance, so they skip the component split.
+                m @ (None | Some(0)) => RouteEval::LevelDp { m },
+                m => shared.per_component(RouteEval::LevelDp { m }),
+            },
+            CellStatus::PTime(Prop::P4_10) => lineage(absorbed.clone(), true),
             CellStatus::PTime(Prop::P4_11) | CellStatus::PTimeAfterCollapse(Prop::P4_11) => {
-                Plan::Prop411 {
-                    effective: collapsed().unwrap_or_else(|| absorbed.clone()),
-                }
+                lineage(collapsed().unwrap_or_else(|| absorbed.clone()), false)
             }
-            CellStatus::PTime(Prop::P5_4) => Plan::Prop54 {
+            CellStatus::PTime(Prop::P5_4) => shared.per_component(RouteEval::PathAutomaton {
                 m: absorbed.n_edges(),
                 via_collapse: false,
-            },
+            }),
             CellStatus::PTime(Prop::P5_5) | CellStatus::PTimeAfterCollapse(Prop::P5_4) => {
                 match collapsed() {
-                    Some(path) => Plan::Prop54 {
+                    Some(path) => shared.per_component(RouteEval::PathAutomaton {
                         m: path.n_edges(),
                         via_collapse: true,
-                    },
-                    None => Plan::Hard(cell),
+                    }),
+                    None => RouteEval::Hard(cell),
                 }
             }
-            _ => Plan::Hard(cell),
+            _ => RouteEval::Hard(cell),
         }
     };
-    Planned { absorbed, plan }
-}
-
-/// Executes a plan exactly as the historical per-query path did; a hard
-/// cell, or a route whose polynomial algorithm declines (`None`, which a
-/// correct classification never causes), goes to the configured fallback
-/// or to hardness attribution.
-pub(crate) fn execute_plan(
-    planned: Planned,
-    shared: &SharedInstance,
-    opts: SolverOptions,
-) -> Result<Solution, Hardness> {
-    if let Some((probability, route)) = dp_probability::<Rational>(&planned, shared) {
-        return Ok(Solution::new(probability, route));
-    }
-    let Planned { absorbed, plan } = planned;
-    let attempt: Option<Solution> = match plan {
-        Plan::Done(solution) => return Ok(solution),
-        Plan::Hard(cell) => return fallback(&absorbed, shared, cell, opts),
-        // Only reached when the DP declined.
-        Plan::Prop36 | Plan::Prop54 { .. } => None,
-        Plan::Prop411 { effective } => shared
-            .per_component(&effective, connected_on_2wp::probability_lineage)
-            .map(|p| Solution::new(p, Route::Prop411)),
-        Plan::Prop410 => shared
-            .per_component(&absorbed, path_on_dwt::probability_lineage)
-            .map(|p| Solution::new(p, Route::Prop410)),
-    };
-    match attempt {
-        Some(solution) => Ok(solution),
-        None => fallback(&absorbed, shared, shared.cell(&absorbed), opts),
-    }
-}
-
-/// The direct DP of a Prop 3.6 or Prop 5.4 plan, run over `W`: the
-/// probability and its route, or `None` for any other plan (or when the
-/// DP declines, which a correct classification never causes). Both DPs
-/// answer a connected query — Prop 3.6's collapses to `→^m` — so the
-/// cached Lemma 3.7 split applies, combined in `W` too. Prop 5.4 always
-/// runs [`PtStrategy::OptAutomaton`]. The exact path runs it over
-/// [`Rational`]; the engine's float tiers over
-/// [`ErrF64`](phom_num::ErrF64).
-pub(crate) fn dp_probability<W: Weight>(
-    planned: &Planned,
-    shared: &SharedInstance,
-) -> Option<(W, Route)> {
-    let absorbed = &planned.absorbed;
-    match planned.plan {
-        Plan::Prop36 => match dwt_instance::collapse_length(absorbed) {
-            Some(0) => Some(W::one()),
-            Some(m) => shared.per_component(absorbed, |_q, h| {
-                dwt_instance::dwt_long_path_probability::<W>(h, m)
-            }),
-            None => Some(W::zero()),
-        }
-        .map(|p| (p, Route::Prop36)),
-        Plan::Prop54 { m, via_collapse } => shared
-            .per_component(absorbed, |_q, h| {
-                path_on_pt::long_path_probability::<W>(h, m, PtStrategy::OptAutomaton)
-            })
-            .map(|p| (p, Route::Prop54 { via_collapse })),
-        _ => None,
-    }
+    Planned { absorbed, route }
 }
 
 /// The single-query path with no [`crate::Engine`]: builds the instance
@@ -699,23 +705,32 @@ pub(crate) fn solve_shared(
     shared: &SharedInstance,
     opts: SolverOptions,
 ) -> Result<Solution, Hardness> {
-    finish_plan(plan_query(query, shared), shared, opts)
+    let planned = plan_query(query, shared);
+    let provenance = opts
+        .want_provenance
+        .then(|| planned.route.provenance(shared.instance.graph()))
+        .flatten();
+    solve_planned(planned, shared, opts, provenance)
 }
 
-/// Executes an already-computed plan and attaches the provenance handle —
-/// the tail of `solve_shared`, split out so the batched solver can finish
-/// a plan it already holds without planning the query a second time.
-pub(crate) fn finish_plan(
+/// Runs a planned query's evaluator exactly and attaches `provenance`;
+/// a hard cell, or a route whose algorithm declines, goes to the
+/// configured fallback or to hardness attribution.
+pub(crate) fn solve_planned(
     planned: Planned,
     shared: &SharedInstance,
     opts: SolverOptions,
+    provenance: Option<Box<Provenance>>,
 ) -> Result<Solution, Hardness> {
-    let instance = shared.instance;
-    let provenance = opts
-        .want_provenance
-        .then(|| compile_provenance(&planned, instance.graph()))
-        .flatten();
-    let mut sol = execute_plan(planned, shared, opts)?;
+    let Planned { absorbed, route } = planned;
+    let mut sol = match route {
+        RouteEval::Const(sol) => sol,
+        RouteEval::Hard(cell) => return fallback(&absorbed, shared, cell, opts),
+        route => match (route.eval::<Rational>(shared), route.route()) {
+            (Some(probability), Some(route)) => Solution::new(probability, route),
+            _ => return fallback(&absorbed, shared, shared.cell(&absorbed), opts),
+        },
+    };
     sol.provenance = provenance;
     // The circuit is compiled apart from the route's own evaluation; this
     // guard catches a handle that disagrees with the answer before it
@@ -723,34 +738,10 @@ pub(crate) fn finish_plan(
     debug_assert!(
         sol.provenance
             .as_ref()
-            .is_none_or(|p| p.probability::<Rational>(instance.probs()) == sol.probability),
+            .is_none_or(|p| p.probability::<Rational>(shared.instance.probs()) == sol.probability),
         "provenance handle disagrees with the solved probability"
     );
     Ok(sol)
-}
-
-/// Compiles the uniform provenance handle of a plan, when its route
-/// admits a circuit over the instance's edge ids: the trivial routes
-/// yield constant circuits, and Props 4.10/4.11 their plan's circuit
-/// ([`compile_circuit`]). Routes whose lineage lives in a
-/// different variable space (Prop 5.4's tree encoding) or that never
-/// build one (Prop 3.6's direct DP, the fallbacks) return `None`;
-/// extending Lemma 3.7 routes on disconnected instances needs edge-id
-/// remapping and is tracked in `ROADMAP.md`.
-fn compile_provenance(planned: &Planned, instance: &Graph) -> Option<Box<Provenance>> {
-    let mut circuit = Arena::new(instance.n_edges());
-    let (root, negated) = match &planned.plan {
-        Plan::Done(sol) => (circuit.constant(sol.route == Route::TrivialNoEdges), false),
-        _ => {
-            let (root, negated, _) = compile_circuit(&mut circuit, planned, instance)?;
-            (root, negated)
-        }
-    };
-    Some(Box::new(Provenance {
-        circuit,
-        root,
-        negated,
-    }))
 }
 
 fn fallback(

@@ -70,7 +70,7 @@ use phom_obs::Kind::{self, Counter, Level};
 use phom_obs::{Metric, PromText, Span, SpanLane, SpanRing, Stage, TraceId, Value};
 use phom_serve::{RuntimeStats, RUNTIME_METRICS};
 use std::collections::{BTreeSet, HashMap};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -608,14 +608,17 @@ impl<'a> Conn<'a> {
         }
     }
 
-    fn run(mut self, mut stream: TcpStream) {
+    fn run(mut self, stream: TcpStream) {
+        // Requests are read through a buffer (one `read` per frame, not
+        // two); replies are written to the stream underneath.
+        let mut stream = BufReader::new(stream);
         loop {
             let frame = match read_frame(&mut stream, self.inner.max_frame) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     let reply = err_reply(&Json::Null, "bad_frame", &e.to_string());
-                    if self.write_reply(&mut stream, reply).is_err() {
+                    if self.write_reply(stream.get_mut(), reply).is_err() {
                         break;
                     }
                     continue;
@@ -627,7 +630,7 @@ impl<'a> Conn<'a> {
                 .frames_in
                 .fetch_add(1, Ordering::Relaxed);
             let reply = self.handle_op(&frame);
-            if self.write_reply(&mut stream, reply).is_err() {
+            if self.write_reply(stream.get_mut(), reply).is_err() {
                 break;
             }
         }
@@ -689,7 +692,12 @@ impl<'a> Conn<'a> {
             *n -= 1;
             if *n == 0 {
                 state.inflight.remove(&(member, version));
-                self.inner.maint_wake.notify_all();
+                // Only a pending drain waits for an in-flight count to
+                // reach 0; with none, waking the maintenance thread is
+                // pure overhead.
+                if !state.drains.is_empty() {
+                    self.inner.maint_wake.notify_all();
+                }
             }
         }
     }

@@ -145,7 +145,9 @@ fn decode_trace_reply(reply: &Json) -> Result<Vec<phom_obs::TraceRequest>, NetEr
 
 /// A blocking connection to a [`Server`](crate::Server).
 pub struct Client {
-    stream: TcpStream,
+    /// Replies are read through the buffer (one `read` per frame, not
+    /// two); requests are written to the stream underneath.
+    stream: BufReader<TcpStream>,
     max_frame: usize,
 }
 
@@ -157,7 +159,7 @@ impl Client {
         // ACKs would add tens of milliseconds per round trip.
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             max_frame: wire::MAX_FRAME,
         })
     }
@@ -177,7 +179,7 @@ impl Client {
 
     /// One request/reply exchange; unwraps the `ok`/`err` envelope.
     fn call(&mut self, request: Json) -> Result<Json, NetError> {
-        write_frame(&mut self.stream, &request)?;
+        write_frame(self.stream.get_mut(), &request)?;
         let reply = read_frame(&mut self.stream, self.max_frame)?
             .ok_or_else(|| NetError::Io(io::ErrorKind::UnexpectedEof.into()))?;
         if let Some(ok) = reply.get("ok") {
@@ -420,7 +422,7 @@ impl Client {
     /// Sends a raw frame and returns the raw reply — protocol tests and
     /// debugging.
     pub fn call_raw(&mut self, request: Json) -> Result<Json, NetError> {
-        write_frame(&mut self.stream, &request)?;
+        write_frame(self.stream.get_mut(), &request)?;
         read_frame(&mut self.stream, self.max_frame)?
             .ok_or_else(|| NetError::Io(io::ErrorKind::UnexpectedEof.into()))
     }
@@ -432,9 +434,10 @@ impl Client {
         use std::io::Write as _;
         let len = u32::try_from(payload.len())
             .map_err(|_| NetError::Protocol("payload too large to frame".into()))?;
-        self.stream.write_all(&len.to_be_bytes())?;
-        self.stream.write_all(payload)?;
-        self.stream.flush()?;
+        let stream = self.stream.get_mut();
+        stream.write_all(&len.to_be_bytes())?;
+        stream.write_all(payload)?;
+        stream.flush()?;
         read_frame(&mut self.stream, self.max_frame)?
             .ok_or_else(|| NetError::Io(io::ErrorKind::UnexpectedEof.into()))
     }

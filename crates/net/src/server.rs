@@ -125,7 +125,8 @@ struct Counters {
     /// Tickets held server-side on behalf of clients, not yet delivered
     /// (or dropped at connection close). The no-leak gauge.
     tickets_open: AtomicI64,
-    /// Completion frames pushed to v2 connections.
+    /// Completions pushed to v2 connections: one per answer, however
+    /// many answers a push frame carries.
     pushed: AtomicU64,
     /// Connections that negotiated protocol v2 via `hello`.
     hello_upgrades: AtomicU64,
@@ -208,7 +209,8 @@ pub struct NetStats {
     /// Tickets currently held server-side awaiting delivery (0 after a
     /// clean drain — the no-leak gauge).
     pub open_tickets: i64,
-    /// Completion frames pushed to v2 connections.
+    /// Completions pushed to v2 connections: one per answer, however
+    /// many answers a push frame carries.
     pub pushed: u64,
     /// Connections that negotiated protocol v2 via `hello`.
     pub hello_upgrades: u64,
@@ -229,7 +231,7 @@ pub const NET_METRICS: &[Metric<(NetStats, Histogram)>] = &[
     Metric::new("rejected_overloaded", "phom_net_rejected_overloaded_total", &[], Counter, "submit ops rejected with backpressure", |(n, _)| n.rejected_overloaded.into()),
     Metric::new("open_tickets", "phom_net_open_tickets", &[], Level, "tickets held server-side awaiting delivery", |(n, _)| n.open_tickets.into()),
     Metric::new("delivered", "phom_net_delivered_total", &[], Counter, "answers delivered via v1 poll or v2 push", |(n, _)| n.delivered.into()),
-    Metric::new("pushed", "phom_net_pushed_total", &[], Counter, "completion frames pushed to v2 connections", |(n, _)| n.pushed.into()),
+    Metric::new("pushed", "phom_net_pushed_total", &[], Counter, "completions pushed to v2 connections, one per answer", |(n, _)| n.pushed.into()),
     Metric::new("hello_upgrades", "phom_net_hello_total", &[], Counter, "connections upgraded to protocol v2", |(n, _)| n.hello_upgrades.into()),
     Metric::new("inflight", "phom_net_inflight", &[], Level, "requests inside v2 in-flight windows (admitted, not yet pushed)", |(n, _)| n.inflight.into()),
     Metric::new("inflight_depth", "phom_net_inflight_depth", &[], Kind::Histogram, "window depth observed at each v2 admit", |(_, depth)| depth.into()),

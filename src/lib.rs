@@ -127,9 +127,10 @@
 //!   4.10/4.11, connected instances) the lineage circuit is compiled
 //!   once into a [`FlatArena`](phom_lineage::FlatArena) (topologically
 //!   ordered contiguous slab, non-recursive evaluation) and evaluated
-//!   there; the direct DPs of Props 3.6 and 5.4 run over `ErrF64`
-//!   themselves, with Lemma 3.7's `1 − Π(1 − pᵢ)` combining the
-//!   components of a disconnected instance in the same arithmetic. The
+//!   there; the direct DPs of Props 3.6 and 5.4, and the β-acyclic
+//!   lineages of Props 4.10/4.11 on a disconnected instance's
+//!   components, run over `ErrF64` themselves, with Lemma 3.7's
+//!   `1 − Π(1 − pᵢ)` combining the components in the same arithmetic. The
 //!   answer is [`Response::Approximate`]`{ value, rel_err_bound, route }`
 //!   — always served, with an honest bound even when it misses the
 //!   tolerance.
@@ -142,10 +143,9 @@
 //!   [`BatchStats`](phom_core::BatchStats)' `float_evaluated` and
 //!   `escalations` and surfaced in [`RuntimeStats`].
 //!
-//! The other routes — trivial answers, fallbacks, and Props 4.10/4.11 on
-//! disconnected instances — compute exactly; under `Float` their exact
-//! answer is reported approximately (half-ulp bound), under `Auto` it is
-//! reported exactly. Provenance-bearing requests, counting, sensitivity,
+//! The other routes — trivial answers and fallbacks — compute exactly;
+//! under `Float` their exact answer is reported approximately (half-ulp
+//! bound), under `Auto` it is reported exactly. Provenance-bearing requests, counting, sensitivity,
 //! and UCQ are always answered exactly; the precision (tolerance bits included) is
 //! part of the cache key, so float and exact answers can never alias —
 //! not in an engine's cache, a cache shared by several engines, or over

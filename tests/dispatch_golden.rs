@@ -12,9 +12,11 @@
 
 use phom::core::tables::{class_name, CLASSES};
 use phom::graph::generate;
+use phom::graph::io::parse_rational;
 use phom::graph::ConnClass;
 use phom::prelude::*;
 use phom_net::wire::encode_result;
+use phom_net::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -117,4 +119,56 @@ fn dispatch_reproduces_the_golden_answers() {
     for (n, (got, want)) in got.iter().zip(&expected).enumerate() {
         assert_eq!(got, want, "line {} of the golden", n + 1);
     }
+}
+
+/// Every `Float{1e-6}` cell of the golden lies within its own certified
+/// relative-error bound of its line's `Exact` rational and names the
+/// same route; an error cell is the same error in both tiers. A
+/// re-rendered Float cell that drifted from its Exact cell fails here.
+#[test]
+fn golden_float_cells_lie_within_their_bound_of_the_exact_cells() {
+    let golden = include_str!("golden/dispatch.txt");
+    let mut checked = 0usize;
+    for (n, line) in golden.lines().filter(|l| !l.starts_with('#')).enumerate() {
+        let ctx = format!("line {} of the golden", n + 1);
+        let cells: Vec<String> = line
+            .splitn(3, " {\"status\"")
+            .skip(1)
+            .map(|cell| format!("{{\"status\"{cell}"))
+            .collect();
+        let [exact, float] = &cells[..] else {
+            panic!("{ctx}: want an Exact and a Float cell");
+        };
+        let parse = |cell: &str| Json::parse(cell).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let (exact_json, float_json) = (parse(exact), parse(float));
+        let text = |json: &Json, key: &str| -> String {
+            let value = json.get(key).and_then(Json::as_str);
+            value
+                .unwrap_or_else(|| panic!("{ctx}: no {key}"))
+                .to_string()
+        };
+        checked += 1;
+        if text(&exact_json, "status") == "error" {
+            assert_eq!(exact, float, "{ctx}: the tiers fail differently");
+            continue;
+        }
+        assert_eq!(
+            text(&exact_json, "route"),
+            text(&float_json, "route"),
+            "{ctx}"
+        );
+        let p = parse_rational(&text(&exact_json, "p")).expect("an exact rational");
+        let p = p.to_f64();
+        let value: f64 = text(&float_json, "p").parse().expect("a float value");
+        let bound: f64 = text(&float_json, "rel_err").parse().expect("a float bound");
+        assert!(bound >= 0.0, "{ctx}: bad bound {bound}");
+        // An infinite bound (a computed 0 with a nonzero error) certifies
+        // nothing to check; the slack covers the rounding of `p` itself.
+        let slack = bound * value.abs() + f64::EPSILON * p.abs() + f64::MIN_POSITIVE;
+        assert!(
+            bound.is_infinite() || (value - p).abs() <= slack,
+            "{ctx}: float {value} vs exact {p}, certified rel err {bound}"
+        );
+    }
+    assert_eq!(checked, 400, "data lines checked");
 }

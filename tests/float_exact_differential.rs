@@ -77,6 +77,143 @@ fn assert_bound_holds(value: f64, rel_err_bound: f64, exact: f64, ctx: &str) {
 /// by a DP's float run, per kind (Prop 3.6, Prop 5.4, disconnected).
 const MIN_DP: usize = 10;
 
+/// Props 4.10/4.11 on disconnected instances run Lemma 3.7's union of
+/// β-acyclic lineages in the float tier: a `Float` answer lies within its
+/// certified bound of the exact one and names the same route, and an
+/// `Auto` answer is either served from the float run within tolerance or
+/// escalated to the exact tier's bits. At least [`MIN_DP`] `Auto`
+/// answers of each proposition, with a nonzero probability, come from
+/// the float run.
+#[test]
+fn disconnected_lineage_routes_compute_in_the_float_tier() {
+    let mut rng = SmallRng::seed_from_u64(0xD15C_0411);
+    let (mut served410, mut served411) = (0usize, 0usize);
+    for trial in 0..60 {
+        let on_dwt = trial % 2 == 0;
+        let parts = rng.gen_range(2..4);
+        let g = generate::union_of(parts, &mut rng, |r| {
+            if on_dwt {
+                generate::downward_tree(r.gen_range(3..9), 2, r)
+            } else {
+                generate::two_way_path(r.gen_range(3..9), 2, r)
+            }
+        });
+        let h = generate::with_probabilities(g, ProbProfile::default(), &mut rng);
+        let tol = [1e-6, 1e-12][trial % 4 / 2];
+        for i in 0..4 {
+            let len = rng.gen_range(1..4);
+            let q = if on_dwt {
+                generate::one_way_path(len, 2, &mut rng)
+            } else {
+                generate::two_way_path(len, 2, &mut rng)
+            };
+            let ctx = format!("trial {trial}, query {i}, tol {tol}");
+            let (exact, _) = solo(&h, Request::probability(q.clone()));
+            // A ⊔DWT of paths is a ⊔2WP too, where Prop 4.11 answers.
+            let Ok(Response::Probability(sol)) = &exact else {
+                panic!("{ctx}: exact {exact:?}");
+            };
+            assert!(
+                matches!(sol.route, Route::Prop410 | Route::Prop411),
+                "{ctx}"
+            );
+            let float =
+                Request::probability(q.clone()).precision(Precision::Float { max_rel_err: tol });
+            let (float, stats) = solo(&h, float);
+            let Ok(Response::Approximate {
+                value,
+                rel_err_bound,
+                route,
+            }) = float
+            else {
+                panic!("{ctx}: float {float:?}");
+            };
+            assert_eq!(route, sol.route, "{ctx}");
+            assert_eq!(
+                stats.float_evaluated, 1,
+                "{ctx}: not served by the float run"
+            );
+            assert_bound_holds(value, rel_err_bound, sol.probability.to_f64(), &ctx);
+            let auto = Request::probability(q).precision(Precision::Auto { max_rel_err: tol });
+            match solo(&h, auto).0 {
+                Ok(Response::Probability(escalated)) => {
+                    assert_eq!(escalated.probability, sol.probability, "{ctx}");
+                    assert_eq!(escalated.route, sol.route, "{ctx}");
+                }
+                Ok(Response::Approximate {
+                    value,
+                    rel_err_bound,
+                    ..
+                }) => {
+                    assert!(
+                        rel_err_bound <= tol,
+                        "{ctx}: bound {rel_err_bound} above {tol}"
+                    );
+                    assert_bound_holds(value, rel_err_bound, sol.probability.to_f64(), &ctx);
+                    if !sol.probability.is_zero() {
+                        *match sol.route {
+                            Route::Prop410 => &mut served410,
+                            _ => &mut served411,
+                        } += 1;
+                    }
+                }
+                other => panic!("{ctx}: auto {other:?}"),
+            }
+        }
+    }
+    assert!(
+        served410 >= MIN_DP && served411 >= MIN_DP,
+        "too few nonzero float answers: Prop 4.10 {served410}, Prop 4.11 {served411} \
+         (want {MIN_DP} each)"
+    );
+}
+
+/// A probability within half an ulp of 1 converts to the float 1, so its
+/// complement is a zero that carries an error bound, and the β-elimination
+/// of Props 4.10/4.11 divides by such values. On disconnected instances,
+/// where that evaluator serves the float tiers, every answer must still
+/// be a number inside its certified bound, or the exact tier's answer.
+#[test]
+fn near_certain_edges_keep_lineage_float_answers_certified() {
+    let mut rng = SmallRng::seed_from_u64(0x1EAF_0001);
+    let near_one = Rational::from_ratio((1 << 60) - 1, 1 << 60);
+    for trial in 0..150 {
+        let g = generate::union_of(2, &mut rng, |r| {
+            generate::two_way_path(r.gen_range(3..8), 2, r)
+        });
+        let probs = (0..g.n_edges())
+            .map(|_| match rng.gen_range(0..3) {
+                0 => near_one.clone(),
+                1 => Rational::one(),
+                _ => Rational::from_ratio(rng.gen_range(1..16), 16),
+            })
+            .collect();
+        let h = ProbGraph::new(g, probs);
+        let q = generate::two_way_path(rng.gen_range(1..4), 2, &mut rng);
+        let (exact, _) = solo(&h, Request::probability(q.clone()));
+        let Ok(Response::Probability(sol)) = &exact else {
+            panic!("trial {trial}: exact {exact:?}");
+        };
+        for precision in [
+            Precision::Float { max_rel_err: 1e-6 },
+            Precision::Auto { max_rel_err: 1e-6 },
+        ] {
+            let ctx = format!("trial {trial}, {precision:?}");
+            match solo(&h, Request::probability(q.clone()).precision(precision)).0 {
+                Ok(Response::Approximate {
+                    value,
+                    rel_err_bound,
+                    ..
+                }) => assert_bound_holds(value, rel_err_bound, sol.probability.to_f64(), &ctx),
+                Ok(Response::Probability(escalated)) => {
+                    assert_eq!(escalated.probability, sol.probability, "{ctx}")
+                }
+                other => panic!("{ctx}: {other:?}"),
+            }
+        }
+    }
+}
+
 /// The headline suite: ≥500 randomized cases, three tiers each.
 #[test]
 fn float_tier_is_certified_and_auto_escalates_bit_for_bit() {
